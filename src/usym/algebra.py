@@ -86,6 +86,11 @@ class FinAlgebra:
         return f"FinAlgebra(n={self.n}, field={self.field!r})"
 
 
+def require_same_field(a: FinAlgebra, b: FinAlgebra) -> None:
+    if a.field != b.field:
+        raise ValueError("both algebras must share one field")
+
+
 @dataclass(frozen=True)
 class Violation:
     kind: str  # "unit" or "associativity"

@@ -159,7 +159,15 @@ def _cmd_gradings(args) -> Report:
     algebra, meta = load_algebra(args.file)
     group, group_meta = load_group(args.group)
     bound = _max_search()
-    points = enumerate_points(algebra, group, bound)
+    # classify searches points, then oracle gradings, then Aut: the same order
+    # as without it, so the same SearchSizeError comes first
+    if args.classify:
+        result = classify(algebra, group, bound)
+        points, oracle = result.points, result.gradings
+    else:
+        result = None
+        points = enumerate_points(algebra, group, bound)
+        oracle = enumerate_gradings_oracle(algebra, group, bound) if args.oracle else ()
     induced = [grading_from_point(algebra, group, p) for p in points]
     flags = ""
     if args.classify:
@@ -193,7 +201,6 @@ def _cmd_gradings(args) -> Report:
         *[f"  grading {k}: {grading_text(group, g)}" for k, g in enumerate(induced)],
     ]
     if args.oracle:
-        oracle = enumerate_gradings_oracle(algebra, group, bound)
         induced_sorted = sorted(induced, key=lambda g: g.sort_key())
         checks.append(("oracle-match", list(induced_sorted) == list(oracle)))
         roundtrip = all(
@@ -202,8 +209,7 @@ def _cmd_gradings(args) -> Report:
         )
         checks.append(("roundtrip", roundtrip))
         payload["oracle_count"] = len(oracle)
-    if args.classify:
-        result = classify(algebra, group, bound)
+    if result is not None:
         checks.append(("orbit-count-agreement", result.counts_agree))
         checks.append(("orbit-correspondence", result.correspondence_ok))
         payload["classification"] = {

@@ -12,14 +12,27 @@ product, giving the monoid isomorphism with (End(A), o).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .algebra import FinAlgebra, is_algebra_map
+from .algebra import FinAlgebra, is_algebra_map, require_same_field
 from .errors import InputError, SearchSizeError
 from .fields import PrimeField
 from .linalg import Matrix
 
 DEFAULT_MAX_SEARCH = 1 << 24
+
+
+def _relation_holds(a: FinAlgebra, b: FinAlgebra, cols: list[tuple], ai: int, i: int, j: int) -> bool:
+    """The relation (ai, i, j) of a(A,B), evaluated on the matrix whose
+    columns cols lists (cols[u][s] is the entry in row s, column u)."""
+    zero = a.field.zero
+    lhs = zero
+    for u, c in b.basis_product(i, j).items():
+        lhs = lhs + c * cols[u][ai]
+    rhs = zero
+    for (s, t, c) in a.pairs_with_result(ai):
+        rhs = rhs + c * cols[i][s] * cols[j][t]
+    return lhs == rhs
 
 
 def is_measuring_point(a: FinAlgebra, b: FinAlgebra, m: Matrix) -> bool:
@@ -29,19 +42,13 @@ def is_measuring_point(a: FinAlgebra, b: FinAlgebra, m: Matrix) -> bool:
         raise ValueError(f"matrix shape {m.nrows}x{m.ncols}, expected {a.n}x{b.n}")
     if m.column(0) != a.unit:
         return False
-    zero = a.field.zero
-    for ai in range(a.n):
-        for i in range(b.n):
-            for j in range(b.n):
-                lhs = zero
-                for u, c in b.basis_product(i, j).items():
-                    lhs = lhs + c * m.entry(ai, u)
-                rhs = zero
-                for (s, t, c) in a.pairs_with_result(ai):
-                    rhs = rhs + c * m.entry(s, i) * m.entry(t, j)
-                if lhs != rhs:
-                    return False
-    return True
+    cols = [m.column(u) for u in range(b.n)]
+    return all(
+        _relation_holds(a, b, cols, ai, i, j)
+        for ai in range(a.n)
+        for i in range(b.n)
+        for j in range(b.n)
+    )
 
 
 def is_point(a: FinAlgebra, m: Matrix) -> bool:
@@ -69,36 +76,37 @@ class EndoMonoid:
     algebra: FinAlgebra
     points: tuple[Matrix, ...]  # canonically sorted, duplicate-free
     identity_index: int
+    # rows of each point -> its index in points
+    _index: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._index = {pt.rows: k for k, pt in enumerate(self.points)}
 
     def __len__(self) -> int:
         return len(self.points)
 
     def index_of(self, m: Matrix) -> int | None:
-        lookup = {pt.rows: k for k, pt in enumerate(self.points)}
-        return lookup.get(m.rows)
+        return self._index.get(m.rows)
 
     def is_closed(self) -> bool:
-        keys = {pt.rows for pt in self.points}
-        return all((p * q).rows in keys for p in self.points for q in self.points)
+        return all((p * q).rows in self._index for p in self.points for q in self.points)
 
     def has_identity(self) -> bool:
         return self.points[self.identity_index] == counit_point(self.algebra)
 
     def multiplication_table(self) -> tuple[tuple[int, ...], ...]:
-        lookup = {pt.rows: k for k, pt in enumerate(self.points)}
         return tuple(
-            tuple(lookup[(p * q).rows] for q in self.points) for p in self.points
+            tuple(self._index[(p * q).rows] for q in self.points) for p in self.points
         )
 
     def inverses_in_set(self) -> bool:
         """Every member has a two-sided inverse inside the set (group check)."""
-        lookup = {pt.rows: k for k, pt in enumerate(self.points)}
         ident = counit_point(self.algebra)
         for p in self.points:
             if not p.is_invertible():
                 return False
             inv = p.inverse()
-            if inv.rows not in lookup:
+            if inv.rows not in self._index:
                 return False
             if p * inv != ident or inv * p != ident:
                 return False
@@ -111,22 +119,33 @@ def _require_prime_field(a: FinAlgebra) -> PrimeField:
     return a.field
 
 
+def _require_search_size(needed: int, max_search: int | None, what: str) -> int:
+    """The search bound (DEFAULT_MAX_SEARCH unless max_search is given);
+    raises SearchSizeError when the needed candidate count exceeds it."""
+    bound = max_search if max_search is not None else DEFAULT_MAX_SEARCH
+    if needed > bound:
+        raise SearchSizeError(needed, bound, what)
+    return bound
+
+
+def _matrix_search_field(
+    a: FinAlgebra, b: FinAlgebra, max_search: int | None, what: str
+) -> PrimeField:
+    """The common prime field of a and b, once the p^(dim A (dim B - 1))
+    matrices with the unit column fixed fit the search bound."""
+    fld = _require_prime_field(a)
+    require_same_field(a, b)
+    _require_search_size(fld.characteristic ** (a.n * (b.n - 1)), max_search, what)
+    return fld
+
+
 def enumerate_measuring_points(
     a: FinAlgebra, b: FinAlgebra, max_search: int | None = None
 ) -> tuple[Matrix, ...]:
     """All matrices satisfying the evaluated relations of a(A,B), by a
     column-major search with early relation pruning."""
-    fld = _require_prime_field(a)
-    if a.field != b.field:
-        raise ValueError("both algebras must share one field")
-    bound = max_search if max_search is not None else DEFAULT_MAX_SEARCH
-    free = a.n * (b.n - 1)
-    needed = fld.characteristic ** free
-    if needed > bound:
-        raise SearchSizeError(needed, bound, "point enumeration")
-
+    fld = _matrix_search_field(a, b, max_search, "point enumeration")
     n, m = a.n, b.n
-    zero = a.field.zero
     elems = list(fld.elements())
 
     # relation (ai, i, j) is decidable once columns i, j and every u with
@@ -139,31 +158,26 @@ def enumerate_measuring_points(
             for ai in range(n):
                 needed_cols[top].append((ai, i, j))
 
-    def rel_holds(cols: list[tuple], ai: int, i: int, j: int) -> bool:
-        lhs = zero
-        for u, c in b.basis_product(i, j).items():
-            lhs = lhs + c * cols[u][ai]
-        rhs = zero
-        for (s, t, c) in a.pairs_with_result(ai):
-            rhs = rhs + c * cols[i][s] * cols[j][t]
-        return lhs == rhs
-
     out: list[Matrix] = []
-    unit_col = a.unit
+
+    def decided_hold(cols: list[tuple]) -> bool:
+        """Do the relations that the last assigned column decides hold?"""
+        return all(
+            _relation_holds(a, b, cols, ai, i, j) for (ai, i, j) in needed_cols[len(cols) - 1]
+        )
 
     def extend(cols: list[tuple]) -> None:
-        c = len(cols)
-        if c == m:
+        if len(cols) == m:
             out.append(Matrix.from_columns(a.field, cols))
             return
         for candidate in itertools.product(elems, repeat=n):
             cols.append(candidate)
-            if all(rel_holds(cols, ai, i, j) for (ai, i, j) in needed_cols[c]):
+            if decided_hold(cols):
                 extend(cols)
             cols.pop()
 
-    cols0 = [unit_col]
-    if all(rel_holds(cols0, ai, i, j) for (ai, i, j) in needed_cols[0]):
+    cols0 = [a.unit]
+    if decided_hold(cols0):
         extend(cols0)
     out.sort(key=lambda mt: mt.sort_key())
     return tuple(out)
@@ -208,14 +222,7 @@ def enumerate_homs(
     This is the direct route, independent of the relation machinery; its
     output must coincide with enumerate_measuring_points(A, B).
     """
-    fld = _require_prime_field(a)
-    if a.field != b.field:
-        raise ValueError("both algebras must share one field")
-    bound = max_search if max_search is not None else DEFAULT_MAX_SEARCH
-    free = a.n * (b.n - 1)
-    needed = fld.characteristic ** free
-    if needed > bound:
-        raise SearchSizeError(needed, bound, "hom enumeration")
+    fld = _matrix_search_field(a, b, max_search, "hom enumeration")
     elems = list(fld.elements())
     out = []
     for stacked in itertools.product(

@@ -16,9 +16,13 @@ import itertools
 from dataclasses import dataclass
 
 from .algebra import FinAlgebra
-from .endomorphisms import DEFAULT_MAX_SEARCH, EndoMonoid, automorphism_group
-from .errors import InputError, SearchSizeError
-from .fields import PrimeField, Scalar
+from .endomorphisms import (
+    EndoMonoid,
+    _require_prime_field,
+    _require_search_size,
+    automorphism_group,
+)
+from .fields import Scalar
 from .groups import FiniteGroup
 from .linalg import Matrix, Subspace, column_space, count_subspaces, enumerate_subspaces
 from .report import CheckItem, CheckReport
@@ -216,12 +220,6 @@ def point_from_grading(a: FinAlgebra, g: FiniteGroup, grading: Grading) -> Gradi
     return GradingPoint(mats)
 
 
-def _require_prime_field(a: FinAlgebra) -> PrimeField:
-    if not isinstance(a.field, PrimeField):
-        raise InputError("exhaustive enumeration is only available over prime fields")
-    return a.field
-
-
 def enumerate_points(
     a: FinAlgebra, g: FiniteGroup, max_search: int | None = None
 ) -> tuple[GradingPoint, ...]:
@@ -232,16 +230,14 @@ def enumerate_points(
     their projection families.
     """
     fld = _require_prime_field(a)
-    bound = max_search if max_search is not None else DEFAULT_MAX_SEARCH
     p = fld.characteristic
     n, m = a.n, g.order
     raw = p ** ((n * n - n) * m)
+    structured = count_subspaces(p, n) ** m
+    bound = _require_search_size(min(raw, structured), max_search, "grading point enumeration")
     if raw <= bound:
         points = _enumerate_points_direct(a, g)
     else:
-        structured = count_subspaces(p, n) ** m
-        if structured > bound:
-            raise SearchSizeError(min(raw, structured), bound, "grading point enumeration")
         zeromat = Matrix.zeros(a.field, n, n)
         points = []
         for support, comps in _decompositions(a, g):
@@ -321,10 +317,9 @@ def enumerate_gradings_oracle(
     """All G-gradings found directly from the definition: ordered direct-sum
     decompositions checked for multiplicativity.  No bialgebra machinery."""
     fld = _require_prime_field(a)
-    bound = max_search if max_search is not None else DEFAULT_MAX_SEARCH
-    needed = count_subspaces(fld.characteristic, a.n) ** g.order
-    if needed > bound:
-        raise SearchSizeError(needed, bound, "grading enumeration")
+    _require_search_size(
+        count_subspaces(fld.characteristic, a.n) ** g.order, max_search, "grading enumeration"
+    )
     out = []
     for support, comps in _decompositions(a, g):
         grading = Grading(a.n, g.order, dict(zip(support, comps)))
@@ -421,7 +416,7 @@ class GroupCoaction:
     checks: CheckReport
 
 
-def _coaction_grid(point: GradingPoint, n: int, m: int, i: int, field) -> list[list[Scalar]]:
+def _coaction_grid(point: GradingPoint, n: int, m: int, i: int) -> list[list[Scalar]]:
     """rho(e_i) as an n x m coefficient grid over e_a (x) sigma."""
     return [[point.matrices[sigma].entry(s, i) for sigma in range(m)] for s in range(n)]
 
@@ -465,7 +460,7 @@ def coaction_from_point(a: FinAlgebra, g: FiniteGroup, point: GradingPoint) -> G
     )
     items.append(CheckItem("coaction-counit", eps_matrix == Matrix.identity(fld, n)))
 
-    unit_grid = _coaction_grid(point, n, m, 0, fld)
+    unit_grid = _coaction_grid(point, n, m, 0)
     want_unit = [[fld.one if (s == 0 and sigma == g.identity) else fld.zero for sigma in range(m)] for s in range(n)]
     items.append(CheckItem("coaction-unit", unit_grid == want_unit))
 
@@ -485,13 +480,13 @@ def coaction_from_point(a: FinAlgebra, g: FiniteGroup, point: GradingPoint) -> G
 
     mult_ok = True
     for i in range(n):
-        gi = _coaction_grid(point, n, m, i, fld)
+        gi = _coaction_grid(point, n, m, i)
         for j in range(n):
-            gj = _coaction_grid(point, n, m, j, fld)
+            gj = _coaction_grid(point, n, m, j)
             lhs = _akg_mul(a, g, gi, gj)
             rhs = [[fld.zero] * m for _ in range(n)]
             for u, c in a.basis_product(i, j).items():
-                gu = _coaction_grid(point, n, m, u, fld)
+                gu = _coaction_grid(point, n, m, u)
                 for s in range(n):
                     for sigma in range(m):
                         rhs[s][sigma] = rhs[s][sigma] + c * gu[s][sigma]

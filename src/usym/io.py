@@ -25,6 +25,7 @@ from .ncpoly import (
     format_genid,
     format_poly,
     format_tensor,
+    format_word,
 )
 from .universal import Presentation
 
@@ -37,6 +38,20 @@ def digest_bytes(data: bytes) -> str:
 class LoadedInput:
     name: str
     digest: str
+
+
+def _is_int(x) -> bool:
+    """A JSON integer; true and false are not integers here."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_label(x) -> bool:
+    """Hashable, so usable as a group element label (JSON lists are not)."""
+    try:
+        hash(x)
+    except TypeError:
+        return False
+    return True
 
 
 def load_algebra(path: str | Path) -> tuple[FinAlgebra, LoadedInput]:
@@ -64,9 +79,9 @@ def algebra_from_dict(data, source: str = "<algebra>") -> FinAlgebra:
     except ValueError as exc:
         raise InputError(f"{source}: {exc}") from exc
     n = data["dimension"]
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise InputError(f"{source}: dimension must be a positive integer")
-    if data["unit_index"] != 1:
+    if not _is_int(data["unit_index"]) or data["unit_index"] != 1:
         raise InputError(f"{source}: unit_index must be 1 (basis is not re-based)")
     labels = data["basis"]
     if (
@@ -83,7 +98,7 @@ def algebra_from_dict(data, source: str = "<algebra>") -> FinAlgebra:
             raise InputError(f"{source}: bad tau entry {entry!r}")
         i, j, s, value = entry
         for idx in (i, j, s):
-            if not isinstance(idx, int) or not (1 <= idx <= n):
+            if not _is_int(idx) or not (1 <= idx <= n):
                 raise InputError(f"{source}: tau index out of range in {entry!r}")
         key = (i - 1, j - 1, s - 1)
         if key in tau:
@@ -130,10 +145,15 @@ def group_from_dict(data, source: str = "<group>") -> FiniteGroup:
         if key not in data:
             raise InputError(f"{source}: missing key {key!r}")
     labels = data["elements"]
-    if not isinstance(labels, list) or not labels or len(set(labels)) != len(labels):
+    if (
+        not isinstance(labels, list)
+        or not labels
+        or not all(map(_is_label, labels))
+        or len(set(labels)) != len(labels)
+    ):
         raise InputError(f"{source}: elements must be a list of distinct labels")
     index = {lab: k for k, lab in enumerate(labels)}
-    if data["identity"] not in index:
+    if not _is_label(data["identity"]) or data["identity"] not in index:
         raise InputError(f"{source}: identity label not among elements")
     table_rows = data["table"]
     m = len(labels)
@@ -143,10 +163,10 @@ def group_from_dict(data, source: str = "<group>") -> FiniteGroup:
     for r, row in enumerate(table_rows):
         if not isinstance(row, list) or len(row) != m:
             raise InputError(f"{source}: table row {r + 1} must have {m} entries")
-        try:
-            table.append([index[lab] for lab in row])
-        except KeyError as exc:
-            raise InputError(f"{source}: unknown label {exc} in table row {r + 1}") from exc
+        unknown = [lab for lab in row if not _is_label(lab) or lab not in index]
+        if unknown:
+            raise InputError(f"{source}: unknown label {unknown[0]!r} in table row {r + 1}")
+        table.append([index[lab] for lab in row])
     group = FiniteGroup(labels, table)
     violation = validate_group(group)
     if violation is not None:
@@ -246,7 +266,7 @@ def presentation_text(p: Presentation) -> list[str]:
         lines.append(f"  {format_genid(g)} -> {format_poly(q)}")
     lines.append(f"rules ({len(p.system.rules)}):")
     for r in p.system.rules:
-        lines.append(f"  {format_word_rule(r.lead)} -> {format_poly(r.rest)}")
+        lines.append(f"  {format_word(r.lead)} -> {format_poly(r.rest)}")
     lines.append("delta:")
     for g in p.gens:
         lines.append(f"  {format_genid(g)} -> {format_tensor(p.delta[g])}")
@@ -258,10 +278,6 @@ def presentation_text(p: Presentation) -> list[str]:
         parts = " + ".join(f"e[{s + 1}] (x) ({format_poly(q)})" for s, q in entries)
         lines.append(f"  e[{i + 1}] -> {parts}")
     return lines
-
-
-def format_word_rule(w: Word) -> str:
-    return " ".join(format_genid(g) for g in w)
 
 
 def grading_point_text(g: FiniteGroup, point: GradingPoint) -> str:

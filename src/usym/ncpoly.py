@@ -12,6 +12,9 @@ generators, so together they generate the full defining ideal.
 
 from __future__ import annotations
 
+import functools
+import itertools
+import operator
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
@@ -52,6 +55,21 @@ def _find(word: Word, factor: Word, leftmost: bool = True) -> int | None:
         if word[p : p + len(factor)] == factor:
             return p
     return None
+
+
+def _accumulate(out: dict, items: Iterable[tuple]) -> dict:
+    """Add (key, coefficient) pairs into out, dropping keys that cancel to zero."""
+    for k, c in items:
+        v = out.get(k)
+        if v is None:
+            out[k] = c
+        else:
+            v = v + c
+            if v:
+                out[k] = v
+            else:
+                del out[k]
+    return out
 
 
 class NCPoly:
@@ -102,18 +120,7 @@ class NCPoly:
         return NCPoly({w: v / c for w, v in self.terms.items()})
 
     def __add__(self, other: "NCPoly") -> "NCPoly":
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            v = out.get(w)
-            if v is None:
-                out[w] = c
-            else:
-                v = v + c
-                if v:
-                    out[w] = v
-                else:
-                    del out[w]
-        return NCPoly(out)
+        return NCPoly(_accumulate(dict(self.terms), other.terms.items()))
 
     def __neg__(self) -> "NCPoly":
         return NCPoly({w: -c for w, c in self.terms.items()})
@@ -124,21 +131,8 @@ class NCPoly:
     def __mul__(self, other: "NCPoly") -> "NCPoly":
         if not isinstance(other, NCPoly):
             return NotImplemented
-        out: dict[Word, Scalar] = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                c = c1 * c2
-                v = out.get(w)
-                if v is None:
-                    out[w] = c
-                else:
-                    v = v + c
-                    if v:
-                        out[w] = v
-                    else:
-                        del out[w]
-        return NCPoly(out)
+        pairs = itertools.product(self.terms.items(), other.terms.items())
+        return NCPoly(_accumulate({}, ((w1 + w2, c1 * c2) for (w1, c1), (w2, c2) in pairs)))
 
     def scale(self, c: Scalar) -> "NCPoly":
         if not c:
@@ -418,12 +412,13 @@ def ideal_member_bounded(p: NCPoly, system: RewriteSystem, degree_bound: int) ->
 
 
 class TensorPoly:
-    """Element of (free algebra) tensor (free algebra): word pairs to scalars."""
+    """Element of a tensor power of the free algebra: each key is a tuple of
+    k words, one per leg (k = 2 for Delta, k = 3 for coassociativity)."""
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[tuple[Word, Word], Scalar] | None = None):
-        self.terms: dict[tuple[Word, Word], Scalar] = {
+    def __init__(self, terms: Mapping[tuple[Word, ...], Scalar] | None = None):
+        self.terms: dict[tuple[Word, ...], Scalar] = {
             k: c for k, c in (terms or {}).items() if c
         }
 
@@ -432,25 +427,25 @@ class TensorPoly:
         return cls()
 
     @classmethod
-    def term(cls, left: Word, right: Word, coeff: Scalar) -> "TensorPoly":
-        return cls({(left, right): coeff})
+    def term(cls, *legs_and_coeff) -> "TensorPoly":
+        """term(w1, ..., wk, c) is c * w1 (x) ... (x) wk."""
+        *legs, coeff = legs_and_coeff
+        return cls({tuple(legs): coeff})
+
+    @classmethod
+    def of(cls, *factors: NCPoly) -> "TensorPoly":
+        """The tensor product p1 (x) ... (x) pk of polynomials."""
+        out: dict[tuple[Word, ...], Scalar] = {}
+        for combo in itertools.product(*(f.terms.items() for f in factors)):
+            legs, coeffs = zip(*combo)
+            out[legs] = functools.reduce(operator.mul, coeffs)
+        return cls(out)
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def __add__(self, other: "TensorPoly") -> "TensorPoly":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            v = out.get(k)
-            if v is None:
-                out[k] = c
-            else:
-                v = v + c
-                if v:
-                    out[k] = v
-                else:
-                    del out[k]
-        return TensorPoly(out)
+        return TensorPoly(_accumulate(dict(self.terms), other.terms.items()))
 
     def __neg__(self) -> "TensorPoly":
         return TensorPoly({k: -c for k, c in self.terms.items()})
@@ -459,33 +454,25 @@ class TensorPoly:
         return self + (-other)
 
     def __mul__(self, other: "TensorPoly") -> "TensorPoly":
+        """Legwise product of two tensors with the same number of legs."""
         if not isinstance(other, TensorPoly):
             return NotImplemented
-        out: dict[tuple[Word, Word], Scalar] = {}
-        for (l1, r1), c1 in self.terms.items():
-            for (l2, r2), c2 in other.terms.items():
-                k = (l1 + l2, r1 + r2)
-                c = c1 * c2
-                v = out.get(k)
-                if v is None:
-                    out[k] = c
-                else:
-                    v = v + c
-                    if v:
-                        out[k] = v
-                    else:
-                        del out[k]
-        return TensorPoly(out)
+        pairs = itertools.product(self.terms.items(), other.terms.items())
+        return TensorPoly(
+            _accumulate(
+                {}, ((tuple(map(operator.add, k1, k2)), c1 * c2) for (k1, c1), (k2, c2) in pairs)
+            )
+        )
 
     def scale(self, c: Scalar) -> "TensorPoly":
         if not c:
             return TensorPoly()
         return TensorPoly({k: c * v for k, v in self.terms.items()})
 
-    def sorted_terms(self) -> list[tuple[tuple[Word, Word], Scalar]]:
+    def sorted_terms(self) -> list[tuple[tuple[Word, ...], Scalar]]:
         return sorted(
             self.terms.items(),
-            key=lambda t: (word_key(t[0][0]), word_key(t[0][1])),
+            key=lambda t: tuple(map(word_key, t[0])),
             reverse=True,
         )
 
@@ -503,25 +490,22 @@ def format_tensor(t: TensorPoly) -> str:
     if t.is_zero():
         return "0"
     return " + ".join(
-        f"{c} * {format_word(l)} (x) {format_word(r)}" for (l, r), c in t.sorted_terms()
+        f"{c} * " + " (x) ".join(map(format_word, legs)) for legs, c in t.sorted_terms()
     )
 
 
 def tensor_normal_form(t: TensorPoly, system: RewriteSystem, strategy: str = "standard") -> TensorPoly:
-    """Reduce both tensor legs independently and re-aggregate."""
-    out = TensorPoly()
-    for (wl, wr), c in t.terms.items():
-        pl = system.normal_form(NCPoly({wl: c}), strategy)
-        if pl.is_zero():
+    """Reduce every tensor leg independently and re-aggregate.  Each term's
+    coefficient is reduced with its first leg, the other legs with 1."""
+    parts: list[TensorPoly] = []
+    for legs, c in t.terms.items():
+        first = system.normal_form(NCPoly({legs[0]: c}), strategy)
+        if first.is_zero():
             continue
         one = c / c  # stored coefficients are nonzero, so this is 1 of the field
-        pr = system.normal_form(NCPoly({wr: one}), strategy)
-        acc: dict[tuple[Word, Word], Scalar] = {}
-        for w1, c1 in pl.terms.items():
-            for w2, c2 in pr.terms.items():
-                acc[(w1, w2)] = c1 * c2
-        out = out + TensorPoly(acc)
-    return out
+        rest = [system.normal_form(NCPoly({w: one}), strategy) for w in legs[1:]]
+        parts.append(TensorPoly.of(first, *rest))
+    return TensorPoly(_accumulate({}, itertools.chain.from_iterable(q.terms.items() for q in parts)))
 
 
 def iter_words(gens: list[GenId], max_degree: int) -> Iterator[Word]:

@@ -102,6 +102,32 @@ def test_gradings_cyclic_shorthand_classify_oracle():
     assert "orbit-correspondence: pass" in out
 
 
+def test_gradings_classify_searches_once(monkeypatch):
+    import usym.cli as cli_mod
+    import usym.gradings as gradings_mod
+
+    calls = {"enumerate_points": 0, "enumerate_gradings_oracle": 0}
+
+    def counting(name):
+        original = getattr(gradings_mod, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        wrapper = counting(name)
+        monkeypatch.setattr(gradings_mod, name, wrapper)
+        monkeypatch.setattr(cli_mod, name, wrapper)
+    code, _, _ = run_cli(
+        ["gradings", fx("dual_gf3.json"), "--group", "cyclic:2", "--classify", "--oracle"]
+    )
+    assert code == 0
+    assert calls == {"enumerate_points": 1, "enumerate_gradings_oracle": 1}
+
+
 SCHEMA = json.loads(schema_path().read_text())
 
 
@@ -148,6 +174,18 @@ def test_exit_1_on_invalid_algebra(tmp_path):
     code, _, err = run_cli(["present", str(bad)])
     assert code == 1
     assert "not a valid algebra" in err
+
+
+def test_exit_1_on_unhashable_group_labels(tmp_path):
+    bad = tmp_path / "group.json"
+    bad.write_text(
+        json.dumps({"elements": [[1], [2]], "identity": [1], "table": [[[1], [2]], [[2], [1]]]})
+    )
+    code, out, err = run_cli(["gradings", fx("dual_gf2.json"), "--group", str(bad)])
+    assert code == 1
+    assert not out
+    assert err.startswith("error:")
+    assert "Traceback" not in err
 
 
 def test_exit_1_on_bad_max_degree():

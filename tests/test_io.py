@@ -61,8 +61,15 @@ def test_rational_scalars_in_files():
 
 
 def test_unit_index_must_be_one():
-    with pytest.raises(InputError, match="unit_index"):
-        algebra_from_dict(dual_dict(unit_index=2))
+    for bad in (2, True, 1.0):
+        with pytest.raises(InputError, match="unit_index"):
+            algebra_from_dict(dual_dict(unit_index=bad))
+
+
+def test_dimension_must_be_positive_integer():
+    for bad in (True, 0, 2.0, "2"):
+        with pytest.raises(InputError, match="dimension"):
+            algebra_from_dict(dual_dict(dimension=bad))
 
 
 def test_missing_key_rejected():
@@ -87,6 +94,8 @@ def test_bad_scalar_rejected():
 def test_index_out_of_range_rejected():
     with pytest.raises(InputError, match="out of range"):
         algebra_from_dict(dual_dict(tau=[[1, 1, 3, "1"]]))
+    with pytest.raises(InputError, match="out of range"):
+        algebra_from_dict(dual_dict(tau=[[True, 1, 1, "1"], [1, 2, 2, "1"], [2, 1, 2, "1"]]))
 
 
 def test_invalid_algebra_rejected():
@@ -142,6 +151,19 @@ def test_group_errors():
                 "identity": "e",
                 "table": [["e", "g"], ["g", "g"]],
             }
+        )
+    # JSON lists are unhashable and cannot be labels
+    with pytest.raises(InputError, match="elements"):
+        group_from_dict(
+            {"elements": [[1], [2]], "identity": [1], "table": [[[1], [2]], [[2], [1]]]}
+        )
+    with pytest.raises(InputError, match="identity"):
+        group_from_dict(
+            {"elements": ["e", "g"], "identity": ["e"], "table": [["e", "g"], ["g", "e"]]}
+        )
+    with pytest.raises(InputError, match="unknown label"):
+        group_from_dict(
+            {"elements": ["e", "g"], "identity": "e", "table": [["e", ["g"]], ["g", "e"]]}
         )
     with pytest.raises(InputError, match="declared identity"):
         group_from_dict(

@@ -16,7 +16,15 @@ from usym import (
     tensor_normal_form,
     TensorPoly,
 )
-from usym.ncpoly import _make_rule, format_poly, format_word, gen_key, iter_words, word_key
+from usym.ncpoly import (
+    _make_rule,
+    format_poly,
+    format_tensor,
+    format_word,
+    gen_key,
+    iter_words,
+    word_key,
+)
 
 ONE = QQ.one
 
@@ -174,6 +182,15 @@ def test_tensor_normal_form():
     assert tensor_normal_form(keep, system) == keep
     cancel = TensorPoly({((X, Y), ()): ONE, ((Y, X), ()): ONE})
     assert tensor_normal_form(cancel, system).is_zero()
+    # three legs: a zero leg other than the first kills the whole term
+    assert tensor_normal_form(TensorPoly.term((Y,), (X, X), (Y,), ONE), system).is_zero()
+    # xy -> -yx on the middle leg makes the two terms cancel
+    cancel3 = TensorPoly({((Y,), (X, Y), (X,)): ONE, ((Y,), (Y, X), (X,)): ONE})
+    assert tensor_normal_form(cancel3, system).is_zero()
+    # the coefficient is reduced with the first leg and survives
+    coeff3 = tensor_normal_form(TensorPoly.term((X, Y), (Y,), (Y,), QQ(3)), system)
+    assert coeff3 == TensorPoly.term((Y, X), (Y,), (Y,), QQ(-3))
+    assert format_tensor(coeff3) == "-3 * x[2,2] x[1,2] (x) x[2,2] (x) x[2,2]"
 
 
 def test_substitute():
