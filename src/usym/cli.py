@@ -13,6 +13,7 @@ import sys
 from .algebra import is_algebra_map
 from .endomorphisms import (
     DEFAULT_MAX_SEARCH,
+    _require_search_size,
     automorphism_group,
     enumerate_endomorphisms,
     enumerate_homs,
@@ -33,6 +34,7 @@ from .gradings import (
 )
 from .io import (
     Report,
+    cyclic_order,
     grading_json,
     grading_point_json,
     grading_point_text,
@@ -157,6 +159,10 @@ def _endo_like(args, group_like: bool) -> Report:
 
 def _cmd_gradings(args) -> Report:
     algebra, meta = load_algebra(args.file)
+    order = cyclic_order(args.group)
+    if order is not None:
+        # refuse a cyclic:m whose m x m table exceeds the bound before building it
+        _require_search_size(order * order, _max_search(), "cyclic group table")
     group, group_meta = load_group(args.group)
     bound = _max_search()
     # classify searches points, then oracle gradings, then Aut: the same order

@@ -6,7 +6,8 @@ A point is an n x n matrix M with M[s][i] = theta(x[s,i]); it satisfies the
 evaluated defining relations, its first column is the unit vector, and under
 gamma it *is* the matrix of the corresponding algebra endomorphism (column i
 holds the image of e_i).  The convolution product of points is the matrix
-product, giving the monoid isomorphism with (End(A), o).
+product, giving the monoid isomorphism with (End(A), o).  One search
+(search_points) finds these points and the grading points of gradings.py.
 """
 
 from __future__ import annotations
@@ -17,34 +18,24 @@ from dataclasses import dataclass, field
 from .algebra import FinAlgebra, is_algebra_map, require_same_field
 from .errors import InputError, SearchSizeError
 from .fields import PrimeField
+from .groups import FiniteGroup, cyclic_group
 from .linalg import Matrix
 
 DEFAULT_MAX_SEARCH = 1 << 24
 
 
-def _relation_holds(a: FinAlgebra, b: FinAlgebra, cols: list[tuple], ai: int, i: int, j: int) -> bool:
-    """The relation (ai, i, j) of a(A,B), evaluated on the matrix whose
-    columns cols lists (cols[u][s] is the entry in row s, column u)."""
-    zero = a.field.zero
-    lhs = zero
-    for u, c in b.basis_product(i, j).items():
-        lhs = lhs + c * cols[u][ai]
-    rhs = zero
-    for (s, t, c) in a.pairs_with_result(ai):
-        rhs = rhs + c * cols[i][s] * cols[j][t]
-    return lhs == rhs
-
-
 def is_measuring_point(a: FinAlgebra, b: FinAlgebra, m: Matrix) -> bool:
-    """Does m (dim A rows, dim B columns) satisfy the evaluated relations of
+    """Does m (dim A rows, dim B columns) satisfy the evaluated relations
+    sum_u beta[i,j,u] m[ai,u] = sum_{s,t} alpha[s,t,ai] m[s,i] m[t,j] of
     a(A,B)?  With B = A this is point membership for a(A)."""
     if m.nrows != a.n or m.ncols != b.n:
         raise ValueError(f"matrix shape {m.nrows}x{m.ncols}, expected {a.n}x{b.n}")
     if m.column(0) != a.unit:
         return False
-    cols = [m.column(u) for u in range(b.n)]
+    zero, e = a.field.zero, m.entry
     return all(
-        _relation_holds(a, b, cols, ai, i, j)
+        sum((c * e(ai, u) for u, c in b.basis_product(i, j).items()), zero)
+        == sum((c * e(s, i) * e(t, j) for s, t, c in a.pairs_with_result(ai)), zero)
         for ai in range(a.n)
         for i in range(b.n)
         for j in range(b.n)
@@ -85,9 +76,6 @@ class EndoMonoid:
     def __len__(self) -> int:
         return len(self.points)
 
-    def index_of(self, m: Matrix) -> int | None:
-        return self._index.get(m.rows)
-
     def is_closed(self) -> bool:
         return all((p * q).rows in self._index for p in self.points for q in self.points)
 
@@ -119,68 +107,99 @@ def _require_prime_field(a: FinAlgebra) -> PrimeField:
     return a.field
 
 
-def _require_search_size(needed: int, max_search: int | None, what: str) -> int:
-    """The search bound (DEFAULT_MAX_SEARCH unless max_search is given);
-    raises SearchSizeError when the needed candidate count exceeds it."""
-    bound = max_search if max_search is not None else DEFAULT_MAX_SEARCH
+def _require_search_size(needed: int, max_search: int | None, what: str) -> None:
+    """Raises SearchSizeError when the needed candidate count exceeds the
+    search bound (DEFAULT_MAX_SEARCH unless max_search is given)."""
+    bound = DEFAULT_MAX_SEARCH if max_search is None else max_search
     if needed > bound:
         raise SearchSizeError(needed, bound, what)
-    return bound
 
 
-def _matrix_search_field(
-    a: FinAlgebra, b: FinAlgebra, max_search: int | None, what: str
-) -> PrimeField:
-    """The common prime field of a and b, once the p^(dim A (dim B - 1))
-    matrices with the unit column fixed fit the search bound."""
-    fld = _require_prime_field(a)
-    require_same_field(a, b)
-    _require_search_size(fld.characteristic ** (a.n * (b.n - 1)), max_search, what)
-    return fld
+def search_points(
+    a: FinAlgebra, b: FinAlgebra, g: FiniteGroup, extra: list, max_search: int | None, what: str
+) -> list[tuple[Matrix, ...]]:
+    """All dim A x dim B matrices P over k[G], k a prime field, that satisfy
+    the relations of a(A,B) with the convolution of k[G] and the extra
+    conditions; each is returned as its matrices P^sigma in G's order.
+
+    Column 0 is the unit of A at the identity of G.  The other cells (s, i, k),
+    the coefficient of P[s][i] at the k-th element of G, take every residue,
+    column-major.  A condition is a set of cells and a predicate on P (read as
+    P[s][i][k]), checked as soon as its last cell is assigned.  More than
+    max_search values tried raise SearchSizeError.
+    """
+    fld = a.field
+    p, n, m = fld.characteristic, a.n, g.order
+
+    def relation(ai: int, i: int, j: int):
+        # sum_u beta[i,j,u] P[ai,u] = sum_{s,t} alpha[s,t,ai] P[s,i] P[t,j]
+        lhs = [(u, c.v) for u, c in b.basis_product(i, j).items()]
+        rhs = [(s, t, c.v) for s, t, c in a.pairs_with_result(ai)]
+
+        def holds(P: list) -> bool:
+            acc = [0] * m
+            for u, c in lhs:
+                for k, x in enumerate(P[ai][u]):
+                    acc[k] += c * x
+            for s, t, c in rhs:
+                y = P[t][j]
+                for k1, x in enumerate(P[s][i]):
+                    if x:
+                        for k2, z in enumerate(y):
+                            if z:
+                                acc[g.table[k1][k2]] -= c * x * z
+            return not any(v % p for v in acc)
+
+        entries = {(ai, u) for u, _ in lhs} | {(s, i) for s, _, _ in rhs} | {(t, j) for _, t, _ in rhs}
+        return {(s, i, k) for s, i in entries for k in range(m)}, holds
+
+    # the caller's conditions come first: they are the cheaper ones
+    conditions = extra + [relation(ai, i, j) for ai in range(n) for i in range(b.n) for j in range(b.n)]
+    order = [(s, i, k) for i in range(1, b.n) for s in range(n) for k in range(m)]
+    position = {cell: d for d, cell in enumerate(order)}
+    checks: list[list] = [[] for _ in order]
+    P = [[[int(s == i == 0 and k == g.identity) for k in range(m)] for i in range(b.n)] for s in range(n)]
+    for cells, holds in conditions:
+        last = max((position.get(c, -1) for c in cells), default=-1)
+        if last >= 0:
+            checks[last].append(holds)
+        elif not holds(P):
+            return []
+
+    scalars = list(fld.elements())
+    bound = DEFAULT_MAX_SEARCH if max_search is None else max_search
+    visited = 0
+    out = []
+    tries = [iter(range(p))]  # tries[d]: the values left for cell order[d]
+    while tries:
+        d = len(tries) - 1
+        if d == len(order):  # every cell assigned
+            out.append(tuple(Matrix(fld, [[scalars[x[k]] for x in row] for row in P]) for k in range(m)))
+            tries.pop()
+            continue
+        s, i, k = order[d]
+        for v in tries[d]:
+            visited += 1
+            if visited > bound:
+                raise SearchSizeError(visited, bound, what)
+            P[s][i][k] = v
+            if all(holds(P) for holds in checks[d]):
+                tries.append(iter(range(p)))
+                break
+        else:
+            tries.pop()
+    return out
 
 
 def enumerate_measuring_points(
     a: FinAlgebra, b: FinAlgebra, max_search: int | None = None
 ) -> tuple[Matrix, ...]:
-    """All matrices satisfying the evaluated relations of a(A,B), by a
-    column-major search with early relation pruning."""
-    fld = _matrix_search_field(a, b, max_search, "point enumeration")
-    n, m = a.n, b.n
-    elems = list(fld.elements())
-
-    # relation (ai, i, j) is decidable once columns i, j and every u with
-    # beta[i,j,u] != 0 have been assigned
-    needed_cols: dict[int, list[tuple[int, int, int]]] = {c: [] for c in range(m)}
-    for i in range(m):
-        for j in range(m):
-            us = [u for u in b.basis_product(i, j)]
-            top = max([i, j] + us)
-            for ai in range(n):
-                needed_cols[top].append((ai, i, j))
-
-    out: list[Matrix] = []
-
-    def decided_hold(cols: list[tuple]) -> bool:
-        """Do the relations that the last assigned column decides hold?"""
-        return all(
-            _relation_holds(a, b, cols, ai, i, j) for (ai, i, j) in needed_cols[len(cols) - 1]
-        )
-
-    def extend(cols: list[tuple]) -> None:
-        if len(cols) == m:
-            out.append(Matrix.from_columns(a.field, cols))
-            return
-        for candidate in itertools.product(elems, repeat=n):
-            cols.append(candidate)
-            if decided_hold(cols):
-                extend(cols)
-            cols.pop()
-
-    cols0 = [a.unit]
-    if decided_hold(cols0):
-        extend(cols0)
-    out.sort(key=lambda mt: mt.sort_key())
-    return tuple(out)
+    """All matrices satisfying the evaluated relations of a(A,B): the points
+    search over the trivial group."""
+    _require_prime_field(a)
+    require_same_field(a, b)
+    found = search_points(a, b, cyclic_group(1), [], max_search, "point enumeration")
+    return tuple(sorted((mats[0] for mats in found), key=lambda mt: mt.sort_key()))
 
 
 def enumerate_endomorphisms(a: FinAlgebra, max_search: int | None = None) -> EndoMonoid:
@@ -222,7 +241,9 @@ def enumerate_homs(
     This is the direct route, independent of the relation machinery; its
     output must coincide with enumerate_measuring_points(A, B).
     """
-    fld = _matrix_search_field(a, b, max_search, "hom enumeration")
+    fld = _require_prime_field(a)
+    require_same_field(a, b)
+    _require_search_size(fld.characteristic ** (a.n * (b.n - 1)), max_search, "hom enumeration")
     elems = list(fld.elements())
     out = []
     for stacked in itertools.product(

@@ -12,7 +12,6 @@ the conjugation orbits are exactly the isomorphism classes of gradings.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .algebra import FinAlgebra
@@ -21,6 +20,7 @@ from .endomorphisms import (
     _require_prime_field,
     _require_search_size,
     automorphism_group,
+    search_points,
 )
 from .fields import Scalar
 from .groups import FiniteGroup
@@ -223,62 +223,31 @@ def point_from_grading(a: FinAlgebra, g: FiniteGroup, grading: Grading) -> Gradi
 def enumerate_points(
     a: FinAlgebra, g: FiniteGroup, max_search: int | None = None
 ) -> tuple[GradingPoint, ...]:
-    """All bialgebra-map points over a prime field, canonically sorted.
-
-    Uses the direct entry search when the raw space fits the bound, otherwise
-    falls back to enumerating ordered direct-sum decompositions and filtering
-    their projection families.
-    """
+    """All bialgebra-map points over a prime field, canonically sorted: the
+    points search over G with the counit and comultiplication conditions."""
     fld = _require_prime_field(a)
-    p = fld.characteristic
-    n, m = a.n, g.order
-    raw = p ** ((n * n - n) * m)
-    structured = count_subspaces(p, n) ** m
-    bound = _require_search_size(min(raw, structured), max_search, "grading point enumeration")
-    if raw <= bound:
-        points = _enumerate_points_direct(a, g)
-    else:
-        zeromat = Matrix.zeros(a.field, n, n)
-        points = []
-        for support, comps in _decompositions(a, g):
-            projections = _projections(a.field, n, list(zip(support, comps)))
-            pt = GradingPoint(tuple(projections.get(sigma, zeromat) for sigma in range(m)))
-            if is_grading_point(a, g, pt):
-                points.append(pt)
-    points.sort(key=lambda pt: pt.sort_key())
+    p, n, m = fld.characteristic, a.n, g.order
+
+    def counit(s: int, i: int):
+        # the coefficients of P[s][i] sum to eps(x[s,i]) = delta(s, i)
+        return {(s, i, k) for k in range(m)}, lambda P: (sum(P[s][i]) - (s == i)) % p == 0
+
+    def coproduct(s: int, i: int, sg: int, tg: int):
+        # sum_t P^sigma[s,t] P^tau[t,i] = delta(sigma, tau) P^sigma[s,i]
+        cells = {(s, t, sg) for t in range(n)} | {(t, i, tg) for t in range(n)}
+        return cells, lambda P: (
+            sum(P[s][t][sg] * P[t][i][tg] for t in range(n)) - (sg == tg) * P[s][i][sg]
+        ) % p == 0
+
+    entries = [(s, i) for s in range(n) for i in range(n)]
+    conditions = [counit(s, i) for s, i in entries] + [
+        coproduct(s, i, sg, tg) for s, i in entries for sg in range(m) for tg in range(m)
+    ]
+    found = search_points(a, a, g, conditions, max_search, "grading point enumeration")
+    points = sorted((GradingPoint(mats) for mats in found), key=lambda pt: pt.sort_key())
+    if not all(is_grading_point(a, g, pt) for pt in points):
+        raise RuntimeError("search returned a family that is not a grading point")
     return tuple(points)
-
-
-def _enumerate_points_direct(a: FinAlgebra, g: FiniteGroup) -> list[GradingPoint]:
-    """Search all free entries; the final group element's matrix is forced by
-    the counit condition, every candidate family is then fully checked."""
-    fld = a.field
-    n, m = a.n, g.order
-    elems = list(fld.elements())
-    e = g.identity
-    ident = Matrix.identity(fld, n)
-    out: list[GradingPoint] = []
-    free_per_sigma = n * (n - 1)
-    for flat in itertools.product(elems, repeat=free_per_sigma * (m - 1)):
-        mats: list[Matrix] = []
-        pos = 0
-        for sigma in range(m - 1):
-            rows = [[fld.zero] * n for _ in range(n)]
-            for r in range(n):
-                rows[r][0] = fld.one if (r == 0 and sigma == e) else fld.zero
-            for j in range(1, n):
-                for r in range(n):
-                    rows[r][j] = flat[pos]
-                    pos += 1
-            mats.append(Matrix(fld, rows))
-        last = ident
-        for mat in mats:
-            last = last - mat
-        mats.append(last)
-        point = GradingPoint(tuple(mats))
-        if is_grading_point(a, g, point):
-            out.append(point)
-    return out
 
 
 def _decompositions(a: FinAlgebra, g: FiniteGroup):

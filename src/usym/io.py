@@ -117,14 +117,21 @@ def algebra_from_dict(data, source: str = "<algebra>") -> FinAlgebra:
     return algebra
 
 
+def cyclic_order(spec: str) -> int | None:
+    """m for the shorthand 'cyclic:m', None for any other group spec."""
+    if not spec.startswith("cyclic:"):
+        return None
+    body = spec.split(":", 1)[1]
+    if not body.isdigit() or int(body) < 1:
+        raise InputError(f"bad cyclic group spec {spec!r}")
+    return int(body)
+
+
 def load_group(spec: str) -> tuple[FiniteGroup, LoadedInput]:
     """A group file path, or the shorthand 'cyclic:m'."""
-    if spec.startswith("cyclic:"):
-        body = spec.split(":", 1)[1]
-        if not body.isdigit() or int(body) < 1:
-            raise InputError(f"bad cyclic group spec {spec!r}")
-        group = cyclic_group(int(body))
-        return group, LoadedInput(spec, digest_bytes(spec.encode("utf-8")))
+    m = cyclic_order(spec)
+    if m is not None:
+        return cyclic_group(m), LoadedInput(spec, digest_bytes(spec.encode("utf-8")))
     path = Path(spec)
     try:
         raw = path.read_bytes()

@@ -243,10 +243,6 @@ class Subspace:
                 v = [a - f * b for a, b in zip(v, row)]
         return not any(v)
 
-    def contains_subspace(self, other: "Subspace") -> bool:
-        self._require_same_ambient(other)
-        return all(self.contains(v) for v in other.basis)
-
     def image_under(self, m: Matrix) -> "Subspace":
         return Subspace.from_vectors(self.field, m.nrows, [m.apply(v) for v in self.basis])
 

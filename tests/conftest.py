@@ -56,3 +56,25 @@ def truncated_cubic(field) -> FinAlgebra:
         tau[(j, 0, j)] = one
     tau[(1, 1, 2)] = one
     return FinAlgebra(field, 3, tau, ("1", "x", "x2"))
+
+
+def truncated_polynomial(field, n: int) -> FinAlgebra:
+    """k[X]/(X^n): basis {1, x, ..., x^(n-1)}."""
+    tau = {(i, j, i + j): field.one for i in range(n) for j in range(n) if i + j < n}
+    return FinAlgebra(field, n, tau)
+
+
+def full_matrices(field) -> FinAlgebra:
+    """M_2(k): basis {I, E11, E12, E21}, with E22 = I - E11."""
+    one = field.one
+    tau = {}
+    for j in range(4):
+        tau[(0, j, j)] = one
+        tau[(j, 0, j)] = one
+    tau[(1, 1, 1)] = one  # E11 E11 = E11
+    tau[(1, 2, 2)] = one  # E11 E12 = E12
+    tau[(2, 3, 1)] = one  # E12 E21 = E11
+    tau[(3, 1, 3)] = one  # E21 E11 = E21
+    tau[(3, 2, 0)] = one  # E21 E12 = E22 = I - E11
+    tau[(3, 2, 1)] = -one
+    return FinAlgebra(field, 4, tau, ("I", "E11", "E12", "E21"))

@@ -243,3 +243,35 @@ def test_repeated_runs_byte_identical():
     first = run_cli(argv)
     second = run_cli(argv)
     assert first == second
+
+
+def test_aut_refused_by_the_old_estimate_now_runs(tmp_path):
+    # k[x]/(x^6) over GF(2): 2^30 candidate matrices, 16 automorphisms
+    n = 6
+    doc = {
+        "name": "poly6",
+        "field": "GF(2)",
+        "dimension": n,
+        "basis": ["1"] + [f"x^{k}" for k in range(1, n)],
+        "unit_index": 1,
+        "tau": [[i + 1, j + 1, i + j + 1, "1"] for i in range(n) for j in range(n) if i + j < n],
+    }
+    path = tmp_path / "poly6.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(["aut", str(path), "--format", "json"])
+    assert code == 0, err
+    assert json.loads(out)["result"]["count"] == 16
+
+
+def test_exit_3_on_cyclic_table_above_bound(monkeypatch):
+    import usym.io as io_mod
+
+    def build(m):
+        raise AssertionError(f"cyclic_group({m}) built before the bound was checked")
+
+    monkeypatch.setenv("USYM_MAX_SEARCH", "100")
+    monkeypatch.setattr(io_mod, "cyclic_group", build)
+    code, out, err = run_cli(["gradings", fx("dual_gf2.json"), "--group", "cyclic:11"])
+    assert code == 3
+    assert not out
+    assert err == "error: cyclic group table needs 121 candidates, bound is 100\n"

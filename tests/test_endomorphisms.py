@@ -17,8 +17,9 @@ from usym import (
     is_algebra_map,
     is_measuring_point,
     is_point,
+    validate_algebra,
 )
-from conftest import dual_numbers, ground_field, triangular
+from conftest import dual_numbers, full_matrices, ground_field, triangular, truncated_polynomial
 
 
 def fmat(field, rows):
@@ -223,3 +224,49 @@ def test_truncated_cubic_known_orders():
     assert len(enumerate_endomorphisms(a)) == 9
     assert len(automorphism_group(a)) == 6
     assert len(enumerate_homs(a, a)) == 9
+
+
+def rows(matrices):
+    return tuple(m.rows for m in matrices)
+
+
+@pytest.mark.parametrize(
+    "build, p",
+    [
+        *(
+            pytest.param(lambda f, n=n: truncated_polynomial(f, n), p, id=f"poly{n}-GF{p}")
+            for n, p in ((2, 2), (3, 2), (4, 2), (2, 3), (3, 3))
+        ),
+        pytest.param(full_matrices, 2, id="M2-GF2"),
+    ],
+)
+def test_points_equal_homs_oracle(build, p):
+    # T_2 is test_triangular_points_equal_brute_force_maps; k[x]/(x^4) and
+    # M_2 over GF(3) are left out: the oracle tries 3^12 maps
+    a = build(GF(p))
+    assert validate_algebra(a) is None
+    assert rows(enumerate_measuring_points(a, a)) == rows(enumerate_homs(a, a))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_measuring_points_equal_homs_both_directions(p):
+    f = GF(p)
+    for a, b in ((triangular(f), dual_numbers(f)), (dual_numbers(f), triangular(f))):
+        points = enumerate_measuring_points(a, b)
+        assert points
+        assert rows(points) == rows(enumerate_homs(b, a))
+
+
+def test_search_bound_counts_values_tried():
+    # T_2(GF(3)) tries 78 values; the bound trips as soon as the count passes it
+    a = triangular(GF(3))
+    assert len(enumerate_endomorphisms(a, max_search=78)) == 14
+    with pytest.raises(SearchSizeError) as info:
+        enumerate_endomorphisms(a, max_search=77)
+    assert (info.value.needed, info.value.bound) == (78, 77)
+
+
+def test_aut_refused_by_the_old_estimate_now_runs():
+    # p^(n(n-1)) = 2^30 candidates exceeded the default bound; |Aut| = (p-1) p^(n-2)
+    a = truncated_polynomial(GF(2), 6)
+    assert len(automorphism_group(a)) == 16

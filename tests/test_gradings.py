@@ -4,6 +4,7 @@ import pytest
 
 from usym import (
     GF,
+    FinAlgebra,
     Grading,
     GradingPoint,
     Matrix,
@@ -16,13 +17,18 @@ from usym import (
     cyclic_group,
     enumerate_gradings_oracle,
     enumerate_points,
+    fixture_path,
     grading_from_point,
     is_grading_point,
     point_from_grading,
     trivial_point,
     validate_grading,
+    validate_group,
 )
-from usym.gradings import apply_automorphism
+from usym.endomorphisms import search_points
+from usym.gradings import _decompositions, _projections, apply_automorphism
+from usym.groups import FiniteGroup
+from usym.io import load_algebra, load_group
 from conftest import dual_numbers, triangular
 
 
@@ -35,6 +41,24 @@ def span(field, n, *vectors):
         field, n, [tuple(field(x) for x in v) for v in vectors]
     )
 
+
+KLEIN = FiniteGroup(
+    ("e", "a", "b", "c"),
+    ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)),
+)
+
+# S_3 = <r, s | r^3 = s^2 = e, r s = s r^2>, elements e, r, r^2, s, sr, sr^2
+S3 = FiniteGroup(
+    ("e", "r", "r2", "s", "sr", "sr2"),
+    (
+        (0, 1, 2, 3, 4, 5),
+        (1, 2, 0, 5, 3, 4),
+        (2, 0, 1, 4, 5, 3),
+        (3, 4, 5, 0, 1, 2),
+        (4, 5, 3, 2, 0, 1),
+        (5, 3, 4, 1, 2, 0),
+    ),
+)
 
 GRID = [
     (dual_numbers, 2, cyclic_group(2)),
@@ -155,16 +179,27 @@ def test_bijection_grid():
             assert point_from_grading(a, group, grading_from_point(a, group, pt)) == pt
 
 
-def test_structured_route_matches_direct():
-    # force the decomposition-based enumeration with a bound between
-    # the structured cost and the raw entry-search cost
-    a = dual_numbers(GF(3))
-    c2 = cyclic_group(2)
-    direct = enumerate_points(a, c2)  # raw = 3^4 = 81 fits the default bound
-    structured = enumerate_points(a, c2, max_search=50)  # 81 > 50 >= 6^2
-    assert direct == structured
-    with pytest.raises(SearchSizeError):
-        enumerate_points(a, c2, max_search=10)
+def _decomposition_route(a, group):
+    """The grading points as the projection families of the ordered
+    direct-sum decompositions, kept when they are points."""
+    zeromat = Matrix.zeros(a.field, a.n, a.n)
+    out = []
+    for support, comps in _decompositions(a, group):
+        projections = _projections(a.field, a.n, list(zip(support, comps)))
+        pt = GradingPoint(tuple(projections.get(s, zeromat) for s in range(group.order)))
+        if is_grading_point(a, group, pt):
+            out.append(pt)
+    return sorted(out, key=lambda pt: pt.sort_key())
+
+
+def test_point_search_matches_decomposition_route():
+    for build, p, group in GRID + [(triangular, 2, KLEIN)]:
+        a = build(GF(p))
+        assert list(enumerate_points(a, group)) == _decomposition_route(a, group)
+    # the bound counts the values tried: T_2(GF(3)) with C3 tries 1986
+    with pytest.raises(SearchSizeError) as info:
+        enumerate_points(triangular(GF(3)), cyclic_group(3), max_search=100)
+    assert (info.value.needed, info.value.bound) == (101, 100)
 
 
 def test_oracle_search_guard():
@@ -393,3 +428,57 @@ def test_truncated_cubic_c2_classification():
     assert len(result.points) == 4
     assert result.class_count == 2
     assert result.counts_agree and result.correspondence_ok
+
+
+GF_FIXTURES = ["dual_gf2", "dual_gf3", "dual_gf5", "dual_gf7", "triangular_gf2", "triangular_gf3"]
+
+
+@pytest.mark.parametrize(
+    "name, group_name",
+    [
+        (name, group_name)
+        for name in GF_FIXTURES
+        for group_name in ("group_c2", "group_c3", "group_klein", "S3")
+        # left out: the oracle's 28^6 subspace tuples exceed the default bound
+        if (name, group_name) != ("triangular_gf3", "S3")
+    ],
+)
+def test_points_equal_gradings_oracle_on_fixtures(name, group_name):
+    a, _ = load_algebra(str(fixture_path(f"{name}.json")))
+    group = S3 if group_name == "S3" else load_group(str(fixture_path(f"{group_name}.json")))[0]
+    induced = sorted(
+        (grading_from_point(a, group, pt) for pt in enumerate_points(a, group)),
+        key=lambda g: g.sort_key(),
+    )
+    assert induced == list(enumerate_gradings_oracle(a, group))
+
+
+def test_point_search_convolves_in_group_order():
+    # in k<x,y>/(x^2, y^2, yx), x in A_r and y in A_s put xy in A_rs; pin
+    # every cell to the grading with xy in A_rs or the one with xy in A_sr
+    # (r s != s r in S_3): the search keeps only the first
+    f = GF(2)
+    tau = {(0, j, j): f.one for j in range(4)}
+    tau.update({(j, 0, j): f.one for j in range(4)})
+    tau[(1, 2, 3)] = f.one
+    a = FinAlgebra(f, 4, tau, ("1", "x", "y", "xy"))
+    r, s = 1, 3
+    assert validate_group(S3) is None
+    assert S3.mul(r, s) != S3.mul(s, r)
+
+    def point(degrees):
+        return tuple(
+            Matrix(f, [[f(int(i == j and degrees[j] == k)) for j in range(4)] for i in range(4)])
+            for k in range(S3.order)
+        )
+
+    good, bad = point((0, r, s, S3.mul(r, s))), point((0, r, s, S3.mul(s, r)))
+    assert is_grading_point(a, S3, GradingPoint(good))
+    assert not is_grading_point(a, S3, GradingPoint(bad))
+    pins = [
+        ({(i, j, k)}, lambda P, i=i, j=j, k=k: P[i][j][k] in (good[k].rows[i][j].v, bad[k].rows[i][j].v))
+        for i in range(4)
+        for j in range(4)
+        for k in range(S3.order)
+    ]
+    assert search_points(a, a, S3, pins, None, "pinned search") == [good]
