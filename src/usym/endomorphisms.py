@@ -67,38 +67,38 @@ class EndoMonoid:
     algebra: FinAlgebra
     points: tuple[Matrix, ...]  # canonically sorted, duplicate-free
     identity_index: int
-    # rows of each point -> its index in points
-    _index: dict = field(init=False, repr=False, compare=False)
+    # _table[i][j]: index of points[i] * points[j], None when outside the set
+    _table: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self._index = {pt.rows: k for k, pt in enumerate(self.points)}
+        index = {pt.rows: k for k, pt in enumerate(self.points)}
+        self._table = tuple(
+            tuple(index.get((p * q).rows) for q in self.points) for p in self.points
+        )
 
     def __len__(self) -> int:
         return len(self.points)
 
     def is_closed(self) -> bool:
-        return all((p * q).rows in self._index for p in self.points for q in self.points)
+        return all(None not in row for row in self._table)
 
     def has_identity(self) -> bool:
         return self.points[self.identity_index] == counit_point(self.algebra)
 
     def multiplication_table(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(
-            tuple(self._index[(p * q).rows] for q in self.points) for p in self.points
-        )
+        if not self.is_closed():
+            raise KeyError("a product of points lies outside the set")
+        return self._table
 
     def inverses_in_set(self) -> bool:
-        """Every member has a two-sided inverse inside the set (group check)."""
+        """Every member has a two-sided inverse inside the set (group check):
+        a j with table[i][j] and table[j][i] both the counit point's index."""
         ident = counit_point(self.algebra)
-        for p in self.points:
-            if not p.is_invertible():
-                return False
-            inv = p.inverse()
-            if inv.rows not in self._index:
-                return False
-            if p * inv != ident or inv * p != ident:
-                return False
-        return True
+        e = next((k for k, p in enumerate(self.points) if p == ident), None)
+        t, size = self._table, len(self.points)
+        return e is not None and all(
+            any(t[i][j] == e == t[j][i] for j in range(size)) for i in range(size)
+        )
 
 
 def _require_prime_field(a: FinAlgebra) -> PrimeField:

@@ -141,10 +141,11 @@ class RationalField(Field):
 
 class PrimeField(Field):
     def __init__(self, p: int):
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
+        # the bound first: trial division of a large p would run for minutes
         if p > MAX_CHARACTERISTIC:
             raise ValueError(f"characteristic {p} exceeds bound {MAX_CHARACTERISTIC}")
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
         self.characteristic = p
         self.zero = FpElement(p, 0)
         self.one = FpElement(p, 1)

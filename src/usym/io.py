@@ -54,17 +54,21 @@ def _is_label(x) -> bool:
     return True
 
 
-def load_algebra(path: str | Path) -> tuple[FinAlgebra, LoadedInput]:
-    path = Path(path)
+def _read_json(path: Path) -> tuple[object, LoadedInput]:
+    """The decoded contents of a JSON file, with its name and digest."""
     try:
         raw = path.read_bytes()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    meta = LoadedInput(path.name, digest_bytes(raw))
     try:
-        data = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        # ValueError: bad UTF-8, bad JSON, or an integer longer than Python converts
+        return json.loads(raw.decode("utf-8")), LoadedInput(path.name, digest_bytes(raw))
+    except ValueError as exc:
         raise InputError(f"{path.name}: not valid JSON: {exc}") from exc
+
+
+def load_algebra(path: str | Path) -> tuple[FinAlgebra, LoadedInput]:
+    data, meta = _read_json(Path(path))
     return algebra_from_dict(data, meta.name), meta
 
 
@@ -122,9 +126,13 @@ def cyclic_order(spec: str) -> int | None:
     if not spec.startswith("cyclic:"):
         return None
     body = spec.split(":", 1)[1]
-    if not body.isdigit() or int(body) < 1:
+    try:
+        m = int(body) if body.isdigit() else 0
+    except ValueError:  # more digits than Python converts, or a digit int() refuses
+        m = 0
+    if m < 1:
         raise InputError(f"bad cyclic group spec {spec!r}")
-    return int(body)
+    return m
 
 
 def load_group(spec: str) -> tuple[FiniteGroup, LoadedInput]:
@@ -132,16 +140,7 @@ def load_group(spec: str) -> tuple[FiniteGroup, LoadedInput]:
     m = cyclic_order(spec)
     if m is not None:
         return cyclic_group(m), LoadedInput(spec, digest_bytes(spec.encode("utf-8")))
-    path = Path(spec)
-    try:
-        raw = path.read_bytes()
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    meta = LoadedInput(path.name, digest_bytes(raw))
-    try:
-        data = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise InputError(f"{path.name}: not valid JSON: {exc}") from exc
+    data, meta = _read_json(Path(spec))
     return group_from_dict(data, meta.name), meta
 
 

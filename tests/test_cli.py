@@ -188,6 +188,46 @@ def test_exit_1_on_unhashable_group_labels(tmp_path):
     assert "Traceback" not in err
 
 
+LONG_INT = "1" * 5000  # past Python's 4,300-digit int-string limit
+
+
+def _long_int_algebra(tmp_path):
+    path = tmp_path / "algebra.json"
+    text = fixture_path("dual_gf3.json").read_text()
+    path.write_text(text.replace('"dimension": 2', f'"dimension": {LONG_INT}'))
+    return ["present", str(path)]
+
+
+def _long_int_group(tmp_path):
+    path = tmp_path / "group.json"
+    path.write_text(f'{{"elements": [0, {LONG_INT}], "identity": 0, "table": [[0, 1], [1, 0]]}}')
+    return ["gradings", fx("dual_gf2.json"), "--group", str(path)]
+
+
+def _long_cyclic_order(tmp_path):
+    return ["gradings", fx("dual_gf2.json"), "--group", f"cyclic:{LONG_INT}"]
+
+
+@pytest.mark.parametrize("build", [_long_int_algebra, _long_int_group, _long_cyclic_order])
+def test_exit_1_on_over_long_integers(tmp_path, build):
+    code, out, err = run_cli(build(tmp_path))
+    assert code == 1
+    assert not out
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def test_exit_1_on_characteristic_above_bound(tmp_path):
+    # 2^61 - 1 is prime; refused by the bound before any trial division
+    path = tmp_path / "algebra.json"
+    text = fixture_path("dual_gf3.json").read_text()
+    path.write_text(text.replace("GF(3)", "GF(2305843009213693951)"))
+    code, out, err = run_cli(["endo", str(path)])
+    assert code == 1
+    assert not out
+    assert "exceeds bound" in err
+
+
 def test_exit_1_on_bad_max_degree():
     code, _, err = run_cli(["present", fx("dual_q.json"), "--max-degree", "1"])
     assert code == 1
@@ -275,3 +315,30 @@ def test_exit_3_on_cyclic_table_above_bound(monkeypatch):
     assert code == 3
     assert not out
     assert err == "error: cyclic group table needs 121 candidates, bound is 100\n"
+
+
+@pytest.mark.parametrize(
+    "argv, products, inverses",
+    [
+        # End(dual_gf3) has 3 points: one 3 x 3 product table
+        (["endo", fx("dual_gf3.json")], 9, 0),
+        # End's 3 x 3 table, Aut's 2 x 2 table, and one inverse per
+        # automorphism for automorphism_group's is_point check
+        (["aut", fx("dual_gf3.json"), "--field-check"], 13, 2),
+    ],
+)
+def test_endo_aut_form_each_product_once(monkeypatch, argv, products, inverses):
+    from usym.linalg import Matrix
+
+    calls = {"__mul__": 0, "inverse": 0}
+    for name in calls:
+
+        def counted(*args, _name=name, _original=getattr(Matrix, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(Matrix, name, counted)
+    code, out, _ = run_cli(argv)
+    assert code == 0
+    assert "FAIL" not in out
+    assert calls == {"__mul__": products, "inverse": inverses}

@@ -5,6 +5,7 @@ import pytest
 from usym import (
     GF,
     QQ,
+    EndoMonoid,
     Matrix,
     SearchSizeError,
     automorphism_group,
@@ -270,3 +271,20 @@ def test_aut_refused_by_the_old_estimate_now_runs():
     # p^(n(n-1)) = 2^30 candidates exceeded the default bound; |Aut| = (p-1) p^(n-2)
     a = truncated_polynomial(GF(2), 6)
     assert len(automorphism_group(a)) == 16
+
+
+def test_table_checks_false_branches():
+    # End(dual_gf3) = {diag(1,0), I, diag(1,2)}
+    a = dual_numbers(GF(3))
+    end = enumerate_endomorphisms(a)
+    assert [m.rows for m in end.points] == [
+        m.rows for m in (fmat(a.field, [[1, 0], [0, b]]) for b in (0, 1, 2))
+    ]
+    assert not end.inverses_in_set()  # diag(1,0) has no inverse
+    assert automorphism_group(a).inverses_in_set()
+    # without I: diag(1,2)^2 = I falls outside the set
+    partial = EndoMonoid(a, (end.points[0], end.points[2]), 0)
+    assert not partial.is_closed()
+    with pytest.raises(KeyError):
+        partial.multiplication_table()
+    assert not partial.inverses_in_set()  # the counit point is missing

@@ -34,6 +34,8 @@ def test_characteristic_bound():
     GF(65521)  # largest prime below 2^16
     with pytest.raises(ValueError):
         GF(65537)  # prime, but above the bound
+    with pytest.raises(ValueError, match="exceeds bound"):
+        field_from_spec("GF(2305843009213693951)")  # 2^61 - 1: no trial division
     assert MAX_CHARACTERISTIC == 1 << 16
 
 
