@@ -8,11 +8,24 @@ first-column generators ``x[a,1]`` are the smallest and get eliminated by
 substitution.  Rewrite rules are stored monic with the leading word on the
 left; a rewrite system also carries the substitutions for eliminated
 generators, so together they generate the full defining ideal.
+
+Reduction finds its steps through a rule index (``_RuleIndex``): a dict from
+each lead word to its rule and rank, and the set of lead lengths, so a word
+w is tested with O(|w| * #lengths) hash probes of its factors.  A
+RewriteSystem builds its index once; interreduction keeps one in step with
+its working rules.  Each step takes exactly what a scan of every word, rule
+and position would: under ``standard`` the largest reducible word, the rule
+of lowest rank whose lead occurs in it, and that lead's leftmost occurrence;
+under ``reverse`` the smallest word, the highest rank and the rightmost
+occurrence.  By the diamond lemma the choice cannot change a normal form
+modulo a confluent system, but it does modulo an unfinished one, which is
+what interreduction and completion reduce against.
 """
 
 from __future__ import annotations
 
 import functools
+import heapq
 import itertools
 import operator
 from collections import deque
@@ -43,18 +56,6 @@ def format_word(w: Word) -> str:
     if not w:
         return "1"
     return " ".join(format_genid(g) for g in w)
-
-
-def _find(word: Word, factor: Word, leftmost: bool = True) -> int | None:
-    """Position of an occurrence of factor inside word, or None."""
-    span = len(word) - len(factor)
-    if span < 0:
-        return None
-    positions = range(span + 1) if leftmost else range(span, -1, -1)
-    for p in positions:
-        if word[p : p + len(factor)] == factor:
-            return p
-    return None
 
 
 def _accumulate(out: dict, items: Iterable[tuple]) -> dict:
@@ -195,33 +196,90 @@ def _make_rule(p: NCPoly) -> RewriteRule:
     return RewriteRule(lead, rest, p)
 
 
-def _reduce(p: NCPoly, rules: list[RewriteRule], strategy: str = "standard") -> NCPoly:
-    """Full normal form of p modulo the rule list.
+class _RuleIndex:
+    """The leads of a rule list, for finding a reduction site by hash probes.
 
-    standard: largest reducible word, lowest rule index, leftmost position.
-    reverse:  smallest reducible word, highest rule index, rightmost position.
+    ``first`` and ``last`` map each lead word to (rank, rule), where the rank
+    is the rule's place in the list.  They differ only when several rules
+    share a lead (a hand-built RewriteSystem may): ``first`` keeps the lowest
+    rank, which the standard strategy picks, ``last`` the highest, which
+    reverse picks.  ``lengths`` holds every lead length (and, after
+    :meth:`discard`, perhaps some that no lead has any more).
+    """
+
+    __slots__ = ("first", "last", "lengths")
+
+    def __init__(self, rules: Iterable[RewriteRule] = ()):
+        self.first: dict[Word, tuple[int, RewriteRule]] = {}
+        self.last: dict[Word, tuple[int, RewriteRule]] = {}
+        self.lengths: set[int] = set()
+        for rank, rule in enumerate(rules):
+            self.add(rank, rule)
+
+    def add(self, rank: int, rule: RewriteRule) -> None:
+        lead = rule.lead
+        self.first.setdefault(lead, (rank, rule))
+        self.last[lead] = (rank, rule)
+        self.lengths.add(len(lead))
+
+    def discard(self, lead: Word) -> None:
+        """Drop the lead; only for an index whose leads are distinct."""
+        del self.first[lead], self.last[lead]
+
+    def site(self, w: Word, forward: bool) -> tuple[RewriteRule, int] | None:
+        """The rule and position a reduction step applies to w, or None if w
+        is irreducible: the lowest rank, then the leftmost occurrence
+        (forward), or the highest rank, then the rightmost (reverse)."""
+        table = self.first if forward else self.last
+        best = None
+        for length in self.lengths:
+            for pos in range(len(w) - length + 1):
+                hit = table.get(w[pos : pos + length])
+                if hit is not None:
+                    key = (hit[0], pos) if forward else (-hit[0], -pos)
+                    if best is None or key < best[0]:
+                        best = (key, hit[1], pos)
+        return None if best is None else best[1:]
+
+
+def _queue_key(w: Word, forward: bool):
+    """Heap key that pops the largest word first (forward) or the smallest."""
+    if forward:
+        return (-len(w), tuple((-i, -s) for s, i in w))
+    return word_key(w)
+
+
+def _reduce(p: NCPoly, index: _RuleIndex, strategy: str = "standard") -> NCPoly:
+    """Full normal form of p modulo the indexed rules.
+
+    standard: largest reducible word, lowest rule rank, leftmost position.
+    reverse:  smallest reducible word, highest rule rank, rightmost position.
     """
     if strategy not in ("standard", "reverse"):
         raise ValueError(f"unknown strategy {strategy!r}")
     forward = strategy == "standard"
-    while True:
-        site = None
-        words = sorted(p.terms, key=word_key, reverse=forward)
-        rule_order = rules if forward else list(reversed(rules))
-        for w in words:
-            for rule in rule_order:
-                pos = _find(w, rule.lead, leftmost=forward)
-                if pos is not None:
-                    site = (w, rule, pos)
-                    break
-            if site:
-                break
+    terms = dict(p.terms)
+    # Every word of terms not yet found irreducible.  A step only brings in
+    # words below the one it rewrites, and an irreducible word stays so, so
+    # the first reducible word popped is the one the strategy selects.
+    queue = [(_queue_key(w, forward), w) for w in terms]
+    heapq.heapify(queue)
+    while queue:
+        w = heapq.heappop(queue)[1]
+        c = terms.get(w)
+        if c is None:
+            continue
+        site = index.site(w, forward)
         if site is None:
-            return p
-        w, rule, pos = site
-        c = p.terms[w]
+            continue
+        rule, pos = site
+        del terms[w]
         repl = rule.rest.shift(w[:pos], w[pos + len(rule.lead) :]).scale(c)
-        p = (p - NCPoly({w: c})) + repl
+        for v in repl.terms:
+            if v not in terms:
+                heapq.heappush(queue, (_queue_key(v, forward), v))
+        _accumulate(terms, repl.terms.items())
+    return NCPoly(terms)
 
 
 class RewriteSystem:
@@ -231,7 +289,7 @@ class RewriteSystem:
     certified confluence (0 before :func:`complete` has run).
     """
 
-    __slots__ = ("subs", "rules", "degree_bound")
+    __slots__ = ("subs", "rules", "degree_bound", "_index")
 
     def __init__(
         self,
@@ -245,6 +303,7 @@ class RewriteSystem:
             sorted(rules, key=lambda r: word_key(r.lead))
         )
         self.degree_bound = degree_bound
+        self._index = _RuleIndex(self.rules)
 
     def eliminated(self) -> tuple[GenId, ...]:
         return tuple(self.subs)
@@ -253,7 +312,7 @@ class RewriteSystem:
         return max((len(r.lead) for r in self.rules), default=0)
 
     def normal_form(self, p: NCPoly, strategy: str = "standard") -> NCPoly:
-        return _reduce(substitute(p, self.subs), list(self.rules), strategy)
+        return _reduce(substitute(p, self.subs), self._index, strategy)
 
     def rule_polys(self) -> list[NCPoly]:
         return [r.poly for r in self.rules]
@@ -276,11 +335,16 @@ def _interreduce_core(
 ) -> tuple[dict[GenId, NCPoly], list[RewriteRule]]:
     subs: dict[GenId, NCPoly] = dict(subs0)
     work: deque[NCPoly] = deque(inputs)
-    rules: list[RewriteRule] = []
+    # The working rules are index.first in insertion order (their leads are
+    # distinct), ranked by a counter; each lead maps to every factor of every
+    # word of its rule, so a new lead finds the rules it reduces by lookup.
+    index = _RuleIndex()
+    factors: dict[Word, set[Word]] = {}
+    ranks = itertools.count()
     while work:
         p = work.popleft()
         p = substitute(p, subs)
-        p = _reduce(p, rules)
+        p = _reduce(p, index)
         if p.is_zero():
             continue
         lead = p.leading_word()
@@ -296,18 +360,19 @@ def _interreduce_core(
             subs = {h: substitute(q, single) for h, q in subs.items()}
             subs[g] = rep
             # the eliminated generator may occur in any existing rule
-            for r in reversed(rules):
-                work.appendleft(r.poly)
-            rules = []
+            work.extendleft(reversed([r.poly for _, r in index.first.values()]))
+            index = _RuleIndex()
+            factors = {}
         else:
-            keep = []
-            for r in rules:
-                if any(_find(w, lead) is not None for w in r.poly.terms):
-                    work.append(r.poly)
-                else:
-                    keep.append(r)
-            keep.append(_make_rule(p))
-            rules = keep
+            for old in [old for old, fs in factors.items() if lead in fs]:
+                work.append(index.first[old][1].poly)
+                index.discard(old)
+                del factors[old]
+            index.add(next(ranks), _make_rule(p))
+            factors[lead] = {
+                w[i:j] for w in p.terms for i in range(len(w)) for j in range(i + 1, len(w) + 1)
+            }
+    rules = [r for _, r in index.first.values()]
     rules.sort(key=lambda r: word_key(r.lead))
     return subs, rules
 
@@ -360,8 +425,7 @@ def complete(system: RewriteSystem, degree_bound: int) -> RewriteSystem:
             f"degree bound {degree_bound} is below the maximal rule degree "
             f"{system.max_rule_degree()}"
         )
-    subs = dict(system.subs)
-    rules = list(system.rules)
+    current = RewriteSystem(system.subs, system.rules, degree_bound)
     checked: set[tuple[Word, Word, int]] = set()
     rounds = 0
     while True:
@@ -372,7 +436,7 @@ def complete(system: RewriteSystem, degree_bound: int) -> RewriteSystem:
                 f"at degree bound {degree_bound}"
             )
         new_poly = None
-        for _, u, v, k, ri, rj in _overlap_candidates(rules, degree_bound):
+        for _, u, v, k, ri, rj in _overlap_candidates(current.rules, degree_bound):
             if (u, v, k) in checked:
                 continue
             checked.add((u, v, k))
@@ -380,15 +444,14 @@ def complete(system: RewriteSystem, degree_bound: int) -> RewriteSystem:
             # and via rj at position len(u) - k
             left = ri.rest.shift((), v[k:])
             right = rj.rest.shift(u[: len(u) - k], ())
-            diff = _reduce(left, rules) - _reduce(right, rules)
+            diff = _reduce(left, current._index) - _reduce(right, current._index)
             if not diff.is_zero():
                 new_poly = diff
                 break
         if new_poly is None:
-            return RewriteSystem(subs, rules, degree_bound)
-        subs, rules = _interreduce_core(
-            [r.poly for r in rules] + [new_poly], subs
-        )
+            return current
+        subs, rules = _interreduce_core(current.rule_polys() + [new_poly], current.subs)
+        current = RewriteSystem(subs, rules, degree_bound)
 
 
 @dataclass(frozen=True)

@@ -78,3 +78,20 @@ def full_matrices(field) -> FinAlgebra:
     tau[(3, 2, 0)] = one  # E21 E12 = E22 = I - E11
     tau[(3, 2, 1)] = -one
     return FinAlgebra(field, 4, tau, ("I", "E11", "E12", "E21"))
+
+
+def cyclic_group_algebra(field, m: int) -> FinAlgebra:
+    """k[C_m]: basis {1, g, ..., g^(m-1)} with g^i g^j = g^((i+j) mod m)."""
+    tau = {(i, j, (i + j) % m): field.one for i in range(m) for j in range(m)}
+    return FinAlgebra(field, m, tau)
+
+
+def permuted(algebra: FinAlgebra, perm: list[int]) -> FinAlgebra:
+    """The same algebra with basis element k moved to position perm[k];
+    perm[0] must be 0, so the unit stays first."""
+    assert perm[0] == 0 and sorted(perm) == list(range(algebra.n))
+    labels = [""] * algebra.n
+    for k, label in enumerate(algebra.labels):
+        labels[perm[k]] = label
+    tau = {(perm[i], perm[j], perm[s]): c for (i, j, s), c in algebra.tau.items()}
+    return FinAlgebra(algebra.field, algebra.n, tau, tuple(labels))

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import usym.ncpoly as ncpoly_mod
 from usym import (
     GF,
     QQ,
@@ -16,8 +17,12 @@ from usym import (
     tensor_normal_form,
     TensorPoly,
 )
+from usym.errors import CompletionBoundError
 from usym.ncpoly import (
+    RewriteRule,
+    _RuleIndex,
     _make_rule,
+    _reduce,
     format_poly,
     format_tensor,
     format_word,
@@ -48,8 +53,6 @@ def nilsquare_rules():
     assert r2.lead in ((X, Y), (Y, X))
     lead = (X, Y)
     rest = poly((-1, (Y, X)))
-    from usym.ncpoly import RewriteRule
-
     r2 = RewriteRule(lead, rest, poly((1, (X, Y)), (1, (Y, X))))
     return RewriteSystem({}, [r1, r2], 0)
 
@@ -312,3 +315,123 @@ def test_complete_discovers_substitutions_through_overlaps():
     assert done.subs == {X: poly((1, ())), Y: poly((1, ()))}
     assert not done.rules
     assert done.normal_form(poly((1, (X, Y, X, Y)))) == poly((1, ()))
+
+
+def test_completion_round_cap(monkeypatch):
+    # xy = 1, yx = x (as above) takes exactly 3 rounds at degree 4: two that
+    # add an S-polynomial and one that finds no new one
+    base = interreduce([poly((1, (X, Y)), (-1, ())), poly((1, (Y, X)), (-1, (X,)))])
+    monkeypatch.setattr(ncpoly_mod, "_COMPLETION_ROUND_CAP", 3)
+    assert complete(base, 4).subs == {X: poly((1, ())), Y: poly((1, ()))}
+    monkeypatch.setattr(ncpoly_mod, "_COMPLETION_ROUND_CAP", 2)
+    with pytest.raises(CompletionBoundError) as info:
+        complete(base, 4)
+    assert str(info.value) == "no completion fixpoint within 2 rounds at degree bound 4"
+
+
+# ---------------------------------------------------------------------------
+# the rule index against the scan it replaced
+
+
+def _scan_find(word, factor, leftmost):
+    span = len(word) - len(factor)
+    positions = range(span + 1) if leftmost else range(span, -1, -1)
+    for p in positions:
+        if word[p : p + len(factor)] == factor:
+            return p
+    return None
+
+
+def scan_reduce(p, rules, strategy):
+    """The reference: sort the words, scan every rule at every position.
+    standard: largest reducible word, lowest rule index, leftmost position;
+    reverse: smallest reducible word, highest rule index, rightmost."""
+    forward = strategy == "standard"
+    while True:
+        site = None
+        for w in sorted(p.terms, key=word_key, reverse=forward):
+            for rule in rules if forward else list(reversed(rules)):
+                pos = _scan_find(w, rule.lead, forward)
+                if pos is not None:
+                    site = (w, rule, pos)
+                    break
+            if site:
+                break
+        if site is None:
+            return p
+        w, rule, pos = site
+        c = p.terms[w]
+        p = (p - NCPoly({w: c})) + rule.rest.shift(w[:pos], w[pos + len(rule.lead) :]).scale(c)
+
+
+def hand_rule(lead, *rest_terms):
+    rest = poly(*rest_terms)
+    return RewriteRule(lead, rest, poly((1, lead)) - rest)
+
+
+def assert_matches_scan(p, rules):
+    """Indexed reduction equals the scan under both strategies, term order
+    included; returns the two normal forms."""
+    out = []
+    for strategy in ("standard", "reverse"):
+        got = _reduce(p, _RuleIndex(rules), strategy)
+        want = scan_reduce(p, list(rules), strategy)
+        assert got == want and list(got.terms) == list(want.terms)
+        out.append(got)
+    return out
+
+
+def test_index_picks_lowest_rank_then_leftmost():
+    # x y x holds two different leads; x y x y holds the lead xy twice
+    xy_y = hand_rule((X, Y), (1, (Y,)))
+    yx_2x = hand_rule((Y, X), (2, (X,)))
+    for rules in ([xy_y, yx_2x], [yx_2x, xy_y]):
+        for word in ((X, Y, X), (X, Y, X, Y), (Y, X, Y, X, Y)):
+            standard, reverse = assert_matches_scan(poly((1, word)), rules)
+            assert standard != reverse
+    # one rule without self-overlaps is confluent, so only the order of the
+    # terms shows which occurrence was rewritten first
+    only = [hand_rule((X, Y), (1, (Y, Y)), (1, (X,)))]
+    standard, reverse = assert_matches_scan(poly((1, (X, Y, X, Y))), only)
+    assert standard == reverse and list(standard.terms) != list(reverse.terms)
+
+
+def test_index_rules_sharing_a_lead():
+    # a hand-built system may hold two rules with the same lead: standard
+    # applies the first, reverse the last, as the scan does
+    first = hand_rule((X, Y), (1, (Y,)))
+    second = hand_rule((X, Y), (3, (X,)))
+    system = RewriteSystem({}, [first, second], 0)
+    assert system.rules == (first, second)
+    p = poly((1, (X, Y)), (2, (Y, Y, X)))
+    assert system.normal_form(p, "standard") == poly((1, (Y,)), (2, (Y, Y, X)))
+    assert system.normal_form(p, "reverse") == poly((3, (X,)), (2, (Y, Y, X)))
+    for strategy in ("standard", "reverse"):
+        assert system.normal_form(p, strategy) == scan_reduce(p, list(system.rules), strategy)
+    assert_matches_scan(poly((1, (X, Y, X, Y)), (1, (Y, X, Y))), [first, second])
+
+
+def test_index_matches_scan_on_random_rule_lists():
+    # random rule lists, in random order and not completed, so the choice
+    # of word, rule and position shows in the result
+    rng = random.Random(11)
+    gens = [X, Y, (1, 3)]
+
+    def word(lo, hi):
+        return tuple(rng.choice(gens) for _ in range(rng.randint(lo, hi)))
+
+    differ = 0
+    for _ in range(150):
+        rules = []
+        for _ in range(rng.randint(1, 5)):
+            lead = word(2, 3)
+            rest = {}
+            for _ in range(rng.randint(0, 3)):
+                w = word(0, len(lead))
+                if word_key(w) < word_key(lead):
+                    rest[w] = QQ(rng.randint(-3, 3))
+            rules.append(hand_rule(lead, *((c, w) for w, c in rest.items())))
+        terms = {word(0, 6): QQ(rng.randint(1, 4)) for _ in range(rng.randint(1, 4))}
+        standard, reverse = assert_matches_scan(NCPoly(terms), rules)
+        differ += standard != reverse
+    assert differ >= 20  # 21 of the 150 with this seed
