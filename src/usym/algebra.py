@@ -14,7 +14,7 @@ from .linalg import Matrix, Vector
 
 
 class FinAlgebra:
-    __slots__ = ("field", "n", "labels", "tau", "_by_result")
+    __slots__ = ("field", "n", "labels", "tau", "_by_result", "_by_pair")
 
     def __init__(
         self,
@@ -42,6 +42,10 @@ class FinAlgebra:
         for (i, j, s), c in sorted(clean.items()):
             by_result[s].append((i, j, c))
         self._by_result = by_result
+        by_pair: dict[tuple[int, int], dict[int, Scalar]] = {}
+        for (i, j, s), c in clean.items():
+            by_pair.setdefault((i, j), {})[s] = c
+        self._by_pair = by_pair
 
     def tau_get(self, i: int, j: int, s: int) -> Scalar:
         return self.tau.get((i, j, s), self.field.zero)
@@ -51,8 +55,8 @@ class FinAlgebra:
         return self._by_result[a]
 
     def basis_product(self, i: int, j: int) -> dict[int, Scalar]:
-        """Sparse coordinates of e_i e_j."""
-        return {s: c for (ii, jj, s), c in self.tau.items() if ii == i and jj == j}
+        """Sparse coordinates of e_i e_j, as a fresh dict."""
+        return dict(self._by_pair.get((i, j), ()))
 
     def basis_vector(self, i: int) -> Vector:
         z, o = self.field.zero, self.field.one

@@ -8,12 +8,20 @@ gamma it *is* the matrix of the corresponding algebra endomorphism (column i
 holds the image of e_i).  The convolution product of points is the matrix
 product, giving the monoid isomorphism with (End(A), o).  One search
 (search_points) finds these points and the grading points of gradings.py.
+
+End's multiplication table is formed once, by integer matrix products mod p
+on the points' residues.  Aut(A) is the group of units of End(A) (the
+paper's first theorem), so automorphism_group reads the units off End's
+table, {i : table[i][j] = table[j][i] = identity for some j}, and takes End's
+table restricted to them as its own: no product is formed twice.  The
+points themselves stay Matrix objects over the prime field.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import mul
 
 from .algebra import FinAlgebra, is_algebra_map, require_same_field
 from .errors import InputError, SearchSizeError
@@ -62,19 +70,35 @@ def convolve(m1: Matrix, m2: Matrix) -> Matrix:
     return m1 * m2
 
 
+def _product_table(points: tuple[Matrix, ...], p: int) -> tuple:
+    """table[i][j]: the index of points[i] * points[j], None when outside the
+    set.  Products are formed on the residues mod p.  Row s of a * b is row s
+    of a times b, so each right factor b multiplies each distinct row found
+    among the points once."""
+    rows = [tuple(tuple(x.v for x in row) for row in pt.rows) for pt in points]
+    index = {r: k for k, r in enumerate(rows)}
+    distinct = {row for r in rows for row in r}
+    columns = []  # columns[j][i]: the index of points[i] * points[j]
+    for b in rows:
+        cols = tuple(zip(*b))
+        times_b = {row: tuple(sum(map(mul, row, col)) % p for col in cols) for row in distinct}
+        columns.append([index.get(tuple(times_b[row] for row in a)) for a in rows])
+    return tuple(zip(*columns))
+
+
 @dataclass
 class EndoMonoid:
     algebra: FinAlgebra
     points: tuple[Matrix, ...]  # canonically sorted, duplicate-free
     identity_index: int
-    # _table[i][j]: index of points[i] * points[j], None when outside the set
-    _table: tuple = field(init=False, repr=False, compare=False)
+    # _table[i][j]: index of points[i] * points[j], None when outside the set;
+    # formed from the points unless read off a larger table (units())
+    _table: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        index = {pt.rows: k for k, pt in enumerate(self.points)}
-        self._table = tuple(
-            tuple(index.get((p * q).rows) for q in self.points) for p in self.points
-        )
+        p = _require_prime_field(self.algebra).characteristic
+        if self._table is None:
+            self._table = _product_table(self.points, p)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -90,14 +114,28 @@ class EndoMonoid:
             raise KeyError("a product of points lies outside the set")
         return self._table
 
+    def _invertible(self, e: int) -> list[int]:
+        """The i with a j such that table[i][j] and table[j][i] are both e."""
+        t = self._table
+        return [
+            i for i, row in enumerate(t) if any(t[j][i] == e for j, x in enumerate(row) if x == e)
+        ]
+
     def inverses_in_set(self) -> bool:
         """Every member has a two-sided inverse inside the set (group check):
         a j with table[i][j] and table[j][i] both the counit point's index."""
         ident = counit_point(self.algebra)
         e = next((k for k, p in enumerate(self.points) if p == ident), None)
-        t, size = self._table, len(self.points)
-        return e is not None and all(
-            any(t[i][j] == e == t[j][i] for j in range(size)) for i in range(size)
+        return e is not None and len(self._invertible(e)) == len(self.points)
+
+    def units(self) -> EndoMonoid:
+        """The members with a two-sided inverse for identity_index, with this
+        table restricted to them and re-indexed: no product is formed."""
+        keep = self._invertible(self.identity_index)
+        new = {i: k for k, i in enumerate(keep)}
+        table = tuple(tuple(new.get(self._table[i][j]) for j in keep) for i in keep)
+        return EndoMonoid(
+            self.algebra, tuple(self.points[i] for i in keep), new[self.identity_index], table
         )
 
 
@@ -218,15 +256,16 @@ def enumerate_endomorphisms(a: FinAlgebra, max_search: int | None = None) -> End
 
 
 def automorphism_group(a: FinAlgebra, max_search: int | None = None) -> EndoMonoid:
-    """The invertible points of a(A); verified closed with inverses."""
+    """The invertible points of a(A): the units of End(A), with End's table
+    restricted to them; verified closed with inverses."""
     monoid = enumerate_endomorphisms(a, max_search)
-    invertible = tuple(p for p in monoid.points if p.is_invertible())
-    ident = counit_point(a)
-    identity_index = next(k for k, p in enumerate(invertible) if p == ident)
-    group = EndoMonoid(a, invertible, identity_index)
+    group = monoid.units()
+    # cross-check: the units are exactly the points of nonzero determinant
+    if group.points != tuple(p for p in monoid.points if p.is_invertible()):
+        raise RuntimeError("units of End differ from its invertible points")
     if not group.is_closed() or not group.inverses_in_set():
         raise RuntimeError("invertible points do not form a group")
-    for p in invertible:
+    for p in group.points:
         if not is_point(a, p.inverse()):
             raise RuntimeError("inverse of a point is not a point")
     return group

@@ -3,9 +3,15 @@ tests do not depend on the packaged fixture files."""
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import io
+import json
+
 import pytest
 
 from usym import FinAlgebra, QQ
+from usym.cli import main
 
 
 def dual_numbers(field) -> FinAlgebra:
@@ -95,3 +101,26 @@ def permuted(algebra: FinAlgebra, perm: list[int]) -> FinAlgebra:
         labels[perm[k]] = label
     tau = {(perm[i], perm[j], perm[s]): c for (i, j, s), c in algebra.tau.items()}
     return FinAlgebra(algebra.field, algebra.n, tau, tuple(labels))
+
+
+def algebra_file(tmp_path, name, algebra):
+    """Write algebra in the input format and return the path."""
+    doc = {
+        "field": algebra.field.spec_string(),
+        "dimension": algebra.n,
+        "basis": list(algebra.labels),
+        "unit_index": 1,
+        "tau": [[i + 1, j + 1, s + 1, str(c)] for (i, j, s), c in sorted(algebra.tau.items())],
+    }
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc, sort_keys=True))
+    return str(path)
+
+
+def report_digest(argv):
+    """The sha256 of the stdout of a CLI call that must exit 0 with empty stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code == 0 and err.getvalue() == ""
+    return hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()

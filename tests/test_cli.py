@@ -318,16 +318,17 @@ def test_exit_3_on_cyclic_table_above_bound(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "argv, products, inverses",
+    "argv, inverses",
     [
-        # End(dual_gf3) has 3 points: one 3 x 3 product table
-        (["endo", fx("dual_gf3.json")], 9, 0),
-        # End's 3 x 3 table, Aut's 2 x 2 table, and one inverse per
-        # automorphism for automorphism_group's is_point check
-        (["aut", fx("dual_gf3.json"), "--field-check"], 13, 2),
+        # End(dual_gf3) has 3 points: one 3 x 3 table, formed on residues
+        (["endo", fx("dual_gf3.json")], 0),
+        # Aut is read off End's table; one inverse per automorphism for
+        # automorphism_group's is_point check
+        (["aut", fx("dual_gf3.json"), "--field-check"], 2),
     ],
 )
-def test_endo_aut_form_each_product_once(monkeypatch, argv, products, inverses):
+def test_endo_aut_form_each_product_once(monkeypatch, argv, inverses):
+    import usym.endomorphisms as endo_mod
     from usym.linalg import Matrix
 
     calls = {"__mul__": 0, "inverse": 0}
@@ -338,7 +339,15 @@ def test_endo_aut_form_each_product_once(monkeypatch, argv, products, inverses):
             return _original(*args)
 
         monkeypatch.setattr(Matrix, name, counted)
+    tables = []
+
+    def build_table(points, p, _original=endo_mod._product_table):
+        tables.append(len(points))
+        return _original(points, p)
+
+    monkeypatch.setattr(endo_mod, "_product_table", build_table)
     code, out, _ = run_cli(argv)
     assert code == 0
     assert "FAIL" not in out
-    assert calls == {"__mul__": products, "inverse": inverses}
+    assert calls == {"__mul__": 0, "inverse": inverses}
+    assert tables == [3]  # End's table only: Aut builds none of its own

@@ -6,6 +6,7 @@ from usym import (
     GF,
     QQ,
     EndoMonoid,
+    InputError,
     Matrix,
     SearchSizeError,
     automorphism_group,
@@ -14,12 +15,14 @@ from usym import (
     enumerate_endomorphisms,
     enumerate_homs,
     enumerate_measuring_points,
+    fixture_path,
     gamma,
     is_algebra_map,
     is_measuring_point,
     is_point,
     validate_algebra,
 )
+from usym.io import load_algebra
 from conftest import dual_numbers, full_matrices, ground_field, triangular, truncated_polynomial
 
 
@@ -288,3 +291,61 @@ def test_table_checks_false_branches():
     with pytest.raises(KeyError):
         partial.multiplication_table()
     assert not partial.inverses_in_set()  # the counit point is missing
+
+
+def test_endo_monoid_requires_prime_field(dual_q):
+    # the table is formed on residues mod p, which QQ has not
+    with pytest.raises(InputError, match="prime fields"):
+        EndoMonoid(dual_q, (counit_point(dual_q),), 0)
+
+
+def _fixture(name):
+    return lambda: load_algebra(fixture_path(f"{name}.json"))[0]
+
+
+# (id, builder, |Aut| or None); |Aut k[x]/(x^n)| = (p - 1) p^(n - 2): x goes
+# to c1 x + ... + c(n-1) x^(n-1) with c1 != 0
+TABLE_CASES = (
+    [(f"fixture-{name}", _fixture(name), None)
+     for name in ("dual_gf2", "dual_gf3", "dual_gf5", "dual_gf7", "triangular_gf2", "triangular_gf3")]
+    + [(f"poly{n}-gf{p}", lambda p=p, n=n: truncated_polynomial(GF(p), n), (p - 1) * p ** (n - 2))
+       for p in (2, 3, 5) for n in (2, 3, 4)]
+    + [("m2-gf2", lambda: full_matrices(GF(2)), None)]
+)
+
+
+@pytest.mark.parametrize(
+    "build, aut_order", [c[1:] for c in TABLE_CASES], ids=[c[0] for c in TABLE_CASES]
+)
+def test_int_table_matches_matrix_products(build, aut_order):
+    a = build()
+    end = enumerate_endomorphisms(a)
+    table = end.multiplication_table()
+    index = {m.rows: k for k, m in enumerate(end.points)}
+    for i, m1 in enumerate(end.points):
+        assert table[i] == tuple(index[(m1 * m2).rows] for m2 in end.points)
+    # Aut = the units of End: its points are End's of nonzero determinant,
+    # its table End's restricted to them
+    aut = automorphism_group(a)
+    units = [k for k, m in enumerate(end.points) if m.is_invertible()]
+    assert aut.points == tuple(end.points[k] for k in units)
+    assert aut.points[aut.identity_index] == counit_point(a)
+    position = {k: u for u, k in enumerate(units)}
+    assert aut.multiplication_table() == tuple(
+        tuple(position[table[i][j]] for j in units) for i in units
+    )
+    if aut_order is not None:
+        assert len(aut) == aut_order
+
+
+def test_units_need_two_sided_inverses():
+    # In a finite monoid a one-sided inverse is two-sided, so no End table
+    # tells the two apart; a table that is not a monoid's does.  Here
+    # b * c = e but c * b = c: b has a right inverse and no two-sided one.
+    a = dual_numbers(GF(3))
+    e, b, c = (fmat(a.field, [[1, 0], [0, d]]) for d in (1, 0, 2))
+    table = ((0, 1, 2), (1, 1, 0), (2, 2, 2))
+    monoid = EndoMonoid(a, (e, b, c), 0, table)
+    assert monoid.units().points == (e,)
+    assert monoid.units().multiplication_table() == ((0,),)
+    assert not monoid.inverses_in_set()

@@ -1,4 +1,7 @@
+import json
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from usym import InputError, fixture_path
 from usym.io import (
@@ -189,3 +192,79 @@ def test_digest_stability():
     assert digest_bytes(b"abc") == (
         "sha256:ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
     )
+
+
+# JSON values, kept small: the loaders must answer every one of them with an
+# algebra or group, or with InputError, and never with another exception
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 5)
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=5)
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=5), kids, max_size=4),
+    max_leaves=10,
+)
+SMALL = st.integers(-1, 4)
+SCALAR_TEXTS = st.sampled_from(["0", "1", "-1", "2", "1/2", "3/-2", "1/0", "x", "", " 1 "])
+ALGEBRA_FIELDS = {
+    "field": st.sampled_from(["QQ", "GF(2)", "GF(3)", "GF(4)", "GF(0)", "GF(x)", "gf(2)"]) | JSON_VALUES,
+    "dimension": SMALL | JSON_VALUES,
+    "basis": st.lists(st.text(max_size=3) | JSON_SCALARS, max_size=4) | JSON_VALUES,
+    "unit_index": SMALL | JSON_VALUES,
+    "tau": st.lists(
+        st.lists(SMALL | SCALAR_TEXTS | JSON_SCALARS, min_size=3, max_size=5) | JSON_VALUES,
+        max_size=10,
+    )
+    | JSON_VALUES,
+}
+LABELS = st.sampled_from(["e", "a", "b", 0, 1, True, 1.0]) | JSON_SCALARS
+GROUP_FIELDS = {
+    "elements": st.lists(LABELS, max_size=4) | JSON_VALUES,
+    "identity": LABELS | JSON_VALUES,
+    "table": st.lists(st.lists(LABELS | JSON_VALUES, max_size=4), max_size=4) | JSON_VALUES,
+}
+
+
+def near(doc: dict, fields: dict):
+    """doc with the value of one of the fields redrawn, or that key dropped."""
+
+    def redraw(key):
+        dropped = {k: v for k, v in doc.items() if k != key}
+        return st.just(dropped) | fields[key].map(lambda value: {**doc, key: value})
+
+    return st.sampled_from(sorted(fields)).flatmap(redraw)
+
+
+def json_documents(fields: dict, valid: dict):
+    return (
+        JSON_VALUES
+        | st.fixed_dictionaries(fields)
+        | st.fixed_dictionaries({}, optional=fields)
+        | near(valid, fields)
+    )
+
+
+KLEIN = json.loads(fixture_path("group_klein.json").read_text(encoding="utf-8"))
+
+
+@settings(max_examples=100, deadline=None)
+@given(json_documents(ALGEBRA_FIELDS, dual_dict(field="GF(3)")))
+def test_algebra_from_dict_fuzz(doc):
+    try:
+        algebra_from_dict(doc)
+    except InputError:
+        pass
+
+
+@settings(max_examples=100, deadline=None)
+@given(json_documents(GROUP_FIELDS, KLEIN))
+def test_group_from_dict_fuzz(doc):
+    try:
+        group_from_dict(doc)
+    except InputError:
+        pass

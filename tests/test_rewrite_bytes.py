@@ -3,38 +3,17 @@ reduction step picks its rule could show: the sha256 of whole CLI reports,
 pinned.  The reduced basis is unique (Bergman's diamond lemma), so a change
 of reduction or completion strategy must leave every digest as it is."""
 
-import contextlib
-import hashlib
-import io
-import json
-
 import pytest
 
 from usym import QQ
-from usym.cli import main
-from conftest import cyclic_group_algebra, full_matrices, permuted, truncated_polynomial
-
-
-def algebra_file(tmp_path, name, algebra):
-    """Write algebra in the input format and return the path."""
-    doc = {
-        "field": algebra.field.spec_string(),
-        "dimension": algebra.n,
-        "basis": list(algebra.labels),
-        "unit_index": 1,
-        "tau": [[i + 1, j + 1, s + 1, str(c)] for (i, j, s), c in sorted(algebra.tau.items())],
-    }
-    path = tmp_path / f"{name}.json"
-    path.write_text(json.dumps(doc, sort_keys=True))
-    return str(path)
-
-
-def report_digest(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    assert code == 0 and err.getvalue() == ""
-    return hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+from conftest import (
+    algebra_file,
+    cyclic_group_algebra,
+    full_matrices,
+    permuted,
+    report_digest,
+    truncated_polynomial,
+)
 
 
 CASES = [
