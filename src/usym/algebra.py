@@ -113,24 +113,28 @@ def validate_algebra(a: FinAlgebra) -> Violation | None:
                 return Violation("unit", (1, j + 1, s + 1), "left unit axiom fails")
             if a.tau_get(j, 0, s) != want:
                 return Violation("unit", (j + 1, 1, s + 1), "right unit axiom fails")
+    # (e_i e_j) e_l - e_i (e_j e_l) from the sparse products; its smallest
+    # nonzero coordinate s is the first failing (i, j, l, s) in index order
+    empty: dict[int, Scalar] = {}
+    by_pair = a._by_pair
     for i in range(n):
         for j in range(n):
+            ij = by_pair.get((i, j), empty).items()
             for l in range(n):
-                for s in range(n):
-                    left = sum(
-                        (a.tau_get(i, j, u) * a.tau_get(u, l, s) for u in range(n)),
-                        zero,
+                diff: dict[int, Scalar] = {}
+                for u, c in ij:
+                    for s, d in by_pair.get((u, l), empty).items():
+                        diff[s] = diff.get(s, zero) + c * d
+                for u, c in by_pair.get((j, l), empty).items():
+                    for s, d in by_pair.get((i, u), empty).items():
+                        diff[s] = diff.get(s, zero) - c * d
+                bad = [s for s, v in diff.items() if v]
+                if bad:
+                    return Violation(
+                        "associativity",
+                        (i + 1, j + 1, l + 1, min(bad) + 1),
+                        "(e_i e_j) e_l != e_i (e_j e_l)",
                     )
-                    right = sum(
-                        (a.tau_get(j, l, u) * a.tau_get(i, u, s) for u in range(n)),
-                        zero,
-                    )
-                    if left != right:
-                        return Violation(
-                            "associativity",
-                            (i + 1, j + 1, l + 1, s + 1),
-                            "(e_i e_j) e_l != e_i (e_j e_l)",
-                        )
     return None
 
 

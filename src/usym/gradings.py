@@ -300,7 +300,10 @@ def enumerate_gradings_oracle(
 
 def conjugate_point(point: GradingPoint, m: Matrix) -> GradingPoint:
     """The point g * theta * g^{-1}: matrices M P^sigma M^{-1}."""
-    minv = m.inverse()
+    return _conjugate(point, m, m.inverse())
+
+
+def _conjugate(point: GradingPoint, m: Matrix, minv: Matrix) -> GradingPoint:
     return GradingPoint(tuple(m * mat * minv for mat in point.matrices))
 
 
@@ -344,9 +347,9 @@ def classify(
     point_index = {pt.sort_key(): k for k, pt in enumerate(points)}
     grading_index = {gr.sort_key(): k for k, gr in enumerate(gradings)}
 
-    def point_action(m: Matrix):
+    def point_action(m: Matrix, minv: Matrix):
         def act(idx: int) -> int:
-            return point_index[conjugate_point(points[idx], m).sort_key()]
+            return point_index[_conjugate(points[idx], m, minv).sort_key()]
 
         return act
 
@@ -356,7 +359,11 @@ def classify(
 
         return act
 
-    point_orbits = orbit_partition(len(points), (point_action(m) for m in aut.points))
+    # each automorphism's inverse is the j with table[i][j] the identity
+    inverses = [aut.points[row.index(aut.identity_index)] for row in aut.multiplication_table()]
+    point_orbits = orbit_partition(
+        len(points), (point_action(m, minv) for m, minv in zip(aut.points, inverses))
+    )
     grading_orbits = orbit_partition(len(gradings), (grading_action(m) for m in aut.points))
 
     # push the point partition through grading_from_point and compare

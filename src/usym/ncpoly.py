@@ -20,6 +20,19 @@ under ``reverse`` the smallest word, the highest rank and the rightmost
 occurrence.  By the diamond lemma the choice cannot change a normal form
 modulo a confluent system, but it does modulo an unfinished one, which is
 what interreduction and completion reduce against.
+
+Modulo a fixed rule list the step taken on a word depends only on that word,
+so the standard normal form is a linear map (Bergman, *The diamond lemma for
+ring theory*, 1978): NF(sum c_w w) = sum c_w NF(w).  A RewriteSystem
+therefore keeps a word table, filled the first time a word is asked, with
+the normal form of 1 * w (substituted, then reduced); ``normal_form`` under
+``standard`` and every leg of ``tensor_normal_form`` read it, so each word is
+reduced once per system.  The polynomials given to one system share its
+field.  ``reverse`` keeps reducing whole polynomials, so the two paths can be
+compared.  Interreduction and completion stay on whole-polynomial reduction:
+their rule lists change every round, and completion's overlap words are long
+and seldom repeated, so reducing them one word at a time would lose the
+early cancellation between the two sides of an overlap.
 """
 
 from __future__ import annotations
@@ -289,7 +302,7 @@ class RewriteSystem:
     certified confluence (0 before :func:`complete` has run).
     """
 
-    __slots__ = ("subs", "rules", "degree_bound", "_index")
+    __slots__ = ("subs", "rules", "degree_bound", "_index", "_nf")
 
     def __init__(
         self,
@@ -304,6 +317,8 @@ class RewriteSystem:
         )
         self.degree_bound = degree_bound
         self._index = _RuleIndex(self.rules)
+        # word -> terms of its standard normal form with coefficient 1
+        self._nf: dict[Word, dict[Word, Scalar]] = {}
 
     def eliminated(self) -> tuple[GenId, ...]:
         return tuple(self.subs)
@@ -311,8 +326,22 @@ class RewriteSystem:
     def max_rule_degree(self) -> int:
         return max((len(r.lead) for r in self.rules), default=0)
 
+    def _word_nf(self, w: Word, one: Scalar) -> dict[Word, Scalar]:
+        """The terms of the standard normal form of one * w (substituted, then
+        reduced), formed the first time w is asked."""
+        nf = self._nf.get(w)
+        if nf is None:
+            term = substitute(NCPoly({w: one}), self.subs)
+            nf = self._nf[w] = _reduce(term, self._index).terms
+        return nf
+
     def normal_form(self, p: NCPoly, strategy: str = "standard") -> NCPoly:
-        return _reduce(substitute(p, self.subs), self._index, strategy)
+        if strategy != "standard":
+            return _reduce(substitute(p, self.subs), self._index, strategy)
+        out: dict[Word, Scalar] = {}
+        for w, c in p.terms.items():
+            _accumulate(out, ((v, c * d) for v, d in self._word_nf(w, c / c).items()))
+        return NCPoly(out)
 
     def rule_polys(self) -> list[NCPoly]:
         return [r.poly for r in self.rules]
@@ -557,18 +586,19 @@ def format_tensor(t: TensorPoly) -> str:
     )
 
 
-def tensor_normal_form(t: TensorPoly, system: RewriteSystem, strategy: str = "standard") -> TensorPoly:
-    """Reduce every tensor leg independently and re-aggregate.  Each term's
-    coefficient is reduced with its first leg, the other legs with 1."""
-    parts: list[TensorPoly] = []
+def tensor_normal_form(t: TensorPoly, system: RewriteSystem) -> TensorPoly:
+    """Reduce every tensor leg independently and re-aggregate: the sum over
+    terms c * w1 (x) ... (x) wk of c * NF(w1) (x) ... (x) NF(wk), each leg's
+    normal form read off the system's word table."""
+    out: dict[tuple[Word, ...], Scalar] = {}
     for legs, c in t.terms.items():
-        first = system.normal_form(NCPoly({legs[0]: c}), strategy)
-        if first.is_zero():
-            continue
         one = c / c  # stored coefficients are nonzero, so this is 1 of the field
-        rest = [system.normal_form(NCPoly({w: one}), strategy) for w in legs[1:]]
-        parts.append(TensorPoly.of(first, *rest))
-    return TensorPoly(_accumulate({}, itertools.chain.from_iterable(q.terms.items() for q in parts)))
+        partial: list[tuple[tuple[Word, ...], Scalar]] = [((), c)]
+        for w in legs:
+            nf = system._word_nf(w, one).items()
+            partial = [(k + (v,), a * d) for k, a in partial for v, d in nf]
+        _accumulate(out, partial)
+    return TensorPoly(out)
 
 
 def iter_words(gens: list[GenId], max_degree: int) -> Iterator[Word]:

@@ -86,6 +86,23 @@ def full_matrices(field) -> FinAlgebra:
     return FinAlgebra(field, 4, tau, ("I", "E11", "E12", "E21"))
 
 
+def upper_triangular(field, n: int) -> FinAlgebra:
+    """T_n(k): basis {I} then the matrix units E_ab, a <= b, except
+    E_nn = I - sum of the other E_aa."""
+    units = [(a, b) for a in range(n) for b in range(a, n) if (a, b) != (n - 1, n - 1)]
+    index = {u: k + 1 for k, u in enumerate(units)}
+    one = field.one
+    tau = {}
+    for k in range(len(units) + 1):
+        tau[(0, k, k)] = one
+        tau[(k, 0, k)] = one
+    for (a, b), x in index.items():
+        for (c, d), y in index.items():
+            if b == c:  # E_ab E_bd = E_ad, never E_nn: that needs E_ab = E_nn
+                tau[(x, y, index[(a, d)])] = one
+    return FinAlgebra(field, len(units) + 1, tau)
+
+
 def cyclic_group_algebra(field, m: int) -> FinAlgebra:
     """k[C_m]: basis {1, g, ..., g^(m-1)} with g^i g^j = g^((i+j) mod m)."""
     tau = {(i, j, (i + j) % m): field.one for i in range(m) for j in range(m)}

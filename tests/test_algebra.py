@@ -2,8 +2,26 @@ import random
 
 import pytest
 
-from usym import FinAlgebra, QQ, Matrix, is_algebra_map, validate_algebra
-from conftest import dual_numbers, ground_field, triangular
+from usym import (
+    GF,
+    QQ,
+    FinAlgebra,
+    Matrix,
+    Violation,
+    fixture_path,
+    is_algebra_map,
+    validate_algebra,
+)
+from usym.io import load_algebra
+from conftest import (
+    cyclic_group_algebra,
+    dual_numbers,
+    full_matrices,
+    ground_field,
+    triangular,
+    truncated_polynomial,
+    upper_triangular,
+)
 
 
 def test_validate_dual_numbers_ok(dual_q):
@@ -111,3 +129,77 @@ def test_sparse_zero_constants_dropped():
     b = FinAlgebra(QQ, 2, explicit_zero, ("1", "t"))
     assert a == b
     assert (1, 1, 0) not in b.tau
+
+
+# ---------------------------------------------------------------------------
+# sparse validation against the dense definition
+
+
+def dense_validate(a):
+    """The O(n^5) definition: every tau[i,j,s] and sum over u, in index order."""
+    n = a.n
+    one, zero = a.field.one, a.field.zero
+    for j in range(n):
+        for s in range(n):
+            want = one if j == s else zero
+            if a.tau_get(0, j, s) != want:
+                return Violation("unit", (1, j + 1, s + 1), "left unit axiom fails")
+            if a.tau_get(j, 0, s) != want:
+                return Violation("unit", (j + 1, 1, s + 1), "right unit axiom fails")
+    for i in range(n):
+        for j in range(n):
+            for l in range(n):
+                for s in range(n):
+                    left = sum((a.tau_get(i, j, u) * a.tau_get(u, l, s) for u in range(n)), zero)
+                    right = sum((a.tau_get(j, l, u) * a.tau_get(i, u, s) for u in range(n)), zero)
+                    if left != right:
+                        return Violation(
+                            "associativity",
+                            (i + 1, j + 1, l + 1, s + 1),
+                            "(e_i e_j) e_l != e_i (e_j e_l)",
+                        )
+    return None
+
+
+FIXTURES = [
+    "dual_gf2", "dual_gf3", "dual_gf5", "dual_gf7", "dual_q",
+    "ground_field_q", "triangular_gf2", "triangular_gf3", "triangular_q",
+]
+
+
+def fixture_algebras():
+    return [load_algebra(fixture_path(f"{name}.json"))[0] for name in FIXTURES]
+
+
+def generated_algebras():
+    for fld in (QQ, GF(2), GF(3)):
+        yield from (truncated_polynomial(fld, n) for n in range(1, 7))
+        yield from (cyclic_group_algebra(fld, m) for m in range(1, 6))
+        yield full_matrices(fld)
+        yield from (upper_triangular(fld, n) for n in (2, 3))
+
+
+def test_sparse_validation_matches_dense_on_valid_inputs():
+    algebras = fixture_algebras() + list(generated_algebras())
+    assert len(algebras) == 9 + 3 * 14
+    for a in algebras:
+        assert validate_algebra(a) is None
+        assert dense_validate(a) is None
+
+
+def test_sparse_validation_matches_dense_on_one_constant_mutations():
+    # every stored constant bumped by 1 and every absent one set to 1: the
+    # unit branch and the associativity branch, at every place they can fail
+    kinds = {"unit": 0, "associativity": 0, None: 0}
+    small = [full_matrices(QQ), truncated_polynomial(QQ, 4), cyclic_group_algebra(GF(3), 3)]
+    for a in fixture_algebras() + small:
+        n, one = a.n, a.field.one
+        triples = [(i, j, s) for i in range(n) for j in range(n) for s in range(n)]
+        for t in triples:
+            tau = dict(a.tau)
+            tau[t] = tau[t] + one if t in tau else one
+            b = FinAlgebra(a.field, n, tau)
+            got = validate_algebra(b)
+            assert got == dense_validate(b)
+            kinds[got and got.kind] += 1
+    assert kinds == {"unit": 147, "associativity": 114, None: 16}

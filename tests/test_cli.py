@@ -351,3 +351,28 @@ def test_endo_aut_form_each_product_once(monkeypatch, argv, inverses):
     assert "FAIL" not in out
     assert calls == {"__mul__": 0, "inverse": inverses}
     assert tables == [3]  # End's table only: Aut builds none of its own
+
+
+def test_classify_reads_inverses_off_the_table(monkeypatch):
+    import usym.gradings as gradings_mod
+    from usym.linalg import Matrix
+
+    calls = {"inverse": 0, "conjugate_point": 0}
+
+    def counted_inverse(self, _original=Matrix.inverse):
+        calls["inverse"] += 1
+        return _original(self)
+
+    def counted_conjugate(point, m, _original=gradings_mod.conjugate_point):
+        calls["conjugate_point"] += 1
+        return _original(point, m)
+
+    monkeypatch.setattr(Matrix, "inverse", counted_inverse)
+    monkeypatch.setattr(gradings_mod, "conjugate_point", counted_conjugate)
+    code, out, _ = run_cli(["gradings", fx("dual_gf3.json"), "--group", "cyclic:2", "--classify"])
+    assert code == 0
+    assert "orbit-correspondence: pass" in out
+    # one inverse per automorphism, for automorphism_group's is_point check;
+    # classify conjugates with the inverses on Aut's table (6 inverses and 4
+    # conjugate_point calls when it inverted once per automorphism and point)
+    assert calls == {"inverse": 2, "conjugate_point": 0}

@@ -409,6 +409,9 @@ def test_index_rules_sharing_a_lead():
     for strategy in ("standard", "reverse"):
         assert system.normal_form(p, strategy) == scan_reduce(p, list(system.rules), strategy)
     assert_matches_scan(poly((1, (X, Y, X, Y)), (1, (Y, X, Y))), [first, second])
+    # and the word table reads the standard reduction of each word
+    for q in (p, poly((1, (X, Y, X, Y)), (1, (Y, X, Y)))):
+        assert_table_matches_reduce(RewriteSystem(rules=[first, second]), q)
 
 
 def test_index_matches_scan_on_random_rule_lists():
@@ -434,4 +437,111 @@ def test_index_matches_scan_on_random_rule_lists():
         terms = {word(0, 6): QQ(rng.randint(1, 4)) for _ in range(rng.randint(1, 4))}
         standard, reverse = assert_matches_scan(NCPoly(terms), rules)
         differ += standard != reverse
+        assert_table_matches_reduce(RewriteSystem(rules=rules), NCPoly(terms))
     assert differ >= 20  # 21 of the 150 with this seed
+
+
+# ---------------------------------------------------------------------------
+# the word table against the reduction it replaces
+
+
+def assert_table_matches_reduce(system, p):
+    """normal_form reads the word table; it must equal one _reduce of the
+    whole substituted polynomial, also once every word is in the table."""
+    want = _reduce(substitute(p, system.subs), _RuleIndex(system.rules), "standard")
+    assert system.normal_form(p) == want
+    for w, c in p.terms.items():
+        single = NCPoly({w: c})
+        assert system.normal_form(single) == _reduce(
+            substitute(single, system.subs), _RuleIndex(system.rules), "standard"
+        )
+    assert system.normal_form(p) == want
+    assert system.normal_form(p, "reverse") == _reduce(
+        substitute(p, system.subs), _RuleIndex(system.rules), "reverse"
+    )
+
+
+def test_normal_form_unknown_strategy():
+    system = nilsquare_rules()
+    with pytest.raises(ValueError, match="unknown strategy"):
+        system.normal_form(poly((1, (X, X))), "sideways")
+
+
+def per_leg_tensor_normal_form(t, system):
+    """The per-leg formula the word table replaced: each leg reduced as its
+    own polynomial, the coefficient with the first leg, the others with 1."""
+    def nf(word, c):
+        return _reduce(substitute(NCPoly({word: c}), system.subs), _RuleIndex(system.rules))
+
+    out = TensorPoly()
+    for legs, c in t.terms.items():
+        first = nf(legs[0], c)
+        if not first.is_zero():
+            out = out + TensorPoly.of(first, *(nf(w, c / c) for w in legs[1:]))
+    return out
+
+
+def test_tensor_normal_form_matches_per_leg_formula():
+    from usym import build_presentation
+    from conftest import dual_numbers
+
+    rng = random.Random(8)
+    confluent = complete(nilsquare_rules(), 6)
+    non_confluent = RewriteSystem(
+        rules=[hand_rule((X, Y), (1, (Y,))), hand_rule((Y, X), (2, (X,))), hand_rule((Y, Y, Y))]
+    )
+    # a presentation's system also substitutes its eliminated generators
+    presentation = build_presentation(dual_numbers(QQ), 3).system
+    cases = [
+        (confluent, [X, Y]),
+        (non_confluent, [X, Y]),
+        (presentation, [(1, 1), (2, 1), (1, 2), (2, 2)]),
+    ]
+    nonzero = 0
+    for system, gens in cases:
+        for legs in (2, 3):
+            for _ in range(60):
+                terms = {}
+                for _ in range(rng.randint(1, 4)):
+                    key = tuple(
+                        tuple(rng.choice(gens) for _ in range(rng.randint(0, 3)))
+                        for _ in range(legs)
+                    )
+                    terms[key] = QQ(rng.choice([-2, -1, 1, 3, "1/2"]))
+                t = TensorPoly(terms)
+                got = tensor_normal_form(t, system)
+                assert got == per_leg_tensor_normal_form(t, system)
+                nonzero += not got.is_zero()
+    assert nonzero >= 100
+
+
+def test_check_reduces_each_word_once(monkeypatch, tmp_path):
+    from usym import build_presentation
+    from usym.cli import main
+    from conftest import algebra_file, truncated_polynomial
+
+    calls = []
+
+    def counted(p, index, strategy="standard", _original=_reduce):
+        calls.append(strategy)
+        return _original(p, index, strategy)
+
+    monkeypatch.setattr(ncpoly_mod, "_reduce", counted)
+    path = algebra_file(tmp_path, "x4", truncated_polynomial(QQ, 4))
+    assert main(["check", path, "--max-degree", "4"]) == 0
+    # completion and interreduction, then one reduction per distinct word
+    # (3,316 when every normal_form and tensor leg ran its own reduction)
+    assert len(calls) == 559
+    system = build_presentation(truncated_polynomial(QQ, 4), 4).system
+    # two reducible words and one with the eliminated generator x[2,1]
+    p = poly((2, ((3, 2), (1, 2))), (-1, ((2, 1), (2, 2))), (1, ((2, 2), (1, 3))))
+    calls.clear()
+    first = system.normal_form(p)
+    assert calls == ["standard"] * 3
+    assert first == poly(
+        (-2, ((2, 2), (2, 2))), (-2, ((1, 2), (3, 2))), (2, ((3, 3),)),
+        (-1, ((1, 2), (2, 3))), (1, ((2, 4),)),
+    )
+    assert system.normal_form(p) == first
+    assert system.normal_form(p.scale(QQ(3))) == first.scale(QQ(3))
+    assert len(calls) == 3
