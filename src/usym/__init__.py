@@ -19,7 +19,6 @@ from .gradings import (
     Grading,
     GradingPoint,
     classify,
-    coaction_from_point,
     conjugate_point,
     enumerate_gradings_oracle,
     enumerate_points,
@@ -29,16 +28,14 @@ from .gradings import (
     trivial_point,
     validate_grading,
 )
-from .groups import FiniteGroup, GroupAlgebra, cyclic_group, validate_group
+from .groups import FiniteGroup, cyclic_group, validate_group
 from .endomorphisms import (
     EndoMonoid,
     automorphism_group,
-    convolve,
     counit_point,
     enumerate_endomorphisms,
     enumerate_homs,
     enumerate_measuring_points,
-    gamma,
     is_measuring_point,
     is_point,
 )

@@ -60,9 +60,12 @@ def _max_search() -> int:
     if value is None:
         return DEFAULT_MAX_SEARCH
     try:
-        return int(value)
+        bound = int(value)
     except ValueError as exc:
         raise InputError(f"{ENV_MAX_SEARCH} must be an integer, got {value!r}") from exc
+    if bound < 0:
+        raise InputError(f"{ENV_MAX_SEARCH} must not be negative, got {value!r}")
+    return bound
 
 
 def _require_degree(value: int) -> int:
@@ -156,11 +159,11 @@ def _endo_like(args, group_like: bool) -> Report:
 def _cmd_gradings(args) -> Report:
     algebra, meta = load_algebra(args.file)
     order = cyclic_order(args.group)
+    bound = _max_search()
     if order is not None:
         # refuse a cyclic:m whose m x m table exceeds the bound before building it
-        _require_search_size(order * order, _max_search(), "cyclic group table")
+        _require_search_size(order * order, bound, "cyclic group table")
     group, group_meta = load_group(args.group)
-    bound = _max_search()
     # classify searches points, then oracle gradings, then Aut: the same order
     # as without it, so the same SearchSizeError comes first
     if args.classify:

@@ -58,18 +58,6 @@ def counit_point(a: FinAlgebra) -> Matrix:
     return Matrix.identity(a.field, a.n)
 
 
-def gamma(a: FinAlgebra, m: Matrix) -> Matrix:
-    """Read a point as the matrix of the endomorphism w(e_i) = sum_s M[s][i] e_s."""
-    if not is_point(a, m):
-        raise ValueError("matrix is not a point of a(A)")
-    return m
-
-
-def convolve(m1: Matrix, m2: Matrix) -> Matrix:
-    """Convolution of points: (theta1 * theta2)(x[s,j]) = sum_t M1[s,t] M2[t,j]."""
-    return m1 * m2
-
-
 def _product_table(points: tuple[Matrix, ...], p: int) -> tuple:
     """table[i][j]: the index of points[i] * points[j], None when outside the
     set.  Products are formed on the residues mod p.  Row s of a * b is row s

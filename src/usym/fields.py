@@ -10,6 +10,7 @@ or element enumeration.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from typing import Iterator, Union
 
@@ -83,6 +84,25 @@ class FpElement:
 Scalar = Union[Fraction, FpElement]
 
 
+def _parse_fraction(text: str) -> Fraction:
+    """Fraction(text), refusing an exponent that would build an integer longer
+    than Python converts from a string: Fraction("0e10000000") builds
+    10**10**7 before it multiplies by 0."""
+    text = text.strip()
+    mantissa, sep, exponent = text.lower().partition("e")
+    # interpreters older than the int-string limit have no such method
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if sep and limit:
+        try:
+            digits = abs(int(exponent))
+        except ValueError:  # not an exponent: Fraction refuses the text
+            digits = 0
+        digits += sum(ch.isdigit() for ch in mantissa)
+        if digits > limit:
+            raise ValueError(f"its exponent would build an integer of more than {limit} digits")
+    return Fraction(text)
+
+
 class Field:
     """Common interface of the two supported scalar domains."""
 
@@ -95,9 +115,6 @@ class Field:
 
     def parse(self, text: str) -> Scalar:
         raise NotImplementedError
-
-    def format(self, x: Scalar) -> str:
-        return str(x)
 
     def elements(self) -> Iterator[Scalar]:
         raise NotImplementedError
@@ -119,12 +136,14 @@ class RationalField(Field):
     def __call__(self, value) -> Fraction:
         if isinstance(value, Fraction):
             return value
-        if isinstance(value, (int, str)):
+        if isinstance(value, int):
             return Fraction(value)
+        if isinstance(value, str):
+            return _parse_fraction(value)
         raise TypeError(f"cannot coerce {value!r} into QQ")
 
     def parse(self, text: str) -> Fraction:
-        return Fraction(text.strip())
+        return _parse_fraction(text)
 
     def elements(self) -> Iterator[Fraction]:
         raise ValueError("QQ is infinite; element enumeration is not available")
@@ -167,7 +186,7 @@ class PrimeField(Field):
         raise TypeError(f"cannot coerce {value!r} into GF({p})")
 
     def parse(self, text: str) -> FpElement:
-        return self(Fraction(text.strip()))
+        return self(_parse_fraction(text))
 
     def elements(self) -> Iterator[FpElement]:
         p = self.characteristic

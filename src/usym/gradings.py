@@ -22,10 +22,8 @@ from .endomorphisms import (
     automorphism_group,
     search_points,
 )
-from .fields import Scalar
 from .groups import FiniteGroup
 from .linalg import Matrix, Subspace, column_space, count_subspaces, enumerate_subspaces
-from .report import CheckItem, CheckReport
 from .unionfind import orbit_partition
 
 
@@ -379,110 +377,3 @@ def classify(
     return ClassifyResult(
         points, gradings, aut, point_orbits, grading_orbits, ok
     )
-
-
-@dataclass
-class GroupCoaction:
-    """The coaction table rho(e_i) = sum_s e_s (x) h[s][i] with h in k[G],
-    together with its verified comodule-algebra axioms."""
-
-    group: FiniteGroup
-    # h[s][i]: coefficient tuple over group elements
-    h: tuple[tuple[tuple[Scalar, ...], ...], ...]
-    checks: CheckReport
-
-
-def _coaction_grid(point: GradingPoint, n: int, m: int, i: int) -> list[list[Scalar]]:
-    """rho(e_i) as an n x m coefficient grid over e_a (x) sigma."""
-    return [[point.matrices[sigma].entry(s, i) for sigma in range(m)] for s in range(n)]
-
-
-def _akg_mul(a: FinAlgebra, g: FiniteGroup, x, y):
-    """Multiply two elements of A (x) k[G] given as n x m coefficient grids."""
-    n, m = a.n, g.order
-    out = [[a.field.zero] * m for _ in range(n)]
-    for s in range(n):
-        for sg in range(m):
-            c1 = x[s][sg]
-            if not c1:
-                continue
-            for t in range(n):
-                for tg in range(m):
-                    c2 = y[t][tg]
-                    if not c2:
-                        continue
-                    k = g.mul(sg, tg)
-                    for u, c in a.basis_product(s, t).items():
-                        out[u][k] = out[u][k] + c * c1 * c2
-    return out
-
-
-def coaction_from_point(a: FinAlgebra, g: FiniteGroup, point: GradingPoint) -> GroupCoaction:
-    """Tabulate the comodule-algebra structure rho and verify its axioms by
-    exact computation in A (x) k[G]."""
-    n, m = a.n, g.order
-    fld = a.field
-    h = tuple(
-        tuple(
-            tuple(point.matrices[sigma].entry(s, i) for sigma in range(m))
-            for i in range(n)
-        )
-        for s in range(n)
-    )
-    items: list[CheckItem] = []
-
-    eps_matrix = Matrix(
-        fld, [[sum(h[s][i], fld.zero) for i in range(n)] for s in range(n)]
-    )
-    items.append(CheckItem("coaction-counit", eps_matrix == Matrix.identity(fld, n)))
-
-    unit_grid = _coaction_grid(point, n, m, 0)
-    want_unit = [[fld.one if (s == 0 and sigma == g.identity) else fld.zero for sigma in range(m)] for s in range(n)]
-    items.append(CheckItem("coaction-unit", unit_grid == want_unit))
-
-    coassoc_ok = True
-    for i in range(n):
-        for ai in range(n):
-            for sg in range(m):
-                for tg in range(m):
-                    lhs = sum(
-                        (h[ai][s][sg] * h[s][i][tg] for s in range(n)),
-                        fld.zero,
-                    )
-                    rhs = h[ai][i][sg] if sg == tg else fld.zero
-                    if lhs != rhs:
-                        coassoc_ok = False
-    items.append(CheckItem("coaction-coassoc", coassoc_ok))
-
-    mult_ok = True
-    for i in range(n):
-        gi = _coaction_grid(point, n, m, i)
-        for j in range(n):
-            gj = _coaction_grid(point, n, m, j)
-            lhs = _akg_mul(a, g, gi, gj)
-            rhs = [[fld.zero] * m for _ in range(n)]
-            for u, c in a.basis_product(i, j).items():
-                gu = _coaction_grid(point, n, m, u)
-                for s in range(n):
-                    for sigma in range(m):
-                        rhs[s][sigma] = rhs[s][sigma] + c * gu[s][sigma]
-            if lhs != rhs:
-                mult_ok = False
-    items.append(CheckItem("coaction-mult", mult_ok))
-
-    homog_ok = True
-    grading = grading_from_point(a, g, point)
-    for sigma, comp in grading.components.items():
-        for vec in comp.basis:
-            got = [[fld.zero] * m for _ in range(n)]
-            for i in range(n):
-                if vec[i]:
-                    for s in range(n):
-                        for tg in range(m):
-                            got[s][tg] = got[s][tg] + vec[i] * h[s][i][tg]
-            want = [[vec[s] if tg == sigma else fld.zero for tg in range(m)] for s in range(n)]
-            if got != want:
-                homog_ok = False
-    items.append(CheckItem("coaction-homogeneous", homog_ok))
-
-    return GroupCoaction(g, h, CheckReport(items))

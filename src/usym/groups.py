@@ -1,11 +1,9 @@
-"""Finite groups as explicit Cayley tables, and exact group-algebra arithmetic."""
+"""Finite groups as explicit Cayley tables."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Sequence
-
-from .fields import Field, Scalar
 
 
 @dataclass(frozen=True)
@@ -111,39 +109,3 @@ def cyclic_group(m: int) -> FiniteGroup:
     labels = ["e"] + ["g" if k == 1 else f"g^{k}" for k in range(1, m)]
     table = [[(i + j) % m for j in range(m)] for i in range(m)]
     return FiniteGroup(labels, table)
-
-
-class GroupAlgebra:
-    """k[G] with elements as coefficient tuples indexed like G's labels."""
-
-    def __init__(self, field: Field, group: FiniteGroup):
-        self.field = field
-        self.group = group
-
-    def zero(self) -> tuple[Scalar, ...]:
-        return (self.field.zero,) * self.group.order
-
-    def basis(self, i: int) -> tuple[Scalar, ...]:
-        return tuple(
-            self.field.one if k == i else self.field.zero for k in range(self.group.order)
-        )
-
-    def one(self) -> tuple[Scalar, ...]:
-        return self.basis(self.group.identity)
-
-    def add(self, u: Sequence[Scalar], v: Sequence[Scalar]) -> tuple[Scalar, ...]:
-        return tuple(a + b for a, b in zip(u, v))
-
-    def mul(self, u: Sequence[Scalar], v: Sequence[Scalar]) -> tuple[Scalar, ...]:
-        out = [self.field.zero] * self.group.order
-        for i, a in enumerate(u):
-            if not a:
-                continue
-            for j, b in enumerate(v):
-                if b:
-                    k = self.group.mul(i, j)
-                    out[k] = out[k] + a * b
-        return tuple(out)
-
-    def scale(self, c: Scalar, u: Sequence[Scalar]) -> tuple[Scalar, ...]:
-        return tuple(c * a for a in u)

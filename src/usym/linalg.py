@@ -218,20 +218,6 @@ class Subspace:
         self._require_same_ambient(other)
         return Subspace.from_vectors(self.field, self.ambient, self.basis + other.basis)
 
-    def intersect(self, other: "Subspace") -> "Subspace":
-        # Zassenhaus: rref of [U|U; W|0], rows with zero left block carry the
-        # intersection in the right block.
-        self._require_same_ambient(other)
-        n = self.ambient
-        z = self.field.zero
-        block = [list(v) + list(v) for v in self.basis]
-        block += [list(w) + [z] * n for w in other.basis]
-        if not block:
-            return Subspace.zero(self.field, n)
-        rows, _ = _rref(self.field, block)
-        out = [row[n:] for row in rows if not any(row[:n]) and any(row[n:])]
-        return Subspace.from_vectors(self.field, n, out)
-
     def contains(self, vec: Sequence[Scalar]) -> bool:
         if len(vec) != self.ambient:
             raise ValueError("ambient dimension mismatch")

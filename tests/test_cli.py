@@ -217,6 +217,20 @@ def test_exit_1_on_over_long_integers(tmp_path, build):
     assert "Traceback" not in err
 
 
+def test_exit_1_on_scalar_exponent_above_int_limit(tmp_path):
+    # "1e5000" would build a 5,001-digit integer; "0e100000000" takes minutes
+    for value in ("1e5000", "0e100000000"):
+        # t t = value t, with value = 0 in GF(5)
+        doc = json.loads(fixture_path("dual_gf5.json").read_text())
+        doc["tau"].append([2, 2, 2, value])
+        path = tmp_path / "algebra.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(["endo", str(path)])
+        assert code == 1
+        assert not out
+        assert err.startswith(f"error: {path.name}: bad scalar '{value}': its exponent")
+
+
 def test_exit_1_on_characteristic_above_bound(tmp_path):
     # 2^61 - 1 is prime; refused by the bound before any trial division
     path = tmp_path / "algebra.json"
@@ -246,6 +260,15 @@ def test_env_bound_must_be_integer(monkeypatch):
     code, _, err = run_cli(["endo", fx("dual_gf3.json")])
     assert code == 1
     assert "USYM_MAX_SEARCH" in err
+
+
+@pytest.mark.parametrize("command", [["endo"], ["aut"], ["gradings", "--group", "cyclic:2"]])
+def test_env_bound_must_not_be_negative(monkeypatch, command):
+    monkeypatch.setenv("USYM_MAX_SEARCH", "-1")
+    code, out, err = run_cli([command[0], fx("dual_gf3.json"), *command[1:]])
+    assert code == 1
+    assert not out
+    assert err == "error: USYM_MAX_SEARCH must not be negative, got '-1'\n"
 
 
 def test_exit_2_on_completion_bound(monkeypatch):

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,20 @@ def test_prime_field_least_residues():
     assert f5(-1).v == 4
     assert str(f5(-1)) == "4"
     assert f5.parse("3/2") == f5(3) / f5(2)
+
+
+def test_exponent_bounded_by_int_string_limit():
+    # Fraction("0e10000000") builds 10**10**7 before it multiplies by 0
+    limit = sys.get_int_max_str_digits()
+    assert QQ.parse(f"1e{limit - 1}") == 10 ** (limit - 1)  # limit digits
+    assert QQ.parse(f"1e-{limit - 1}") == Fraction(1, 10 ** (limit - 1))
+    assert QQ.parse("25e-2") == Fraction(1, 4)
+    for text in (f"1e{limit}", f"1.5e{limit - 1}", f"1E-{limit}", "0e10000000", "1e5000"):
+        for field in (QQ, GF(5)):
+            with pytest.raises(ValueError, match="exponent"):
+                field.parse(text)
+            with pytest.raises(ValueError, match="exponent"):
+                field(text)
 
 
 def test_field_from_spec():

@@ -12,7 +12,6 @@ from usym import (
     Subspace,
     automorphism_group,
     classify,
-    coaction_from_point,
     conjugate_point,
     cyclic_group,
     enumerate_gradings_oracle,
@@ -308,17 +307,111 @@ def test_classify_grid_agreement():
         assert result.correspondence_ok
 
 
+@pytest.mark.parametrize(
+    "build, p, group",
+    # T_2 over GF(3) with C2: 6 automorphisms, 4 points, 2 classes
+    GRID + [(triangular, 3, cyclic_group(2))],
+)
+def test_class_count_is_burnside_count(build, p, group):
+    # the orbit count is the mean number of points each automorphism fixes,
+    # counted without the union-find
+    result = classify(build(GF(p)), group)
+    aut = result.automorphisms.points
+    fixed = sum(conjugate_point(pt, m) == pt for m in aut for pt in result.points)
+    assert fixed % len(aut) == 0
+    assert result.class_count == fixed // len(aut)
+
+
+# An oracle for the comodule-algebra structure of a point, independent of the
+# search: rho(e_i) = sum_{s, sigma} P^sigma[s][i] e_s (x) sigma in A (x) k[G].
+# Elements of A (x) k[G] are {(s, sigma): c} dicts, those of
+# A (x) k[G] (x) k[G] are {(s, sigma, tau): c} dicts, both without zeros.
+
+
+def _accumulate(out, key, c):
+    out[key] = out[key] + c if key in out else c
+
+
+def _nonzero(d):
+    return {key: c for key, c in d.items() if c}
+
+
+def coaction(a, g, point, vec):
+    """rho(x) for x = sum_i vec[i] e_i."""
+    out = {}
+    for i, x in enumerate(vec):
+        for s in range(a.n):
+            for sigma in range(g.order):
+                _accumulate(out, (s, sigma), x * point.matrices[sigma].entry(s, i))
+    return _nonzero(out)
+
+
+def akg_mul(a, g, x, y):
+    """The product of A (x) k[G]: (e_s (x) sigma)(e_t (x) tau) = e_s e_t (x) sigma tau."""
+    out = {}
+    for (s, sigma), c1 in x.items():
+        for (t, tau), c2 in y.items():
+            for u, c in a.basis_product(s, t).items():
+                _accumulate(out, (u, g.mul(sigma, tau)), c * c1 * c2)
+    return _nonzero(out)
+
+
+def coaction_checks(a, g, point):
+    """The five comodule-algebra axioms of rho, each True or False."""
+    f, n = a.field, a.n
+    basis = [a.basis_vector(i) for i in range(n)]
+    rho = [coaction(a, g, point, v) for v in basis]
+
+    def rho_then_id(x):  # (rho (x) id) x
+        out = {}
+        for (s, tau), c in x.items():
+            for (u, sigma), d in rho[s].items():
+                _accumulate(out, (u, sigma, tau), c * d)
+        return _nonzero(out)
+
+    def product(i, j):
+        e_ij = a.basis_product(i, j)
+        return coaction(a, g, point, [e_ij.get(u, f.zero) for u in range(n)])
+
+    grading = grading_from_point(a, g, point)
+    return {
+        # (id (x) eps) rho = id, with eps(sigma) = 1
+        "counit": all(
+            tuple(sum((c for (s, _), c in rho[i].items() if s == t), f.zero) for t in range(n))
+            == basis[i]
+            for i in range(n)
+        ),
+        # rho(1) = 1 (x) e
+        "unit": rho[0] == {(0, g.identity): f.one},
+        # (rho (x) id) rho = (id (x) Delta) rho, with Delta(sigma) = sigma (x) sigma
+        "coassoc": all(
+            rho_then_id(r) == {(s, sigma, sigma): c for (s, sigma), c in r.items()}
+            for r in rho
+        ),
+        # rho(e_i e_j) = rho(e_i) rho(e_j)
+        "mult": all(
+            akg_mul(a, g, rho[i], rho[j]) == product(i, j)
+            for i in range(n)
+            for j in range(n)
+        ),
+        # x in A_sigma has rho(x) = x (x) sigma
+        "homogeneous": all(
+            coaction(a, g, point, vec) == _nonzero({(s, sigma): vec[s] for s in range(n)})
+            for sigma, comp in grading.components.items()
+            for vec in comp.basis
+        ),
+    }
+
+
 def test_coaction_trivial_point():
     f = GF(3)
     a = dual_numbers(f)
     c2 = cyclic_group(2)
-    co = coaction_from_point(a, c2, trivial_point(a, c2))
-    assert co.checks.ok
-    # rho(e_i) = e_i (x) e: h[s][i] concentrated at the identity
-    for s in range(2):
-        for i in range(2):
-            want = (f.one if s == i else f.zero, f.zero)
-            assert co.h[s][i] == want
+    point = trivial_point(a, c2)
+    assert all(coaction_checks(a, c2, point).values())
+    # rho(e_i) = e_i (x) e
+    for i in range(2):
+        assert coaction(a, c2, point, a.basis_vector(i)) == {(i, 0): f.one}
 
 
 def test_coaction_diagonal_point_reads_off_degree():
@@ -326,18 +419,37 @@ def test_coaction_diagonal_point_reads_off_degree():
     a = dual_numbers(f)
     c2 = cyclic_group(2)
     point = GradingPoint((fmat(f, [[1, 0], [0, 0]]), fmat(f, [[0, 0], [0, 1]])))
-    co = coaction_from_point(a, c2, point)
-    assert co.checks.ok
+    assert all(coaction_checks(a, c2, point).values())
     # rho(t) = t (x) g
-    assert co.h[1][1] == (f.zero, f.one)
-    assert co.h[0][1] == (f.zero, f.zero)
+    assert coaction(a, c2, point, a.basis_vector(1)) == {(1, 1): f.one}
 
 
 def test_coaction_checks_on_grid():
     for build, p, group in GRID:
         a = build(GF(p))
         for pt in enumerate_points(a, group):
-            assert coaction_from_point(a, group, pt).checks.ok
+            assert all(coaction_checks(a, group, pt).values())
+
+
+@pytest.mark.parametrize(
+    "build, matrices, failing",
+    [
+        # two idempotents that are not orthogonal and do not sum to 1
+        (dual_numbers, ([[1, 0], [0, 1]], [[0, 0], [0, 1]]), {"counit", "coassoc", "homogeneous"}),
+        # the unit put in degree g
+        (dual_numbers, ([[0, 0], [0, 1]], [[1, 0], [0, 0]]), {"unit", "mult"}),
+        # the idempotent e3 of T_2 put in degree g: e3 e3 = e3 lands in degree e
+        (triangular, ([[1, 0, 0], [0, 1, 0], [0, 0, 0]], [[0, 0, 0], [0, 0, 0], [0, 0, 1]]), {"mult"}),
+    ],
+)
+def test_coaction_checks_fail_off_grading_points(build, matrices, failing):
+    f = GF(3)
+    a = build(f)
+    c2 = cyclic_group(2)
+    point = GradingPoint(tuple(fmat(f, rows) for rows in matrices))
+    assert not is_grading_point(a, c2, point)
+    checks = coaction_checks(a, c2, point)
+    assert {name for name, ok in checks.items() if not ok} == failing
 
 
 def test_homogeneous_membership_iff_coaction_fixes():

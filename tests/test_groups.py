@@ -1,4 +1,4 @@
-from usym import FiniteGroup, GF, GroupAlgebra, cyclic_group, validate_group
+from usym import FiniteGroup, cyclic_group, validate_group
 
 
 def test_cyclic_groups():
@@ -48,16 +48,3 @@ def test_table_shape_violations():
     assert validate_group(bad).kind == "shape"
     bad2 = FiniteGroup(("e", "g"), ((0, 5), (1, 0)))
     assert validate_group(bad2).kind == "shape"
-
-
-def test_group_algebra_arithmetic():
-    f = GF(3)
-    c2 = cyclic_group(2)
-    kg = GroupAlgebra(f, c2)
-    e, g = kg.basis(0), kg.basis(1)
-    assert kg.mul(g, g) == e
-    assert kg.mul(e, g) == g
-    assert kg.one() == e
-    u = kg.add(e, g)  # e + g
-    assert kg.mul(u, u) == kg.scale(f(2), u)  # (e+g)^2 = 2(e+g)
-    assert kg.mul(u, kg.add(e, kg.scale(f(-1), g))) == kg.zero()  # (e+g)(e-g) = 0
