@@ -8,6 +8,11 @@ gamma it *is* the matrix of the corresponding algebra endomorphism (column i
 holds the image of e_i).  The convolution product of points is the matrix
 product, giving the monoid isomorphism with (End(A), o).  One search
 (search_points) finds these points and the grading points of gradings.py.
+It assigns int residues cell by cell in an order computed once from the
+conditions' cell sets (next the cell that completes the most conditions),
+checks each condition when its last cell is set, and gives a cell that a
+condition solves (the counit's last coefficient, for grading points) its
+one forced value instead of trying all p.
 
 End's multiplication table is formed once, by integer matrix products mod p
 on the points' residues.  Aut(A) is the group of units of End(A) (the
@@ -149,10 +154,16 @@ def search_points(
     conditions; each is returned as its matrices P^sigma in G's order.
 
     Column 0 is the unit of A at the identity of G.  The other cells (s, i, k),
-    the coefficient of P[s][i] at the k-th element of G, take every residue,
-    column-major.  A condition is a set of cells and a predicate on P (read as
-    P[s][i][k]), checked as soon as its last cell is assigned.  More than
-    max_search values tried raise SearchSizeError.
+    the coefficient of P[s][i] at the k-th element of G, are assigned in one
+    order fixed up front from the conditions: the next cell is the one that
+    completes the most conditions, ties going to the column-major first
+    (the most-constrained static order of Freuder, JACM 1982, and Haralick &
+    Elliott, AIJ 1980).  A condition is a set of cells and a predicate on P
+    (read as P[s][i][k]), checked as soon as its last cell is assigned; it may
+    carry a third item, a solver for that last cell: given P with the cell
+    at 0, the one residue the cell can take.  A solved cell takes that value
+    alone, any other cell every residue.  Every value assigned counts as one
+    value tried, and more than max_search values tried raise SearchSizeError.
     """
     fld = a.field
     p, n, m = fld.characteristic, a.n, g.order
@@ -181,22 +192,52 @@ def search_points(
 
     # the caller's conditions come first: they are the cheaper ones
     conditions = extra + [relation(ai, i, j) for ai in range(n) for i in range(b.n) for j in range(b.n)]
-    order = [(s, i, k) for i in range(1, b.n) for s in range(n) for k in range(m)]
-    position = {cell: d for d, cell in enumerate(order)}
-    checks: list[list] = [[] for _ in order]
     P = [[[int(s == i == 0 and k == g.identity) for k in range(m)] for i in range(b.n)] for s in range(n)]
-    for cells, holds in conditions:
-        last = max((position.get(c, -1) for c in cells), default=-1)
-        if last >= 0:
-            checks[last].append(holds)
-        elif not holds(P):
+    free = [(s, i, k) for i in range(1, b.n) for s in range(n) for k in range(m)]
+    rank = {cell: r for r, cell in enumerate(free)}
+    open_cells = [{c for c in cond[0] if c in rank} for cond in conditions]
+    watch: dict = {cell: [] for cell in free}  # the conditions each free cell is in
+    completes = dict.fromkeys(free, 0)  # the conditions a cell would complete next
+    for q, cells in enumerate(open_cells):
+        for c in cells:
+            watch[c].append(q)
+        if len(cells) == 1:
+            completes[next(iter(cells))] += 1
+        elif not cells and not conditions[q][1](P):
             return []
+    order: list = []
+    checks: list[list] = []  # checks[d]: the predicates completed by order[d]
+    solvers: list = []  # solvers[d]: the forced value of order[d], or None
+    left = set(free)
+    while left:
+        cell = max(left, key=lambda c: (completes[c], -rank[c]))
+        left.remove(cell)
+        order.append(cell)
+        checks.append([])
+        solvers.append(None)
+        for q in watch[cell]:
+            cells = open_cells[q]
+            cells.remove(cell)
+            if len(cells) == 1:
+                completes[next(iter(cells))] += 1
+            elif not cells:
+                checks[-1].append(conditions[q][1])
+                if len(conditions[q]) > 2 and solvers[-1] is None:
+                    solvers[-1] = conditions[q][2]
+
+    def candidates(d: int):
+        """The values to try at order[d]: the forced one, or every residue."""
+        if d < len(order) and solvers[d] is not None:
+            s, i, k = order[d]
+            P[s][i][k] = 0
+            return iter((solvers[d](P),))
+        return iter(range(p))
 
     scalars = list(fld.elements())
     bound = DEFAULT_MAX_SEARCH if max_search is None else max_search
     visited = 0
     out = []
-    tries = [iter(range(p))]  # tries[d]: the values left for cell order[d]
+    tries = [candidates(0)]  # tries[d]: the values left for cell order[d]
     while tries:
         d = len(tries) - 1
         if d == len(order):  # every cell assigned
@@ -210,7 +251,7 @@ def search_points(
                 raise SearchSizeError(visited, bound, what)
             P[s][i][k] = v
             if all(holds(P) for holds in checks[d]):
-                tries.append(iter(range(p)))
+                tries.append(candidates(d + 1))
                 break
         else:
             tries.pop()

@@ -85,21 +85,23 @@ Scalar = Union[Fraction, FpElement]
 
 
 def _parse_fraction(text: str) -> Fraction:
-    """Fraction(text), refusing an exponent that would build an integer longer
-    than Python converts from a string: Fraction("0e10000000") builds
-    10**10**7 before it multiplies by 0."""
+    """Fraction(text), refusing text that would build an integer longer than
+    Python converts from a string: the mantissa's digits, plus |exponent| when
+    there is one, must stay within the limit.  Fraction("0e10000000") builds
+    10**10**7 before it multiplies by 0, and Fraction("1" * 3000 + "." +
+    "1" * 3000) a 6,000-digit numerator."""
     text = text.strip()
     mantissa, sep, exponent = text.lower().partition("e")
+    digits, what = sum(ch.isdigit() for ch in mantissa), "it"
+    if sep:
+        try:
+            digits, what = digits + abs(int(exponent)), "its exponent"
+        except ValueError:  # not an exponent: Fraction refuses the text
+            pass
     # interpreters older than the int-string limit have no such method
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if sep and limit:
-        try:
-            digits = abs(int(exponent))
-        except ValueError:  # not an exponent: Fraction refuses the text
-            digits = 0
-        digits += sum(ch.isdigit() for ch in mantissa)
-        if digits > limit:
-            raise ValueError(f"its exponent would build an integer of more than {limit} digits")
+    if limit and digits > limit:
+        raise ValueError(f"{what} would build an integer of more than {limit} digits")
     return Fraction(text)
 
 

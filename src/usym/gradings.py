@@ -227,8 +227,13 @@ def enumerate_points(
     p, n, m = fld.characteristic, a.n, g.order
 
     def counit(s: int, i: int):
-        # the coefficients of P[s][i] sum to eps(x[s,i]) = delta(s, i)
-        return {(s, i, k) for k in range(m)}, lambda P: (sum(P[s][i]) - (s == i)) % p == 0
+        # the coefficients of P[s][i] sum to eps(x[s,i]) = delta(s, i), which
+        # forces the last one: with it at 0, the sum falls short by the value
+        return (
+            {(s, i, k) for k in range(m)},
+            lambda P: (sum(P[s][i]) - (s == i)) % p == 0,
+            lambda P: ((s == i) - sum(P[s][i])) % p,
+        )
 
     def coproduct(s: int, i: int, sg: int, tg: int):
         # sum_t P^sigma[s,t] P^tau[t,i] = delta(sigma, tau) P^sigma[s,i]

@@ -3,20 +3,50 @@
 Matrices are immutable row-tuples.  Subspaces are kept in reduced
 row-echelon form with no zero rows, which makes the representative unique:
 two subspaces are equal iff their stored bases are identical.
+
+Row reduction (_rref, behind rref, rank, inverse, Subspace and
+column_space) and Subspace.contains run one elimination loop for both
+fields: over GF(p) on the entries' int residues, reduced mod p after each
+row operation and made FpElements once at the end; over QQ on the
+Fractions themselves.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .fields import Field, PrimeField, Scalar
+from .fields import Field, FpElement, PrimeField, Scalar
 
 Vector = tuple  # length-n tuple of scalars
 
 
+def _residues(field: Field, rows: list[list]) -> tuple[list[list], Callable, Callable, Callable]:
+    """(rows, inverse, reduce, back): over GF(p), the rows as int residues, the
+    inverse mod p, a row reduced mod p and a row of residues as FpElements;
+    over QQ, the rows themselves, 1/x and the identity twice."""
+    if isinstance(field, PrimeField):
+        p = field.characteristic
+        return (
+            [[x.v for x in row] for row in rows],
+            lambda x: pow(x, p - 2, p),
+            lambda row: [x % p for x in row],
+            lambda row: [FpElement(p, x) for x in row],
+        )
+    one = field.one
+    return rows, lambda x: one / x, _same, _same
+
+
+def _same(row: list) -> list:
+    return row
+
+
 def _rref(field: Field, rows: list[list]) -> tuple[list[list], list[int]]:
-    """In-place reduced row echelon form; returns (rows, pivot columns)."""
+    """Reduced row echelon form of rows, as (new rows, pivot columns).
+
+    Over GF(p) one elimination runs on the int residues, and the entries
+    become FpElements once, at the end."""
+    rows, inverse, reduce, back = _residues(field, rows)
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
     pivots: list[int] = []
@@ -26,17 +56,17 @@ def _rref(field: Field, rows: list[list]) -> tuple[list[list], list[int]]:
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = field.one / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
+        inv = inverse(rows[r][c])
+        rows[r] = reduce([x * inv for x in rows[r]])
         for i in range(nrows):
             if i != r and rows[i][c]:
                 f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+                rows[i] = reduce([a - f * b for a, b in zip(rows[i], rows[r])])
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return rows, pivots
+    return [back(row) for row in rows], pivots
 
 
 class Matrix:
@@ -221,12 +251,12 @@ class Subspace:
     def contains(self, vec: Sequence[Scalar]) -> bool:
         if len(vec) != self.ambient:
             raise ValueError("ambient dimension mismatch")
-        v = list(vec)
-        for row in self.basis:
+        (v, *basis), _, reduce, _ = _residues(self.field, [list(vec), *self.basis])
+        for row in basis:
             pivot = next(j for j, x in enumerate(row) if x)
             if v[pivot]:
                 f = v[pivot]
-                v = [a - f * b for a, b in zip(v, row)]
+                v = reduce([a - f * b for a, b in zip(v, row)])
         return not any(v)
 
     def image_under(self, m: Matrix) -> "Subspace":

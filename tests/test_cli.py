@@ -231,6 +231,21 @@ def test_exit_1_on_scalar_exponent_above_int_limit(tmp_path):
         assert err.startswith(f"error: {path.name}: bad scalar '{value}': its exponent")
 
 
+def test_exit_1_on_scalar_mantissa_above_int_limit(tmp_path):
+    # 3,000 digits either side of the point build one 6,000-digit numerator,
+    # which the report cannot print; exit 1 at load time instead
+    value = "1" * 3000 + "." + "1" * 3000
+    doc = json.loads(fixture_path("dual_q.json").read_text())
+    doc["tau"].append([2, 2, 2, value])  # t t = value t
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(["present", str(path), "--max-degree", "2"])
+    assert code == 1
+    assert not out
+    assert err.startswith(f"error: {path.name}: bad scalar '{value}': it would build an integer")
+    assert "Traceback" not in err
+
+
 def test_exit_1_on_characteristic_above_bound(tmp_path):
     # 2^61 - 1 is prime; refused by the bound before any trial division
     path = tmp_path / "algebra.json"

@@ -265,12 +265,12 @@ def test_measuring_points_equal_homs_both_directions(p):
 
 
 def test_search_bound_counts_values_tried():
-    # T_2(GF(3)) tries 78 values; the bound trips as soon as the count passes it
+    # T_2(GF(3)) tries 66 values; the bound trips as soon as the count passes it
     a = triangular(GF(3))
-    assert len(enumerate_endomorphisms(a, max_search=78)) == 14
+    assert len(enumerate_endomorphisms(a, max_search=66)) == 14
     with pytest.raises(SearchSizeError) as info:
-        enumerate_endomorphisms(a, max_search=77)
-    assert (info.value.needed, info.value.bound) == (78, 77)
+        enumerate_endomorphisms(a, max_search=65)
+    assert (info.value.needed, info.value.bound) == (66, 65)
 
 
 def test_aut_refused_by_the_old_estimate_now_runs():

@@ -37,6 +37,19 @@ def test_exponent_bounded_by_int_string_limit():
                 field(text)
 
 
+def test_mantissa_bounded_by_int_string_limit():
+    # Fraction("1" * k + "." + "1" * k) builds a 2k-digit numerator
+    limit = sys.get_int_max_str_digits()
+    half = "1" * (limit // 2)
+    assert QQ.parse(half + "." + half) == Fraction(int(half + half), 10 ** len(half))
+    for text in (half + "." + half + "1", "1" * (limit + 1), "1" * limit + "/3"):
+        for field in (QQ, GF(5)):
+            with pytest.raises(ValueError, match="^it would build an integer"):
+                field.parse(text)
+            with pytest.raises(ValueError, match="^it would build an integer"):
+                field(text)
+
+
 def test_field_from_spec():
     assert field_from_spec("QQ") == QQ
     assert field_from_spec("GF(7)").characteristic == 7

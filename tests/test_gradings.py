@@ -195,7 +195,7 @@ def test_point_search_matches_decomposition_route():
     for build, p, group in GRID + [(triangular, 2, KLEIN)]:
         a = build(GF(p))
         assert list(enumerate_points(a, group)) == _decomposition_route(a, group)
-    # the bound counts the values tried: T_2(GF(3)) with C3 tries 1986
+    # the bound counts the values tried: T_2(GF(3)) with C3 tries 707
     with pytest.raises(SearchSizeError) as info:
         enumerate_points(triangular(GF(3)), cyclic_group(3), max_search=100)
     assert (info.value.needed, info.value.bound) == (101, 100)
@@ -563,6 +563,21 @@ def test_points_equal_gradings_oracle_on_fixtures(name, group_name):
         key=lambda g: g.sort_key(),
     )
     assert induced == list(enumerate_gradings_oracle(a, group))
+
+
+def test_triangular_gf3_s3_point_count():
+    # the case the oracle test above leaves out: 16 grading points
+    assert len(enumerate_points(triangular(GF(3)), S3)) == 16
+
+
+@pytest.mark.parametrize("p, order", [(7, 7), (5, 8)])
+def test_counit_forces_last_coefficient(p, order):
+    # the counit fixes each entry's last coefficient: 3,116 and 1,784 values
+    # find the gradings of the dual numbers, t in any one degree
+    a, group = dual_numbers(GF(p)), cyclic_group(order)
+    points = enumerate_points(a, group, max_search=10_000)
+    profiles = sorted(grading_from_point(a, group, pt).dimension_profile() for pt in points)
+    assert profiles == [((0, 1), (k, 1)) for k in range(1, order)] + [((0, 2),)]
 
 
 def test_point_search_convolves_in_group_order():

@@ -1,8 +1,10 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from usym import GF, QQ, Matrix, Subspace, column_space, enumerate_subspaces
+from usym.fields import FpElement
 from usym.linalg import count_subspaces
 
 
@@ -107,3 +109,108 @@ def test_random_rank_nullity_consistency():
         sp_before = Subspace.from_vectors(f, 4, m.rows)
         sp_after = Subspace.from_vectors(f, 4, r.rows)
         assert sp_before == sp_after
+
+
+def scalar_rref(field, rows):
+    """Reduced row echelon form by row operations on the field's own scalars
+    (FpElement over GF(p)): the oracle for the elimination on residues."""
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = field.one / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return rows, pivots
+
+
+def scalar_basis(field, vectors):
+    rows, pivots = scalar_rref(field, [list(v) for v in vectors])
+    return tuple(tuple(row) for row in rows[: len(pivots)])
+
+
+def scalar_contains(basis, vec):
+    v = list(vec)
+    for row in basis:
+        pivot = next(j for j, x in enumerate(row) if x)
+        if v[pivot]:
+            f = v[pivot]
+            v = [a - f * b for a, b in zip(v, row)]
+    return not any(v)
+
+
+def random_matrices(field, rng):
+    """Every shape up to 5 x 5 (empty, wide, tall, square), once with random
+    entries and once of rank at most 1 below its smaller side."""
+    if field == QQ:
+        def draw():
+            return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    else:
+        def draw():
+            return field(rng.randrange(field.characteristic))
+    for nrows in range(6):
+        for ncols in range(6):
+            yield Matrix(field, [[draw() for _ in range(ncols)] for _ in range(nrows)])
+            inner = max(min(nrows, ncols) - 1, 0)
+            left = Matrix(field, [[draw() for _ in range(inner)] for _ in range(nrows)])
+            right = Matrix(field, [[draw() for _ in range(ncols)] for _ in range(inner)])
+            yield left * right if inner else Matrix.zeros(field, nrows, ncols)
+
+
+def of_field(field, vectors):
+    """Every entry is a scalar of field: an FpElement of its p, or a Fraction."""
+    if field == QQ:
+        return all(type(x) is Fraction for v in vectors for x in v)
+    return all(type(x) is FpElement and x.p == field.characteristic for v in vectors for x in v)
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), GF(5), GF(7), QQ], ids=str)
+def test_elimination_matches_scalar_oracle(field):
+    rng = random.Random(field.characteristic)
+    inverted = singular = 0
+    mats = list(random_matrices(field, rng))
+    for m in mats:
+        want_rows, want_pivots = scalar_rref(field, [list(r) for r in m.rows])
+        got, pivots = m.rref()
+        assert got.rows == tuple(tuple(r) for r in want_rows) and of_field(field, got.rows)
+        assert pivots == tuple(want_pivots) and m.rank() == len(want_pivots)
+        if m.nrows == m.ncols:
+            n = m.nrows
+            aug = [list(r) + list(i) for r, i in zip(m.rows, Matrix.identity(field, n).rows)]
+            rows, aug_pivots = scalar_rref(field, aug)
+            if aug_pivots[:n] == list(range(n)):
+                inverted += 1
+                inv = m.inverse()
+                assert inv.rows == tuple(tuple(r[n:]) for r in rows) and of_field(field, inv.rows)
+            else:
+                singular += 1
+                with pytest.raises(ValueError, match="singular"):
+                    m.inverse()
+        space = Subspace.from_vectors(field, m.ncols, m.rows)
+        assert space.basis == scalar_basis(field, m.rows) and of_field(field, space.basis)
+        cols = column_space(m)
+        assert cols.basis == scalar_basis(field, m.transpose().rows) and of_field(field, cols.basis)
+        if m.nrows == 0:
+            continue
+        other = Subspace.from_vectors(
+            field, m.ncols, rng.choice([mt for mt in mats if mt.ncols == m.ncols]).rows
+        )
+        assert space.sum(other).basis == scalar_basis(field, space.basis + other.basis)
+        # members (each row, the sum of the first and last) and random vectors
+        probes = list(m.rows) + [tuple(a + b for a, b in zip(m.rows[0], m.rows[-1]))]
+        probes += [row for mt in rng.sample(mats, 8) for row in mt.rows if len(row) == m.ncols]
+        for vec in probes:
+            assert space.contains(vec) is scalar_contains(space.basis, vec)
+    assert inverted and singular
