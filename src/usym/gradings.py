@@ -50,15 +50,8 @@ class Grading:
         self.order = order
         self.components = {k: v for k, v in sorted(components.items()) if not v.is_zero()}
 
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(self.components)
-
     def component(self, sigma: int) -> Subspace | None:
         return self.components.get(sigma)
-
-    def dimension_profile(self) -> tuple[tuple[int, int], ...]:
-        return tuple((k, v.dim) for k, v in self.components.items())
 
     def sort_key(self):
         return tuple((k, v.basis) for k, v in self.components.items())
@@ -183,28 +176,16 @@ def validate_grading(a: FinAlgebra, g: FiniteGroup, grading: Grading) -> bool:
 def _projections(
     field, n: int, parts: list[tuple[int, Subspace]]
 ) -> dict[int, Matrix]:
-    """Projections onto each part along the sum of the others."""
-    cols: list = []
-    owners: list[int] = []
-    for sigma, comp in parts:
-        for vec in comp.basis:
-            cols.append(vec)
-            owners.append(sigma)
-    basis = Matrix.from_columns(field, cols)
-    binv = basis.inverse()
+    """Projections onto each part along the sum of the others: with B the
+    matrix of all the parts' basis vectors, P^sigma is B's columns for sigma
+    times the matching rows of B^-1."""
+    binv = Matrix.from_columns(field, [v for _, comp in parts for v in comp.basis]).inverse()
     out: dict[int, Matrix] = {}
-    for sigma, _ in parts:
-        rows = [
-            [
-                sum(
-                    (basis.entry(r, k) * binv.entry(k, c) for k in range(n) if owners[k] == sigma),
-                    field.zero,
-                )
-                for c in range(n)
-            ]
-            for r in range(n)
-        ]
-        out[sigma] = Matrix(field, rows)
+    start = 0
+    for sigma, comp in parts:
+        stop = start + comp.dim
+        out[sigma] = Matrix.from_columns(field, comp.basis) * Matrix(field, binv.rows[start:stop])
+        start = stop
     return out
 
 

@@ -14,25 +14,23 @@ each lead word to its rule and rank, and the set of lead lengths, so a word
 w is tested with O(|w| * #lengths) hash probes of its factors.  A
 RewriteSystem builds its index once; interreduction keeps one in step with
 its working rules.  Each step takes exactly what a scan of every word, rule
-and position would: under ``standard`` the largest reducible word, the rule
-of lowest rank whose lead occurs in it, and that lead's leftmost occurrence;
-under ``reverse`` the smallest word, the highest rank and the rightmost
-occurrence.  By the diamond lemma the choice cannot change a normal form
-modulo a confluent system, but it does modulo an unfinished one, which is
-what interreduction and completion reduce against.
+and position would: the largest reducible word, the rule of lowest rank whose
+lead occurs in it, and that lead's leftmost occurrence.  By the diamond lemma
+the choice cannot change a normal form modulo a confluent system, but it does
+modulo an unfinished one, which is what interreduction and completion reduce
+against.
 
 Modulo a fixed rule list the step taken on a word depends only on that word,
-so the standard normal form is a linear map (Bergman, *The diamond lemma for
-ring theory*, 1978): NF(sum c_w w) = sum c_w NF(w).  A RewriteSystem
-therefore keeps a word table, filled the first time a word is asked, with
-the normal form of 1 * w (substituted, then reduced); ``normal_form`` under
-``standard`` and every leg of ``tensor_normal_form`` read it, so each word is
-reduced once per system.  The polynomials given to one system share its
-field.  ``reverse`` keeps reducing whole polynomials, so the two paths can be
-compared.  Interreduction and completion stay on whole-polynomial reduction:
-their rule lists change every round, and completion's overlap words are long
-and seldom repeated, so reducing them one word at a time would lose the
-early cancellation between the two sides of an overlap.
+so the normal form is a linear map (Bergman, *The diamond lemma for ring
+theory*, 1978): NF(sum c_w w) = sum c_w NF(w).  A RewriteSystem therefore
+keeps a word table, filled the first time a word is asked, with the normal
+form of 1 * w (substituted, then reduced); ``normal_form`` and every leg of
+``tensor_normal_form`` read it, so each word is reduced once per system.  The
+polynomials given to one system share its field.  Interreduction and
+completion stay on whole-polynomial reduction: their rule lists change every
+round, and completion's overlap words are long and seldom repeated, so
+reducing them one word at a time would lose the early cancellation between
+the two sides of an overlap.
 """
 
 from __future__ import annotations
@@ -43,7 +41,7 @@ import itertools
 import operator
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from .errors import CompletionBoundError, PresentationContradiction
 from .fields import Scalar
@@ -97,10 +95,6 @@ class NCPoly:
     @classmethod
     def zero(cls) -> "NCPoly":
         return cls()
-
-    @classmethod
-    def term(cls, word: Word, coeff: Scalar) -> "NCPoly":
-        return cls({word: coeff})
 
     @classmethod
     def constant(cls, coeff: Scalar) -> "NCPoly":
@@ -212,77 +206,63 @@ def _make_rule(p: NCPoly) -> RewriteRule:
 class _RuleIndex:
     """The leads of a rule list, for finding a reduction site by hash probes.
 
-    ``first`` and ``last`` map each lead word to (rank, rule), where the rank
-    is the rule's place in the list.  They differ only when several rules
-    share a lead (a hand-built RewriteSystem may): ``first`` keeps the lowest
-    rank, which the standard strategy picks, ``last`` the highest, which
-    reverse picks.  ``lengths`` holds every lead length (and, after
-    :meth:`discard`, perhaps some that no lead has any more).
+    ``first`` maps each lead word to (rank, rule), where the rank is the
+    rule's place in the list; when several rules share a lead (a hand-built
+    RewriteSystem may), it keeps the lowest rank.  ``lengths`` holds every
+    lead length (and, after :meth:`discard`, perhaps some that no lead has
+    any more).
     """
 
-    __slots__ = ("first", "last", "lengths")
+    __slots__ = ("first", "lengths")
 
     def __init__(self, rules: Iterable[RewriteRule] = ()):
         self.first: dict[Word, tuple[int, RewriteRule]] = {}
-        self.last: dict[Word, tuple[int, RewriteRule]] = {}
         self.lengths: set[int] = set()
         for rank, rule in enumerate(rules):
             self.add(rank, rule)
 
     def add(self, rank: int, rule: RewriteRule) -> None:
-        lead = rule.lead
-        self.first.setdefault(lead, (rank, rule))
-        self.last[lead] = (rank, rule)
-        self.lengths.add(len(lead))
+        self.first.setdefault(rule.lead, (rank, rule))
+        self.lengths.add(len(rule.lead))
 
     def discard(self, lead: Word) -> None:
         """Drop the lead; only for an index whose leads are distinct."""
-        del self.first[lead], self.last[lead]
+        del self.first[lead]
 
-    def site(self, w: Word, forward: bool) -> tuple[RewriteRule, int] | None:
+    def site(self, w: Word) -> tuple[RewriteRule, int] | None:
         """The rule and position a reduction step applies to w, or None if w
-        is irreducible: the lowest rank, then the leftmost occurrence
-        (forward), or the highest rank, then the rightmost (reverse)."""
-        table = self.first if forward else self.last
+        is irreducible: the lowest rank, then the leftmost occurrence."""
         best = None
         for length in self.lengths:
             for pos in range(len(w) - length + 1):
-                hit = table.get(w[pos : pos + length])
+                hit = self.first.get(w[pos : pos + length])
                 if hit is not None:
-                    key = (hit[0], pos) if forward else (-hit[0], -pos)
+                    key = (hit[0], pos)
                     if best is None or key < best[0]:
                         best = (key, hit[1], pos)
         return None if best is None else best[1:]
 
 
-def _queue_key(w: Word, forward: bool):
-    """Heap key that pops the largest word first (forward) or the smallest."""
-    if forward:
-        return (-len(w), tuple((-i, -s) for s, i in w))
-    return word_key(w)
+def _queue_key(w: Word):
+    """Heap key that pops the largest word first."""
+    return (-len(w), tuple((-i, -s) for s, i in w))
 
 
-def _reduce(p: NCPoly, index: _RuleIndex, strategy: str = "standard") -> NCPoly:
-    """Full normal form of p modulo the indexed rules.
-
-    standard: largest reducible word, lowest rule rank, leftmost position.
-    reverse:  smallest reducible word, highest rule rank, rightmost position.
-    """
-    if strategy not in ("standard", "reverse"):
-        raise ValueError(f"unknown strategy {strategy!r}")
-    forward = strategy == "standard"
+def _reduce(p: NCPoly, index: _RuleIndex) -> NCPoly:
+    """Full normal form of p modulo the indexed rules: each step takes the
+    largest reducible word, the lowest rule rank, the leftmost position."""
     terms = dict(p.terms)
     # Every word of terms not yet found irreducible.  A step only brings in
     # words below the one it rewrites, and an irreducible word stays so, so
-    # the first reducible word popped is the one the strategy selects.
-    queue = [(_queue_key(w, forward), w) for w in terms]
+    # the first reducible word popped is the largest one.
+    queue = [(_queue_key(w), w) for w in terms]
     heapq.heapify(queue)
     while queue:
         w = heapq.heappop(queue)[1]
         c = terms.get(w)
         if c is None:
             continue
-        site = index.site(w, forward)
+        site = index.site(w)
         if site is None:
             continue
         rule, pos = site
@@ -290,7 +270,7 @@ def _reduce(p: NCPoly, index: _RuleIndex, strategy: str = "standard") -> NCPoly:
         repl = rule.rest.shift(w[:pos], w[pos + len(rule.lead) :]).scale(c)
         for v in repl.terms:
             if v not in terms:
-                heapq.heappush(queue, (_queue_key(v, forward), v))
+                heapq.heappush(queue, (_queue_key(v), v))
         _accumulate(terms, repl.terms.items())
     return NCPoly(terms)
 
@@ -317,7 +297,7 @@ class RewriteSystem:
         )
         self.degree_bound = degree_bound
         self._index = _RuleIndex(self.rules)
-        # word -> terms of its standard normal form with coefficient 1
+        # word -> terms of its normal form with coefficient 1
         self._nf: dict[Word, dict[Word, Scalar]] = {}
 
     def eliminated(self) -> tuple[GenId, ...]:
@@ -327,17 +307,15 @@ class RewriteSystem:
         return max((len(r.lead) for r in self.rules), default=0)
 
     def _word_nf(self, w: Word, one: Scalar) -> dict[Word, Scalar]:
-        """The terms of the standard normal form of one * w (substituted, then
-        reduced), formed the first time w is asked."""
+        """The terms of the normal form of one * w (substituted, then reduced),
+        formed the first time w is asked."""
         nf = self._nf.get(w)
         if nf is None:
             term = substitute(NCPoly({w: one}), self.subs)
             nf = self._nf[w] = _reduce(term, self._index).terms
         return nf
 
-    def normal_form(self, p: NCPoly, strategy: str = "standard") -> NCPoly:
-        if strategy != "standard":
-            return _reduce(substitute(p, self.subs), self._index, strategy)
+    def normal_form(self, p: NCPoly) -> NCPoly:
         out: dict[Word, Scalar] = {}
         for w, c in p.terms.items():
             _accumulate(out, ((v, c * d) for v, d in self._word_nf(w, c / c).items()))
@@ -515,10 +493,6 @@ class TensorPoly:
         }
 
     @classmethod
-    def zero(cls) -> "TensorPoly":
-        return cls()
-
-    @classmethod
     def term(cls, *legs_and_coeff) -> "TensorPoly":
         """term(w1, ..., wk, c) is c * w1 (x) ... (x) wk."""
         *legs, coeff = legs_and_coeff
@@ -599,14 +573,3 @@ def tensor_normal_form(t: TensorPoly, system: RewriteSystem) -> TensorPoly:
             partial = [(k + (v,), a * d) for k, a in partial for v, d in nf]
         _accumulate(out, partial)
     return TensorPoly(out)
-
-
-def iter_words(gens: list[GenId], max_degree: int) -> Iterator[Word]:
-    """All words over gens of degree <= max_degree, in deglex order."""
-    level: list[Word] = [()]
-    yield ()
-    ordered = sorted(gens, key=gen_key)
-    for _ in range(max_degree):
-        level = [w + (g,) for w in level for g in ordered]
-        level.sort(key=word_key)
-        yield from level

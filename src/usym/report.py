@@ -19,6 +19,3 @@ class CheckReport:
     @property
     def ok(self) -> bool:
         return all(item.passed for item in self.items)
-
-    def failures(self) -> list[CheckItem]:
-        return [item for item in self.items if not item.passed]

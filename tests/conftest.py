@@ -10,8 +10,9 @@ import json
 
 import pytest
 
-from usym import FinAlgebra, QQ
+from usym import FinAlgebra, NCPoly, QQ
 from usym.cli import main
+from usym.ncpoly import gen_key, word_key
 
 
 def dual_numbers(field) -> FinAlgebra:
@@ -141,3 +142,46 @@ def report_digest(argv):
         code = main(argv)
     assert code == 0 and err.getvalue() == ""
     return hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+
+
+def iter_words(gens, max_degree):
+    """All words over gens of degree <= max_degree, in deglex order."""
+    level = [()]
+    yield ()
+    ordered = sorted(gens, key=gen_key)
+    for _ in range(max_degree):
+        level = [w + (g,) for w in level for g in ordered]
+        level.sort(key=word_key)
+        yield from level
+
+
+def _scan_find(word, factor, leftmost):
+    span = len(word) - len(factor)
+    positions = range(span + 1) if leftmost else range(span, -1, -1)
+    for p in positions:
+        if word[p : p + len(factor)] == factor:
+            return p
+    return None
+
+
+def scan_reduce(p, rules, strategy):
+    """The reference reduction: sort the words, scan every rule at every
+    position.  standard: largest reducible word, lowest rule index, leftmost
+    position; reverse: smallest reducible word, highest rule index,
+    rightmost.  Modulo a confluent system the two agree (diamond lemma)."""
+    forward = strategy == "standard"
+    while True:
+        site = None
+        for w in sorted(p.terms, key=word_key, reverse=forward):
+            for rule in rules if forward else list(reversed(rules)):
+                pos = _scan_find(w, rule.lead, forward)
+                if pos is not None:
+                    site = (w, rule, pos)
+                    break
+            if site:
+                break
+        if site is None:
+            return p
+        w, rule, pos = site
+        c = p.terms[w]
+        p = (p - NCPoly({w: c})) + rule.rest.shift(w[:pos], w[pos + len(rule.lead) :]).scale(c)

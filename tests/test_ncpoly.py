@@ -27,9 +27,9 @@ from usym.ncpoly import (
     format_tensor,
     format_word,
     gen_key,
-    iter_words,
     word_key,
 )
+from conftest import iter_words, scan_reduce
 
 ONE = QQ.one
 
@@ -273,7 +273,9 @@ def test_strategy_independence_after_completion():
             word = tuple(rng.choice(gens) for _ in range(rng.randint(0, 4)))
             terms[word] = QQ(rng.randint(-4, 4))
         p = NCPoly(terms)
-        assert system.normal_form(p, "standard") == system.normal_form(p, "reverse")
+        assert system.normal_form(p) == scan_reduce(
+            substitute(p, system.subs), list(system.rules), "reverse"
+        )
 
 
 def test_complete_random_systems_reach_confluence():
@@ -299,7 +301,9 @@ def test_complete_random_systems_reach_confluence():
                 w = tuple(rng.choice(gens) for _ in range(rng.randint(0, 4)))
                 terms[w] = QQ(rng.randint(-3, 3))
             p = NCPoly(terms)
-            assert system.normal_form(p, "standard") == system.normal_form(p, "reverse")
+            assert system.normal_form(p) == scan_reduce(
+                substitute(p, system.subs), list(system.rules), "reverse"
+            )
 
 
 def test_complete_discovers_substitutions_through_overlaps():
@@ -333,52 +337,18 @@ def test_completion_round_cap(monkeypatch):
 # the rule index against the scan it replaced
 
 
-def _scan_find(word, factor, leftmost):
-    span = len(word) - len(factor)
-    positions = range(span + 1) if leftmost else range(span, -1, -1)
-    for p in positions:
-        if word[p : p + len(factor)] == factor:
-            return p
-    return None
-
-
-def scan_reduce(p, rules, strategy):
-    """The reference: sort the words, scan every rule at every position.
-    standard: largest reducible word, lowest rule index, leftmost position;
-    reverse: smallest reducible word, highest rule index, rightmost."""
-    forward = strategy == "standard"
-    while True:
-        site = None
-        for w in sorted(p.terms, key=word_key, reverse=forward):
-            for rule in rules if forward else list(reversed(rules)):
-                pos = _scan_find(w, rule.lead, forward)
-                if pos is not None:
-                    site = (w, rule, pos)
-                    break
-            if site:
-                break
-        if site is None:
-            return p
-        w, rule, pos = site
-        c = p.terms[w]
-        p = (p - NCPoly({w: c})) + rule.rest.shift(w[:pos], w[pos + len(rule.lead) :]).scale(c)
-
-
 def hand_rule(lead, *rest_terms):
     rest = poly(*rest_terms)
     return RewriteRule(lead, rest, poly((1, lead)) - rest)
 
 
 def assert_matches_scan(p, rules):
-    """Indexed reduction equals the scan under both strategies, term order
-    included; returns the two normal forms."""
-    out = []
-    for strategy in ("standard", "reverse"):
-        got = _reduce(p, _RuleIndex(rules), strategy)
-        want = scan_reduce(p, list(rules), strategy)
-        assert got == want and list(got.terms) == list(want.terms)
-        out.append(got)
-    return out
+    """Indexed reduction equals the scan, term order included; returns it
+    with the reverse-order scan's normal form."""
+    got = _reduce(p, _RuleIndex(rules))
+    want = scan_reduce(p, list(rules), "standard")
+    assert got == want and list(got.terms) == list(want.terms)
+    return got, scan_reduce(p, list(rules), "reverse")
 
 
 def test_index_picks_lowest_rank_then_leftmost():
@@ -397,17 +367,17 @@ def test_index_picks_lowest_rank_then_leftmost():
 
 
 def test_index_rules_sharing_a_lead():
-    # a hand-built system may hold two rules with the same lead: standard
-    # applies the first, reverse the last, as the scan does
+    # a hand-built system may hold two rules with the same lead: reduction
+    # applies the first, as the scan does, and the reverse scan the last
     first = hand_rule((X, Y), (1, (Y,)))
     second = hand_rule((X, Y), (3, (X,)))
     system = RewriteSystem({}, [first, second], 0)
     assert system.rules == (first, second)
     p = poly((1, (X, Y)), (2, (Y, Y, X)))
-    assert system.normal_form(p, "standard") == poly((1, (Y,)), (2, (Y, Y, X)))
-    assert system.normal_form(p, "reverse") == poly((3, (X,)), (2, (Y, Y, X)))
-    for strategy in ("standard", "reverse"):
-        assert system.normal_form(p, strategy) == scan_reduce(p, list(system.rules), strategy)
+    assert system.normal_form(p) == poly((1, (Y,)), (2, (Y, Y, X)))
+    assert system.normal_form(p) == scan_reduce(p, list(system.rules), "standard")
+    reverse = scan_reduce(substitute(p, system.subs), list(system.rules), "reverse")
+    assert reverse == poly((3, (X,)), (2, (Y, Y, X)))
     assert_matches_scan(poly((1, (X, Y, X, Y)), (1, (Y, X, Y))), [first, second])
     # and the word table reads the standard reduction of each word
     for q in (p, poly((1, (X, Y, X, Y)), (1, (Y, X, Y)))):
@@ -448,23 +418,14 @@ def test_index_matches_scan_on_random_rule_lists():
 def assert_table_matches_reduce(system, p):
     """normal_form reads the word table; it must equal one _reduce of the
     whole substituted polynomial, also once every word is in the table."""
-    want = _reduce(substitute(p, system.subs), _RuleIndex(system.rules), "standard")
+    want = _reduce(substitute(p, system.subs), _RuleIndex(system.rules))
     assert system.normal_form(p) == want
     for w, c in p.terms.items():
         single = NCPoly({w: c})
         assert system.normal_form(single) == _reduce(
-            substitute(single, system.subs), _RuleIndex(system.rules), "standard"
+            substitute(single, system.subs), _RuleIndex(system.rules)
         )
     assert system.normal_form(p) == want
-    assert system.normal_form(p, "reverse") == _reduce(
-        substitute(p, system.subs), _RuleIndex(system.rules), "reverse"
-    )
-
-
-def test_normal_form_unknown_strategy():
-    system = nilsquare_rules()
-    with pytest.raises(ValueError, match="unknown strategy"):
-        system.normal_form(poly((1, (X, X))), "sideways")
 
 
 def per_leg_tensor_normal_form(t, system):
@@ -522,9 +483,9 @@ def test_check_reduces_each_word_once(monkeypatch, tmp_path):
 
     calls = []
 
-    def counted(p, index, strategy="standard", _original=_reduce):
-        calls.append(strategy)
-        return _original(p, index, strategy)
+    def counted(p, index, _original=_reduce):
+        calls.append("standard")
+        return _original(p, index)
 
     monkeypatch.setattr(ncpoly_mod, "_reduce", counted)
     path = algebra_file(tmp_path, "x4", truncated_polynomial(QQ, 4))

@@ -1,9 +1,12 @@
+import dataclasses
+
 import pytest
 
 from usym import (
     GF,
     QQ,
     NCPoly,
+    RewriteSystem,
     TensorPoly,
     build_measuring,
     build_measuring_relations,
@@ -13,8 +16,7 @@ from usym import (
     check_comodule,
 )
 from usym.linalg import Matrix
-from usym.ncpoly import iter_words
-from conftest import ground_field, triangular
+from conftest import dual_numbers, ground_field, iter_words, triangular
 
 ONE = QQ.one
 X12, X22 = (1, 2), (2, 2)
@@ -194,6 +196,36 @@ def test_checks_over_prime_fields():
         pres = build_presentation(a, 4)
         assert check_bialgebra(pres).ok
         assert check_comodule(pres).ok
+
+
+# For each rule dropped from the system: the number of failing items of both
+# checks, and the one failing coaction-mult item with its detail.  Every other
+# failing item is a delta-descends one.
+DROPPED_RULE_FAILURES = {
+    "T_2": [
+        (5, "e[2]e[2]", 1), (5, "e[2]e[3]", 1), (7, "e[2]e[2]", 2), (7, "e[2]e[3]", 2),
+        (7, "e[2]e[2]", 3), (7, "e[2]e[3]", 3), (5, "e[3]e[2]", 1), (5, "e[3]e[3]", 1),
+        (7, "e[3]e[2]", 2), (7, "e[3]e[3]", 2), (7, "e[3]e[2]", 3), (7, "e[3]e[3]", 3),
+    ],
+    "dual": [(2, "e[2]e[2]", 1), (3, "e[2]e[2]", 2)],
+}
+
+
+def test_checks_fail_on_dropped_rule():
+    for name, algebra in (("T_2", triangular), ("dual", dual_numbers)):
+        p = build_presentation(algebra(QQ), 4)
+        rules = p.system.rules
+        assert len(rules) == len(DROPPED_RULE_FAILURES[name])
+        for k, (count, product, coordinate) in enumerate(DROPPED_RULE_FAILURES[name]):
+            system = RewriteSystem(p.system.subs, rules[:k] + rules[k + 1 :], 4)
+            broken = dataclasses.replace(p, system=system)
+            items = check_bialgebra(broken).items + check_comodule(broken).items
+            failed = [item for item in items if not item.passed]
+            assert len(failed) == count
+            mult = [item for item in failed if not item.name.startswith("delta-descends ")]
+            assert [(item.name, item.detail) for item in mult] == [
+                (f"coaction-mult {product}", f"coordinate a={coordinate}")
+            ]
 
 
 def test_check_requires_certified_degree(dual_q):
