@@ -1,11 +1,13 @@
 """Byte guard for presentations large enough that the order in which a
-reduction step picks its rule could show: the sha256 of whole CLI reports,
-pinned.  The reduced basis is unique (Bergman's diamond lemma), so a change
-of reduction or completion strategy must leave every digest as it is."""
+reduction step picks its rule could show, and for the axiom checks run on
+them: the sha256 of whole CLI reports, pinned.  The reduced basis is unique
+(Bergman's diamond lemma), so a change of reduction or completion strategy,
+or of how the checks compute Delta and eps, must leave every digest as it
+is."""
 
 import pytest
 
-from usym import QQ
+from usym import GF, QQ, fixture_path
 from conftest import (
     algebra_file,
     cyclic_group_algebra,
@@ -16,26 +18,43 @@ from conftest import (
 )
 
 
+def generated(name, build):
+    return lambda tmp_path: algebra_file(tmp_path, name, build())
+
+
+def fixture(name):
+    return lambda tmp_path: str(fixture_path(f"{name}.json"))
+
+
 CASES = [
-    ("poly4", lambda: truncated_polynomial(QQ, 4), "present", "3",
+    ("poly4", generated("poly4", lambda: truncated_polynomial(QQ, 4)), "present", "3", "json",
      "78797b241c83b7ab301bec734e656bfe45dae6c3ff741748f2107cb0d16e4bb4"),
-    ("m2", lambda: full_matrices(QQ), "present", "3",
+    ("m2", generated("m2", lambda: full_matrices(QQ)), "present", "3", "json",
      "304cec94766babc6e4d82fceb1203f176c5e81bfb9e1237cb28d768d41a19aec"),
-    ("m2_reversed", lambda: permuted(full_matrices(QQ), [0, 3, 2, 1]), "present", "3",
+    ("m2_reversed", generated("m2_reversed", lambda: permuted(full_matrices(QQ), [0, 3, 2, 1])),
+     "present", "3", "json",
      "8b1946e8b17e3a284b3d63a3c8d39eb6e28e5e55b929d2b97059f43b69cfba8a"),
-    ("c4", lambda: cyclic_group_algebra(QQ, 4), "present", "3",
+    ("c4", generated("c4", lambda: cyclic_group_algebra(QQ, 4)), "present", "3", "json",
      "2d34fbc23a1b8f5f09bfa37e0ebbbf5e797ee45955662c02b0857cabe542b65e"),
-    ("poly4", lambda: truncated_polynomial(QQ, 4), "check", "4",
+    ("poly4", generated("poly4", lambda: truncated_polynomial(QQ, 4)), "check", "4", "json",
      "84a2fb84ae5b7364e3dcabf8847eeb10d0ac014cd1e77bae2f1336e4366bde66"),
+    ("m2", generated("m2", lambda: full_matrices(QQ)), "check", "4", "json",
+     "bf9457dd81dab3e7be3bd9a81ae9b73ade5d038cc6421f2d3a22cb2cd5336161"),
+    ("c4", generated("c4", lambda: cyclic_group_algebra(QQ, 4)), "check", "4", "json",
+     "6672693a89382c624824f53eeda335bee1fba9017e31e2cddc5beb5815230baa"),
+    ("poly4_gf3", generated("poly4_gf3", lambda: truncated_polynomial(GF(3), 4)),
+     "check", "4", "json",
+     "e530f545985145ed5c94495b4e1be3210f4765a1d728da4dacb586f878a4d7b6"),
+    ("triangular_q", fixture("triangular_q"), "check", "4", "text",
+     "71db3b8ded62e5cf321227ceb9b811f87644f6716ac781d9ce824729909f456d"),
 ]
 
 
 @pytest.mark.parametrize(
-    "name, build, command, degree, digest",
+    "name, path, command, degree, fmt, digest",
     CASES,
     ids=[f"{c[2]}-{c[0]}" for c in CASES],
 )
-def test_report_digest(tmp_path, name, build, command, degree, digest):
-    path = algebra_file(tmp_path, name, build())
-    argv = [command, path, "--format", "json", "--max-degree", degree]
+def test_report_digest(tmp_path, name, path, command, degree, fmt, digest):
+    argv = [command, path(tmp_path), "--format", fmt, "--max-degree", degree]
     assert report_digest(argv) == digest

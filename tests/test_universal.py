@@ -253,3 +253,37 @@ def test_eps_kills_every_relation(dual_q, triangular_q):
         ops = _CoalgebraOps(a, p.system)
         for rel in build_relations(a):
             assert not ops.eps_of_poly(rel)
+
+
+def failing_items(p):
+    items = check_bialgebra(p).items + check_comodule(p).items
+    return [item.name for item in items if not item.passed]
+
+
+def with_delta(p, g, t):
+    return dataclasses.replace(p, delta={**p.delta, g: t})
+
+
+def test_checks_fail_on_tampered_presentation():
+    dual = build_presentation(dual_numbers(QQ), 4)
+    doubled = with_delta(dual, X12, dual.delta[X12].scale(QQ(2)))
+    assert failing_items(doubled) == ["coassoc x[1,2]", "counit x[1,2]"]
+
+    t2 = build_presentation(triangular(QQ), 4)
+    swapped = TensorPoly({(w2, w1): c for (w1, w2), c in t2.delta[X12].terms.items()})
+    failed = failing_items(with_delta(t2, X12, swapped))
+    assert [name for name in failed if not name.startswith("delta-descends ")] == [
+        "coassoc x[1,2]",
+        "coassoc x[1,3]",
+    ]
+    assert len(failed) == 8 + 2
+
+    subs = dict(dual.system.subs)
+    subs[(2, 1)] = subs[(2, 1)] + NCPoly.gen(X12, ONE)
+    system = RewriteSystem(subs, dual.system.rules, dual.system.degree_bound)
+    failed = failing_items(dataclasses.replace(dual, system=system))
+    assert [name for name in failed if not name.startswith("delta-descends ")] == [
+        "coaction-coassoc e[1]",
+        "coaction-mult e[1]e[1]",
+    ]
+    assert len(failed) == 6 + 2
