@@ -41,7 +41,6 @@ from .endomorphisms import (
 )
 from .linalg import Matrix, Subspace, column_space, enumerate_subspaces
 from .ncpoly import (
-    MembershipResult,
     NCPoly,
     RewriteRule,
     RewriteSystem,
@@ -53,10 +52,7 @@ from .ncpoly import (
     tensor_normal_form,
 )
 from .universal import (
-    MeasuringPresentation,
     Presentation,
-    build_measuring,
-    build_measuring_relations,
     build_presentation,
     build_relations,
     check_bialgebra,

@@ -282,12 +282,9 @@ def enumerate_gradings_oracle(
     return tuple(out)
 
 
-def conjugate_point(point: GradingPoint, m: Matrix) -> GradingPoint:
-    """The point g * theta * g^{-1}: matrices M P^sigma M^{-1}."""
-    return _conjugate(point, m, m.inverse())
-
-
-def _conjugate(point: GradingPoint, m: Matrix, minv: Matrix) -> GradingPoint:
+def conjugate_point(point: GradingPoint, m: Matrix, minv: Matrix) -> GradingPoint:
+    """The point g * theta * g^{-1}: matrices M P^sigma M^{-1}, for the
+    inverse minv of M."""
     return GradingPoint(tuple(m * mat * minv for mat in point.matrices))
 
 
@@ -333,7 +330,7 @@ def classify(
 
     def point_action(m: Matrix, minv: Matrix):
         def act(idx: int) -> int:
-            return point_index[_conjugate(points[idx], m, minv).sort_key()]
+            return point_index[conjugate_point(points[idx], m, minv).sort_key()]
 
         return act
 

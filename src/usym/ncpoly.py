@@ -461,24 +461,14 @@ def complete(system: RewriteSystem, degree_bound: int) -> RewriteSystem:
         current = RewriteSystem(subs, rules, degree_bound)
 
 
-@dataclass(frozen=True)
-class MembershipResult:
-    member: bool
-    witness: NCPoly  # the normal form; zero iff member
-
-    def __bool__(self) -> bool:
-        return self.member
-
-
-def ideal_member_bounded(p: NCPoly, system: RewriteSystem, degree_bound: int) -> MembershipResult:
+def ideal_member_bounded(p: NCPoly, system: RewriteSystem, degree_bound: int) -> bool:
     """Decide p in ideal(system) for degrees within the certified bound."""
     need = max(degree_bound, p.degree())
     if system.degree_bound < need:
         raise ValueError(
             f"system certified to degree {system.degree_bound}, need {need}"
         )
-    nf = system.normal_form(p)
-    return MembershipResult(nf.is_zero(), nf)
+    return system.normal_form(p).is_zero()
 
 
 class TensorPoly:

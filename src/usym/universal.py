@@ -1,6 +1,6 @@
-"""Presentations of the universal coacting bialgebra a(A) (and its two-algebra
-variant a(A,B)) from structure constants, plus machine verification of the
-bialgebra and comodule axioms at bounded degree.
+"""The presentation of the universal coacting bialgebra a(A) from structure
+constants, plus machine verification of the bialgebra and comodule axioms at
+the degree completion certified.
 
 For an n-dimensional algebra A the defining relations on generators x[s,i] are
 
@@ -14,13 +14,17 @@ canonical coaction are tabulated on the surviving generators:
 
     Delta(x[i,j]) = sum_s x[i,s] (x) x[s,j],   eps(x[i,j]) = delta(i,j),
     eta(e_i) = sum_s e_s (x) x[s,i].
+
+The checkers extend Delta multiplicatively from one table on all n^2
+generators, and eps from its value on words: 1 when every generator is
+diagonal, else 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .algebra import FinAlgebra, require_same_field
+from .algebra import FinAlgebra
 from .fields import Scalar
 from .report import CheckItem, CheckReport
 from .ncpoly import (
@@ -42,23 +46,22 @@ from .ncpoly import (
 DEFAULT_DEGREE_BOUND = 4
 
 
-def build_measuring_relations(a: FinAlgebra, b: FinAlgebra) -> list[NCPoly]:
-    """Raw defining relations of a(A,B): dim(A)*dim(B)^2 product relations in
-    lexicographic (a, i, j) emission order, then dim(A) unit relations."""
-    require_same_field(a, b)
-    n, m = a.n, b.n
-    one = a.field.one
+def build_relations(a: FinAlgebra) -> list[NCPoly]:
+    """Raw defining relations of a(A): n^3 product relations in lexicographic
+    (a, i, j) emission order, then n unit relations."""
+    n = a.n
+    zero, one = a.field.zero, a.field.one
     rels: list[NCPoly] = []
     for ai in range(1, n + 1):
-        for i in range(1, m + 1):
-            for j in range(1, m + 1):
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
                 terms: dict[Word, Scalar] = {}
-                for u, c in b.basis_product(i - 1, j - 1).items():
+                for u, c in a.basis_product(i - 1, j - 1).items():
                     w: Word = ((ai, u + 1),)
-                    terms[w] = terms.get(w, a.field.zero) + c
+                    terms[w] = terms.get(w, zero) + c
                 for (s, t, c) in a.pairs_with_result(ai - 1):
                     w = ((s + 1, i), (t + 1, j))
-                    terms[w] = terms.get(w, a.field.zero) - c
+                    terms[w] = terms.get(w, zero) - c
                 rels.append(NCPoly(terms))
     for ai in range(1, n + 1):
         terms = {((ai, 1),): one}
@@ -68,13 +71,8 @@ def build_measuring_relations(a: FinAlgebra, b: FinAlgebra) -> list[NCPoly]:
     return rels
 
 
-def build_relations(a: FinAlgebra) -> list[NCPoly]:
-    """Raw defining relations of a(A): n^3 product relations plus n unit ones."""
-    return build_measuring_relations(a, a)
-
-
-def _all_gens(n: int, m: int) -> list[GenId]:
-    return sorted(((s, i) for s in range(1, n + 1) for i in range(1, m + 1)), key=gen_key)
+def _all_gens(n: int) -> list[GenId]:
+    return sorted(((s, i) for s in range(1, n + 1) for i in range(1, n + 1)), key=gen_key)
 
 
 def _subst_gen(system: RewriteSystem, g: GenId, one: Scalar) -> NCPoly:
@@ -115,31 +113,11 @@ class Presentation:
         return self.system.eliminated()
 
 
-@dataclass(eq=True)
-class MeasuringPresentation:
-    """Presentation of a(A,B); no coalgebra structure is attached."""
-
-    algebra_a: FinAlgebra
-    algebra_b: FinAlgebra
-    degree_bound: int
-    gens: tuple[GenId, ...]
-    system: RewriteSystem
-
-    def eliminated(self) -> tuple[GenId, ...]:
-        return self.system.eliminated()
-
-
-def build_measuring(a: FinAlgebra, b: FinAlgebra, degree_bound: int = DEFAULT_DEGREE_BOUND) -> MeasuringPresentation:
+def build_presentation(a: FinAlgebra, degree_bound: int = DEFAULT_DEGREE_BOUND) -> Presentation:
     if degree_bound < 2:
         raise ValueError("degree bound must be at least 2")
-    system = complete(interreduce(build_measuring_relations(a, b)), degree_bound)
-    gens = tuple(g for g in _all_gens(a.n, b.n) if g not in system.subs)
-    return MeasuringPresentation(a, b, degree_bound, gens, system)
-
-
-def build_presentation(a: FinAlgebra, degree_bound: int = DEFAULT_DEGREE_BOUND) -> Presentation:
-    measuring = build_measuring(a, a, degree_bound)
-    system, gens = measuring.system, measuring.gens
+    system = complete(interreduce(build_relations(a)), degree_bound)
+    gens = tuple(g for g in _all_gens(a.n) if g not in system.subs)
     n = a.n
     one = a.field.one
     delta = {g: _delta_formula(system, n, g, one) for g in gens}
@@ -156,68 +134,51 @@ def build_presentation(a: FinAlgebra, degree_bound: int = DEFAULT_DEGREE_BOUND) 
     return Presentation(a, degree_bound, gens, system, delta, eps, tuple(coaction))
 
 
-class _CoalgebraOps:
-    """Delta/eps extended multiplicatively to the whole free algebra, with the
-    substitution map applied to every generator image."""
+def _delta_table(p: Presentation) -> dict[GenId, TensorPoly]:
+    """Delta of all n^2 generators: p's table on the surviving ones, the
+    formula with the substitutions applied on the eliminated ones."""
+    one = p.algebra.field.one
+    table = {g: _delta_formula(p.system, p.algebra.n, g, one) for g in p.eliminated()}
+    table.update(p.delta)
+    return table
 
-    def __init__(self, algebra: FinAlgebra, system: RewriteSystem):
-        self.n = algebra.n
-        self.field = algebra.field
-        self.system = system
-        self._delta_gen: dict[GenId, TensorPoly] = {}
 
-    @classmethod
-    def of_presentation(cls, p: Presentation) -> "_CoalgebraOps":
-        """Operations that start from the Delta table p already holds."""
-        ops = cls(p.algebra, p.system)
-        ops._delta_gen.update(p.delta)
-        return ops
+def _delta_word(delta: dict[GenId, TensorPoly], w: Word, one: Scalar) -> TensorPoly:
+    """Delta extended multiplicatively to a word."""
+    out = TensorPoly.term((), (), one)
+    for g in w:
+        out = out * delta[g]
+    return out
 
-    def delta_of_gen(self, g: GenId) -> TensorPoly:
-        t = self._delta_gen.get(g)
-        if t is None:
-            t = self._delta_gen[g] = _delta_formula(self.system, self.n, g, self.field.one)
-        return t
 
-    def delta_of_word(self, w: Word) -> TensorPoly:
-        out = TensorPoly.term((), (), self.field.one)
-        for g in w:
-            out = out * self.delta_of_gen(g)
-        return out
-
-    def delta_of_poly(self, p: NCPoly) -> TensorPoly:
-        out = TensorPoly()
-        for w, c in p.terms.items():
-            out = out + self.delta_of_word(w).scale(c)
-        return out
-
-    def delta_on_leg(self, t: TensorPoly, leg: int) -> TensorPoly:
-        """Apply Delta to one leg of t, which splits it into two legs."""
-        return TensorPoly(
-            _accumulate(
-                {},
-                (
-                    (legs[:leg] + split + legs[leg + 1 :], c * cc)
-                    for legs, c in t.terms.items()
-                    for split, cc in self.delta_of_word(legs[leg]).terms.items()
-                ),
-            )
+def _delta_on_leg(
+    delta: dict[GenId, TensorPoly], t: TensorPoly, leg: int, one: Scalar
+) -> TensorPoly:
+    """Apply Delta to one leg of t, which splits it into two legs."""
+    return TensorPoly(
+        _accumulate(
+            {},
+            (
+                (legs[:leg] + split + legs[leg + 1 :], c * cc)
+                for legs, c in t.terms.items()
+                for split, cc in _delta_word(delta, legs[leg], one).terms.items()
+            ),
         )
+    )
 
-    def eps_of_word(self, w: Word) -> Scalar:
-        out = self.field.one
-        for (s, i) in w:
-            if s != i:
-                return self.field.zero
-        return out
 
-    def eps_of_poly(self, p: NCPoly) -> Scalar:
-        out = self.field.zero
-        for w, c in p.terms.items():
-            e = self.eps_of_word(w)
-            if e:
-                out = out + c * e
-        return out
+def _delta_poly(delta: dict[GenId, TensorPoly], p: NCPoly, one: Scalar) -> TensorPoly:
+    """Delta of p: p as a tensor with one leg, split by Delta."""
+    return _delta_on_leg(delta, TensorPoly({(w,): c for w, c in p.terms.items()}), 0, one)
+
+
+def _eps_word(w: Word) -> bool:
+    """eps(w): 1 if every generator of w is diagonal, else 0."""
+    return all(s == i for s, i in w)
+
+
+def _eps_poly(p: NCPoly, zero: Scalar) -> Scalar:
+    return sum((c for w, c in p.terms.items() if _eps_word(w)), zero)
 
 
 def _relation_labels(a: FinAlgebra) -> list[str]:
@@ -232,26 +193,17 @@ def _relation_labels(a: FinAlgebra) -> list[str]:
     return labels
 
 
-def _certified_degree(p: Presentation, degree_bound: int | None) -> int:
-    """The degree to check at (the presentation's own by default), refused
-    when it exceeds the degree completion certified."""
-    d = degree_bound if degree_bound is not None else p.degree_bound
-    if p.degree_bound < d:
-        raise ValueError(f"presentation certified to degree {p.degree_bound}, need {d}")
-    return d
-
-
-def check_bialgebra(p: Presentation, degree_bound: int | None = None) -> CheckReport:
+def check_bialgebra(p: Presentation) -> CheckReport:
     """Verify that Delta and eps are well defined on the quotient and satisfy
     the coalgebra axioms on the surviving generators."""
-    _certified_degree(p, degree_bound)
     a = p.algebra
-    ops = _CoalgebraOps.of_presentation(p)
+    one = a.field.one
+    delta = _delta_table(p)
     items: list[CheckItem] = []
 
     relations = build_relations(a)
     for label, rel in zip(_relation_labels(a), relations):
-        dh = tensor_normal_form(ops.delta_of_poly(rel), p.system)
+        dh = tensor_normal_form(_delta_poly(delta, rel, one), p.system)
         items.append(
             CheckItem(
                 f"delta-descends {label}",
@@ -259,7 +211,7 @@ def check_bialgebra(p: Presentation, degree_bound: int | None = None) -> CheckRe
                 "" if dh.is_zero() else f"residue {dh!r}",
             )
         )
-        eh = ops.eps_of_poly(rel)
+        eh = _eps_poly(rel, a.field.zero)
         items.append(
             CheckItem(
                 f"eps-descends {label}",
@@ -271,36 +223,30 @@ def check_bialgebra(p: Presentation, degree_bound: int | None = None) -> CheckRe
     for g in p.gens:
         dg = p.delta[g]
         # (Delta (x) id) Delta(g) against (id (x) Delta) Delta(g), as 3-leg tensors
-        left, right = (tensor_normal_form(ops.delta_on_leg(dg, leg), p.system) for leg in (0, 1))
+        left, right = (
+            tensor_normal_form(_delta_on_leg(delta, dg, leg, one), p.system) for leg in (0, 1)
+        )
         items.append(CheckItem(f"coassoc {format_genid(g)}", left == right))
 
-        gen_nf = p.system.normal_form(NCPoly.gen(g, a.field.one))
-        lcounit = NCPoly()
-        rcounit = NCPoly()
-        for (w1, w2), c in dg.terms.items():
-            e1 = ops.eps_of_word(w1)
-            if e1:
-                lcounit = lcounit + NCPoly({w2: c * e1})
-            e2 = ops.eps_of_word(w2)
-            if e2:
-                rcounit = rcounit + NCPoly({w1: c * e2})
+        gen_nf = p.system.normal_form(NCPoly.gen(g, one))
+        lcounit = _accumulate({}, ((w2, c) for (w1, w2), c in dg.terms.items() if _eps_word(w1)))
+        rcounit = _accumulate({}, ((w1, c) for (w1, w2), c in dg.terms.items() if _eps_word(w2)))
         counit_ok = (
-            p.system.normal_form(lcounit) == gen_nf
-            and p.system.normal_form(rcounit) == gen_nf
+            p.system.normal_form(NCPoly(lcounit)) == gen_nf
+            and p.system.normal_form(NCPoly(rcounit)) == gen_nf
         )
         items.append(CheckItem(f"counit {format_genid(g)}", counit_ok))
 
     return CheckReport(items)
 
 
-def check_comodule(p: Presentation, degree_bound: int | None = None) -> CheckReport:
+def check_comodule(p: Presentation) -> CheckReport:
     """Verify that the canonical coaction is a coassociative, counital
     algebra map modulo the relation ideal at the certified degree."""
-    d = _certified_degree(p, degree_bound)
     a = p.algebra
     n = a.n
     one, zero = a.field.one, a.field.zero
-    ops = _CoalgebraOps.of_presentation(p)
+    delta = _delta_table(p)
     items: list[CheckItem] = []
 
     unit_entry = p.coaction[0]
@@ -313,15 +259,14 @@ def check_comodule(p: Presentation, degree_bound: int | None = None) -> CheckRep
         detail = ""
         for t in range(1, n + 1):
             # sum_s x[t,s] (x) x[s,i] against Delta of the image of x[t,i]
-            lhs = ops.delta_of_gen((t, i))
-            rhs = ops.delta_of_poly(_subst_gen(p.system, (t, i), one))
-            if not tensor_normal_form(lhs - rhs, p.system).is_zero():
+            rhs = _delta_poly(delta, xi[t], one)
+            if not tensor_normal_form(delta[(t, i)] - rhs, p.system).is_zero():
                 ok = False
                 detail = f"component t={t}"
                 break
         items.append(CheckItem(f"coaction-coassoc e[{i}]", ok, detail))
 
-        counit_vec = tuple(ops.eps_of_poly(xi[s]) for s in range(1, n + 1))
+        counit_vec = tuple(_eps_poly(xi[s], zero) for s in range(1, n + 1))
         want = tuple(one if s == i else zero for s in range(1, n + 1))
         items.append(CheckItem(f"coaction-counit e[{i}]", counit_vec == want))
 
@@ -334,7 +279,7 @@ def check_comodule(p: Presentation, degree_bound: int | None = None) -> CheckRep
             detail = ""
             for ai in range(n):
                 rel = substitute(rels[(ai * n + i) * n + j], p.system.subs)
-                if not ideal_member_bounded(rel, p.system, d).member:
+                if not ideal_member_bounded(rel, p.system, p.degree_bound):
                     ok = False
                     detail = f"coordinate a={ai + 1}"
                     break

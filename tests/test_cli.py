@@ -401,9 +401,9 @@ def test_classify_reads_inverses_off_the_table(monkeypatch):
         calls["inverse"] += 1
         return _original(self)
 
-    def counted_conjugate(point, m, _original=gradings_mod.conjugate_point):
+    def counted_conjugate(point, m, minv, _original=gradings_mod.conjugate_point):
         calls["conjugate_point"] += 1
-        return _original(point, m)
+        return _original(point, m, minv)
 
     monkeypatch.setattr(Matrix, "inverse", counted_inverse)
     monkeypatch.setattr(gradings_mod, "conjugate_point", counted_conjugate)
@@ -411,6 +411,6 @@ def test_classify_reads_inverses_off_the_table(monkeypatch):
     assert code == 0
     assert "orbit-correspondence: pass" in out
     # one inverse per automorphism, for automorphism_group's is_point check;
-    # classify conjugates with the inverses on Aut's table (6 inverses and 4
-    # conjugate_point calls when it inverted once per automorphism and point)
-    assert calls == {"inverse": 2, "conjugate_point": 0}
+    # classify conjugates each of the 2 points by each of the 2 automorphisms
+    # with the inverses on Aut's table, and inverts nothing itself
+    assert calls == {"inverse": 2, "conjugate_point": 2 * 2}
