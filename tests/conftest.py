@@ -135,13 +135,18 @@ def algebra_file(tmp_path, name, algebra):
     return str(path)
 
 
-def report_digest(argv):
-    """The sha256 of the stdout of a CLI call that must exit 0 with empty stderr."""
+def report_output(argv):
+    """The stdout of a CLI call that must exit 0 with empty stderr."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code == 0 and err.getvalue() == ""
-    return hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+    return out.getvalue()
+
+
+def report_digest(argv):
+    """The sha256 of the stdout of a CLI call that must exit 0 with empty stderr."""
+    return hashlib.sha256(report_output(argv).encode("utf-8")).hexdigest()
 
 
 def iter_words(gens, max_degree):

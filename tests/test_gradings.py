@@ -28,6 +28,7 @@ from usym.endomorphisms import search_points
 from usym.gradings import _decompositions, _projections, apply_automorphism
 from usym.groups import FiniteGroup
 from usym.io import load_algebra, load_group
+from usym.unionfind import orbit_partition
 from conftest import dual_numbers, triangular
 
 
@@ -327,6 +328,25 @@ def test_class_count_is_burnside_count(build, p, group):
     fixed = sum(conjugate(pt, m) == pt for m in aut for pt in result.points)
     assert fixed % len(aut) == 0
     assert result.class_count == fixed // len(aut)
+
+
+def test_orbit_partition_of_s3_by_conjugation():
+    # g x g^-1 for each g in S_3 (e, r, r^2, s, sr, sr^2): the conjugacy
+    # classes {e}, the rotations, the reflections
+    def conjugation(g):
+        return lambda x: S3.mul(S3.mul(g, x), S3.inverse(g))
+
+    actions = [conjugation(g) for g in range(S3.order)]
+    assert orbit_partition(S3.order, actions) == ((0,), (1, 2), (3, 4, 5))
+
+
+def test_orbit_partition_of_c4_rotating_two_cycles():
+    # the rotation by k on each of the 4-cycles 0..3 and 4..7
+    def rotation(k):
+        return lambda x: x - x % 4 + (x + k) % 4
+
+    actions = [rotation(k) for k in range(4)]
+    assert orbit_partition(8, actions) == ((0, 1, 2, 3), (4, 5, 6, 7))
 
 
 # An oracle for the comodule-algebra structure of a point, independent of the

@@ -4,10 +4,13 @@ identity index and every check line are part of the bytes, so a change in how
 the monoid tables are formed or how Aut is read off End must leave every
 digest as it is."""
 
+import hashlib
+import json
+
 import pytest
 
 from usym import GF, fixture_path
-from conftest import algebra_file, full_matrices, report_digest
+from conftest import algebra_file, full_matrices, report_digest, report_output
 
 
 def fixture(tmp_path, name):
@@ -44,3 +47,34 @@ CASES = [
 def test_report_digest(tmp_path, name, path_of, command, digest):
     argv = [command[0], path_of(tmp_path, name), *command[1:], "--format", "json"]
     assert report_digest(argv) == digest
+
+
+# classify reports whose point orbits are not all singletons: the orbits are
+# part of the bytes, and are asserted on their own as well
+CLASSIFY_CASES = [
+    ("triangular_gf3", fixture, "group_c2.json",
+     "080799a2ad8e369dc6be19db1770c1d7a329e36dfa8144dac0e100dca562e121",
+     [[0, 1, 2], [3]]),
+    ("m2_gf2", m2_gf2, "cyclic:2",
+     "80b757e37a866539d2c4fc1f9597b3ba85c069c45c6bfc0b59f2fa593f87f397",
+     [[0, 2, 3], [1], [4]]),
+    ("triangular_gf3", fixture, "group_klein.json",
+     "a7778fc1d6ab4678baf928ca2ecc3e75aca75bf5231078fe0e56635efa5e1a54",
+     [[0, 3, 6], [1, 4, 7], [2, 5, 8], [9]]),
+]
+
+
+@pytest.mark.parametrize(
+    "name, path_of, group, digest, orbits",
+    CLASSIFY_CASES,
+    ids=[f"{c[0]}-{c[2].removesuffix('.json')}" for c in CLASSIFY_CASES],
+)
+def test_classify_orbits_digest(tmp_path, name, path_of, group, digest, orbits):
+    if group.endswith(".json"):
+        group = str(fixture_path(group))
+    out = report_output(
+        ["gradings", path_of(tmp_path, name), "--group", group, "--classify", "--oracle",
+         "--format", "json"]
+    )
+    assert json.loads(out)["result"]["classification"]["point_orbits"] == orbits
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
