@@ -36,8 +36,6 @@ from .endomorphisms import (
     enumerate_endomorphisms,
     enumerate_homs,
     enumerate_measuring_points,
-    is_measuring_point,
-    is_point,
 )
 from .linalg import Matrix, Subspace, column_space, enumerate_subspaces
 from .ncpoly import (

@@ -1,13 +1,13 @@
-"""Group-like points of the universal bialgebra's finite dual, realized as
-matrices, and the induced endomorphism monoid / automorphism group over
-prime fields.
+"""Group-like points of a(A)'s finite dual, realized as matrices, and the
+induced endomorphism monoid / automorphism group over prime fields.
 
-A point is an n x n matrix M with M[s][i] = theta(x[s,i]); it satisfies the
-evaluated defining relations, its first column is the unit vector, and under
-gamma it *is* the matrix of the corresponding algebra endomorphism (column i
-holds the image of e_i).  The convolution product of points is the matrix
-product, giving the monoid isomorphism with (End(A), o).  One search
-(search_points) finds these points and the grading points of gradings.py.
+A point is an n x n matrix M with M[s][i] = theta(x[s,i]).  Relation
+r[a,i,j] evaluated at M is coordinate a of M(e_i e_j) - M(e_i) M(e_j), so M
+is a point exactly when it is the matrix of a unit-preserving algebra map
+A -> A (column i holds the image of e_i), and is_algebra_map(a, a, M) is the
+point test.  The convolution product of points is the matrix product, giving
+the monoid isomorphism with (End(A), o).  One search (search_points) finds
+these points and the grading points of gradings.py.
 It assigns int residues cell by cell in an order computed once from the
 conditions' cell sets (next the cell that completes the most conditions),
 checks each condition when its last cell is set, and gives a cell that a
@@ -35,28 +35,6 @@ from .groups import FiniteGroup, cyclic_group
 from .linalg import Matrix
 
 DEFAULT_MAX_SEARCH = 1 << 24
-
-
-def is_measuring_point(a: FinAlgebra, b: FinAlgebra, m: Matrix) -> bool:
-    """Does m (dim A rows, dim B columns) satisfy the evaluated relations
-    sum_u beta[i,j,u] m[ai,u] = sum_{s,t} alpha[s,t,ai] m[s,i] m[t,j] of
-    a(A,B)?  With B = A this is point membership for a(A)."""
-    if m.nrows != a.n or m.ncols != b.n:
-        raise ValueError(f"matrix shape {m.nrows}x{m.ncols}, expected {a.n}x{b.n}")
-    if m.column(0) != a.unit:
-        return False
-    zero, e = a.field.zero, m.entry
-    return all(
-        sum((c * e(ai, u) for u, c in b.basis_product(i, j).items()), zero)
-        == sum((c * e(s, i) * e(t, j) for s, t, c in a.pairs_with_result(ai)), zero)
-        for ai in range(a.n)
-        for i in range(b.n)
-        for j in range(b.n)
-    )
-
-
-def is_point(a: FinAlgebra, m: Matrix) -> bool:
-    return is_measuring_point(a, a, m)
 
 
 def counit_point(a: FinAlgebra) -> Matrix:
@@ -138,20 +116,19 @@ def _require_prime_field(a: FinAlgebra) -> PrimeField:
     return a.field
 
 
-def _require_search_size(needed: int, max_search: int | None, what: str) -> None:
+def _require_search_size(needed: int, max_search: int, what: str) -> None:
     """Raises SearchSizeError when the needed candidate count exceeds the
-    search bound (DEFAULT_MAX_SEARCH unless max_search is given)."""
-    bound = DEFAULT_MAX_SEARCH if max_search is None else max_search
-    if needed > bound:
-        raise SearchSizeError(needed, bound, what)
+    search bound."""
+    if needed > max_search:
+        raise SearchSizeError(needed, max_search, what)
 
 
 def search_points(
-    a: FinAlgebra, b: FinAlgebra, g: FiniteGroup, extra: list, max_search: int | None, what: str
+    a: FinAlgebra, g: FiniteGroup, extra: list, max_search: int, what: str
 ) -> list[tuple[Matrix, ...]]:
-    """All dim A x dim B matrices P over k[G], k a prime field, that satisfy
-    the relations of a(A,B) with the convolution of k[G] and the extra
-    conditions; each is returned as its matrices P^sigma in G's order.
+    """All n x n matrices P over k[G], k a prime field, that satisfy the
+    relations of a(A) with the convolution of k[G] and the extra conditions;
+    each is returned as its matrices P^sigma in G's order.
 
     Column 0 is the unit of A at the identity of G.  The other cells (s, i, k),
     the coefficient of P[s][i] at the k-th element of G, are assigned in one
@@ -169,8 +146,8 @@ def search_points(
     p, n, m = fld.characteristic, a.n, g.order
 
     def relation(ai: int, i: int, j: int):
-        # sum_u beta[i,j,u] P[ai,u] = sum_{s,t} alpha[s,t,ai] P[s,i] P[t,j]
-        lhs = [(u, c.v) for u, c in b.basis_product(i, j).items()]
+        # sum_u tau[i,j,u] P[ai,u] = sum_{s,t} tau[s,t,ai] P[s,i] P[t,j]
+        lhs = [(u, c.v) for u, c in a.basis_product(i, j).items()]
         rhs = [(s, t, c.v) for s, t, c in a.pairs_with_result(ai)]
 
         def holds(P: list) -> bool:
@@ -191,9 +168,9 @@ def search_points(
         return {(s, i, k) for s, i in entries for k in range(m)}, holds
 
     # the caller's conditions come first: they are the cheaper ones
-    conditions = extra + [relation(ai, i, j) for ai in range(n) for i in range(b.n) for j in range(b.n)]
-    P = [[[int(s == i == 0 and k == g.identity) for k in range(m)] for i in range(b.n)] for s in range(n)]
-    free = [(s, i, k) for i in range(1, b.n) for s in range(n) for k in range(m)]
+    conditions = extra + [relation(ai, i, j) for ai in range(n) for i in range(n) for j in range(n)]
+    P = [[[int(s == i == 0 and k == g.identity) for k in range(m)] for i in range(n)] for s in range(n)]
+    free = [(s, i, k) for i in range(1, n) for s in range(n) for k in range(m)]
     rank = {cell: r for r, cell in enumerate(free)}
     open_cells = [{c for c in cond[0] if c in rank} for cond in conditions]
     watch: dict = {cell: [] for cell in free}  # the conditions each free cell is in
@@ -234,7 +211,6 @@ def search_points(
         return iter(range(p))
 
     scalars = list(fld.elements())
-    bound = DEFAULT_MAX_SEARCH if max_search is None else max_search
     visited = 0
     out = []
     tries = [candidates(0)]  # tries[d]: the values left for cell order[d]
@@ -247,8 +223,8 @@ def search_points(
         s, i, k = order[d]
         for v in tries[d]:
             visited += 1
-            if visited > bound:
-                raise SearchSizeError(visited, bound, what)
+            if visited > max_search:
+                raise SearchSizeError(visited, max_search, what)
             P[s][i][k] = v
             if all(holds(P) for holds in checks[d]):
                 tries.append(candidates(d + 1))
@@ -259,23 +235,18 @@ def search_points(
 
 
 def enumerate_measuring_points(
-    a: FinAlgebra, b: FinAlgebra, max_search: int | None = None
+    a: FinAlgebra, max_search: int = DEFAULT_MAX_SEARCH
 ) -> tuple[Matrix, ...]:
-    """All matrices satisfying the evaluated relations of a(A,B): the points
-    search over the trivial group."""
+    """All points of a(A): the points search over the trivial group."""
     _require_prime_field(a)
-    require_same_field(a, b)
-    found = search_points(a, b, cyclic_group(1), [], max_search, "point enumeration")
+    found = search_points(a, cyclic_group(1), [], max_search, "point enumeration")
     return tuple(sorted((mats[0] for mats in found), key=lambda mt: mt.sort_key()))
 
 
-def enumerate_endomorphisms(a: FinAlgebra, max_search: int | None = None) -> EndoMonoid:
+def enumerate_endomorphisms(a: FinAlgebra, max_search: int = DEFAULT_MAX_SEARCH) -> EndoMonoid:
     """All points of a(A) over a prime field, verified closed with identity."""
-    points = enumerate_measuring_points(a, a, max_search)
-    ident = counit_point(a)
-    identity_index = next(
-        (k for k, p in enumerate(points) if p == ident), None
-    )
+    points = enumerate_measuring_points(a, max_search)
+    identity_index = next((k for k, p in enumerate(points) if p == counit_point(a)), None)
     if identity_index is None:
         raise RuntimeError("counit point missing from enumeration")
     monoid = EndoMonoid(a, points, identity_index)
@@ -284,7 +255,7 @@ def enumerate_endomorphisms(a: FinAlgebra, max_search: int | None = None) -> End
     return monoid
 
 
-def automorphism_group(a: FinAlgebra, max_search: int | None = None) -> EndoMonoid:
+def automorphism_group(a: FinAlgebra, max_search: int = DEFAULT_MAX_SEARCH) -> EndoMonoid:
     """The invertible points of a(A): the units of End(A), with End's table
     restricted to them; verified closed with inverses."""
     monoid = enumerate_endomorphisms(a, max_search)
@@ -295,19 +266,19 @@ def automorphism_group(a: FinAlgebra, max_search: int | None = None) -> EndoMono
     if not group.is_closed() or not group.inverses_in_set():
         raise RuntimeError("invertible points do not form a group")
     for p in group.points:
-        if not is_point(a, p.inverse()):
+        if not is_algebra_map(a, a, p.inverse()):
             raise RuntimeError("inverse of a point is not a point")
     return group
 
 
 def enumerate_homs(
-    b: FinAlgebra, a: FinAlgebra, max_search: int | None = None
+    b: FinAlgebra, a: FinAlgebra, max_search: int = DEFAULT_MAX_SEARCH
 ) -> tuple[Matrix, ...]:
     """Brute-force enumeration of unit-preserving algebra maps B -> A over a
     prime field, by testing the multiplicativity of every candidate matrix.
 
-    This is the direct route, independent of the relation machinery; its
-    output must coincide with enumerate_measuring_points(A, B).
+    This is the direct route, independent of the relation machinery; for
+    B = A its output must coincide with enumerate_measuring_points(A).
     """
     fld = _require_prime_field(a)
     require_same_field(a, b)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from .algebra import FinAlgebra
 from .endomorphisms import (
+    DEFAULT_MAX_SEARCH,
     EndoMonoid,
     _require_prime_field,
     _require_search_size,
@@ -200,7 +201,7 @@ def point_from_grading(a: FinAlgebra, g: FiniteGroup, grading: Grading) -> Gradi
 
 
 def enumerate_points(
-    a: FinAlgebra, g: FiniteGroup, max_search: int | None = None
+    a: FinAlgebra, g: FiniteGroup, max_search: int = DEFAULT_MAX_SEARCH
 ) -> tuple[GradingPoint, ...]:
     """All bialgebra-map points over a prime field, canonically sorted: the
     points search over G with the counit and comultiplication conditions."""
@@ -227,7 +228,7 @@ def enumerate_points(
     conditions = [counit(s, i) for s, i in entries] + [
         coproduct(s, i, sg, tg) for s, i in entries for sg in range(m) for tg in range(m)
     ]
-    found = search_points(a, a, g, conditions, max_search, "grading point enumeration")
+    found = search_points(a, g, conditions, max_search, "grading point enumeration")
     points = sorted((GradingPoint(mats) for mats in found), key=lambda pt: pt.sort_key())
     if not all(is_grading_point(a, g, pt) for pt in points):
         raise RuntimeError("search returned a family that is not a grading point")
@@ -265,7 +266,7 @@ def _decompositions(a: FinAlgebra, g: FiniteGroup):
 
 
 def enumerate_gradings_oracle(
-    a: FinAlgebra, g: FiniteGroup, max_search: int | None = None
+    a: FinAlgebra, g: FiniteGroup, max_search: int = DEFAULT_MAX_SEARCH
 ) -> tuple[Grading, ...]:
     """All G-gradings found directly from the definition: ordered direct-sum
     decompositions checked for multiplicativity.  No bialgebra machinery."""
@@ -316,7 +317,7 @@ class ClassifyResult:
 
 
 def classify(
-    a: FinAlgebra, g: FiniteGroup, max_search: int | None = None
+    a: FinAlgebra, g: FiniteGroup, max_search: int = DEFAULT_MAX_SEARCH
 ) -> ClassifyResult:
     """Conjugation orbits of points, and independently the automorphism
     orbits of oracle-enumerated gradings; the two partitions must correspond
@@ -343,9 +344,9 @@ def classify(
     # each automorphism's inverse is the j with table[i][j] the identity
     inverses = [aut.points[row.index(aut.identity_index)] for row in aut.multiplication_table()]
     point_orbits = orbit_partition(
-        len(points), (point_action(m, minv) for m, minv in zip(aut.points, inverses))
+        len(points), [point_action(m, minv) for m, minv in zip(aut.points, inverses)]
     )
-    grading_orbits = orbit_partition(len(gradings), (grading_action(m) for m in aut.points))
+    grading_orbits = orbit_partition(len(gradings), [grading_action(m) for m in aut.points])
 
     # push the point partition through grading_from_point and compare
     to_grading = [
@@ -357,6 +358,4 @@ def classify(
             tuple(sorted({to_grading[i] for i in orbit})) for orbit in point_orbits
         )
         ok = pushed == sorted(grading_orbits)
-    return ClassifyResult(
-        points, gradings, aut, point_orbits, grading_orbits, ok
-    )
+    return ClassifyResult(points, gradings, aut, point_orbits, grading_orbits, ok)

@@ -54,6 +54,21 @@ def _is_label(x) -> bool:
     return True
 
 
+def _label_key(label) -> str:
+    """The JSON object key text of a group element label."""
+    return label if isinstance(label, str) else json.dumps(label)
+
+
+def _label_keys(g: FiniteGroup) -> tuple:
+    """The JSON object keys of g's elements: the labels while they sort, so
+    that number labels keep their numeric order, else their key texts."""
+    try:
+        sorted(g.labels)
+    except TypeError:
+        return tuple(map(_label_key, g.labels))
+    return g.labels
+
+
 def _read_json(path: Path) -> tuple[object, LoadedInput]:
     """The decoded contents of a JSON file, with its name and digest."""
     try:
@@ -155,7 +170,7 @@ def group_from_dict(data, source: str = "<group>") -> FiniteGroup:
         not isinstance(labels, list)
         or not labels
         or not all(map(_is_label, labels))
-        or len(set(labels)) != len(labels)
+        or not len(labels) == len(set(labels)) == len(set(map(_label_key, labels)))
     ):
         raise InputError(f"{source}: elements must be a list of distinct labels")
     index = {lab: k for k, lab in enumerate(labels)}
@@ -243,16 +258,12 @@ def presentation_json(p: Presentation) -> dict:
 
 
 def grading_point_json(g: FiniteGroup, point: GradingPoint) -> dict:
-    return {
-        g.labels[sigma]: matrix_json(mat) for sigma, mat in enumerate(point.matrices)
-    }
+    return dict(zip(_label_keys(g), map(matrix_json, point.matrices)))
 
 
 def grading_json(g: FiniteGroup, grading: Grading) -> dict:
-    return {
-        g.labels[sigma]: subspace_json(comp)
-        for sigma, comp in grading.components.items()
-    }
+    keys = _label_keys(g)
+    return {keys[sigma]: subspace_json(comp) for sigma, comp in grading.components.items()}
 
 
 # ---------------------------------------------------------------------------

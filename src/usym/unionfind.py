@@ -1,45 +1,27 @@
-"""Union-find over integer indices, for orbit partitions of group actions."""
+"""Orbit partitions of a finite group acting on integer indices, the group
+given whole as one index map per element: no union-find is needed."""
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
-
-
-class UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.rank = [0] * n
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, x: int, y: int) -> None:
-        x, y = self.find(x), self.find(y)
-        if x == y:
-            return
-        if self.rank[x] < self.rank[y]:
-            x, y = y, x
-        elif self.rank[x] == self.rank[y]:
-            self.rank[x] += 1
-        self.parent[y] = x
-
-    def classes(self) -> tuple[tuple[int, ...], ...]:
-        """Partition as tuples of indices, each sorted, ordered by minimum."""
-        groups: dict[int, list[int]] = {}
-        for x in range(len(self.parent)):
-            groups.setdefault(self.find(x), []).append(x)
-        return tuple(tuple(sorted(g)) for g in sorted(groups.values(), key=min))
+from typing import Callable, Sequence
 
 
 def orbit_partition(
-    size: int, actions: Iterable[Callable[[int], int]]
+    size: int, actions: Sequence[Callable[[int], int]]
 ) -> tuple[tuple[int, ...], ...]:
-    """Orbits of indices 0..size-1 under a family of index maps."""
-    uf = UnionFind(size)
-    for act in actions:
-        for x in range(size):
-            uf.union(x, act(x))
-    return uf.classes()
+    """Orbits of indices 0..size-1 under a group given by one index map per
+    element, each sorted, ordered by minimum: each orbit is read off the
+    least index not yet in one.  Raises RuntimeError when the maps do not
+    act as a group: x is not among its own images, or an image of x already
+    lies in an earlier orbit."""
+    seen: set[int] = set()
+    orbits = []
+    for x in range(size):
+        if x in seen:
+            continue
+        images = {act(x) for act in actions}
+        if x not in images or not seen.isdisjoint(images):
+            raise RuntimeError("the index maps do not act as a group")
+        seen |= images
+        orbits.append(tuple(sorted(images)))
+    return tuple(orbits)

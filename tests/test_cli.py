@@ -151,6 +151,32 @@ def test_json_reports_validate_against_schema(argv):
     assert doc["status"] == "ok"
 
 
+def two_label_group(tmp_path, e, g):
+    """A group file for C_2 on the labels e (the identity) and g."""
+    path = tmp_path / "labels.json"
+    path.write_text(json.dumps({"elements": [e, g], "identity": e, "table": [[e, g], [g, e]]}))
+    return str(path)
+
+
+def test_mixed_type_labels_json_report_validates(tmp_path):
+    # an int and a str label: each element is keyed by its JSON key text
+    group = two_label_group(tmp_path, 0, "g")
+    code, out, err = run_cli(["gradings", fx("dual_gf3.json"), "--group", group, "--format", "json"])
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    jsonschema.validate(doc, SCHEMA)
+    assert [sorted(point) for point in doc["result"]["points"]] == [["0", "g"]] * 2
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_labels_with_one_key_text_are_refused(tmp_path, fmt):
+    # "1" and 1 are distinct labels, but both would be written as the key "1"
+    group = two_label_group(tmp_path, "1", 1)
+    code, out, err = run_cli(["gradings", fx("dual_gf3.json"), "--group", group, "--format", fmt])
+    assert (code, out) == (1, "")
+    assert err == "error: labels.json: elements must be a list of distinct labels\n"
+
+
 def test_exit_1_on_missing_file(tmp_path):
     code, out, err = run_cli(["present", str(tmp_path / "absent.json")])
     assert code == 1
@@ -361,7 +387,7 @@ def test_exit_3_on_cyclic_table_above_bound(monkeypatch):
         # End(dual_gf3) has 3 points: one 3 x 3 table, formed on residues
         (["endo", fx("dual_gf3.json")], 0),
         # Aut is read off End's table; one inverse per automorphism for
-        # automorphism_group's is_point check
+        # automorphism_group's is_algebra_map check
         (["aut", fx("dual_gf3.json"), "--field-check"], 2),
     ],
 )
@@ -410,7 +436,7 @@ def test_classify_reads_inverses_off_the_table(monkeypatch):
     code, out, _ = run_cli(["gradings", fx("dual_gf3.json"), "--group", "cyclic:2", "--classify"])
     assert code == 0
     assert "orbit-correspondence: pass" in out
-    # one inverse per automorphism, for automorphism_group's is_point check;
+    # one inverse per automorphism, for automorphism_group's is_algebra_map check;
     # classify conjugates each of the 2 points by each of the 2 automorphisms
     # with the inverses on Aut's table, and inverts nothing itself
     assert calls == {"inverse": 2, "conjugate_point": 2 * 2}

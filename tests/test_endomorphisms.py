@@ -16,8 +16,6 @@ from usym import (
     enumerate_measuring_points,
     fixture_path,
     is_algebra_map,
-    is_measuring_point,
-    is_point,
     validate_algebra,
 )
 from usym.io import load_algebra
@@ -30,44 +28,41 @@ def fmat(field, rows):
 
 def test_identity_is_point(dual_q, triangular_q):
     for a in (dual_q, triangular_q):
-        assert is_point(a, counit_point(a))
+        assert is_algebra_map(a, a, counit_point(a))
 
 
 def test_dual_point_constraint_alpha_zero(dual_q):
     # [[1, a], [0, b]] is a point iff a = 0 (from x[1,2]^2 = 0)
-    assert is_point(dual_q, fmat(QQ, [[1, 0], [0, 7]]))
-    assert not is_point(dual_q, fmat(QQ, [[1, 1], [0, 1]]))
-    assert not is_point(dual_q, fmat(QQ, [[1, "1/2"], [0, "1/3"]]))
+    assert is_algebra_map(dual_q, dual_q, fmat(QQ, [[1, 0], [0, 7]]))
+    assert not is_algebra_map(dual_q, dual_q, fmat(QQ, [[1, 1], [0, 1]]))
+    assert not is_algebra_map(dual_q, dual_q, fmat(QQ, [[1, "1/2"], [0, "1/3"]]))
 
 
 def test_dual_point_over_gf5(dual_q):
     f5 = GF(5)
     a5 = dual_numbers(f5)
-    assert is_point(a5, fmat(f5, [[1, 0], [0, 3]]))
+    assert is_algebra_map(a5, a5, fmat(f5, [[1, 0], [0, 3]]))
 
 
 def test_point_wrong_first_column(dual_q):
-    assert not is_point(dual_q, fmat(QQ, [[0, 0], [1, 0]]))
+    assert not is_algebra_map(dual_q, dual_q, fmat(QQ, [[0, 0], [1, 0]]))
     with pytest.raises(ValueError):
-        is_point(dual_q, Matrix.identity(QQ, 3))
+        is_algebra_map(dual_q, dual_q, Matrix.identity(QQ, 3))
 
 
 def test_gamma_counit_is_identity(dual_q):
     # gamma reads a point as the matrix of its endomorphism
     w = counit_point(dual_q)
-    assert is_point(dual_q, w)
-    assert w == Matrix.identity(QQ, 2)
     assert is_algebra_map(dual_q, dual_q, w)
+    assert w == Matrix.identity(QQ, 2)
 
 
 def test_gamma_dual_scales_t(dual_q):
     w = fmat(QQ, [[1, 0], [0, 9]])
-    assert is_point(dual_q, w)
+    assert is_algebra_map(dual_q, dual_q, w)
     t = dual_q.basis_vector(1)
     assert w.apply(t) == (QQ(0), QQ(9))
-    assert is_algebra_map(dual_q, dual_q, w)
     not_a_point = fmat(QQ, [[1, 1], [0, 1]])
-    assert not is_point(dual_q, not_a_point)
     assert not is_algebra_map(dual_q, dual_q, not_a_point)
 
 
@@ -79,7 +74,7 @@ def test_convolve_is_matrix_product():
     m2 = fmat(f7, [[1, 0], [0, 3]])
     prod = m1 * m2
     assert prod == fmat(f7, [[1, 0], [0, 6]])
-    assert is_point(a, prod)
+    assert is_algebra_map(a, a, prod)
     assert m1 * counit_point(a) == m1
 
 
@@ -87,7 +82,7 @@ def test_convolution_preserves_noninvertibility():
     f5 = GF(5)
     a = dual_numbers(f5)
     degenerate = fmat(f5, [[1, 0], [0, 0]])
-    assert is_point(a, degenerate)
+    assert is_algebra_map(a, a, degenerate)
     for beta in range(1, 5):
         m = fmat(f5, [[1, 0], [0, beta]])
         assert not (degenerate * m).is_invertible()
@@ -165,7 +160,7 @@ def test_invertible_points_closed_under_product_and_inverse():
     for m in group.points:
         inv = m.inverse()
         assert inv.rows in keys
-        assert is_point(a, inv)
+        assert is_algebra_map(a, a, inv)
 
 
 def test_enumerate_homs_base_field_domain(dual_q):
@@ -187,10 +182,9 @@ def test_cross_algebra_routes_agree():
     b = dual_numbers(f2)
     a = triangular(f2)
     direct = enumerate_homs(b, a)
-    via_points = enumerate_measuring_points(a, b)
-    assert tuple(m.rows for m in direct) == tuple(m.rows for m in via_points)
+    # t^2 = 0 sends t to a square-zero element of T_2: 0 or e2
+    assert [m.column(1) for m in direct] == [(f2(0),) * 3, (f2(0), f2(1), f2(0))]
     for m in direct:
-        assert is_measuring_point(a, b, m)
         assert is_algebra_map(b, a, m)
 
 
@@ -252,16 +246,7 @@ def test_points_equal_homs_oracle(build, p):
     # M_2 over GF(3) are left out: the oracle tries 3^12 maps
     a = build(GF(p))
     assert validate_algebra(a) is None
-    assert rows(enumerate_measuring_points(a, a)) == rows(enumerate_homs(a, a))
-
-
-@pytest.mark.parametrize("p", [2, 3])
-def test_measuring_points_equal_homs_both_directions(p):
-    f = GF(p)
-    for a, b in ((triangular(f), dual_numbers(f)), (dual_numbers(f), triangular(f))):
-        points = enumerate_measuring_points(a, b)
-        assert points
-        assert rows(points) == rows(enumerate_homs(b, a))
+    assert rows(enumerate_measuring_points(a)) == rows(enumerate_homs(a, a))
 
 
 def test_search_bound_counts_values_tried():

@@ -24,7 +24,7 @@ from usym import (
     validate_grading,
     validate_group,
 )
-from usym.endomorphisms import search_points
+from usym.endomorphisms import DEFAULT_MAX_SEARCH, search_points
 from usym.gradings import _decompositions, _projections, apply_automorphism
 from usym.groups import FiniteGroup
 from usym.io import load_algebra, load_group
@@ -322,7 +322,7 @@ def test_classify_grid_agreement():
 )
 def test_class_count_is_burnside_count(build, p, group):
     # the orbit count is the mean number of points each automorphism fixes,
-    # counted without the union-find
+    # counted without orbit_partition
     result = classify(build(GF(p)), group)
     aut = result.automorphisms.points
     fixed = sum(conjugate(pt, m) == pt for m in aut for pt in result.points)
@@ -347,6 +347,21 @@ def test_orbit_partition_of_c4_rotating_two_cycles():
 
     actions = [rotation(k) for k in range(4)]
     assert orbit_partition(8, actions) == ((0, 1, 2, 3), (4, 5, 6, 7))
+
+
+@pytest.mark.parametrize(
+    "maps",
+    [
+        # no identity: 0 is not among its own images
+        [lambda x: (x + 1) % 3],
+        # the identity and a map sending 1 into the earlier orbit {0}
+        [lambda x: x, lambda x: 0 if x < 2 else x],
+    ],
+    ids=["no-identity", "orbits-overlap"],
+)
+def test_orbit_partition_refuses_maps_that_are_not_a_group(maps):
+    with pytest.raises(RuntimeError, match="do not act as a group"):
+        orbit_partition(3, maps)
 
 
 # An oracle for the comodule-algebra structure of a point, independent of the
@@ -635,4 +650,4 @@ def test_point_search_convolves_in_group_order():
         for j in range(4)
         for k in range(S3.order)
     ]
-    assert search_points(a, a, S3, pins, None, "pinned search") == [good]
+    assert search_points(a, S3, pins, DEFAULT_MAX_SEARCH, "pinned search") == [good]

@@ -3,14 +3,16 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from usym import InputError, fixture_path
+from usym import GF, InputError, fixture_path, trivial_point
 from usym.io import (
     algebra_from_dict,
     digest_bytes,
+    grading_point_json,
     group_from_dict,
     load_algebra,
     load_group,
 )
+from conftest import dual_numbers
 
 
 def dual_dict(**overrides):
@@ -176,6 +178,29 @@ def test_group_errors():
                 "table": [["b", "a"], ["a", "b"]],
             }
         )
+
+
+@pytest.mark.parametrize(
+    "labels, keys",
+    [
+        ([2, 10], ["2", "10"]),  # numbers keep their numeric order
+        (["b", "a"], ["a", "b"]),
+        ([10, "a"], ["10", "a"]),  # labels that do not sort: by key text
+    ],
+)
+def test_grading_point_json_keys(labels, keys):
+    e, g = labels
+    group = group_from_dict({"elements": labels, "identity": e, "table": [[e, g], [g, e]]})
+    point = grading_point_json(group, trivial_point(dual_numbers(GF(3)), group))
+    assert list(json.loads(json.dumps(point, sort_keys=True))) == keys
+
+
+def test_group_labels_with_one_key_text_refused():
+    for labels in (["1", 1], ["null", None]):
+        e, g = labels
+        doc = {"elements": labels, "identity": e, "table": [[e, g], [g, e]]}
+        with pytest.raises(InputError, match="distinct labels"):
+            group_from_dict(doc)
 
 
 def test_load_group_cyclic_shorthand():
