@@ -22,6 +22,11 @@ def generated(name, build):
     return lambda tmp_path: algebra_file(tmp_path, name, build())
 
 
+def poly4_permuted(perm):
+    name = "poly4_" + "".join(map(str, perm))
+    return generated(name, lambda: permuted(truncated_polynomial(QQ, 4), perm))
+
+
 def fixture(name):
     return lambda tmp_path: str(fixture_path(f"{name}.json"))
 
@@ -47,6 +52,16 @@ CASES = [
      "e530f545985145ed5c94495b4e1be3210f4765a1d728da4dacb586f878a4d7b6"),
     ("triangular_q", fixture("triangular_q"), "check", "4", "text",
      "71db3b8ded62e5cf321227ceb9b811f87644f6716ac781d9ce824729909f456d"),
+    # two bases of k[x]/(x^4) whose completion takes 28 rounds, where every
+    # case above completes in one
+    ("poly4_0213", poly4_permuted([0, 2, 1, 3]), "present", "3", "json",
+     "69a39621ff8ba9f97d688ce5adb2f6c991743dfc4baf5015ee40552208188f2f"),
+    ("poly4_0213", poly4_permuted([0, 2, 1, 3]), "check", "4", "json",
+     "c70b2b4d73cffb5794b64467c94bcc6cf13449ec32a4ca28687b2603c8ba93d5"),
+    ("poly4_0321", poly4_permuted([0, 3, 2, 1]), "present", "3", "json",
+     "9bf064383d82c22938b491d9ab50552ce4cf0e92306de36e4e90270d89482912"),
+    ("poly4_0321", poly4_permuted([0, 3, 2, 1]), "check", "4", "json",
+     "7036261b5c8dd837f2d4ae39e63c99eda95cf81671eac29d9302c2434b74cbc3"),
 ]
 
 
