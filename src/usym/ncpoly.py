@@ -24,13 +24,14 @@ Modulo a fixed rule list the step taken on a word depends only on that word,
 so the normal form is a linear map (Bergman, *The diamond lemma for ring
 theory*, 1978): NF(sum c_w w) = sum c_w NF(w).  A RewriteSystem therefore
 keeps a word table, filled the first time a word is asked, with the normal
-form of 1 * w (substituted, then reduced); ``normal_form`` and every leg of
-``tensor_normal_form`` read it, so each word is reduced once per system.  The
-polynomials given to one system share its field.  Interreduction and
-completion stay on whole-polynomial reduction: their rule lists change every
-round, and completion's overlap words are long and seldom repeated, so
-reducing them one word at a time would lose the early cancellation between
-the two sides of an overlap.
+form of 1 * w (substituted, then reduced), or a mark that w is its own
+normal form; ``normal_form`` and every leg of ``tensor_normal_form`` read it,
+so each word is reduced once per system, and a marked word is copied with
+its coefficient instead of multiplied by 1.  The polynomials given to one
+system share its field.  Interreduction and completion reduce whole
+polynomials against the rules of the round, which change every round;
+completion reduces left - right, the two rewrites of an overlap word, in one
+call, so the words the two sides share cancel before any step runs.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ def gen_key(g: GenId) -> tuple[int, int]:
 
 
 def word_key(w: Word):
-    return (len(w), tuple(gen_key(g) for g in w))
+    return (len(w), tuple([(i, s) for s, i in w]))
 
 
 def format_genid(g: GenId) -> str:
@@ -198,9 +199,12 @@ class RewriteRule:
 
 
 def _make_rule(p: NCPoly) -> RewriteRule:
+    """The rule lead -> rest of p made monic, lead its leading word."""
     lead = p.leading_word()
-    rest = NCPoly({w: -c for w, c in p.terms.items() if w != lead})
-    return RewriteRule(lead, rest, p)
+    c = p.terms[lead]
+    monic = NCPoly({w: v / c for w, v in p.terms.items()})
+    rest = NCPoly({w: -v for w, v in monic.terms.items() if w != lead})
+    return RewriteRule(lead, rest, monic)
 
 
 class _RuleIndex:
@@ -245,7 +249,7 @@ class _RuleIndex:
 
 def _queue_key(w: Word):
     """Heap key that pops the largest word first."""
-    return (-len(w), tuple((-i, -s) for s, i in w))
+    return (-len(w), tuple([(-i, -s) for s, i in w]))
 
 
 def _reduce(p: NCPoly, index: _RuleIndex) -> NCPoly:
@@ -267,12 +271,24 @@ def _reduce(p: NCPoly, index: _RuleIndex) -> NCPoly:
             continue
         rule, pos = site
         del terms[w]
-        repl = rule.rest.shift(w[:pos], w[pos + len(rule.lead) :]).scale(c)
-        for v in repl.terms:
-            if v not in terms:
+        left, right = w[:pos], w[pos + len(rule.lead) :]
+        for v, d in rule.rest.terms.items():
+            v = left + v + right
+            d = c * d
+            old = terms.get(v)
+            if old is None:
+                terms[v] = d
                 heapq.heappush(queue, (_queue_key(v), v))
-        _accumulate(terms, repl.terms.items())
+            else:
+                d = old + d
+                if d:
+                    terms[v] = d
+                else:
+                    del terms[v]
     return NCPoly(terms)
+
+
+_UNASKED = object()  # a word not yet in a RewriteSystem's table
 
 
 class RewriteSystem:
@@ -297,8 +313,9 @@ class RewriteSystem:
         )
         self.degree_bound = degree_bound
         self._index = _RuleIndex(self.rules)
-        # word -> terms of its normal form with coefficient 1
-        self._nf: dict[Word, dict[Word, Scalar]] = {}
+        # word -> terms of its normal form with coefficient 1, or None when
+        # the word is its own normal form
+        self._nf: dict[Word, dict[Word, Scalar] | None] = {}
 
     def eliminated(self) -> tuple[GenId, ...]:
         return tuple(self.subs)
@@ -306,19 +323,25 @@ class RewriteSystem:
     def max_rule_degree(self) -> int:
         return max((len(r.lead) for r in self.rules), default=0)
 
-    def _word_nf(self, w: Word, one: Scalar) -> dict[Word, Scalar]:
-        """The terms of the normal form of one * w (substituted, then reduced),
-        formed the first time w is asked."""
-        nf = self._nf.get(w)
-        if nf is None:
-            term = substitute(NCPoly({w: one}), self.subs)
-            nf = self._nf[w] = _reduce(term, self._index).terms
+    def _word_nf(self, w: Word, c: Scalar) -> dict[Word, Scalar] | None:
+        """The terms of the normal form of 1 * w (substituted, then reduced),
+        formed the first time w is asked, or None if w is its own normal
+        form (no eliminated generator and no rule applies), so that callers
+        copy c * w without a multiplication.  c is any nonzero scalar of the
+        system's field; c / c is the field's 1 on the first ask."""
+        nf = self._nf.get(w, _UNASKED)
+        if nf is _UNASKED:
+            term = substitute(NCPoly({w: c / c}), self.subs)
+            nf = _reduce(term, self._index).terms
+            # a step or a substitution only brings in words other than w
+            nf = self._nf[w] = None if w in nf else nf
         return nf
 
     def normal_form(self, p: NCPoly) -> NCPoly:
         out: dict[Word, Scalar] = {}
         for w, c in p.terms.items():
-            _accumulate(out, ((v, c * d) for v, d in self._word_nf(w, c / c).items()))
+            nf = self._word_nf(w, c)
+            _accumulate(out, ((w, c),) if nf is None else ((v, c * d) for v, d in nf.items()))
         return NCPoly(out)
 
     def rule_polys(self) -> list[NCPoly]:
@@ -354,18 +377,17 @@ def _interreduce_core(
         p = _reduce(p, index)
         if p.is_zero():
             continue
-        lead = p.leading_word()
+        rule = _make_rule(p)
+        lead = rule.lead
         if len(lead) == 0:
             raise PresentationContradiction(
                 f"relations force the scalar equation {format_poly(p)} = 0"
             )
-        p = p.monic()
         if len(lead) == 1:
             g = lead[0]
-            rep = NCPoly({w: -c for w, c in p.terms.items() if w != lead})
-            single = {g: rep}
+            single = {g: rule.rest}
             subs = {h: substitute(q, single) for h, q in subs.items()}
-            subs[g] = rep
+            subs[g] = rule.rest
             # the eliminated generator may occur in any existing rule
             work.extendleft(reversed([r.poly for _, r in index.first.values()]))
             index = _RuleIndex()
@@ -375,7 +397,7 @@ def _interreduce_core(
                 work.append(index.first[old][1].poly)
                 index.discard(old)
                 del factors[old]
-            index.add(next(ranks), _make_rule(p))
+            index.add(next(ranks), rule)
             factors[lead] = {
                 w[i:j] for w in p.terms for i in range(len(w)) for j in range(i + 1, len(w) + 1)
             }
@@ -447,11 +469,12 @@ def complete(system: RewriteSystem, degree_bound: int) -> RewriteSystem:
             if (u, v, k) in checked:
                 continue
             checked.add((u, v, k))
-            # the overlap word u + v[k:] rewritten via ri at position 0,
-            # and via rj at position len(u) - k
+            # the overlap word u + v[k:] rewritten via ri at position 0, and
+            # via rj at position len(u) - k; the normal form is linear, so one
+            # reduction of the difference is NF(left) - NF(right)
             left = ri.rest.shift((), v[k:])
             right = rj.rest.shift(u[: len(u) - k], ())
-            diff = _reduce(left, current._index) - _reduce(right, current._index)
+            diff = _reduce(left - right, current._index)
             if not diff.is_zero():
                 new_poly = diff
                 break
@@ -553,13 +576,16 @@ def format_tensor(t: TensorPoly) -> str:
 def tensor_normal_form(t: TensorPoly, system: RewriteSystem) -> TensorPoly:
     """Reduce every tensor leg independently and re-aggregate: the sum over
     terms c * w1 (x) ... (x) wk of c * NF(w1) (x) ... (x) NF(wk), each leg's
-    normal form read off the system's word table."""
+    normal form read off the system's word table.  A leg that is its own
+    normal form is copied, and its term keeps its coefficient unmultiplied."""
     out: dict[tuple[Word, ...], Scalar] = {}
     for legs, c in t.terms.items():
-        one = c / c  # stored coefficients are nonzero, so this is 1 of the field
         partial: list[tuple[tuple[Word, ...], Scalar]] = [((), c)]
         for w in legs:
-            nf = system._word_nf(w, one).items()
-            partial = [(k + (v,), a * d) for k, a in partial for v, d in nf]
+            nf = system._word_nf(w, c)
+            if nf is None:
+                partial = [(k + (w,), a) for k, a in partial]
+            else:
+                partial = [(k + (v,), a * d) for k, a in partial for v, d in nf.items()]
         _accumulate(out, partial)
     return TensorPoly(out)

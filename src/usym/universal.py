@@ -144,9 +144,12 @@ def _delta_table(p: Presentation) -> dict[GenId, TensorPoly]:
 
 
 def _delta_word(delta: dict[GenId, TensorPoly], w: Word, one: Scalar) -> TensorPoly:
-    """Delta extended multiplicatively to a word."""
-    out = TensorPoly.term((), (), one)
-    for g in w:
+    """Delta extended multiplicatively to a word; the unit tensor on the
+    empty word."""
+    if not w:
+        return TensorPoly.term((), (), one)
+    out = delta[w[0]]
+    for g in w[1:]:
         out = out * delta[g]
     return out
 
@@ -154,12 +157,13 @@ def _delta_word(delta: dict[GenId, TensorPoly], w: Word, one: Scalar) -> TensorP
 def _delta_on_leg(
     delta: dict[GenId, TensorPoly], t: TensorPoly, leg: int, one: Scalar
 ) -> TensorPoly:
-    """Apply Delta to one leg of t, which splits it into two legs."""
+    """Apply Delta to one leg of t, which splits it into two legs; a split
+    whose coefficient is one keeps the coefficient of t's term as it is."""
     return TensorPoly(
         _accumulate(
             {},
             (
-                (legs[:leg] + split + legs[leg + 1 :], c * cc)
+                (legs[:leg] + split + legs[leg + 1 :], c if cc == one else c * cc)
                 for legs, c in t.terms.items()
                 for split, cc in _delta_word(delta, legs[leg], one).terms.items()
             ),

@@ -22,6 +22,7 @@ from usym.ncpoly import (
     RewriteRule,
     _RuleIndex,
     _make_rule,
+    _overlap_candidates,
     _reduce,
     format_poly,
     format_tensor,
@@ -383,31 +384,67 @@ def test_index_rules_sharing_a_lead():
         assert_table_matches_reduce(RewriteSystem(rules=[first, second]), q)
 
 
-def test_index_matches_scan_on_random_rule_lists():
-    # random rule lists, in random order and not completed, so the choice
-    # of word, rule and position shows in the result
-    rng = random.Random(11)
+def random_rule_list(rng, field):
+    """1-5 rules over field on three generators, with leads of degree 2-3,
+    in random order and not completed, and a polynomial of degree <= 6 to
+    reduce modulo them."""
     gens = [X, Y, (1, 3)]
 
     def word(lo, hi):
         return tuple(rng.choice(gens) for _ in range(rng.randint(lo, hi)))
 
+    rules = []
+    for _ in range(rng.randint(1, 5)):
+        lead = word(2, 3)
+        rest = {}
+        for _ in range(rng.randint(0, 3)):
+            w = word(0, len(lead))
+            if word_key(w) < word_key(lead):
+                rest[w] = field(rng.randint(-3, 3))
+        rest = NCPoly(rest)
+        rules.append(RewriteRule(lead, rest, NCPoly({lead: field.one}) - rest))
+    terms = {word(0, 6): field(rng.randint(1, 4)) for _ in range(rng.randint(1, 4))}
+    return rules, NCPoly(terms)
+
+
+def test_index_matches_scan_on_random_rule_lists():
+    # the choice of word, rule and position shows in the result
+    rng = random.Random(11)
     differ = 0
     for _ in range(150):
-        rules = []
-        for _ in range(rng.randint(1, 5)):
-            lead = word(2, 3)
-            rest = {}
-            for _ in range(rng.randint(0, 3)):
-                w = word(0, len(lead))
-                if word_key(w) < word_key(lead):
-                    rest[w] = QQ(rng.randint(-3, 3))
-            rules.append(hand_rule(lead, *((c, w) for w, c in rest.items())))
-        terms = {word(0, 6): QQ(rng.randint(1, 4)) for _ in range(rng.randint(1, 4))}
-        standard, reverse = assert_matches_scan(NCPoly(terms), rules)
+        rules, p = random_rule_list(rng, QQ)
+        standard, reverse = assert_matches_scan(p, rules)
         differ += standard != reverse
-        assert_table_matches_reduce(RewriteSystem(rules=rules), NCPoly(terms))
+        assert_table_matches_reduce(RewriteSystem(rules=rules), p)
     assert differ >= 20  # 21 of the 150 with this seed
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=["QQ", "GF3"])
+def test_reduction_is_linear_on_random_rule_lists(field):
+    # completion reduces left - right of an overlap in one call, which is
+    # NF(left) - NF(right) because the step taken on a word depends only on
+    # that word, also modulo a rule list that is not confluent
+    rng = random.Random(11)
+    overlaps = irreducible = 0
+    for _ in range(150):
+        rules, p = random_rule_list(rng, field)
+        index = _RuleIndex(rules)
+        for _, u, v, k, ri, rj in _overlap_candidates(rules, 5):
+            left = ri.rest.shift((), v[k:])
+            right = rj.rest.shift(u[: len(u) - k], ())
+            assert _reduce(left - right, index) == _reduce(left, index) - _reduce(right, index)
+            overlaps += 1
+        # the words of a normal form are irreducible: the word table marks
+        # them, and both normal forms hand them back with their coefficients
+        system = RewriteSystem(rules=rules)
+        for w, c in _reduce(p, index).terms.items():
+            assert system.normal_form(NCPoly({w: c})) == NCPoly({w: c})
+            assert system._nf[w] is None
+            t = TensorPoly.term(w, (), w, c)
+            assert tensor_normal_form(t, system) == t
+            irreducible += 1
+    # 619 overlaps with this seed, and 345 (QQ) or 237 (GF(3)) normal-form words
+    assert overlaps >= 300 and irreducible >= 200
 
 
 # ---------------------------------------------------------------------------
@@ -489,9 +526,11 @@ def test_check_reduces_each_word_once(monkeypatch, tmp_path):
     monkeypatch.setattr(ncpoly_mod, "_reduce", counted)
     path = algebra_file(tmp_path, "x4", truncated_polynomial(QQ, 4))
     assert main(["check", path, "--max-degree", "4"]) == 0
-    # completion and interreduction, then one reduction per distinct word
-    # (3,316 when every normal_form and tensor leg ran its own reduction)
-    assert len(calls) == 559
+    # completion (one reduction per overlap) and interreduction, then one
+    # reduction per distinct word (3,316 when every normal_form and tensor
+    # leg ran its own reduction, 559 when each overlap reduced its two sides
+    # apart)
+    assert len(calls) == 451
     system = build_presentation(truncated_polynomial(QQ, 4), 4).system
     # two reducible words and one with the eliminated generator x[2,1]
     p = poly((2, ((3, 2), (1, 2))), (-1, ((2, 1), (2, 2))), (1, ((2, 2), (1, 3))))
@@ -505,3 +544,30 @@ def test_check_reduces_each_word_once(monkeypatch, tmp_path):
     assert system.normal_form(p) == first
     assert system.normal_form(p.scale(QQ(3))) == first.scale(QQ(3))
     assert len(calls) == 3
+
+
+def test_scalar_work_of_present_and_check(monkeypatch, tmp_path):
+    from fractions import Fraction
+    from usym.cli import main
+    from conftest import algebra_file, truncated_polynomial
+
+    counts = {"mul": 0, "div": 0}
+
+    def counted(name, original):
+        def op(a, b):
+            counts[name] += 1
+            return original(a, b)
+        return op
+
+    monkeypatch.setattr(Fraction, "__mul__", counted("mul", Fraction.__mul__))
+    monkeypatch.setattr(Fraction, "__truediv__", counted("div", Fraction.__truediv__))
+    path = algebra_file(tmp_path, "x4", truncated_polynomial(QQ, 4))
+    assert main(["present", path, "--max-degree", "4"]) == 0
+    assert counts == {"mul": 714, "div": 415}
+    counts.update(mul=0, div=0)
+    assert main(["check", path, "--max-degree", "4"]) == 0
+    # 7,973 and 1,867 when each overlap reduced its two sides apart, every
+    # reduction step scaled a shifted copy of the rule, and every normal-form
+    # word was multiplied by its coefficient, even a word that is its own
+    # normal form
+    assert counts == {"mul": 2841, "div": 572}
