@@ -190,3 +190,21 @@ def scan_reduce(p, rules, strategy):
         w, rule, pos = site
         c = p.terms[w]
         p = (p - NCPoly({w: c})) + rule.rest.shift(w[:pos], w[pos + len(rule.lead) :]).scale(c)
+
+
+def overlap_candidates(rules, degree_bound):
+    """The reference overlap scan: every proper overlap u = ...w, v = w... of
+    two leads (a lead with itself included) whose overlap word u + v[k:] has
+    degree <= degree_bound, as tuples (word_key of the overlap word, u, v, k,
+    rule_u, rule_v), sorted by the first four."""
+    out = []
+    for ri in rules:
+        for rj in rules:
+            u, v = ri.lead, rj.lead
+            for k in range(1, min(len(u), len(v))):
+                if u[len(u) - k :] == v[:k]:
+                    w = u + v[k:]
+                    if len(w) <= degree_bound:
+                        out.append((word_key(w), u, v, k, ri, rj))
+    out.sort(key=lambda t: t[:4])
+    return out

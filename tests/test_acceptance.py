@@ -36,8 +36,8 @@ from usym import (
     point_from_grading,
 )
 from usym.io import load_algebra
-from usym.ncpoly import _overlap_candidates, substitute
-from conftest import dual_numbers, iter_words, scan_reduce, triangular
+from usym.ncpoly import substitute
+from conftest import dual_numbers, iter_words, overlap_candidates, scan_reduce, triangular
 
 X12, X22 = (1, 2), (2, 2)
 ONE = QQ.one
@@ -264,7 +264,7 @@ def test_criterion_8_rewriting_soundness():
 
         # every overlap of degree <= 4 resolves to zero
         resolved = True
-        for _, u, v, k, ri, rj in _overlap_candidates(list(system.rules), 4):
+        for _, u, v, k, ri, rj in overlap_candidates(list(system.rules), 4):
             left = ri.rest.shift((), v[k:])
             right = rj.rest.shift(u[: len(u) - k], ())
             if not (system.normal_form(left - right)).is_zero():

@@ -22,7 +22,6 @@ from usym.ncpoly import (
     RewriteRule,
     _RuleIndex,
     _make_rule,
-    _overlap_candidates,
     _reduce,
     format_poly,
     format_tensor,
@@ -30,7 +29,15 @@ from usym.ncpoly import (
     gen_key,
     word_key,
 )
-from conftest import iter_words, scan_reduce
+from conftest import (
+    cyclic_group_algebra,
+    full_matrices,
+    iter_words,
+    overlap_candidates,
+    scan_reduce,
+    truncated_polynomial,
+    upper_triangular,
+)
 
 ONE = QQ.one
 
@@ -321,6 +328,31 @@ def test_complete_discovers_substitutions_through_overlaps():
     assert done.normal_form(poly((1, (X, Y, X, Y)))) == poly((1, ()))
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: truncated_polynomial(QQ, 4),
+        lambda: full_matrices(QQ),
+        lambda: cyclic_group_algebra(QQ, 3),
+        lambda: upper_triangular(QQ, 2),
+        lambda: truncated_polynomial(GF(3), 3),
+    ],
+    ids=["poly4", "m2", "c3", "t2", "poly3_gf3"],
+)
+def test_completion_does_not_depend_on_relation_order(build):
+    # the reduced basis truncated at the bound is unique (Bergman's diamond
+    # lemma), so the order in which interreduction takes the relations, and
+    # so the order in which completion meets its overlaps, cannot show
+    from usym import build_relations
+
+    relations = build_relations(build())
+    want = complete(interreduce(relations), 3)
+    for seed in range(8):
+        shuffled = list(relations)
+        random.Random(seed).shuffle(shuffled)
+        assert complete(interreduce(shuffled), 3) == want
+
+
 def test_completion_round_cap(monkeypatch):
     # xy = 1, yx = x (as above) takes exactly 3 rounds at degree 4: two that
     # add an S-polynomial and one that finds no new one
@@ -429,7 +461,7 @@ def test_reduction_is_linear_on_random_rule_lists(field):
     for _ in range(150):
         rules, p = random_rule_list(rng, field)
         index = _RuleIndex(rules)
-        for _, u, v, k, ri, rj in _overlap_candidates(rules, 5):
+        for _, u, v, k, ri, rj in overlap_candidates(rules, 5):
             left = ri.rest.shift((), v[k:])
             right = rj.rest.shift(u[: len(u) - k], ())
             assert _reduce(left - right, index) == _reduce(left, index) - _reduce(right, index)

@@ -7,11 +7,12 @@ is."""
 
 import pytest
 
-from usym import GF, QQ, fixture_path
+from usym import GF, QQ, build_presentation, fixture_path
 from conftest import (
     algebra_file,
     cyclic_group_algebra,
     full_matrices,
+    overlap_candidates,
     permuted,
     report_digest,
     truncated_polynomial,
@@ -22,9 +23,9 @@ def generated(name, build):
     return lambda tmp_path: algebra_file(tmp_path, name, build())
 
 
-def poly4_permuted(perm):
-    name = "poly4_" + "".join(map(str, perm))
-    return generated(name, lambda: permuted(truncated_polynomial(QQ, 4), perm))
+def poly_permuted(n, perm):
+    name = f"poly{n}_" + "".join(map(str, perm))
+    return generated(name, lambda: permuted(truncated_polynomial(QQ, n), perm))
 
 
 def fixture(name):
@@ -54,14 +55,20 @@ CASES = [
      "71db3b8ded62e5cf321227ceb9b811f87644f6716ac781d9ce824729909f456d"),
     # two bases of k[x]/(x^4) whose completion takes 28 rounds, where every
     # case above completes in one
-    ("poly4_0213", poly4_permuted([0, 2, 1, 3]), "present", "3", "json",
+    ("poly4_0213", poly_permuted(4, [0, 2, 1, 3]), "present", "3", "json",
      "69a39621ff8ba9f97d688ce5adb2f6c991743dfc4baf5015ee40552208188f2f"),
-    ("poly4_0213", poly4_permuted([0, 2, 1, 3]), "check", "4", "json",
+    ("poly4_0213", poly_permuted(4, [0, 2, 1, 3]), "check", "4", "json",
      "c70b2b4d73cffb5794b64467c94bcc6cf13449ec32a4ca28687b2603c8ba93d5"),
-    ("poly4_0321", poly4_permuted([0, 3, 2, 1]), "present", "3", "json",
+    ("poly4_0321", poly_permuted(4, [0, 3, 2, 1]), "present", "3", "json",
      "9bf064383d82c22938b491d9ab50552ce4cf0e92306de36e4e90270d89482912"),
-    ("poly4_0321", poly4_permuted([0, 3, 2, 1]), "check", "4", "json",
+    ("poly4_0321", poly_permuted(4, [0, 3, 2, 1]), "check", "4", "json",
      "7036261b5c8dd837f2d4ae39e63c99eda95cf81671eac29d9302c2434b74cbc3"),
+    # two bases of k[x]/(x^5) whose completion took 129 rounds when each
+    # round resolved one S-polynomial and re-interreduced every rule
+    ("poly5_01432", poly_permuted(5, [0, 1, 4, 3, 2]), "present", "3", "json",
+     "1b3d9b99f0afa4d73dcdf5b38b715b5eb21629452078baf12cd72dcf683f6073"),
+    ("poly5_03421", poly_permuted(5, [0, 3, 4, 2, 1]), "present", "3", "json",
+     "098630e65472d87c6f1c2ea0f04b6858041e3c836ac92fade7ad8814d9adcb08"),
 ]
 
 
@@ -73,3 +80,16 @@ CASES = [
 def test_report_digest(tmp_path, name, path, command, degree, fmt, digest):
     argv = [command, path(tmp_path), "--format", fmt, "--max-degree", degree]
     assert report_digest(argv) == digest
+
+
+@pytest.mark.parametrize("perm", [[0, 1, 4, 3, 2], [0, 3, 4, 2, 1]], ids=["01432", "03421"])
+def test_permuted_poly5_overlaps_resolve(perm):
+    # every overlap of degree <= 3 of the completed rules, found by the
+    # reference scan, rewrites both ways to one normal form
+    system = build_presentation(permuted(truncated_polynomial(QQ, 5), perm), 3).system
+    overlaps = overlap_candidates(list(system.rules), 3)
+    assert len(overlaps) > 100
+    for _, u, v, k, ri, rj in overlaps:
+        left = ri.rest.shift((), v[k:])
+        right = rj.rest.shift(u[: len(u) - k], ())
+        assert system.normal_form(left - right).is_zero()
