@@ -28,10 +28,21 @@ form of 1 * w (substituted, then reduced), or a mark that w is its own
 normal form; ``normal_form`` and every leg of ``tensor_normal_form`` read it,
 so each word is reduced once per system, and a marked word is copied with
 its coefficient instead of multiplied by 1.  The polynomials given to one
-system share its field.  Interreduction and completion reduce whole
-polynomials against the rules of the round, which change every round;
-completion reduces left - right, the two rewrites of an overlap word, in one
-call, so the words the two sides share cancel before any step runs.
+system share its field.
+
+Interreduction and completion work on one rule state (``_RuleState``): the
+substitutions, the rule index and, for each lead, the factors of its rule's
+words.  Interreduction takes the relations in order of degree, so the
+linear ones become substitutions before any other is oriented; a new lead
+sends back only the rules it occurs in.  Completion seeds the state with the
+rules as they stand and keeps their critical pairs on a heap
+(``_PairQueue``), formed once per new lead by probing maps of the leads'
+prefixes and suffixes.  It resolves them smallest overlap word first, each
+by one reduction of left - right (the two rewrites of the overlap word, so
+the words the two sides share cancel before any step runs), and a nonzero
+S-polynomial enters the state as one more relation.  The truncated reduced
+basis this reaches is unique (Bergman), so neither the order of the
+relations nor that of the pairs can show in a result.
 """
 
 from __future__ import annotations
@@ -211,21 +222,22 @@ class _RuleIndex:
     """The leads of a rule list, for finding a reduction site by hash probes.
 
     ``first`` maps each lead word to (rank, rule), where the rank is the
-    rule's place in the list; when several rules share a lead (a hand-built
-    RewriteSystem may), it keeps the lowest rank.  ``lengths`` holds every
-    lead length (and, after :meth:`discard`, perhaps some that no lead has
-    any more).
+    rule's place in the list, or, in a rule state, its lead's ``word_key``
+    (the same order for a RewriteSystem's sorted rules); when several rules
+    share a lead (a hand-built RewriteSystem may), it keeps the first.
+    ``lengths`` holds every lead length (and, after :meth:`discard`, perhaps
+    some that no lead has any more).
     """
 
     __slots__ = ("first", "lengths")
 
     def __init__(self, rules: Iterable[RewriteRule] = ()):
-        self.first: dict[Word, tuple[int, RewriteRule]] = {}
+        self.first: dict[Word, tuple[object, RewriteRule]] = {}
         self.lengths: set[int] = set()
         for rank, rule in enumerate(rules):
             self.add(rank, rule)
 
-    def add(self, rank: int, rule: RewriteRule) -> None:
+    def add(self, rank, rule: RewriteRule) -> None:
         self.first.setdefault(rule.lead, (rank, rule))
         self.lengths.add(len(rule.lead))
 
@@ -344,9 +356,6 @@ class RewriteSystem:
             _accumulate(out, ((w, c),) if nf is None else ((v, c * d) for v, d in nf.items()))
         return NCPoly(out)
 
-    def rule_polys(self) -> list[NCPoly]:
-        return [r.poly for r in self.rules]
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, RewriteSystem)
@@ -360,50 +369,118 @@ class RewriteSystem:
         return f"RewriteSystem(subs=[{subs}], rules=[{rules}], D={self.degree_bound})"
 
 
-def _interreduce_core(
-    inputs: Iterable[NCPoly], subs0: Mapping[GenId, NCPoly]
-) -> tuple[dict[GenId, NCPoly], list[RewriteRule]]:
-    subs: dict[GenId, NCPoly] = dict(subs0)
-    work: deque[NCPoly] = deque(inputs)
-    # The working rules are index.first in insertion order (their leads are
-    # distinct), ranked by a counter; each lead maps to every factor of every
-    # word of its rule, so a new lead finds the rules it reduces by lookup.
-    index = _RuleIndex()
-    factors: dict[Word, set[Word]] = {}
-    ranks = itertools.count()
-    while work:
-        p = work.popleft()
-        p = substitute(p, subs)
-        p = _reduce(p, index)
-        if p.is_zero():
-            continue
-        rule = _make_rule(p)
-        lead = rule.lead
-        if len(lead) == 0:
-            raise PresentationContradiction(
-                f"relations force the scalar equation {format_poly(p)} = 0"
-            )
-        if len(lead) == 1:
-            g = lead[0]
-            single = {g: rule.rest}
-            subs = {h: substitute(q, single) for h, q in subs.items()}
-            subs[g] = rule.rest
-            # the eliminated generator may occur in any existing rule
-            work.extendleft(reversed([r.poly for _, r in index.first.values()]))
-            index = _RuleIndex()
-            factors = {}
-        else:
-            for old in [old for old, fs in factors.items() if lead in fs]:
-                work.append(index.first[old][1].poly)
-                index.discard(old)
-                del factors[old]
-            index.add(next(ranks), rule)
-            factors[lead] = {
-                w[i:j] for w in p.terms for i in range(len(w)) for j in range(i + 1, len(w) + 1)
-            }
-    rules = [r for _, r in index.first.values()]
-    rules.sort(key=lambda r: word_key(r.lead))
-    return subs, rules
+class _PairQueue:
+    """The critical pairs of the current leads of a rule state: each proper
+    overlap u = ...w, v = w... (a lead with itself included) whose overlap
+    word u + v[k:] has degree <= degree_bound, on a heap keyed
+    (word_key(u + v[k:]), u, v, k), so the smallest overlap word pops first.
+
+    A lead forms its pairs once, when it is added, by probing ``prefixes``
+    and ``suffixes``: each proper prefix (suffix) of a current lead mapped
+    to the leads that start (end) with it.  A discarded lead leaves the maps,
+    but its pairs stay on the heap; the popper skips a pair whose lead is
+    gone, and a lead that comes back forms its pairs again.
+    """
+
+    __slots__ = ("degree_bound", "heap", "prefixes", "suffixes")
+
+    def __init__(self, degree_bound: int):
+        self.degree_bound = degree_bound
+        self.heap: list[tuple] = []
+        self.prefixes: dict[Word, set[Word]] = {}
+        self.suffixes: dict[Word, set[Word]] = {}
+
+    def add(self, lead: Word) -> None:
+        m = len(lead)
+        # lead on the right: the leads with a suffix lead[:k], before lead
+        # itself is in the maps, so its self-overlaps are pushed once, below
+        for k in range(1, m):
+            for u in self.suffixes.get(lead[:k], ()):
+                self._push(u, lead, k)
+        for k in range(1, m):
+            self.prefixes.setdefault(lead[:k], set()).add(lead)
+            self.suffixes.setdefault(lead[m - k :], set()).add(lead)
+        # lead on the left: the leads, lead included, with a prefix lead[m-k:]
+        for k in range(1, m):
+            for v in self.prefixes.get(lead[m - k :], ()):
+                self._push(lead, v, k)
+
+    def discard(self, lead: Word) -> None:
+        m = len(lead)
+        for k in range(1, m):
+            self.prefixes[lead[:k]].discard(lead)
+            self.suffixes[lead[m - k :]].discard(lead)
+
+    def _push(self, u: Word, v: Word, k: int) -> None:
+        w = u + v[k:]
+        if len(w) <= self.degree_bound:
+            heapq.heappush(self.heap, (word_key(w), u, v, k))
+
+
+class _RuleState:
+    """The working state that interreduction builds and completion continues:
+    the substitutions, the rules in a _RuleIndex ranked by lead (so the
+    lowest rank is the smallest lead, as in a RewriteSystem), and for each
+    lead every factor of every word of its rule, so a new lead finds the
+    rules it reduces by lookup.  ``pairs``, when given, follows every lead
+    added and discarded."""
+
+    __slots__ = ("subs", "index", "factors", "pairs")
+
+    def __init__(self, subs: Mapping[GenId, NCPoly], pairs: _PairQueue | None = None):
+        self.subs: dict[GenId, NCPoly] = dict(subs)
+        self.index = _RuleIndex()
+        self.factors: dict[Word, set[Word]] = {}
+        self.pairs = pairs
+
+    def rules(self) -> list[RewriteRule]:
+        return [r for _, r in self.index.first.values()]
+
+    def add(self, rule: RewriteRule) -> None:
+        self.index.add(word_key(rule.lead), rule)
+        self.factors[rule.lead] = {
+            w[i:j] for w in rule.poly.terms for i in range(len(w)) for j in range(i + 1, len(w) + 1)
+        }
+        if self.pairs is not None:
+            self.pairs.add(rule.lead)
+
+    def discard(self, lead: Word) -> None:
+        self.index.discard(lead)
+        del self.factors[lead]
+        if self.pairs is not None:
+            self.pairs.discard(lead)
+
+    def run(self, work: Iterable[NCPoly]) -> None:
+        """Substitute, reduce and orient each polynomial of work in turn;
+        a polynomial that reduces to zero is dropped, one with a linear lead
+        eliminates that generator, and a new lead sends back to work every
+        rule with a word it occurs in."""
+        work = deque(work)
+        while work:
+            p = _reduce(substitute(work.popleft(), self.subs), self.index)
+            if p.is_zero():
+                continue
+            rule = _make_rule(p)
+            lead = rule.lead
+            if len(lead) == 0:
+                raise PresentationContradiction(
+                    f"relations force the scalar equation {format_poly(p)} = 0"
+                )
+            if len(lead) == 1:
+                g = lead[0]
+                single = {g: rule.rest}
+                self.subs = {h: substitute(q, single) for h, q in self.subs.items()}
+                self.subs[g] = rule.rest
+                # the eliminated generator may occur in any rule
+                olds = self.rules()
+                work.extendleft(reversed([r.poly for r in olds]))
+                for r in olds:
+                    self.discard(r.lead)
+            else:
+                for old in [old for old, fs in self.factors.items() if lead in fs]:
+                    work.append(self.index.first[old][1].poly)
+                    self.discard(old)
+                self.add(rule)
 
 
 def interreduce(relations: Iterable[NCPoly]) -> RewriteSystem:
@@ -412,29 +489,16 @@ def interreduce(relations: Iterable[NCPoly]) -> RewriteSystem:
     Relations whose leading term is a single generator eliminate that
     generator by substitution everywhere; the remaining rules are pairwise
     irreducible.  The two-sided ideal generated by substitutions and rules
-    together equals the ideal of the input relations.
+    together equals the ideal of the input relations.  The relations are
+    taken in order of degree (stably), so linear relations become
+    substitutions before any relation of higher degree is oriented.
 
     Raises PresentationContradiction if some relation reduces to a nonzero
     scalar.
     """
-    subs, rules = _interreduce_core(list(relations), {})
-    return RewriteSystem(subs, rules, 0)
-
-
-def _overlap_candidates(rules: list[RewriteRule], degree_bound: int):
-    """All proper overlaps u = ...w, v = w... of rule leading words, as
-    tuples (sort key, u, v, k, rule_u, rule_v) with overlap length k."""
-    out = []
-    for ri in rules:
-        for rj in rules:
-            u, v = ri.lead, rj.lead
-            for k in range(1, min(len(u), len(v))):
-                if u[len(u) - k :] == v[:k]:
-                    w = u + v[k:]
-                    if len(w) <= degree_bound:
-                        out.append((word_key(w), u, v, k, ri, rj))
-    out.sort(key=lambda t: (t[0], t[1], t[2], t[3]))
-    return out
+    state = _RuleState({})
+    state.run(sorted(relations, key=NCPoly.degree))
+    return RewriteSystem(state.subs, state.rules(), 0)
 
 
 _COMPLETION_ROUND_CAP = 1000
@@ -446,42 +510,56 @@ def complete(system: RewriteSystem, degree_bound: int) -> RewriteSystem:
     Resolves every overlap ambiguity whose overlap word has degree at most
     ``degree_bound``, adding oriented S-polynomials as new rules until a
     fixpoint; the result computes canonical normal forms for all inputs of
-    degree <= degree_bound.  Raises CompletionBoundError if no fixpoint is
-    reached within the round budget.
+    degree <= degree_bound.
+
+    The rules of ``system`` are taken as they stand (a second rule with a
+    lead already taken is reduced like a new relation) and their critical
+    pairs put on a queue.  Pairs pop smallest overlap word first; a pair is
+    resolved once, against the rules current when it pops, and skipped if
+    one of its leads has gone.  A nonzero S-polynomial enters the same
+    rule state as one more relation, which rewrites only the rules its lead
+    occurs in, and the leads it adds bring their own pairs.
+
+    Raises CompletionBoundError when the ``_COMPLETION_ROUND_CAP``-th
+    nonzero S-polynomial is found; its message counts them as rounds.
     """
     if degree_bound < system.max_rule_degree():
         raise ValueError(
             f"degree bound {degree_bound} is below the maximal rule degree "
             f"{system.max_rule_degree()}"
         )
-    current = RewriteSystem(system.subs, system.rules, degree_bound)
+    pairs = _PairQueue(degree_bound)
+    state = _RuleState(system.subs, pairs)
+    taken = []
+    for rule in system.rules:
+        if rule.lead in state.index.first:
+            taken.append(rule.poly)
+        else:
+            state.add(rule)
+    state.run(taken)
+    leads = state.index.first
     checked: set[tuple[Word, Word, int]] = set()
-    rounds = 0
-    while True:
-        rounds += 1
-        if rounds > _COMPLETION_ROUND_CAP:
-            raise CompletionBoundError(
-                f"no completion fixpoint within {_COMPLETION_ROUND_CAP} rounds "
-                f"at degree bound {degree_bound}"
-            )
-        new_poly = None
-        for _, u, v, k, ri, rj in _overlap_candidates(current.rules, degree_bound):
-            if (u, v, k) in checked:
-                continue
-            checked.add((u, v, k))
-            # the overlap word u + v[k:] rewritten via ri at position 0, and
-            # via rj at position len(u) - k; the normal form is linear, so one
-            # reduction of the difference is NF(left) - NF(right)
-            left = ri.rest.shift((), v[k:])
-            right = rj.rest.shift(u[: len(u) - k], ())
-            diff = _reduce(left - right, current._index)
-            if not diff.is_zero():
-                new_poly = diff
-                break
-        if new_poly is None:
-            return current
-        subs, rules = _interreduce_core(current.rule_polys() + [new_poly], current.subs)
-        current = RewriteSystem(subs, rules, degree_bound)
+    found = 0
+    while pairs.heap:
+        _, u, v, k = heapq.heappop(pairs.heap)
+        if u not in leads or v not in leads or (u, v, k) in checked:
+            continue
+        checked.add((u, v, k))
+        # the overlap word u + v[k:] rewritten by the rule of u at position
+        # 0, and by the rule of v at position len(u) - k; the normal form is
+        # linear, so one reduction of the difference is NF(left) - NF(right)
+        left = leads[u][1].rest.shift((), v[k:])
+        right = leads[v][1].rest.shift(u[: len(u) - k], ())
+        diff = _reduce(left - right, state.index)
+        if not diff.is_zero():
+            state.run([diff])
+            found += 1
+            if found >= _COMPLETION_ROUND_CAP:
+                raise CompletionBoundError(
+                    f"no completion fixpoint within {_COMPLETION_ROUND_CAP} rounds "
+                    f"at degree bound {degree_bound}"
+                )
+    return RewriteSystem(state.subs, state.rules(), degree_bound)
 
 
 def ideal_member_bounded(p: NCPoly, system: RewriteSystem, degree_bound: int) -> bool:
@@ -531,17 +609,6 @@ class TensorPoly:
 
     def __sub__(self, other: "TensorPoly") -> "TensorPoly":
         return self + (-other)
-
-    def __mul__(self, other: "TensorPoly") -> "TensorPoly":
-        """Legwise product of two tensors with the same number of legs."""
-        if not isinstance(other, TensorPoly):
-            return NotImplemented
-        pairs = itertools.product(self.terms.items(), other.terms.items())
-        return TensorPoly(
-            _accumulate(
-                {}, ((tuple(map(operator.add, k1, k2)), c1 * c2) for (k1, c1), (k2, c2) in pairs)
-            )
-        )
 
     def scale(self, c: Scalar) -> "TensorPoly":
         if not c:

@@ -144,14 +144,22 @@ def _delta_table(p: Presentation) -> dict[GenId, TensorPoly]:
 
 
 def _delta_word(delta: dict[GenId, TensorPoly], w: Word, one: Scalar) -> TensorPoly:
-    """Delta extended multiplicatively to a word; the unit tensor on the
-    empty word."""
+    """Delta extended multiplicatively to a word, as the legwise product of
+    the two-leg tensors of its generators; the unit tensor on the empty
+    word.  A coefficient product with a factor one is not formed."""
     if not w:
         return TensorPoly.term((), (), one)
-    out = delta[w[0]]
+    terms = delta[w[0]].terms
     for g in w[1:]:
-        out = out * delta[g]
-    return out
+        terms = _accumulate(
+            {},
+            (
+                ((a1 + b1, a2 + b2), d if c == one else c if d == one else c * d)
+                for (a1, a2), c in terms.items()
+                for (b1, b2), d in delta[g].terms.items()
+            ),
+        )
+    return TensorPoly(terms)
 
 
 def _delta_on_leg(

@@ -20,6 +20,7 @@ from usym import (
 from usym.errors import CompletionBoundError
 from usym.ncpoly import (
     RewriteRule,
+    _PairQueue,
     _RuleIndex,
     _make_rule,
     _reduce,
@@ -479,6 +480,59 @@ def test_reduction_is_linear_on_random_rule_lists(field):
     assert overlaps >= 300 and irreducible >= 200
 
 
+def test_complete_reduces_a_second_rule_with_a_taken_lead():
+    # a hand-built system may hold two rules with one lead; completion keeps
+    # the first and reduces the second by it: xy - 3x -> y - 3x eliminates y
+    first = hand_rule((X, Y), (1, (Y,)))
+    second = hand_rule((X, Y), (3, (X,)))
+    done = complete(RewriteSystem(rules=[first, second]), 4)
+    assert done.subs == {Y: poly((3, (X,)))}
+    assert [(r.lead, r.rest) for r in done.rules] == [((X, X), poly((1, (X,))))]
+    assert done.normal_form(first.poly).is_zero() and done.normal_form(second.poly).is_zero()
+
+
+def pair_queue_systems():
+    from usym import build_presentation, fixture_path
+    from usym.io import load_algebra
+
+    rng = random.Random(11)
+    for _ in range(150):
+        yield random_rule_list(rng, QQ)[0]
+    names = ["dual_q", "dual_gf3", "triangular_q", "triangular_gf2", "ground_field_q"]
+    for name in names:
+        algebra, _ = load_algebra(fixture_path(f"{name}.json"))
+        yield build_presentation(algebra, 4).system.rules
+    for build in (lambda: truncated_polynomial(QQ, 4), lambda: full_matrices(QQ)):
+        yield build_presentation(build(), 4).system.rules
+
+
+def test_pair_queue_matches_overlap_scan():
+    # the queue forms each overlap pair once, from the prefix and suffix
+    # maps of the leads, in whatever order the leads arrive; a discarded
+    # lead leaves the maps, and one that comes back forms its pairs again
+    rng = random.Random(4)
+    pairs = 0
+    for rules in pair_queue_systems():
+        for bound in (4, 6):
+            leads = list(dict.fromkeys(r.lead for r in rules))
+            rng.shuffle(leads)
+            queue = _PairQueue(bound)
+            for lead in leads:
+                queue.add(lead)
+            # the reference scan's overlaps, each once, as heap entries
+            want = sorted({t[:4] for t in overlap_candidates(rules, bound)})
+            assert sorted(queue.heap) == want
+            pairs += len(want)
+            gone = set(leads[: len(leads) // 2])
+            for lead in gone:
+                queue.discard(lead)
+            queue.heap.clear()
+            for lead in gone:
+                queue.add(lead)
+            assert sorted(queue.heap) == [t for t in want if t[1] in gone or t[2] in gone]
+    assert pairs >= 1000
+
+
 # ---------------------------------------------------------------------------
 # the word table against the reduction it replaces
 
@@ -561,8 +615,8 @@ def test_check_reduces_each_word_once(monkeypatch, tmp_path):
     # completion (one reduction per overlap) and interreduction, then one
     # reduction per distinct word (3,316 when every normal_form and tensor
     # leg ran its own reduction, 559 when each overlap reduced its two sides
-    # apart)
-    assert len(calls) == 451
+    # apart, 451 when interreduction took the unit relations last)
+    assert len(calls) == 333
     system = build_presentation(truncated_polynomial(QQ, 4), 4).system
     # two reducible words and one with the eliminated generator x[2,1]
     p = poly((2, ((3, 2), (1, 2))), (-1, ((2, 1), (2, 2))), (1, ((2, 2), (1, 3))))
@@ -595,11 +649,14 @@ def test_scalar_work_of_present_and_check(monkeypatch, tmp_path):
     monkeypatch.setattr(Fraction, "__truediv__", counted("div", Fraction.__truediv__))
     path = algebra_file(tmp_path, "x4", truncated_polynomial(QQ, 4))
     assert main(["present", path, "--max-degree", "4"]) == 0
-    assert counts == {"mul": 714, "div": 415}
+    # 714 and 415 when interreduction took the unit relations last and
+    # completion sent every rule back through interreduction
+    assert counts == {"mul": 711, "div": 107}
     counts.update(mul=0, div=0)
     assert main(["check", path, "--max-degree", "4"]) == 0
     # 7,973 and 1,867 when each overlap reduced its two sides apart, every
     # reduction step scaled a shifted copy of the rule, and every normal-form
     # word was multiplied by its coefficient, even a word that is its own
-    # normal form
-    assert counts == {"mul": 2841, "div": 572}
+    # normal form; 2,841 and 572 before degree-first interreduction, and
+    # while Delta of a word multiplied coefficients equal to one
+    assert counts == {"mul": 1724, "div": 264}

@@ -256,3 +256,24 @@ def test_checks_fail_on_tampered_presentation():
         "coaction-mult e[1]e[1]",
     ]
     assert len(failed) == 6 + 2
+
+
+def test_delta_word_is_the_legwise_product():
+    # Delta of a word, against the product of its generators' tensors formed
+    # term by term with every coefficient multiplied
+    from usym.universal import _delta_table, _delta_word
+
+    for field in (QQ, GF(3)):
+        presentation = build_presentation(triangular(field), 3)
+        one, zero = field.one, field.zero
+        delta = _delta_table(presentation)
+        for w in iter_words(list(delta), 3):
+            want = {((), ()): one}
+            for g in w:
+                product = {}
+                for (a1, a2), c in want.items():
+                    for (b1, b2), d in delta[g].terms.items():
+                        key = (a1 + b1, a2 + b2)
+                        product[key] = product.get(key, zero) + c * d
+                want = product
+            assert _delta_word(delta, w, one) == TensorPoly(want)
