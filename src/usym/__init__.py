@@ -25,7 +25,6 @@ from .gradings import (
     grading_from_point,
     is_grading_point,
     point_from_grading,
-    trivial_point,
     validate_grading,
 )
 from .groups import FiniteGroup, cyclic_group, validate_group

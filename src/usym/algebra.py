@@ -97,7 +97,9 @@ def require_same_field(a: FinAlgebra, b: FinAlgebra) -> None:
 
 @dataclass(frozen=True)
 class Violation:
-    kind: str  # "unit" or "associativity"
+    """The first failing instance of an algebra or group axiom."""
+
+    kind: str  # "unit", "associativity"; for a group also "shape", "identity", "inverses"
     where: tuple[int, ...]  # 1-based indices of the first failing instance
     detail: str
 

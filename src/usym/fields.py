@@ -71,9 +71,6 @@ class FpElement:
     def __lt__(self, other) -> bool:
         return self.v < self._coerce(other).v
 
-    def __le__(self, other) -> bool:
-        return self.v <= self._coerce(other).v
-
     def __hash__(self) -> int:
         return hash((self.p, self.v))
 

@@ -127,12 +127,6 @@ def is_grading_point(a: FinAlgebra, g: FiniteGroup, point: GradingPoint) -> bool
     return True
 
 
-def trivial_point(a: FinAlgebra, g: FiniteGroup) -> GradingPoint:
-    mats = [Matrix.zeros(a.field, a.n, a.n) for _ in range(g.order)]
-    mats[g.identity] = Matrix.identity(a.field, a.n)
-    return GradingPoint(tuple(mats))
-
-
 def grading_from_point(a: FinAlgebra, g: FiniteGroup, point: GradingPoint) -> Grading:
     """A_sigma = im P^sigma (the simultaneous eigenspace of the family)."""
     components = {

@@ -2,15 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
-
-@dataclass(frozen=True)
-class GroupViolation:
-    kind: str  # "shape" | "identity" | "inverses" | "associativity"
-    where: tuple[int, ...]
-    detail: str
+from .algebra import Violation
 
 
 class FiniteGroup:
@@ -57,9 +51,6 @@ class FiniteGroup:
             self._inverses = tuple(inv)
         return self._inverses
 
-    def inverse(self, i: int) -> int:
-        return self.inverses[i]
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, FiniteGroup)
@@ -74,29 +65,29 @@ class FiniteGroup:
         return f"FiniteGroup({list(self.labels)})"
 
 
-def validate_group(g: FiniteGroup) -> GroupViolation | None:
+def validate_group(g: FiniteGroup) -> Violation | None:
     m = g.order
     if m == 0:
-        return GroupViolation("shape", (), "empty element list")
+        return Violation("shape", (), "empty element list")
     if len(g.table) != m or any(len(row) != m for row in g.table):
-        return GroupViolation("shape", (), "Cayley table is not m x m")
+        return Violation("shape", (), "Cayley table is not m x m")
     for i in range(m):
         for j in range(m):
             if not (0 <= g.table[i][j] < m):
-                return GroupViolation("shape", (i + 1, j + 1), "table entry out of range")
+                return Violation("shape", (i + 1, j + 1), "table entry out of range")
     try:
         e = g.identity
     except ValueError:
-        return GroupViolation("identity", (), "no two-sided identity")
+        return Violation("identity", (), "no two-sided identity")
     try:
         g.inverses
     except ValueError as exc:
-        return GroupViolation("inverses", (), str(exc))
+        return Violation("inverses", (), str(exc))
     for i in range(m):
         for j in range(m):
             for k in range(m):
                 if g.table[g.table[i][j]][k] != g.table[i][g.table[j][k]]:
-                    return GroupViolation(
+                    return Violation(
                         "associativity", (i + 1, j + 1, k + 1), "(ij)k != i(jk)"
                     )
     del e

@@ -4,7 +4,7 @@ Matrices are immutable row-tuples.  Subspaces are kept in reduced
 row-echelon form with no zero rows, which makes the representative unique:
 two subspaces are equal iff their stored bases are identical.
 
-Row reduction (_rref, behind rref, rank, inverse, Subspace and
+Row reduction (_rref, behind rref, inverse, Subspace and
 column_space) and Subspace.contains run one elimination loop for both
 fields: over GF(p) on the entries' int residues, reduced mod p after each
 row operation and made FpElements once at the end; over QQ on the
@@ -114,15 +114,6 @@ class Matrix:
     def __add__(self, other: "Matrix") -> "Matrix":
         return Matrix(self.field, [[a + b for a, b in zip(r, s)] for r, s in zip(self.rows, other.rows)])
 
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        return Matrix(self.field, [[a - b for a, b in zip(r, s)] for r, s in zip(self.rows, other.rows)])
-
-    def __neg__(self) -> "Matrix":
-        return Matrix(self.field, [[-a for a in r] for r in self.rows])
-
-    def scale(self, c: Scalar) -> "Matrix":
-        return Matrix(self.field, [[c * a for a in r] for r in self.rows])
-
     def __mul__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
             return NotImplemented
@@ -144,9 +135,6 @@ class Matrix:
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         rows, pivots = _rref(self.field, [list(r) for r in self.rows])
         return Matrix(self.field, rows), tuple(pivots)
-
-    def rank(self) -> int:
-        return len(self.rref()[1])
 
     def det(self) -> Scalar:
         if self.nrows != self.ncols:
@@ -228,10 +216,6 @@ class Subspace:
     @classmethod
     def zero(cls, field: Field, ambient: int) -> "Subspace":
         return cls(field, ambient, ())
-
-    @classmethod
-    def full(cls, field: Field, ambient: int) -> "Subspace":
-        return cls.from_vectors(field, ambient, Matrix.identity(field, ambient).rows)
 
     @property
     def dim(self) -> int:

@@ -105,10 +105,6 @@ class NCPoly:
         self.terms: dict[Word, Scalar] = {w: c for w, c in (terms or {}).items() if c}
 
     @classmethod
-    def zero(cls) -> "NCPoly":
-        return cls()
-
-    @classmethod
     def constant(cls, coeff: Scalar) -> "NCPoly":
         return cls({(): coeff})
 
@@ -132,13 +128,6 @@ class NCPoly:
             raise ValueError("zero polynomial has no leading word")
         return max(self.terms, key=word_key)
 
-    def leading_coeff(self) -> Scalar:
-        return self.terms[self.leading_word()]
-
-    def monic(self) -> "NCPoly":
-        c = self.leading_coeff()
-        return NCPoly({w: v / c for w, v in self.terms.items()})
-
     def __add__(self, other: "NCPoly") -> "NCPoly":
         return NCPoly(_accumulate(dict(self.terms), other.terms.items()))
 
@@ -153,11 +142,6 @@ class NCPoly:
             return NotImplemented
         pairs = itertools.product(self.terms.items(), other.terms.items())
         return NCPoly(_accumulate({}, ((w1 + w2, c1 * c2) for (w1, c1), (w2, c2) in pairs)))
-
-    def scale(self, c: Scalar) -> "NCPoly":
-        if not c:
-            return NCPoly()
-        return NCPoly({w: c * v for w, v in self.terms.items()})
 
     def shift(self, left: Word, right: Word) -> "NCPoly":
         """Multiply by bare words on both sides (no scalars involved)."""
@@ -328,9 +312,6 @@ class RewriteSystem:
         # word -> terms of its normal form with coefficient 1, or None when
         # the word is its own normal form
         self._nf: dict[Word, dict[Word, Scalar] | None] = {}
-
-    def eliminated(self) -> tuple[GenId, ...]:
-        return tuple(self.subs)
 
     def max_rule_degree(self) -> int:
         return max((len(r.lead) for r in self.rules), default=0)
@@ -609,11 +590,6 @@ class TensorPoly:
 
     def __sub__(self, other: "TensorPoly") -> "TensorPoly":
         return self + (-other)
-
-    def scale(self, c: Scalar) -> "TensorPoly":
-        if not c:
-            return TensorPoly()
-        return TensorPoly({k: c * v for k, v in self.terms.items()})
 
     def sorted_terms(self) -> list[tuple[tuple[Word, ...], Scalar]]:
         return sorted(

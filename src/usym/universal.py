@@ -10,14 +10,16 @@ For an n-dimensional algebra A the defining relations on generators x[s,i] are
 for all a, i, j.  Interreduction eliminates the generators forced to scalars
 (at least the whole first column) and bounded completion makes normal forms
 canonical up to the requested degree.  The comultiplication, counit and the
-canonical coaction are tabulated on the surviving generators:
+canonical coaction are
 
     Delta(x[i,j]) = sum_s x[i,s] (x) x[s,j],   eps(x[i,j]) = delta(i,j),
-    eta(e_i) = sum_s e_s (x) x[s,i].
+    eta(e_i) = sum_s e_s (x) x[s,i],
 
-The checkers extend Delta multiplicatively from one table on all n^2
-generators, and eps from its value on words: 1 when every generator is
-diagonal, else 0.
+with each generator read as its image in the quotient (its substitution, if
+eliminated).  The presentation tabulates Delta and eps on all n^2 generators
+and eta on every basis vector.  The checkers read Delta, eps and eta only
+from those tables, extending Delta and eps multiplicatively to words; none
+of them evaluates the formulas above.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from .ncpoly import (
     gen_key,
     ideal_member_bounded,
     interreduce,
-    substitute,
     tensor_normal_form,
 )
 
@@ -75,30 +76,11 @@ def _all_gens(n: int) -> list[GenId]:
     return sorted(((s, i) for s in range(1, n + 1) for i in range(1, n + 1)), key=gen_key)
 
 
-def _subst_gen(system: RewriteSystem, g: GenId, one: Scalar) -> NCPoly:
-    """Image of a generator after eliminating the substituted ones."""
-    rep = system.subs.get(g)
-    if rep is not None:
-        return rep
-    return NCPoly.gen(g, one)
-
-
-def _delta_formula(system: RewriteSystem, n: int, g: GenId, one: Scalar) -> TensorPoly:
-    """Delta(x[i,j]) = sum_s x[i,s] (x) x[s,j], with the substitutions applied."""
-    i, j = g
-    return sum(
-        (
-            TensorPoly.of(_subst_gen(system, (i, s), one), _subst_gen(system, (s, j), one))
-            for s in range(1, n + 1)
-        ),
-        TensorPoly(),
-    )
-
-
 @dataclass(eq=True)
 class Presentation:
     """The computable face of a(A): surviving generators, substitutions and
-    rules, Delta/eps tables, and the canonical coaction table."""
+    rules, Delta/eps tables on all n^2 generators, and the canonical coaction
+    table."""
 
     algebra: FinAlgebra
     degree_bound: int
@@ -109,38 +91,29 @@ class Presentation:
     # coaction[i] lists (s, poly) with eta(e_{i+1}) = sum_s e_{s+1} (x) poly
     coaction: tuple[tuple[tuple[int, NCPoly], ...], ...] = ()
 
-    def eliminated(self) -> tuple[GenId, ...]:
-        return self.system.eliminated()
-
 
 def build_presentation(a: FinAlgebra, degree_bound: int = DEFAULT_DEGREE_BOUND) -> Presentation:
     if degree_bound < 2:
         raise ValueError("degree bound must be at least 2")
     system = complete(interreduce(build_relations(a)), degree_bound)
-    gens = tuple(g for g in _all_gens(a.n) if g not in system.subs)
     n = a.n
-    one = a.field.one
-    delta = {g: _delta_formula(system, n, g, one) for g in gens}
-    eps = {g: one if g[0] == g[1] else a.field.zero for g in gens}
-
-    coaction = []
-    for i in range(1, n + 1):
-        entries = []
-        for s in range(1, n + 1):
-            poly = _subst_gen(system, (s, i), one)
-            if not poly.is_zero():
-                entries.append((s - 1, poly))
-        coaction.append(tuple(entries))
-    return Presentation(a, degree_bound, gens, system, delta, eps, tuple(coaction))
-
-
-def _delta_table(p: Presentation) -> dict[GenId, TensorPoly]:
-    """Delta of all n^2 generators: p's table on the surviving ones, the
-    formula with the substitutions applied on the eliminated ones."""
-    one = p.algebra.field.one
-    table = {g: _delta_formula(p.system, p.algebra.n, g, one) for g in p.eliminated()}
-    table.update(p.delta)
-    return table
+    one, zero = a.field.one, a.field.zero
+    # each generator's image in the quotient: its substitution, or itself
+    image = {g: NCPoly.gen(g, one) for g in _all_gens(n)}
+    image.update(system.subs)
+    gens = tuple(g for g in image if g not in system.subs)
+    delta = {
+        (i, j): sum(
+            (TensorPoly.of(image[i, s], image[s, j]) for s in range(1, n + 1)), TensorPoly()
+        )
+        for i, j in image
+    }
+    eps = {(i, j): one if i == j else zero for i, j in image}
+    coaction = tuple(
+        tuple((s - 1, image[s, i]) for s in range(1, n + 1) if not image[s, i].is_zero())
+        for i in range(1, n + 1)
+    )
+    return Presentation(a, degree_bound, gens, system, delta, eps, coaction)
 
 
 def _delta_word(delta: dict[GenId, TensorPoly], w: Word, one: Scalar) -> TensorPoly:
@@ -184,13 +157,38 @@ def _delta_poly(delta: dict[GenId, TensorPoly], p: NCPoly, one: Scalar) -> Tenso
     return _delta_on_leg(delta, TensorPoly({(w,): c for w, c in p.terms.items()}), 0, one)
 
 
-def _eps_word(w: Word) -> bool:
-    """eps(w): 1 if every generator of w is diagonal, else 0."""
-    return all(s == i for s, i in w)
+def _eps_word(eps: dict[GenId, Scalar], w: Word, one: Scalar) -> Scalar:
+    """eps extended multiplicatively to a word: the product of the table's
+    values on its generators, one on the empty word.  A product with a
+    factor one is not formed."""
+    out = one
+    for g in w:
+        e = eps[g]
+        if not e:
+            return e
+        out = e if out == one else out if e == one else out * e
+    return out
 
 
-def _eps_poly(p: NCPoly, zero: Scalar) -> Scalar:
-    return sum((c for w, c in p.terms.items() if _eps_word(w)), zero)
+def _eps_poly(eps: dict[GenId, Scalar], p: NCPoly, one: Scalar, zero: Scalar) -> Scalar:
+    """eps of p, from the table on the generators."""
+    out = zero
+    for w, c in p.terms.items():
+        e = _eps_word(eps, w, one)
+        if e:
+            out = out + (c if e == one else c * e)
+    return out
+
+
+def _eps_on_leg(eps: dict[GenId, Scalar], t: TensorPoly, leg: int, one: Scalar) -> NCPoly:
+    """Apply eps to one leg of a two-leg tensor, which leaves the other leg;
+    a leg whose eps is one keeps the coefficient of t's term as it is."""
+    out: dict[Word, Scalar] = {}
+    for legs, c in t.terms.items():
+        e = _eps_word(eps, legs[leg], one)
+        if e:
+            _accumulate(out, ((legs[1 - leg], c if e == one else c * e),))
+    return NCPoly(out)
 
 
 def _relation_labels(a: FinAlgebra) -> list[str]:
@@ -206,11 +204,11 @@ def _relation_labels(a: FinAlgebra) -> list[str]:
 
 
 def check_bialgebra(p: Presentation) -> CheckReport:
-    """Verify that Delta and eps are well defined on the quotient and satisfy
-    the coalgebra axioms on the surviving generators."""
+    """Verify that the tabulated Delta and eps are well defined on the
+    quotient and satisfy the coalgebra axioms on the surviving generators."""
     a = p.algebra
-    one = a.field.one
-    delta = _delta_table(p)
+    one, zero = a.field.one, a.field.zero
+    delta, eps = p.delta, p.eps
     items: list[CheckItem] = []
 
     relations = build_relations(a)
@@ -223,7 +221,7 @@ def check_bialgebra(p: Presentation) -> CheckReport:
                 "" if dh.is_zero() else f"residue {dh!r}",
             )
         )
-        eh = _eps_poly(rel, a.field.zero)
+        eh = _eps_poly(eps, rel, one, zero)
         items.append(
             CheckItem(
                 f"eps-descends {label}",
@@ -233,7 +231,7 @@ def check_bialgebra(p: Presentation) -> CheckReport:
         )
 
     for g in p.gens:
-        dg = p.delta[g]
+        dg = delta[g]
         # (Delta (x) id) Delta(g) against (id (x) Delta) Delta(g), as 3-leg tensors
         left, right = (
             tensor_normal_form(_delta_on_leg(delta, dg, leg, one), p.system) for leg in (0, 1)
@@ -241,11 +239,8 @@ def check_bialgebra(p: Presentation) -> CheckReport:
         items.append(CheckItem(f"coassoc {format_genid(g)}", left == right))
 
         gen_nf = p.system.normal_form(NCPoly.gen(g, one))
-        lcounit = _accumulate({}, ((w2, c) for (w1, w2), c in dg.terms.items() if _eps_word(w1)))
-        rcounit = _accumulate({}, ((w1, c) for (w1, w2), c in dg.terms.items() if _eps_word(w2)))
-        counit_ok = (
-            p.system.normal_form(NCPoly(lcounit)) == gen_nf
-            and p.system.normal_form(NCPoly(rcounit)) == gen_nf
+        counit_ok = all(
+            p.system.normal_form(_eps_on_leg(eps, dg, leg, one)) == gen_nf for leg in (0, 1)
         )
         items.append(CheckItem(f"counit {format_genid(g)}", counit_ok))
 
@@ -253,45 +248,49 @@ def check_bialgebra(p: Presentation) -> CheckReport:
 
 
 def check_comodule(p: Presentation) -> CheckReport:
-    """Verify that the canonical coaction is a coassociative, counital
+    """Verify that the tabulated coaction is a coassociative, counital
     algebra map modulo the relation ideal at the certified degree."""
     a = p.algebra
     n = a.n
     one, zero = a.field.one, a.field.zero
-    delta = _delta_table(p)
+    # eta[i][s] is the coordinate of e_{s+1} in eta(e_{i+1}); absent ones are zero
+    eta = [[NCPoly()] * n for _ in range(n)]
+    for i, entries in enumerate(p.coaction):
+        for s, poly in entries:
+            eta[i][s] = poly
     items: list[CheckItem] = []
 
     unit_entry = p.coaction[0]
     unit_ok = unit_entry == ((0, NCPoly.constant(one)),)
     items.append(CheckItem("coaction-unit e[1]", unit_ok))
 
-    for i in range(1, n + 1):
-        xi = {s: _subst_gen(p.system, (s, i), one) for s in range(1, n + 1)}
+    for i in range(n):
         ok = True
         detail = ""
-        for t in range(1, n + 1):
-            # sum_s x[t,s] (x) x[s,i] against Delta of the image of x[t,i]
-            rhs = _delta_poly(delta, xi[t], one)
-            if not tensor_normal_form(delta[(t, i)] - rhs, p.system).is_zero():
+        for t in range(n):
+            # the coordinate e_t of (eta (x) id) eta(e_i), sum_s eta[s][t] (x) eta[i][s],
+            # against that of (id (x) Delta) eta(e_i), Delta(eta[i][t])
+            lhs = sum((TensorPoly.of(eta[s][t], eta[i][s]) for s in range(n)), TensorPoly())
+            rhs = _delta_poly(p.delta, eta[i][t], one)
+            if not tensor_normal_form(lhs - rhs, p.system).is_zero():
                 ok = False
-                detail = f"component t={t}"
+                detail = f"component t={t + 1}"
                 break
-        items.append(CheckItem(f"coaction-coassoc e[{i}]", ok, detail))
+        items.append(CheckItem(f"coaction-coassoc e[{i + 1}]", ok, detail))
 
-        counit_vec = tuple(_eps_poly(xi[s], zero) for s in range(1, n + 1))
-        want = tuple(one if s == i else zero for s in range(1, n + 1))
-        items.append(CheckItem(f"coaction-counit e[{i}]", counit_vec == want))
+        counit_vec = tuple(_eps_poly(p.eps, eta[i][s], one, zero) for s in range(n))
+        want = tuple(one if s == i else zero for s in range(n))
+        items.append(CheckItem(f"coaction-counit e[{i + 1}]", counit_vec == want))
 
-    # the relation r[a,i,j], substituted, is the coordinate a of
-    # eta(e_i e_j) - eta(e_i) eta(e_j)
+    # the relation r[a,i,j] is the coordinate a of eta(e_i e_j) - eta(e_i) eta(e_j)
+    # on the raw generators; the system's normal form substitutes the eliminated ones
     rels = build_relations(a)
     for i in range(n):
         for j in range(n):
             ok = True
             detail = ""
             for ai in range(n):
-                rel = substitute(rels[(ai * n + i) * n + j], p.system.subs)
-                if not ideal_member_bounded(rel, p.system, p.degree_bound):
+                if not ideal_member_bounded(rels[(ai * n + i) * n + j], p.system, p.degree_bound):
                     ok = False
                     detail = f"coordinate a={ai + 1}"
                     break

@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from usym import FinAlgebra, NCPoly, QQ
+from usym import FinAlgebra, GradingPoint, Matrix, NCPoly, QQ, Subspace
 from usym.cli import main
 from usym.ncpoly import gen_key, word_key
 
@@ -121,6 +121,19 @@ def permuted(algebra: FinAlgebra, perm: list[int]) -> FinAlgebra:
     return FinAlgebra(algebra.field, algebra.n, tau, tuple(labels))
 
 
+def full_space(field, n: int) -> Subspace:
+    """The whole of k^n."""
+    return Subspace.from_vectors(field, n, Matrix.identity(field, n).rows)
+
+
+def trivial_point(a: FinAlgebra, g) -> GradingPoint:
+    """The grading point of the trivial grading: the identity at the group's
+    identity, zero elsewhere."""
+    mats = [Matrix.zeros(a.field, a.n, a.n) for _ in range(g.order)]
+    mats[g.identity] = Matrix.identity(a.field, a.n)
+    return GradingPoint(tuple(mats))
+
+
 def algebra_file(tmp_path, name, algebra):
     """Write algebra in the input format and return the path."""
     doc = {
@@ -189,7 +202,8 @@ def scan_reduce(p, rules, strategy):
             return p
         w, rule, pos = site
         c = p.terms[w]
-        p = (p - NCPoly({w: c})) + rule.rest.shift(w[:pos], w[pos + len(rule.lead) :]).scale(c)
+        rewritten = NCPoly.constant(c) * rule.rest.shift(w[:pos], w[pos + len(rule.lead) :])
+        p = (p - NCPoly({w: c})) + rewritten
 
 
 def overlap_candidates(rules, degree_bound):

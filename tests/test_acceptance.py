@@ -132,7 +132,7 @@ def test_criterion_2_triangular_golden():
     hand = rowspace(_hand_reduced_triangular())
 
     conditions = {
-        "eliminates exactly x[1,1], x[2,1], x[3,1]": p.eliminated()
+        "eliminates exactly x[1,1], x[2,1], x[3,1]": tuple(p.system.subs)
         == ((1, 1), (2, 1), (3, 1)),
         "degree-<=2 relation span equals the reduced relation list": mine == hand,
     }

@@ -20,7 +20,6 @@ from usym import (
     grading_from_point,
     is_grading_point,
     point_from_grading,
-    trivial_point,
     validate_grading,
     validate_group,
 )
@@ -29,7 +28,7 @@ from usym.gradings import _decompositions, _projections, apply_automorphism
 from usym.groups import FiniteGroup
 from usym.io import load_algebra, load_group
 from usym.unionfind import orbit_partition
-from conftest import dual_numbers, triangular
+from conftest import dual_numbers, full_space, triangular, trivial_point
 
 
 def dimension_profile(grading):
@@ -104,7 +103,7 @@ def test_grading_from_trivial_point():
     c2 = cyclic_group(2)
     g = grading_from_point(a, c2, trivial_point(a, c2))
     assert tuple(g.components) == (0,)
-    assert g.component(0) == Subspace.full(f, 2)
+    assert g.component(0) == full_space(f, 2)
 
 
 def test_grading_from_diagonal_point():
@@ -132,7 +131,7 @@ def test_validate_grading_examples():
     f = GF(3)
     a = dual_numbers(f)
     c2 = cyclic_group(2)
-    trivial = Grading(2, 2, {0: Subspace.full(f, 2)})
+    trivial = Grading(2, 2, {0: full_space(f, 2)})
     assert validate_grading(a, c2, trivial)
     good = Grading(2, 2, {0: span(f, 2, (1, 0)), 1: span(f, 2, (0, 1))})
     assert validate_grading(a, c2, good)
@@ -334,7 +333,7 @@ def test_orbit_partition_of_s3_by_conjugation():
     # g x g^-1 for each g in S_3 (e, r, r^2, s, sr, sr^2): the conjugacy
     # classes {e}, the rotations, the reflections
     def conjugation(g):
-        return lambda x: S3.mul(S3.mul(g, x), S3.inverse(g))
+        return lambda x: S3.mul(S3.mul(g, x), S3.inverses[g])
 
     actions = [conjugation(g) for g in range(S3.order)]
     assert orbit_partition(S3.order, actions) == ((0,), (1, 2), (3, 4, 5))
@@ -552,7 +551,7 @@ def test_validate_grading_rejects_overlapping_components():
     a = dual_numbers(f)
     c2 = cyclic_group(2)
     overlapping = Grading(
-        2, 2, {0: Subspace.full(f, 2), 1: span(f, 2, (0, 1))}
+        2, 2, {0: full_space(f, 2), 1: span(f, 2, (0, 1))}
     )
     assert not validate_grading(a, c2, overlapping)
 

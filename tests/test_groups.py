@@ -10,7 +10,7 @@ def test_cyclic_groups():
     assert c2.inverses == (0, 1)
     c6 = cyclic_group(6)
     assert validate_group(c6) is None
-    assert c6.inverse(1) == 5
+    assert c6.inverses[1] == 5
     assert c6.labels == ("e", "g", "g^2", "g^3", "g^4", "g^5")
 
 

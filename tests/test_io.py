@@ -3,7 +3,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from usym import GF, InputError, fixture_path, trivial_point
+from usym import GF, InputError, fixture_path
 from usym.io import (
     algebra_from_dict,
     digest_bytes,
@@ -12,7 +12,7 @@ from usym.io import (
     load_algebra,
     load_group,
 )
-from conftest import dual_numbers
+from conftest import dual_numbers, trivial_point
 
 
 def dual_dict(**overrides):

@@ -45,7 +45,7 @@ def test_build_relations_emission_order(dual_q):
 def test_dual_presentation_golden(dual_q):
     p = build_presentation(dual_q, 4)
     assert p.gens == (X12, X22)
-    assert p.eliminated() == ((1, 1), (2, 1))
+    assert tuple(p.system.subs) == ((1, 1), (2, 1))
     assert p.system.subs[(1, 1)] == qpoly((1, ()))
     assert p.system.subs[(2, 1)].is_zero()
     rule_polys = {r.poly for r in p.system.rules}
@@ -70,12 +70,12 @@ def test_ground_field_presentation_is_trivial():
     p = build_presentation(ground_field(QQ), 4)
     assert p.gens == ()
     assert p.system.rules == ()
-    assert p.eliminated() == ((1, 1),)
+    assert tuple(p.system.subs) == ((1, 1),)
 
 
 def test_triangular_elimination_and_rule_count(triangular_q):
     p = build_presentation(triangular_q, 4)
-    assert p.eliminated() == ((1, 1), (2, 1), (3, 1))
+    assert tuple(p.system.subs) == ((1, 1), (2, 1), (3, 1))
     assert len(p.gens) == 6
     assert len(p.system.rules) == 12
     assert all(len(r.lead) == 2 for r in p.system.rules)
@@ -119,9 +119,9 @@ def test_triangular_degree2_span_matches_hand_derivation(triangular_q):
     p = build_presentation(triangular_q, 4)
     mine = span_matrix([r.poly for r in p.system.rules if len(r.lead) <= 2], p.gens)
     hand = span_matrix(hand_reduced_triangular_relations(), p.gens)
-    assert mine.rank() == 12 == hand.rank()
     r_mine, piv_mine = mine.rref()
     r_hand, piv_hand = hand.rref()
+    assert len(piv_mine) == 12 == len(piv_hand)
     assert piv_mine == piv_hand
     assert r_mine.rows[:12] == r_hand.rows[:12]
 
@@ -220,8 +220,22 @@ def test_eps_kills_every_relation(dual_q, triangular_q):
     from usym.universal import _eps_poly
 
     for a in (dual_q, triangular_q):
+        p = build_presentation(a, 4)
         for rel in build_relations(a):
-            assert not _eps_poly(rel, a.field.zero)
+            assert not _eps_poly(p.eps, rel, a.field.one, a.field.zero)
+
+
+def test_tables_cover_every_generator(dual_q, triangular_q):
+    # Delta and eps on the eliminated generators too: the first column goes
+    # to x[1,1] = 1 and x[s,1] = 0 (s > 1), so Delta there is 1 (x) 1 or 0
+    for a in (dual_q, triangular_q):
+        p = build_presentation(a, 4)
+        n = a.n
+        every = sorted((s, i) for s in range(1, n + 1) for i in range(1, n + 1))
+        assert sorted(p.delta) == sorted(p.eps) == every
+        for s in range(1, n + 1):
+            assert p.delta[s, 1] == (TensorPoly.term((), (), ONE) if s == 1 else TensorPoly())
+            assert p.eps[s, 1] == (ONE if s == 1 else QQ.zero)
 
 
 def failing_items(p):
@@ -233,10 +247,22 @@ def with_delta(p, g, t):
     return dataclasses.replace(p, delta={**p.delta, g: t})
 
 
+def with_eps(p, g, c):
+    return dataclasses.replace(p, eps={**p.eps, g: c})
+
+
+def doubled(t):
+    """t + t, for an NCPoly or a TensorPoly."""
+    return type(t)({k: c + c for k, c in t.terms.items()})
+
+
 def test_checks_fail_on_tampered_presentation():
     dual = build_presentation(dual_numbers(QQ), 4)
-    doubled = with_delta(dual, X12, dual.delta[X12].scale(QQ(2)))
-    assert failing_items(doubled) == ["coassoc x[1,2]", "counit x[1,2]"]
+    assert failing_items(with_delta(dual, X12, doubled(dual.delta[X12]))) == [
+        "coassoc x[1,2]",
+        "counit x[1,2]",
+        "coaction-coassoc e[2]",
+    ]
 
     t2 = build_presentation(triangular(QQ), 4)
     swapped = TensorPoly({(w2, w1): c for (w1, w2), c in t2.delta[X12].terms.items()})
@@ -244,29 +270,84 @@ def test_checks_fail_on_tampered_presentation():
     assert [name for name in failed if not name.startswith("delta-descends ")] == [
         "coassoc x[1,2]",
         "coassoc x[1,3]",
+        "coaction-coassoc e[2]",
     ]
-    assert len(failed) == 8 + 2
+    assert len(failed) == 8 + 3
 
+    # the tables do not follow a tampered substitution, so only the item that
+    # reduces the raw relations modulo the system sees it
     subs = dict(dual.system.subs)
     subs[(2, 1)] = subs[(2, 1)] + NCPoly.gen(X12, ONE)
     system = RewriteSystem(subs, dual.system.rules, dual.system.degree_bound)
-    failed = failing_items(dataclasses.replace(dual, system=system))
-    assert [name for name in failed if not name.startswith("delta-descends ")] == [
-        "coaction-coassoc e[1]",
-        "coaction-mult e[1]e[1]",
+    assert failing_items(dataclasses.replace(dual, system=system)) == ["coaction-mult e[1]e[1]"]
+
+
+def test_checks_fail_on_tampered_coaction():
+    # eta(e_n) doubled: (id (x) Delta) eta(e_n) and (eps (x) id) eta(e_n) see
+    # it, and so does (eta (x) id) eta(e_i) for every e_i with an e_n component
+    # (e_2 of T_2, through x[3,2])
+    for algebra, want in (
+        (dual_numbers, ["coaction-coassoc e[2]", "coaction-counit e[2]"]),
+        (
+            triangular,
+            ["coaction-coassoc e[2]", "coaction-coassoc e[3]", "coaction-counit e[3]"],
+        ),
+    ):
+        p = build_presentation(algebra(QQ), 4)
+        last = tuple((s, doubled(poly)) for s, poly in p.coaction[-1])
+        assert failing_items(dataclasses.replace(p, coaction=p.coaction[:-1] + (last,))) == want
+
+
+def test_checks_fail_on_tampered_eps():
+    dual = build_presentation(dual_numbers(QQ), 4)
+    # eps(x[1,2]) = 1 on a surviving generator
+    assert failing_items(with_eps(dual, X12, ONE)) == [
+        "eps-descends r[1,2,2]",
+        "eps-descends r[2,2,2]",
+        "counit x[1,2]",
+        "coaction-counit e[2]",
     ]
-    assert len(failed) == 6 + 2
+    # eps(x[1,1]) = 0 on an eliminated generator: only the raw relations read it
+    assert failing_items(with_eps(dual, (1, 1), QQ.zero)) == [
+        "eps-descends r[2,1,2]",
+        "eps-descends r[2,2,1]",
+        "eps-descends r[unit,1]",
+    ]
+    assert failing_items(with_eps(dual, X22, QQ(2))) == [
+        "counit x[1,2]",
+        "counit x[2,2]",
+        "coaction-counit e[2]",
+    ]
+
+    t2 = build_presentation(triangular(QQ), 4)
+    assert failing_items(with_eps(t2, X12, ONE)) == [
+        "eps-descends r[1,2,2]",
+        "eps-descends r[1,2,3]",
+        "eps-descends r[2,2,2]",
+        "eps-descends r[3,2,3]",
+        "eps-descends r[3,3,2]",
+        "counit x[1,2]",
+        "counit x[1,3]",
+        "coaction-counit e[2]",
+    ]
+    assert failing_items(with_eps(t2, (1, 1), QQ.zero)) == [
+        "eps-descends r[2,1,2]",
+        "eps-descends r[2,2,1]",
+        "eps-descends r[3,1,3]",
+        "eps-descends r[3,3,1]",
+        "eps-descends r[unit,1]",
+    ]
 
 
 def test_delta_word_is_the_legwise_product():
     # Delta of a word, against the product of its generators' tensors formed
     # term by term with every coefficient multiplied
-    from usym.universal import _delta_table, _delta_word
+    from usym.universal import _delta_word
 
     for field in (QQ, GF(3)):
         presentation = build_presentation(triangular(field), 3)
         one, zero = field.one, field.zero
-        delta = _delta_table(presentation)
+        delta = presentation.delta
         for w in iter_words(list(delta), 3):
             want = {((), ()): one}
             for g in w:
