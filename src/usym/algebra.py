@@ -1,7 +1,13 @@
 """Finite-dimensional unital associative algebras given by structure constants.
 
 Basis index 0 is always the unit.  The constant table is sparse: only the
-nonzero tau[i, j, s] with e_i e_j = sum_s tau[i,j,s] e_s are stored.
+nonzero tau[i, j, s] with e_i e_j = sum_s tau[i,j,s] e_s are stored, and
+products, validation and the algebra-map test walk it pair by pair.
+
+is_algebra_map is the one point test (a point of a(A) is an algebra map
+A -> A).  Like linalg's elimination it runs one loop for both fields: over
+GF(p) on the int residues of the map and of the constants, reduced mod p
+once per coordinate; over QQ on the Fractions themselves.
 """
 
 from __future__ import annotations
@@ -10,7 +16,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .fields import Field, Scalar
-from .linalg import Matrix, Vector
+from .linalg import Matrix, Vector, _residues
 
 
 class FinAlgebra:
@@ -70,9 +76,16 @@ class FinAlgebra:
         if len(x) != self.n or len(y) != self.n:
             raise ValueError("element length does not match algebra dimension")
         out = [self.field.zero] * self.n
-        for (i, j, s), c in self.tau.items():
-            if x[i] and y[j]:
-                out[s] = out[s] + x[i] * y[j] * c
+        by_pair = self._by_pair
+        ys = [(j, b) for j, b in enumerate(y) if b]
+        for i, a in enumerate(x):
+            if a:
+                for j, b in ys:
+                    prods = by_pair.get((i, j))
+                    if prods:
+                        ab = a * b
+                        for s, c in prods.items():
+                            out[s] = out[s] + ab * c
         return tuple(out)
 
     def __eq__(self, other) -> bool:
@@ -140,19 +153,45 @@ def validate_algebra(a: FinAlgebra) -> Violation | None:
     return None
 
 
+def _residue_products(alg: FinAlgebra) -> dict[tuple[int, int], list[tuple[int, Scalar]]]:
+    """The nonzero products e_i e_j as {(i, j): [(s, tau[i,j,s]), ...]}, with
+    each constant read as a residue (see linalg._residues)."""
+    by_pair = alg._by_pair
+    [flat], *_ = _residues(alg.field, [[c for prods in by_pair.values() for c in prods.values()]])
+    consts = iter(flat)
+    return {ij: [(s, next(consts)) for s in prods] for ij, prods in by_pair.items()}
+
+
 def is_algebra_map(b: FinAlgebra, a: FinAlgebra, f: Matrix) -> bool:
-    """Is f (columns = images of B's basis in A) a unit-preserving algebra map B -> A?"""
+    """Is f (columns = images of B's basis in A) a unit-preserving algebra map
+    B -> A?  This is the one point test: M is a point of a(A) exactly when
+    is_algebra_map(A, A, M).
+
+    f's columns and both constant tables are read as residues once; for each
+    (i, j), sum_u tau_B[i,j,u] f(e_u) - f(e_i) f(e_j) is formed on them from
+    the sparse tables and each coordinate is reduced once."""
     if f.nrows != a.n or f.ncols != b.n:
         raise ValueError(f"map shape {f.nrows}x{f.ncols} does not match dim A={a.n}, dim B={b.n}")
     if a.field != b.field or f.field != a.field:
         raise ValueError("algebra map endpoints must share one field")
     if f.column(0) != a.unit:
         return False
-    images = [f.column(j) for j in range(b.n)]
+    cols, _, reduce, _ = _residues(a.field, [list(col) for col in zip(*f.rows)])
+    support = [[(k, x) for k, x in enumerate(col) if x] for col in cols]
+    tau_b, tau_a = _residue_products(b), _residue_products(a)
     for i in range(b.n):
         for j in range(b.n):
-            lhs = f.apply(b.multiply(b.basis_vector(i), b.basis_vector(j)))
-            rhs = a.multiply(images[i], images[j])
-            if lhs != rhs:
+            acc = [0] * a.n
+            for u, c in tau_b.get((i, j), ()):
+                for k, x in support[u]:
+                    acc[k] += c * x
+            for s, x in support[i]:
+                for t, y in support[j]:
+                    prods = tau_a.get((s, t))
+                    if prods:
+                        xy = x * y
+                        for k, c in prods:
+                            acc[k] -= c * xy
+            if any(reduce(acc)):
                 return False
     return True

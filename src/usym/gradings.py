@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import FinAlgebra
+from .algebra import FinAlgebra, _residue_products
 from .endomorphisms import (
     DEFAULT_MAX_SEARCH,
     EndoMonoid,
@@ -24,7 +24,14 @@ from .endomorphisms import (
     search_points,
 )
 from .groups import FiniteGroup
-from .linalg import Matrix, Subspace, column_space, count_subspaces, enumerate_subspaces
+from .linalg import (
+    Matrix,
+    Subspace,
+    _residues,
+    column_space,
+    count_subspaces,
+    enumerate_subspaces,
+)
 from .unionfind import orbit_partition
 
 
@@ -75,7 +82,10 @@ class Grading:
 
 def is_grading_point(a: FinAlgebra, g: FiniteGroup, point: GradingPoint) -> bool:
     """All four point conditions: counit, orthogonal idempotency, unit column,
-    and the evaluated relations with convolution in k[G]."""
+    and the evaluated relations with convolution in k[G].  This is the one
+    grading-point test; it reads each P^sigma and A's constants as residues
+    once (see linalg._residues) and checks the conditions on them, in that
+    order, reducing each sum once."""
     m = g.order
     n = a.n
     if len(point.matrices) != m:
@@ -83,46 +93,47 @@ def is_grading_point(a: FinAlgebra, g: FiniteGroup, point: GradingPoint) -> bool
     for mat in point.matrices:
         if mat.nrows != n or mat.ncols != n:
             raise ValueError("matrix size does not match the algebra dimension")
+    rows, _, reduce, _ = _residues(a.field, [list(row) for mat in point.matrices for row in mat.rows])
+    P = [rows[sigma * n:(sigma + 1) * n] for sigma in range(m)]
+    ident = [[int(s == i) for i in range(n)] for s in range(n)]
 
-    total = Matrix.zeros(a.field, n, n)
-    for mat in point.matrices:
-        total = total + mat
-    if total != Matrix.identity(a.field, n):
-        return False
+    for s in range(n):
+        if reduce([sum(mat[s][i] for mat in P) for i in range(n)]) != ident[s]:
+            return False
 
-    zeromat = Matrix.zeros(a.field, n, n)
+    columns = [list(zip(*mat)) for mat in P]
     for s in range(m):
         for t in range(m):
-            want = point.matrices[s] if s == t else zeromat
-            if point.matrices[s] * point.matrices[t] != want:
-                return False
+            for r in range(n):
+                row = reduce([sum(x * y for x, y in zip(P[s][r], col)) for col in columns[t]])
+                if row != (P[s][r] if s == t else [0] * n):
+                    return False
 
     e = g.identity
     for sigma in range(m):
-        want_col = a.unit if sigma == e else (a.field.zero,) * n
-        if point.matrices[sigma].column(0) != want_col:
+        if [row[0] for row in P[sigma]] != (ident[0] if sigma == e else [0] * n):
             return False
 
+    products = _residue_products(a)
+    by_result: list[list[tuple]] = [[] for _ in range(n)]  # (s, t, tau[s,t,r]) for each r
+    for (s, t), prods in products.items():
+        for r, c in prods:
+            by_result[r].append((s, t, c))
     pairs_for: list[list[tuple[int, int]]] = [[] for _ in range(m)]
     for s in range(m):
         for t in range(m):
             pairs_for[g.mul(s, t)].append((s, t))
     for rho in range(m):
-        prho = point.matrices[rho]
+        prho = P[rho]
         for ai in range(n):
             for i in range(n):
                 for j in range(n):
-                    lhs = a.field.zero
-                    for u, c in a.basis_product(i, j).items():
-                        lhs = lhs + c * prho.entry(ai, u)
-                    rhs = a.field.zero
+                    acc = sum(c * prho[ai][u] for u, c in products.get((i, j), ()))
                     for (sg, tg) in pairs_for[rho]:
-                        ps, pt = point.matrices[sg], point.matrices[tg]
-                        for (s, t, c) in a.pairs_with_result(ai):
-                            term = ps.entry(s, i) * pt.entry(t, j)
-                            if term:
-                                rhs = rhs + c * term
-                    if lhs != rhs:
+                        ps, pt = P[sg], P[tg]
+                        for (s, t, c) in by_result[ai]:
+                            acc -= c * ps[s][i] * pt[t][j]
+                    if reduce([acc])[0]:
                         return False
     return True
 

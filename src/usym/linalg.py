@@ -56,8 +56,9 @@ def _rref(field: Field, rows: list[list]) -> tuple[list[list], list[int]]:
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = inverse(rows[r][c])
-        rows[r] = reduce([x * inv for x in rows[r]])
+        if rows[r][c] != 1:  # every row of a Subspace basis has pivot 1
+            inv = inverse(rows[r][c])
+            rows[r] = reduce([x * inv for x in rows[r]])
         for i in range(nrows):
             if i != r and rows[i][c]:
                 f = rows[i][c]
@@ -230,6 +231,11 @@ class Subspace:
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._require_same_ambient(other)
+        # a zero operand leaves the other's canonical basis as it is
+        if not self.basis:
+            return other
+        if not other.basis:
+            return self
         return Subspace.from_vectors(self.field, self.ambient, self.basis + other.basis)
 
     def contains(self, vec: Sequence[Scalar]) -> bool:

@@ -41,6 +41,7 @@ from .ncpoly import (
     gen_key,
     ideal_member_bounded,
     interreduce,
+    substitute,
     tensor_normal_form,
 )
 
@@ -282,15 +283,16 @@ def check_comodule(p: Presentation) -> CheckReport:
         want = tuple(one if s == i else zero for s in range(n))
         items.append(CheckItem(f"coaction-counit e[{i + 1}]", counit_vec == want))
 
-    # the relation r[a,i,j] is the coordinate a of eta(e_i e_j) - eta(e_i) eta(e_j)
-    # on the raw generators; the system's normal form substitutes the eliminated ones
+    # the relation r[a,i,j] is the coordinate a of eta(e_i e_j) - eta(e_i) eta(e_j);
+    # substituted first, its words are already in the word table
     rels = build_relations(a)
     for i in range(n):
         for j in range(n):
             ok = True
             detail = ""
             for ai in range(n):
-                if not ideal_member_bounded(rels[(ai * n + i) * n + j], p.system, p.degree_bound):
+                rel = substitute(rels[(ai * n + i) * n + j], p.system.subs)
+                if not ideal_member_bounded(rel, p.system, p.degree_bound):
                     ok = False
                     detail = f"coordinate a={ai + 1}"
                     break

@@ -249,6 +249,26 @@ def test_points_equal_homs_oracle(build, p):
     assert rows(enumerate_measuring_points(a)) == rows(enumerate_homs(a, a))
 
 
+def test_hom_oracle_tests_every_candidate(monkeypatch, tmp_path):
+    # endo --oracle on k[x]/(x^3) over GF(3): enumerate_homs tests each of the
+    # 3^(3*2) = 729 matrices with a unit first column once
+    import usym.cli
+    import usym.endomorphisms
+    from conftest import algebra_file
+
+    calls = []
+
+    def counted(b, a, f, _original=is_algebra_map):
+        calls.append(f)
+        return _original(b, a, f)
+
+    monkeypatch.setattr(usym.endomorphisms, "is_algebra_map", counted)
+    monkeypatch.setattr(usym.cli, "is_algebra_map", counted)
+    path = algebra_file(tmp_path, "x3", truncated_polynomial(GF(3), 3))
+    assert usym.cli.main(["endo", path, "--oracle"]) == 0
+    assert len(calls) == 729 and len(set(calls)) == 729
+
+
 def test_search_bound_counts_values_tried():
     # T_2(GF(3)) tries 66 values; the bound trips as soon as the count passes it
     a = triangular(GF(3))

@@ -28,7 +28,7 @@ from usym.gradings import _decompositions, _projections, apply_automorphism
 from usym.groups import FiniteGroup
 from usym.io import load_algebra, load_group
 from usym.unionfind import orbit_partition
-from conftest import dual_numbers, full_space, triangular, trivial_point
+from conftest import dual_numbers, full_matrices, full_space, triangular, trivial_point
 
 
 def dimension_profile(grading):
@@ -204,6 +204,23 @@ def test_point_search_matches_decomposition_route():
     with pytest.raises(SearchSizeError) as info:
         enumerate_points(triangular(GF(3)), cyclic_group(3), max_search=100)
     assert (info.value.needed, info.value.bound) == (101, 100)
+
+
+def test_grading_oracle_validates_each_decomposition(monkeypatch):
+    # M_2(GF(2)) with C2: 802 ordered direct-sum decompositions, each checked
+    # once for multiplicativity, 5 of them gradings
+    import usym.gradings
+
+    a, c2 = full_matrices(GF(2)), cyclic_group(2)
+    calls = []
+
+    def counted(alg, group, grading, _original=validate_grading):
+        calls.append(grading)
+        return _original(alg, group, grading)
+
+    monkeypatch.setattr(usym.gradings, "validate_grading", counted)
+    assert len(enumerate_gradings_oracle(a, c2)) == 5
+    assert len(calls) == 802 == sum(1 for _ in _decompositions(a, c2))
 
 
 def test_oracle_search_guard():

@@ -73,6 +73,21 @@ def test_subspace_sum_intersect_contains():
         e1.sum(Subspace.zero(f, 3))
 
 
+def test_sum_with_zero_operand():
+    # a zero operand gives the other's canonical basis back: the subspace
+    # from_vectors builds from the two bases together
+    for field in (GF(2), GF(5), QQ):
+        spaces = [Subspace.zero(field, 3), full_space(field, 3)]
+        spaces += [Subspace.from_vectors(field, 3, [mat(field, [[2, 4, 1]]).rows[0]])]
+        spaces += [Subspace.from_vectors(field, 3, mat(field, [[0, 3, 1], [1, 0, 2]]).rows)]
+        zero = spaces[0]
+        for s in spaces:
+            want = Subspace.from_vectors(field, 3, zero.basis + s.basis)
+            assert zero.sum(s) == want and s.sum(zero) == want == s
+        with pytest.raises(ValueError):
+            zero.sum(Subspace.zero(field, 2))
+
+
 def test_column_space():
     f = GF(3)
     m = mat(f, [[1, 2], [2, 4 % 3]])

@@ -610,10 +610,10 @@ def test_check_reduces_each_word_once(monkeypatch, tmp_path):
     # completion (one reduction per overlap) and interreduction, then one
     # reduction per distinct word (3,316 when every normal_form and tensor
     # leg ran its own reduction, 559 when each overlap reduced its two sides
-    # apart, 451 when interreduction took the unit relations last; 333 while
-    # coaction-mult substituted each relation before its normal form, so that
-    # the words of the raw relations never entered the table)
-    assert len(calls) == 407
+    # apart, 451 when interreduction took the unit relations last; 407 while
+    # coaction-mult handed the raw relations to the table, whose 74 raw words
+    # each cost a reduction; substituted first, their words are already there)
+    assert len(calls) == 333
     system = build_presentation(truncated_polynomial(QQ, 4), 4).system
     # two reducible words and one with the eliminated generator x[2,1]
     p = poly((2, ((3, 2), (1, 2))), (-1, ((2, 1), (2, 2))), (1, ((2, 2), (1, 3))))
@@ -659,7 +659,6 @@ def test_scalar_work_of_present_and_check(monkeypatch, tmp_path):
     # normal form; 2,841 and 572 before degree-first interreduction, and
     # while Delta of a word multiplied coefficients equal to one; 1,724 and
     # 264 while coaction-coassoc read Delta of a generator where it now forms
-    # (eta (x) id) eta, and 1,763 and 264 after that while coaction-mult
-    # substituted each relation first (a raw word costs a division as it
-    # enters the table)
-    assert counts == {"mul": 1789, "div": 338}
+    # (eta (x) id) eta; 1,789 and 338 while coaction-mult handed the raw
+    # relations to the word table (a raw word costs a division as it enters)
+    assert counts == {"mul": 1763, "div": 264}

@@ -1,0 +1,272 @@
+"""FinAlgebra.multiply, is_algebra_map and is_grading_point against the dense
+versions they replaced, which run on the field's own scalars (FpElement over
+GF(p), Fraction over QQ): the oracles for the sparse products and for the
+point tests on int residues."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from usym import (
+    GF,
+    QQ,
+    GradingPoint,
+    Matrix,
+    cyclic_group,
+    enumerate_measuring_points,
+    enumerate_points,
+    fixture_path,
+    is_algebra_map,
+    is_grading_point,
+)
+from usym.io import load_algebra
+from conftest import (
+    cyclic_group_algebra,
+    dual_numbers,
+    full_matrices,
+    triangular,
+    trivial_point,
+    truncated_polynomial,
+    upper_triangular,
+)
+
+FIELDS = [GF(2), GF(3), GF(5), GF(7), QQ]
+
+FIXTURE_DIR = fixture_path("dual_q.json").parent
+
+
+def dense_multiply(a, x, y):
+    if len(x) != a.n or len(y) != a.n:
+        raise ValueError("element length does not match algebra dimension")
+    out = [a.field.zero] * a.n
+    for (i, j, s), c in a.tau.items():
+        if x[i] and y[j]:
+            out[s] = out[s] + x[i] * y[j] * c
+    return tuple(out)
+
+
+def dense_is_algebra_map(b, a, f):
+    """Is f (columns = images of B's basis in A) a unit-preserving algebra map B -> A?"""
+    if f.nrows != a.n or f.ncols != b.n:
+        raise ValueError(f"map shape {f.nrows}x{f.ncols} does not match dim A={a.n}, dim B={b.n}")
+    if a.field != b.field or f.field != a.field:
+        raise ValueError("algebra map endpoints must share one field")
+    if f.column(0) != a.unit:
+        return False
+    images = [f.column(j) for j in range(b.n)]
+    for i in range(b.n):
+        for j in range(b.n):
+            lhs = f.apply(dense_multiply(b, b.basis_vector(i), b.basis_vector(j)))
+            rhs = dense_multiply(a, images[i], images[j])
+            if lhs != rhs:
+                return False
+    return True
+
+
+def dense_is_grading_point(a, g, point):
+    """All four point conditions: counit, orthogonal idempotency, unit column,
+    and the evaluated relations with convolution in k[G]."""
+    m = g.order
+    n = a.n
+    if len(point.matrices) != m:
+        raise ValueError(f"point has {len(point.matrices)} matrices, group order is {m}")
+    for mat in point.matrices:
+        if mat.nrows != n or mat.ncols != n:
+            raise ValueError("matrix size does not match the algebra dimension")
+
+    total = Matrix.zeros(a.field, n, n)
+    for mat in point.matrices:
+        total = total + mat
+    if total != Matrix.identity(a.field, n):
+        return False
+
+    zeromat = Matrix.zeros(a.field, n, n)
+    for s in range(m):
+        for t in range(m):
+            want = point.matrices[s] if s == t else zeromat
+            if point.matrices[s] * point.matrices[t] != want:
+                return False
+
+    e = g.identity
+    for sigma in range(m):
+        want_col = a.unit if sigma == e else (a.field.zero,) * n
+        if point.matrices[sigma].column(0) != want_col:
+            return False
+
+    pairs_for = [[] for _ in range(m)]
+    for s in range(m):
+        for t in range(m):
+            pairs_for[g.mul(s, t)].append((s, t))
+    for rho in range(m):
+        prho = point.matrices[rho]
+        for ai in range(n):
+            for i in range(n):
+                for j in range(n):
+                    lhs = a.field.zero
+                    for u, c in a.basis_product(i, j).items():
+                        lhs = lhs + c * prho.entry(ai, u)
+                    rhs = a.field.zero
+                    for (sg, tg) in pairs_for[rho]:
+                        ps, pt = point.matrices[sg], point.matrices[tg]
+                        for (s, t, c) in a.pairs_with_result(ai):
+                            term = ps.entry(s, i) * pt.entry(t, j)
+                            if term:
+                                rhs = rhs + c * term
+                    if lhs != rhs:
+                        return False
+    return True
+
+
+def drawer(field, rng):
+    """Random scalars of field, zero about a third of the time."""
+    if field == QQ:
+        return lambda: Fraction(rng.choice([0, 0, 1, -1, 2, -3]), rng.randint(1, 3))
+    return lambda: field(rng.randrange(field.characteristic) * (rng.random() > 0.3))
+
+
+def algebras():
+    """Every fixture, and the generated families over every field."""
+    paths = sorted(FIXTURE_DIR.glob("*.json"))
+    out = [load_algebra(path)[0] for path in paths if not path.name.startswith("group_")]
+    assert len(out) == 9
+    for fld in FIELDS:
+        out += [truncated_polynomial(fld, 4), full_matrices(fld), upper_triangular(fld, 3)]
+        out += [cyclic_group_algebra(fld, 3)]
+    return out
+
+
+def with_entry(m, i, j, x):
+    rows = [list(row) for row in m.rows]
+    rows[i][j] = x
+    return Matrix(m.field, rows)
+
+
+def power_map(a, y):
+    """The map of k[X]/(X^n) that sends x to y: column k is y^k."""
+    cols = [a.unit]
+    for _ in range(1, a.n):
+        cols.append(dense_multiply(a, cols[-1], y))
+    return Matrix.from_columns(a.field, cols)
+
+
+def test_multiply_matches_dense():
+    rng = random.Random(7)
+    for a in algebras():
+        draw = drawer(a.field, rng)
+        basis = [a.basis_vector(i) for i in range(a.n)]
+        vectors = basis + [tuple(draw() for _ in range(a.n)) for _ in range(12)]
+        for x in vectors:
+            for y in vectors:
+                got = a.multiply(x, y)
+                assert got == dense_multiply(a, x, y)
+                assert all(type(c) is type(a.field.zero) for c in got)
+
+
+def test_is_algebra_map_matches_dense():
+    rng = random.Random(11)
+    verdicts = {True: 0, False: 0}
+
+    def agree(b, a, f):
+        want = dense_is_algebra_map(b, a, f)
+        assert is_algebra_map(b, a, f) is want
+        verdicts[want] += 1
+
+    for a in algebras():
+        draw = drawer(a.field, rng)
+        n = a.n
+        maps = [Matrix.identity(a.field, n)]
+        if a.field != QQ and n <= 3:
+            maps += enumerate_measuring_points(a)  # the search route, not this test
+        if a.n > 1 and a.tau == truncated_polynomial(a.field, a.n).tau:
+            for _ in range(4):
+                maps.append(power_map(a, (a.field.zero,) + tuple(draw() for _ in range(n - 1))))
+        for f in list(maps):
+            for i in range(n):
+                for j in range(n):
+                    maps.append(with_entry(f, i, j, f.entry(i, j) + a.field.one))
+        for _ in range(10):
+            cols = [a.unit] + [tuple(draw() for _ in range(n)) for _ in range(n - 1)]
+            maps.append(Matrix.from_columns(a.field, cols))
+            maps.append(Matrix(a.field, [[draw() for _ in range(n)] for _ in range(n)]))
+        for f in maps:
+            agree(a, a, f)
+    # dual numbers -> T_2: t goes to a multiple of e2, the one square-zero direction
+    for fld in FIELDS:
+        b, a = dual_numbers(fld), triangular(fld)
+        draw = drawer(fld, rng)
+        images = [(fld.zero, c, fld.zero) for c in (fld.zero, fld.one, fld(2))]
+        images += [tuple(draw() for _ in range(3)) for _ in range(20)]
+        for v in images:
+            agree(b, a, Matrix.from_columns(fld, [a.unit, v]))
+        agree(b, a, Matrix.from_columns(fld, [a.basis_vector(1), images[1]]))
+    assert verdicts[True] > 100 and verdicts[False] > 1000
+
+
+GRID = [
+    (dual_numbers, 2, cyclic_group(2)),
+    (dual_numbers, 3, cyclic_group(2)),
+    (dual_numbers, 2, cyclic_group(3)),
+    (triangular, 2, cyclic_group(2)),
+]
+
+
+def nudged(point, sigma, i, j, x, other=None):
+    """point with x added to P^sigma[i][j] and, when other is given, taken
+    from P^other[i][j], so the family still sums to the identity."""
+    mats = list(point.matrices)
+    mats[sigma] = with_entry(mats[sigma], i, j, mats[sigma].entry(i, j) + x)
+    if other is not None:
+        mats[other] = with_entry(mats[other], i, j, mats[other].entry(i, j) - x)
+    return GradingPoint(tuple(mats))
+
+
+def test_is_grading_point_matches_dense():
+    verdicts = {True: 0, False: 0}
+
+    def agree(a, g, point):
+        want = dense_is_grading_point(a, g, point)
+        assert is_grading_point(a, g, point) is want
+        verdicts[want] += 1
+
+    cases = [(build(GF(p)), g, enumerate_points(build(GF(p)), g)) for build, p, g in GRID]
+    q = dual_numbers(QQ)
+    c2 = cyclic_group(2)
+    one, zero = QQ.one, QQ.zero
+    diagonal = GradingPoint(
+        (Matrix(QQ, [[one, zero], [zero, zero]]), Matrix(QQ, [[zero, zero], [zero, one]]))
+    )
+    cases.append((q, c2, [trivial_point(q, c2), diagonal]))
+    for a, g, points in cases:
+        one, n, m = a.field.one, a.n, g.order
+        for point in points:
+            agree(a, g, point)
+            for sigma in range(m):
+                for i in range(n):
+                    for j in range(n):
+                        agree(a, g, nudged(point, sigma, i, j, one))
+                        for other in range(m):
+                            if other != sigma:
+                                agree(a, g, nudged(point, sigma, i, j, one, other))
+    # a moved entry can land on another point
+    assert verdicts[True] > sum(len(points) for _, _, points in cases)
+    assert verdicts[False] > 100
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_grading_point_conditions_on_random_families(p):
+    # families that sum to the identity, so the later conditions are reached
+    rng = random.Random(p)
+    fld = GF(p)
+    for a, g in [(triangular(fld), cyclic_group(2)), (dual_numbers(fld), cyclic_group(3))]:
+        n, m = a.n, g.order
+        for _ in range(200):
+            mats = [
+                Matrix(fld, [[fld(rng.randrange(p)) for _ in range(n)] for _ in range(n)])
+                for _ in range(m - 1)
+            ]
+            rest = Matrix.identity(fld, n)
+            for mat in mats:
+                rest = rest + Matrix(fld, [[-x for x in row] for row in mat.rows])
+            point = GradingPoint(tuple(mats + [rest]))
+            assert is_grading_point(a, g, point) is dense_is_grading_point(a, g, point)
