@@ -1,7 +1,8 @@
 """Command-line interface: deterministic reports over algebra and group files.
 
 Exit codes: 0 success (all requested checks pass), 1 parse/validation failure
-or failing checks, 2 completion bound exceeded, 3 search size exceeded.
+(a malformed command line included) or failing checks, 2 completion bound
+exceeded, 3 search size exceeded.
 """
 
 from __future__ import annotations
@@ -234,8 +235,17 @@ def _cmd_gradings(args) -> Report:
     return report
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 1, as other parse failures
+    do; argparse's own exit code 2 means a completion bound here."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="usym",
         description="Exact universal-bialgebra computations for finite-dimensional algebras",
     )

@@ -179,9 +179,7 @@ def validate_grading(a: FinAlgebra, g: FiniteGroup, grading: Grading) -> bool:
     return True
 
 
-def _projections(
-    field, n: int, parts: list[tuple[int, Subspace]]
-) -> dict[int, Matrix]:
+def _projections(field, parts: list[tuple[int, Subspace]]) -> dict[int, Matrix]:
     """Projections onto each part along the sum of the others: with B the
     matrix of all the parts' basis vectors, P^sigma is B's columns for sigma
     times the matching rows of B^-1."""
@@ -199,7 +197,7 @@ def point_from_grading(a: FinAlgebra, g: FiniteGroup, grading: Grading) -> Gradi
     """P^sigma = projection onto A_sigma along the complementary sum."""
     if not validate_grading(a, g, grading):
         raise ValueError("not a valid grading")
-    projections = _projections(a.field, a.n, list(grading.components.items()))
+    projections = _projections(a.field, list(grading.components.items()))
     zeromat = Matrix.zeros(a.field, a.n, a.n)
     mats = tuple(projections.get(sigma, zeromat) for sigma in range(g.order))
     return GradingPoint(mats)

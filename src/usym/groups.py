@@ -76,7 +76,7 @@ def validate_group(g: FiniteGroup) -> Violation | None:
             if not (0 <= g.table[i][j] < m):
                 return Violation("shape", (i + 1, j + 1), "table entry out of range")
     try:
-        e = g.identity
+        g.identity
     except ValueError:
         return Violation("identity", (), "no two-sided identity")
     try:
@@ -90,7 +90,6 @@ def validate_group(g: FiniteGroup) -> Violation | None:
                     return Violation(
                         "associativity", (i + 1, j + 1, k + 1), "(ij)k != i(jk)"
                     )
-    del e
     return None
 
 

@@ -4,11 +4,10 @@ Matrices are immutable row-tuples.  Subspaces are kept in reduced
 row-echelon form with no zero rows, which makes the representative unique:
 two subspaces are equal iff their stored bases are identical.
 
-Row reduction (_rref, behind rref, inverse, Subspace and
-column_space) and Subspace.contains run one elimination loop for both
-fields: over GF(p) on the entries' int residues, reduced mod p after each
-row operation and made FpElements once at the end; over QQ on the
-Fractions themselves.
+Row reduction (_rref, behind inverse, Subspace and column_space) and
+Subspace.contains run one elimination loop for both fields: over GF(p) on
+the entries' int residues, reduced mod p after each row operation and made
+FpElements once at the end; over QQ on the Fractions themselves.
 """
 
 from __future__ import annotations
@@ -103,9 +102,6 @@ class Matrix:
     def ncols(self) -> int:
         return len(self.rows[0]) if self.rows else 0
 
-    def entry(self, i: int, j: int) -> Scalar:
-        return self.rows[i][j]
-
     def column(self, j: int) -> Vector:
         return tuple(row[j] for row in self.rows)
 
@@ -132,10 +128,6 @@ class Matrix:
             raise ValueError(f"dimension mismatch {self.ncols} vs {len(vec)}")
         z = self.field.zero
         return tuple(sum((a * b for a, b in zip(row, vec) if a and b), z) for row in self.rows)
-
-    def rref(self) -> tuple["Matrix", tuple[int, ...]]:
-        rows, pivots = _rref(self.field, [list(r) for r in self.rows])
-        return Matrix(self.field, rows), tuple(pivots)
 
     def det(self) -> Scalar:
         if self.nrows != self.ncols:

@@ -555,7 +555,8 @@ def ideal_member_bounded(p: NCPoly, system: RewriteSystem, degree_bound: int) ->
 
 class TensorPoly:
     """Element of a tensor power of the free algebra: each key is a tuple of
-    k words, one per leg (k = 2 for Delta, k = 3 for coassociativity)."""
+    k words, one per leg (k = 0 for eps, 1 for a polynomial, 2 for Delta, 3
+    for coassociativity)."""
 
     __slots__ = ("terms",)
 
@@ -563,12 +564,6 @@ class TensorPoly:
         self.terms: dict[tuple[Word, ...], Scalar] = {
             k: c for k, c in (terms or {}).items() if c
         }
-
-    @classmethod
-    def term(cls, *legs_and_coeff) -> "TensorPoly":
-        """term(w1, ..., wk, c) is c * w1 (x) ... (x) wk."""
-        *legs, coeff = legs_and_coeff
-        return cls({tuple(legs): coeff})
 
     @classmethod
     def of(cls, *factors: NCPoly) -> "TensorPoly":

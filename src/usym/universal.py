@@ -18,12 +18,14 @@ canonical coaction are
 with each generator read as its image in the quotient (its substitution, if
 eliminated).  The presentation tabulates Delta and eps on all n^2 generators
 and eta on every basis vector.  The checkers read Delta, eps and eta only
-from those tables, extending Delta and eps multiplicatively to words; none
-of them evaluates the formulas above.
+from those tables; none of them evaluates the formulas above.  Delta and eps
+are both algebra maps, read as tables of 2-leg and 0-leg tensors, and one
+routine applies either to a tensor leg, extended multiplicatively to words.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 from .algebra import FinAlgebra
@@ -117,79 +119,33 @@ def build_presentation(a: FinAlgebra, degree_bound: int = DEFAULT_DEGREE_BOUND) 
     return Presentation(a, degree_bound, gens, system, delta, eps, coaction)
 
 
-def _delta_word(delta: dict[GenId, TensorPoly], w: Word, one: Scalar) -> TensorPoly:
-    """Delta extended multiplicatively to a word, as the legwise product of
-    the two-leg tensors of its generators; the unit tensor on the empty
-    word.  A coefficient product with a factor one is not formed."""
-    if not w:
-        return TensorPoly.term((), (), one)
-    terms = delta[w[0]].terms
-    for g in w[1:]:
-        terms = _accumulate(
-            {},
-            (
-                ((a1 + b1, a2 + b2), d if c == one else c if d == one else c * d)
-                for (a1, a2), c in terms.items()
-                for (b1, b2), d in delta[g].terms.items()
-            ),
-        )
-    return TensorPoly(terms)
-
-
-def _delta_on_leg(
-    delta: dict[GenId, TensorPoly], t: TensorPoly, leg: int, one: Scalar
+def _on_leg(
+    table: dict[GenId, TensorPoly], legs: int, t: TensorPoly, leg: int, one: Scalar
 ) -> TensorPoly:
-    """Apply Delta to one leg of t, which splits it into two legs; a split
-    whose coefficient is one keeps the coefficient of t's term as it is."""
-    return TensorPoly(
+    """Apply an algebra map out of the free algebra to leg `leg` of t.  The
+    map is its table of `legs`-leg tensors on the generators (two legs for
+    Delta, none for eps), extended multiplicatively: a word goes to the
+    legwise product of its generators' tensors, the empty word to the unit
+    tensor.  The result's legs replace that leg in t's key.  A coefficient
+    product with a factor one is not formed."""
+    out: dict[tuple[Word, ...], Scalar] = {}
+    for key, c in t.terms.items():
+        w = key[leg]
+        image = table[w[0]].terms if w else {((),) * legs: one}
+        for g in w[1:]:
+            image = _accumulate(
+                {},
+                (
+                    (tuple(map(operator.add, a, b)), e if d == one else d if e == one else d * e)
+                    for a, d in image.items()
+                    for b, e in table[g].terms.items()
+                ),
+            )
+        head, tail = key[:leg], key[leg + 1 :]
         _accumulate(
-            {},
-            (
-                (legs[:leg] + split + legs[leg + 1 :], c if cc == one else c * cc)
-                for legs, c in t.terms.items()
-                for split, cc in _delta_word(delta, legs[leg], one).terms.items()
-            ),
+            out, ((head + split + tail, c if d == one else c * d) for split, d in image.items())
         )
-    )
-
-
-def _delta_poly(delta: dict[GenId, TensorPoly], p: NCPoly, one: Scalar) -> TensorPoly:
-    """Delta of p: p as a tensor with one leg, split by Delta."""
-    return _delta_on_leg(delta, TensorPoly({(w,): c for w, c in p.terms.items()}), 0, one)
-
-
-def _eps_word(eps: dict[GenId, Scalar], w: Word, one: Scalar) -> Scalar:
-    """eps extended multiplicatively to a word: the product of the table's
-    values on its generators, one on the empty word.  A product with a
-    factor one is not formed."""
-    out = one
-    for g in w:
-        e = eps[g]
-        if not e:
-            return e
-        out = e if out == one else out if e == one else out * e
-    return out
-
-
-def _eps_poly(eps: dict[GenId, Scalar], p: NCPoly, one: Scalar, zero: Scalar) -> Scalar:
-    """eps of p, from the table on the generators."""
-    out = zero
-    for w, c in p.terms.items():
-        e = _eps_word(eps, w, one)
-        if e:
-            out = out + (c if e == one else c * e)
-    return out
-
-
-def _eps_on_leg(eps: dict[GenId, Scalar], t: TensorPoly, leg: int, one: Scalar) -> NCPoly:
-    """Apply eps to one leg of a two-leg tensor, which leaves the other leg;
-    a leg whose eps is one keeps the coefficient of t's term as it is."""
-    out: dict[Word, Scalar] = {}
-    for legs, c in t.terms.items():
-        e = _eps_word(eps, legs[leg], one)
-        if e:
-            _accumulate(out, ((legs[1 - leg], c if e == one else c * e),))
-    return NCPoly(out)
+    return TensorPoly(out)
 
 
 def _relation_labels(a: FinAlgebra) -> list[str]:
@@ -208,13 +164,16 @@ def check_bialgebra(p: Presentation) -> CheckReport:
     """Verify that the tabulated Delta and eps are well defined on the
     quotient and satisfy the coalgebra axioms on the surviving generators."""
     a = p.algebra
-    one, zero = a.field.one, a.field.zero
-    delta, eps = p.delta, p.eps
+    one = a.field.one
+    delta = p.delta
+    # eps as 0-leg tensors, so that _on_leg applies it as it applies Delta
+    eps = {g: TensorPoly({(): e}) for g, e in p.eps.items()}
     items: list[CheckItem] = []
 
     relations = build_relations(a)
     for label, rel in zip(_relation_labels(a), relations):
-        dh = tensor_normal_form(_delta_poly(delta, rel, one), p.system)
+        r = TensorPoly.of(rel)
+        dh = tensor_normal_form(_on_leg(delta, 2, r, 0, one), p.system)
         items.append(
             CheckItem(
                 f"delta-descends {label}",
@@ -222,12 +181,12 @@ def check_bialgebra(p: Presentation) -> CheckReport:
                 "" if dh.is_zero() else f"residue {dh!r}",
             )
         )
-        eh = _eps_poly(eps, rel, one, zero)
+        eh = _on_leg(eps, 0, r, 0, one)
         items.append(
             CheckItem(
                 f"eps-descends {label}",
-                not eh,
-                "" if not eh else f"residue {eh}",
+                eh.is_zero(),
+                "" if eh.is_zero() else f"residue {eh.terms[()]}",
             )
         )
 
@@ -235,13 +194,14 @@ def check_bialgebra(p: Presentation) -> CheckReport:
         dg = delta[g]
         # (Delta (x) id) Delta(g) against (id (x) Delta) Delta(g), as 3-leg tensors
         left, right = (
-            tensor_normal_form(_delta_on_leg(delta, dg, leg, one), p.system) for leg in (0, 1)
+            tensor_normal_form(_on_leg(delta, 2, dg, leg, one), p.system) for leg in (0, 1)
         )
         items.append(CheckItem(f"coassoc {format_genid(g)}", left == right))
 
-        gen_nf = p.system.normal_form(NCPoly.gen(g, one))
+        gen_nf = tensor_normal_form(TensorPoly({((g,),): one}), p.system)
         counit_ok = all(
-            p.system.normal_form(_eps_on_leg(eps, dg, leg, one)) == gen_nf for leg in (0, 1)
+            tensor_normal_form(_on_leg(eps, 0, dg, leg, one), p.system) == gen_nf
+            for leg in (0, 1)
         )
         items.append(CheckItem(f"counit {format_genid(g)}", counit_ok))
 
@@ -253,7 +213,8 @@ def check_comodule(p: Presentation) -> CheckReport:
     algebra map modulo the relation ideal at the certified degree."""
     a = p.algebra
     n = a.n
-    one, zero = a.field.one, a.field.zero
+    one = a.field.one
+    eps = {g: TensorPoly({(): e}) for g, e in p.eps.items()}
     # eta[i][s] is the coordinate of e_{s+1} in eta(e_{i+1}); absent ones are zero
     eta = [[NCPoly()] * n for _ in range(n)]
     for i, entries in enumerate(p.coaction):
@@ -272,16 +233,19 @@ def check_comodule(p: Presentation) -> CheckReport:
             # the coordinate e_t of (eta (x) id) eta(e_i), sum_s eta[s][t] (x) eta[i][s],
             # against that of (id (x) Delta) eta(e_i), Delta(eta[i][t])
             lhs = sum((TensorPoly.of(eta[s][t], eta[i][s]) for s in range(n)), TensorPoly())
-            rhs = _delta_poly(p.delta, eta[i][t], one)
+            rhs = _on_leg(p.delta, 2, TensorPoly.of(eta[i][t]), 0, one)
             if not tensor_normal_form(lhs - rhs, p.system).is_zero():
                 ok = False
                 detail = f"component t={t + 1}"
                 break
         items.append(CheckItem(f"coaction-coassoc e[{i + 1}]", ok, detail))
 
-        counit_vec = tuple(_eps_poly(p.eps, eta[i][s], one, zero) for s in range(n))
-        want = tuple(one if s == i else zero for s in range(n))
-        items.append(CheckItem(f"coaction-counit e[{i + 1}]", counit_vec == want))
+        counit_ok = all(
+            _on_leg(eps, 0, TensorPoly.of(eta[i][s]), 0, one)
+            == TensorPoly({(): one} if s == i else {})
+            for s in range(n)
+        )
+        items.append(CheckItem(f"coaction-counit e[{i + 1}]", counit_ok))
 
     # the relation r[a,i,j] is the coordinate a of eta(e_i e_j) - eta(e_i) eta(e_j);
     # substituted first, its words are already in the word table

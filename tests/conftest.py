@@ -10,8 +10,9 @@ import json
 
 import pytest
 
-from usym import FinAlgebra, GradingPoint, Matrix, NCPoly, QQ, Subspace
+from usym import FinAlgebra, GradingPoint, Matrix, NCPoly, QQ, Subspace, TensorPoly
 from usym.cli import main
+from usym.linalg import _rref
 from usym.ncpoly import gen_key, word_key
 
 
@@ -121,6 +122,12 @@ def permuted(algebra: FinAlgebra, perm: list[int]) -> FinAlgebra:
     return FinAlgebra(algebra.field, algebra.n, tau, tuple(labels))
 
 
+def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
+    """m in reduced row-echelon form, and its pivot columns."""
+    rows, pivots = _rref(m.field, [list(r) for r in m.rows])
+    return Matrix(m.field, rows), tuple(pivots)
+
+
 def full_space(field, n: int) -> Subspace:
     """The whole of k^n."""
     return Subspace.from_vectors(field, n, Matrix.identity(field, n).rows)
@@ -160,6 +167,12 @@ def report_output(argv):
 def report_digest(argv):
     """The sha256 of the stdout of a CLI call that must exit 0 with empty stderr."""
     return hashlib.sha256(report_output(argv).encode("utf-8")).hexdigest()
+
+
+def tensor_term(*legs_and_coeff) -> TensorPoly:
+    """tensor_term(w1, ..., wk, c) is c * w1 (x) ... (x) wk."""
+    *legs, coeff = legs_and_coeff
+    return TensorPoly({tuple(legs): coeff})
 
 
 def iter_words(gens, max_degree):

@@ -37,7 +37,7 @@ from usym import (
 )
 from usym.io import load_algebra
 from usym.ncpoly import substitute
-from conftest import dual_numbers, iter_words, overlap_candidates, scan_reduce, triangular
+from conftest import dual_numbers, iter_words, overlap_candidates, rref, scan_reduce, triangular
 
 X12, X22 = (1, 2), (2, 2)
 ONE = QQ.one
@@ -125,7 +125,7 @@ def test_criterion_2_triangular_golden():
             for w, c in poly.terms.items():
                 row[index[w]] = c
             rows.append(row)
-        reduced, pivots = Matrix(QQ, rows).rref()
+        reduced, pivots = rref(Matrix(QQ, rows))
         return tuple(reduced.rows[: len(pivots)])
 
     mine = rowspace([r.poly for r in p.system.rules if len(r.lead) <= 2])

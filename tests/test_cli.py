@@ -15,7 +15,10 @@ from usym.io import digest_bytes
 def run_cli(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse exits on usage errors and --help
+            code = exc.code
     return code, out.getvalue(), err.getvalue()
 
 
@@ -287,6 +290,30 @@ def test_exit_1_on_bad_max_degree():
     code, _, err = run_cli(["present", fx("dual_q.json"), "--max-degree", "1"])
     assert code == 1
     assert "--max-degree" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["present", fx("dual_q.json"), "--max-degree", "abc"], "invalid int value: 'abc'"),
+        (["gradings", fx("dual_gf3.json")], "the following arguments are required: --group"),
+        (["frobnicate", fx("dual_q.json")], "invalid choice: 'frobnicate'"),
+    ],
+)
+def test_exit_1_on_usage_error(argv, message):
+    code, out, err = run_cli(argv)
+    assert code == 1 and not out
+    assert err.startswith("usage: usym") and message in err
+
+
+def test_usage_error_and_help_exit_codes_of_the_process():
+    def exit_code(*argv):
+        cmd = [sys.executable, "-m", "usym.cli", *argv]
+        return subprocess.run(cmd, capture_output=True).returncode
+
+    assert exit_code("present", fx("dual_q.json"), "--max-degree", "abc") == 1
+    assert exit_code("--help") == 0
+    assert exit_code("present", "--help") == 0
 
 
 def test_exit_3_on_search_bound(monkeypatch):

@@ -189,7 +189,7 @@ def _decomposition_route(a, group):
     zeromat = Matrix.zeros(a.field, a.n, a.n)
     out = []
     for support, comps in _decompositions(a, group):
-        projections = _projections(a.field, a.n, list(zip(support, comps)))
+        projections = _projections(a.field, list(zip(support, comps)))
         pt = GradingPoint(tuple(projections.get(s, zeromat) for s in range(group.order)))
         if is_grading_point(a, group, pt):
             out.append(pt)
@@ -400,7 +400,7 @@ def coaction(a, g, point, vec):
     for i, x in enumerate(vec):
         for s in range(a.n):
             for sigma in range(g.order):
-                _accumulate(out, (s, sigma), x * point.matrices[sigma].entry(s, i))
+                _accumulate(out, (s, sigma), x * point.matrices[sigma].rows[s][i])
     return _nonzero(out)
 
 
@@ -519,7 +519,7 @@ def test_homogeneous_membership_iff_coaction_fixes():
     def rho(pt, vec):
         return [
             [
-                sum((vec[i] * pt.matrices[tg].entry(s, i) for i in range(a.n)), f.zero)
+                sum((vec[i] * pt.matrices[tg].rows[s][i] for i in range(a.n)), f.zero)
                 for tg in range(c2.order)
             ]
             for s in range(a.n)

@@ -36,6 +36,7 @@ from conftest import (
     iter_words,
     overlap_candidates,
     scan_reduce,
+    tensor_term,
     truncated_polynomial,
     upper_triangular,
 )
@@ -182,20 +183,20 @@ def test_ideal_member_bounded():
 
 def test_tensor_normal_form():
     system = complete(nilsquare_rules(), 4)
-    t = TensorPoly.term((X, X), (Y,), ONE)
+    t = tensor_term((X, X), (Y,), ONE)
     assert tensor_normal_form(t, system).is_zero()
-    keep = TensorPoly.term((), (), QQ(5))
+    keep = tensor_term((), (), QQ(5))
     assert tensor_normal_form(keep, system) == keep
     cancel = TensorPoly({((X, Y), ()): ONE, ((Y, X), ()): ONE})
     assert tensor_normal_form(cancel, system).is_zero()
     # three legs: a zero leg other than the first kills the whole term
-    assert tensor_normal_form(TensorPoly.term((Y,), (X, X), (Y,), ONE), system).is_zero()
+    assert tensor_normal_form(tensor_term((Y,), (X, X), (Y,), ONE), system).is_zero()
     # xy -> -yx on the middle leg makes the two terms cancel
     cancel3 = TensorPoly({((Y,), (X, Y), (X,)): ONE, ((Y,), (Y, X), (X,)): ONE})
     assert tensor_normal_form(cancel3, system).is_zero()
     # the coefficient is reduced with the first leg and survives
-    coeff3 = tensor_normal_form(TensorPoly.term((X, Y), (Y,), (Y,), QQ(3)), system)
-    assert coeff3 == TensorPoly.term((Y, X), (Y,), (Y,), QQ(-3))
+    coeff3 = tensor_normal_form(tensor_term((X, Y), (Y,), (Y,), QQ(3)), system)
+    assert coeff3 == tensor_term((Y, X), (Y,), (Y,), QQ(-3))
     assert format_tensor(coeff3) == "-3 * x[2,2] x[1,2] (x) x[2,2] (x) x[2,2]"
 
 
@@ -468,7 +469,7 @@ def test_reduction_is_linear_on_random_rule_lists(field):
         for w, c in _reduce(p, index).terms.items():
             assert system.normal_form(NCPoly({w: c})) == NCPoly({w: c})
             assert system._nf[w] is None
-            t = TensorPoly.term(w, (), w, c)
+            t = tensor_term(w, (), w, c)
             assert tensor_normal_form(t, system) == t
             irreducible += 1
     # 619 overlaps with this seed, and 345 (QQ) or 237 (GF(3)) normal-form words

@@ -105,12 +105,12 @@ def dense_is_grading_point(a, g, point):
                 for j in range(n):
                     lhs = a.field.zero
                     for u, c in a.basis_product(i, j).items():
-                        lhs = lhs + c * prho.entry(ai, u)
+                        lhs = lhs + c * prho.rows[ai][u]
                     rhs = a.field.zero
                     for (sg, tg) in pairs_for[rho]:
                         ps, pt = point.matrices[sg], point.matrices[tg]
                         for (s, t, c) in a.pairs_with_result(ai):
-                            term = ps.entry(s, i) * pt.entry(t, j)
+                            term = ps.rows[s][i] * pt.rows[t][j]
                             if term:
                                 rhs = rhs + c * term
                     if lhs != rhs:
@@ -184,7 +184,7 @@ def test_is_algebra_map_matches_dense():
         for f in list(maps):
             for i in range(n):
                 for j in range(n):
-                    maps.append(with_entry(f, i, j, f.entry(i, j) + a.field.one))
+                    maps.append(with_entry(f, i, j, f.rows[i][j] + a.field.one))
         for _ in range(10):
             cols = [a.unit] + [tuple(draw() for _ in range(n)) for _ in range(n - 1)]
             maps.append(Matrix.from_columns(a.field, cols))
@@ -215,9 +215,9 @@ def nudged(point, sigma, i, j, x, other=None):
     """point with x added to P^sigma[i][j] and, when other is given, taken
     from P^other[i][j], so the family still sums to the identity."""
     mats = list(point.matrices)
-    mats[sigma] = with_entry(mats[sigma], i, j, mats[sigma].entry(i, j) + x)
+    mats[sigma] = with_entry(mats[sigma], i, j, mats[sigma].rows[i][j] + x)
     if other is not None:
-        mats[other] = with_entry(mats[other], i, j, mats[other].entry(i, j) - x)
+        mats[other] = with_entry(mats[other], i, j, mats[other].rows[i][j] - x)
     return GradingPoint(tuple(mats))
 
 

@@ -12,9 +12,13 @@ from usym import (
     build_relations,
     check_bialgebra,
     check_comodule,
+    enumerate_endomorphisms,
+    fixture_path,
 )
+from usym.io import load_algebra
 from usym.linalg import Matrix
-from conftest import dual_numbers, ground_field, iter_words, triangular
+from usym.universal import _on_leg
+from conftest import dual_numbers, ground_field, iter_words, rref, tensor_term, triangular
 
 ONE = QQ.one
 X12, X22 = (1, 2), (2, 2)
@@ -119,8 +123,8 @@ def test_triangular_degree2_span_matches_hand_derivation(triangular_q):
     p = build_presentation(triangular_q, 4)
     mine = span_matrix([r.poly for r in p.system.rules if len(r.lead) <= 2], p.gens)
     hand = span_matrix(hand_reduced_triangular_relations(), p.gens)
-    r_mine, piv_mine = mine.rref()
-    r_hand, piv_hand = hand.rref()
+    r_mine, piv_mine = rref(mine)
+    r_hand, piv_hand = rref(hand)
     assert len(piv_mine) == 12 == len(piv_hand)
     assert piv_mine == piv_hand
     assert r_mine.rows[:12] == r_hand.rows[:12]
@@ -217,12 +221,41 @@ def test_build_presentation_deterministic(dual_q, triangular_q):
 
 
 def test_eps_kills_every_relation(dual_q, triangular_q):
-    from usym.universal import _eps_poly
-
     for a in (dual_q, triangular_q):
         p = build_presentation(a, 4)
+        eps = {g: TensorPoly({(): e}) for g, e in p.eps.items()}
         for rel in build_relations(a):
-            assert not _eps_poly(p.eps, rel, a.field.one, a.field.zero)
+            assert _on_leg(eps, 0, TensorPoly.of(rel), 0, a.field.one).is_zero()
+
+
+GF_FIXTURES = ["dual_gf2", "dual_gf3", "dual_gf5", "dual_gf7", "triangular_gf2", "triangular_gf3"]
+
+
+@pytest.mark.parametrize("name", GF_FIXTURES)
+def test_endomorphisms_are_the_characters_of_the_presentation(name):
+    # End(A) = Hom_Alg(a(A), k): x[s,i] -> M[s][i] at every endomorphism M
+    # kills every substitution g - q and every rule lead - rest; the zero
+    # matrix, not an endomorphism, does not
+    a = load_algebra(fixture_path(f"{name}.json"))[0]
+    p = build_presentation(a, 3)
+    f = a.field
+    relations = [NCPoly.gen(g, f.one) - q for g, q in p.system.subs.items()]
+    relations += [rule.poly for rule in p.system.rules]
+
+    def at(m, rel):
+        value = f.zero
+        for w, c in rel.terms.items():
+            for s, i in w:
+                c = c * m.rows[s - 1][i - 1]
+            value = value + c
+        return value
+
+    points = enumerate_endomorphisms(a).points
+    assert points and relations
+    for m in points:
+        for rel in relations:
+            assert not at(m, rel), (m, rel)
+    assert any(at(Matrix.zeros(f, a.n, a.n), rel) for rel in relations)
 
 
 def test_tables_cover_every_generator(dual_q, triangular_q):
@@ -234,7 +267,7 @@ def test_tables_cover_every_generator(dual_q, triangular_q):
         every = sorted((s, i) for s in range(1, n + 1) for i in range(1, n + 1))
         assert sorted(p.delta) == sorted(p.eps) == every
         for s in range(1, n + 1):
-            assert p.delta[s, 1] == (TensorPoly.term((), (), ONE) if s == 1 else TensorPoly())
+            assert p.delta[s, 1] == (tensor_term((), (), ONE) if s == 1 else TensorPoly())
             assert p.eps[s, 1] == (ONE if s == 1 else QQ.zero)
 
 
@@ -339,22 +372,85 @@ def test_checks_fail_on_tampered_eps():
     ]
 
 
-def test_delta_word_is_the_legwise_product():
-    # Delta of a word, against the product of its generators' tensors formed
-    # term by term with every coefficient multiplied
-    from usym.universal import _delta_word
+def legwise_product(table, legs, w, field):
+    """The image of the word w under a table of legs-leg tensors, formed term
+    by term with every coefficient multiplied."""
+    want = {((),) * legs: field.one}
+    for g in w:
+        product = {}
+        for a, c in want.items():
+            for b, d in table[g].terms.items():
+                key = tuple(x + y for x, y in zip(a, b))
+                product[key] = product.get(key, field.zero) + c * d
+        want = product
+    return want
 
+
+def delta_tables(field):
+    """Delta of T_3, and the same table with its terms rescaled, so that
+    coefficients other than one occur."""
+    delta = build_presentation(triangular(field), 3).delta
+    rescaled = {
+        g: TensorPoly({k: field(j + 2) * c for j, (k, c) in enumerate(t.terms.items())})
+        for g, t in delta.items()
+    }
+    return delta, rescaled
+
+
+def test_delta_word_is_the_legwise_product():
+    # Delta of a word times a scalar, against the product of its generators'
+    # tensors formed term by term
     for field in (QQ, GF(3)):
+        one, two = field.one, field(2)
+        for delta in delta_tables(field):
+            for w in iter_words(list(delta), 3):
+                want = legwise_product(delta, 2, w, field)
+                assert _on_leg(delta, 2, tensor_term(w, one), 0, one) == TensorPoly(want)
+                scaled = {k: two * c for k, c in want.items()}
+                assert _on_leg(delta, 2, tensor_term(w, two), 0, one) == TensorPoly(scaled)
+
+
+def test_eps_word_is_the_product_of_scalars():
+    # 0-leg tables, eps of the presentation and one with values other than 0
+    # and 1, against the products of the tables' values
+    for field in (QQ, GF(5)):
         presentation = build_presentation(triangular(field), 3)
-        one, zero = field.one, field.zero
-        delta = presentation.delta
-        for w in iter_words(list(delta), 3):
-            want = {((), ()): one}
-            for g in w:
-                product = {}
-                for (a1, a2), c in want.items():
-                    for (b1, b2), d in delta[g].terms.items():
-                        key = (a1 + b1, a2 + b2)
-                        product[key] = product.get(key, zero) + c * d
-                want = product
-            assert _delta_word(delta, w, one) == TensorPoly(want)
+        one, three = field.one, field(3)
+        values = [field.zero, one, field(2), field(-1), three]
+        tables = [
+            {g: TensorPoly({(): e}) for g, e in presentation.eps.items()},
+            {g: TensorPoly({(): values[k % 5]}) for k, g in enumerate(presentation.eps)},
+        ]
+        for table in tables:
+            for w in iter_words(list(table), 3):
+                want = {k: three * c for k, c in legwise_product(table, 0, w, field).items()}
+                assert _on_leg(table, 0, tensor_term(w, three), 0, one) == TensorPoly(want)
+            # eps on either leg of a 2-leg tensor leaves the other leg
+            words = list(iter_words(list(table), 2))
+            t = TensorPoly({(u, v): field(k + 1) for k, (u, v) in enumerate(zip(words, words[3:]))})
+            for leg in (0, 1):
+                want = {}
+                for key, c in t.terms.items():
+                    for d in legwise_product(table, 0, key[leg], field).values():
+                        rest = (key[1 - leg],)
+                        want[rest] = want.get(rest, field.zero) + c * d
+                assert _on_leg(table, 0, t, leg, one) == TensorPoly(want)
+
+
+def test_delta_on_the_second_leg_gives_three_legs():
+    # Delta on leg 1 of a 2-leg tensor, with the empty word among its legs,
+    # against the term-by-term products spliced after leg 0
+    for field in (QQ, GF(3)):
+        for delta in delta_tables(field):
+            words = list(iter_words(list(delta), 2))
+            pairs = zip(words[5:], words)
+            t = TensorPoly({(u, v): field(k % 4 + 1) for k, (u, v) in enumerate(pairs)})
+            assert any(not v for _, v in t.terms) and len(t.terms) > 50
+            want = {}
+            for (u, v), c in t.terms.items():
+                for split, d in legwise_product(delta, 2, v, field).items():
+                    key = (u,) + split
+                    want[key] = want.get(key, field.zero) + c * d
+            got = _on_leg(delta, 2, t, 1, field.one)
+            assert got == TensorPoly(want)
+            assert got.terms and all(len(key) == 3 for key in got.terms)
