@@ -4,10 +4,10 @@ Basis index 0 is always the unit.  The constant table is sparse: only the
 nonzero tau[i, j, s] with e_i e_j = sum_s tau[i,j,s] e_s are stored, and
 products, validation and the algebra-map test walk it pair by pair.
 
-is_algebra_map is the one point test (a point of a(A) is an algebra map
-A -> A).  Like linalg's elimination it runs one loop for both fields: over
-GF(p) on the int residues of the map and of the constants, reduced mod p
-once per coordinate; over QQ on the Fractions themselves.
+is_algebra_map is the one point test: of the points of a(A), algebra maps
+A -> A, and of the grading points, coactions A -> A (x) k[G].  Like linalg's
+elimination it runs one loop for both fields: on the int residues of the map
+and constants over GF(p), each coordinate reduced once, on Fractions over QQ.
 """
 
 from __future__ import annotations
@@ -165,7 +165,7 @@ def _residue_products(alg: FinAlgebra) -> dict[tuple[int, int], list[tuple[int, 
 def is_algebra_map(b: FinAlgebra, a: FinAlgebra, f: Matrix) -> bool:
     """Is f (columns = images of B's basis in A) a unit-preserving algebra map
     B -> A?  This is the one point test: M is a point of a(A) exactly when
-    is_algebra_map(A, A, M).
+    is_algebra_map(A, A, M), and gradings.is_grading_point ends with it.
 
     f's columns and both constant tables are read as residues once; for each
     (i, j), sum_u tau_B[i,j,u] f(e_u) - f(e_i) f(e_j) is formed on them from

@@ -1,20 +1,23 @@
 """G-gradings of a finite-dimensional algebra via bialgebra-map points.
 
 A point is a family {P^sigma} of n x n matrices, one per group element, with
-theta(x[s,i]) = sum_sigma P^sigma[s][i] sigma in k[G].  The bialgebra-map
-conditions become: the family consists of orthogonal idempotents summing to
-the identity, the first column lives at the group identity, and the evaluated
-structure-constant relations hold with the group convolution on the right.
-The induced grading takes A_sigma = im P^sigma; conjugating a point by an
-invertible point of a(A) moves the grading by the matching automorphism, and
-the conjugation orbits are exactly the isomorphism classes of gradings.
+theta(x[s,i]) = sum_sigma P^sigma[s][i] sigma in k[G].  Such a theta is the
+coaction rho(e_i) = sum_s e_s (x) theta(x[s,i]) of k[G] on A, and the
+bialgebra-map conditions say that rho is counital (the family sums to the
+identity), coassociative (its members are orthogonal idempotents) and a
+unital algebra map A -> A (x) k[G], which is_algebra_map tests (Montgomery,
+Hopf Algebras and Their Actions on Rings, 1993, 4.1: kG-comodule algebras
+are the G-graded algebras).  The induced grading takes A_sigma = im P^sigma;
+conjugating a point by an invertible point of a(A) moves the grading by the
+matching automorphism, and the conjugation orbits are exactly the
+isomorphism classes of gradings.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import FinAlgebra, _residue_products
+from .algebra import FinAlgebra, is_algebra_map
 from .endomorphisms import (
     DEFAULT_MAX_SEARCH,
     EndoMonoid,
@@ -80,14 +83,28 @@ class Grading:
         return f"Grading({parts})"
 
 
+def _tensor_group_algebra(a: FinAlgebra, g: FiniteGroup) -> tuple[FinAlgebra, list[int]]:
+    """A (x) k[G] on the basis e_s (x) sigma, in blocks of n, with
+    (e_i (x) sigma)(e_j (x) tau) = (e_i e_j) (x) sigma tau, and the block
+    order: G's identity first, so that e_1 (x) e is basis index 0, the unit."""
+    n, e = a.n, g.identity
+    order = [e] + [sigma for sigma in range(g.order) if sigma != e]
+    block = {sigma: k * n for k, sigma in enumerate(order)}
+    tau = {
+        (block[sg] + i, block[tg] + j, block[g.mul(sg, tg)] + s): c
+        for (i, j, s), c in a.tau.items() for sg in order for tg in order
+    }
+    return FinAlgebra(a.field, n * g.order, tau), order
+
+
 def is_grading_point(a: FinAlgebra, g: FiniteGroup, point: GradingPoint) -> bool:
-    """All four point conditions: counit, orthogonal idempotency, unit column,
-    and the evaluated relations with convolution in k[G].  This is the one
-    grading-point test; it reads each P^sigma and A's constants as residues
-    once (see linalg._residues) and checks the conditions on them, in that
-    order, reducing each sum once."""
-    m = g.order
-    n = a.n
+    """The one grading-point test: the coaction rho(e_i) =
+    sum_{s,sigma} P^sigma[s][i] e_s (x) sigma is counital (the P^sigma sum to
+    the identity) and coassociative (they are orthogonal idempotents), both
+    checked on their residues (see linalg._residues), and is an algebra map
+    A -> A (x) k[G]: is_algebra_map on the P^sigma stacked in the blocks of
+    _tensor_group_algebra, which tests the unit column, then the relations."""
+    m, n = g.order, a.n
     if len(point.matrices) != m:
         raise ValueError(f"point has {len(point.matrices)} matrices, group order is {m}")
     for mat in point.matrices:
@@ -95,10 +112,9 @@ def is_grading_point(a: FinAlgebra, g: FiniteGroup, point: GradingPoint) -> bool
             raise ValueError("matrix size does not match the algebra dimension")
     rows, _, reduce, _ = _residues(a.field, [list(row) for mat in point.matrices for row in mat.rows])
     P = [rows[sigma * n:(sigma + 1) * n] for sigma in range(m)]
-    ident = [[int(s == i) for i in range(n)] for s in range(n)]
 
     for s in range(n):
-        if reduce([sum(mat[s][i] for mat in P) for i in range(n)]) != ident[s]:
+        if reduce([sum(mat[s][i] for mat in P) for i in range(n)]) != [int(s == i) for i in range(n)]:
             return False
 
     columns = [list(zip(*mat)) for mat in P]
@@ -109,33 +125,9 @@ def is_grading_point(a: FinAlgebra, g: FiniteGroup, point: GradingPoint) -> bool
                 if row != (P[s][r] if s == t else [0] * n):
                     return False
 
-    e = g.identity
-    for sigma in range(m):
-        if [row[0] for row in P[sigma]] != (ident[0] if sigma == e else [0] * n):
-            return False
-
-    products = _residue_products(a)
-    by_result: list[list[tuple]] = [[] for _ in range(n)]  # (s, t, tau[s,t,r]) for each r
-    for (s, t), prods in products.items():
-        for r, c in prods:
-            by_result[r].append((s, t, c))
-    pairs_for: list[list[tuple[int, int]]] = [[] for _ in range(m)]
-    for s in range(m):
-        for t in range(m):
-            pairs_for[g.mul(s, t)].append((s, t))
-    for rho in range(m):
-        prho = P[rho]
-        for ai in range(n):
-            for i in range(n):
-                for j in range(n):
-                    acc = sum(c * prho[ai][u] for u, c in products.get((i, j), ()))
-                    for (sg, tg) in pairs_for[rho]:
-                        ps, pt = P[sg], P[tg]
-                        for (s, t, c) in by_result[ai]:
-                            acc -= c * ps[s][i] * pt[t][j]
-                    if reduce([acc])[0]:
-                        return False
-    return True
+    ag, order = _tensor_group_algebra(a, g)
+    stacked = Matrix(a.field, [row for sigma in order for row in point.matrices[sigma].rows])
+    return is_algebra_map(a, ag, stacked)
 
 
 def grading_from_point(a: FinAlgebra, g: FiniteGroup, point: GradingPoint) -> Grading:

@@ -173,8 +173,10 @@ def group_from_dict(data, source: str = "<group>") -> FiniteGroup:
         or not len(labels) == len(set(labels)) == len(set(map(_label_key, labels)))
     ):
         raise InputError(f"{source}: elements must be a list of distinct labels")
-    index = {lab: k for k, lab in enumerate(labels)}
-    if not _is_label(data["identity"]) or data["identity"] not in index:
+    # keyed by type too: JSON true and 1.0 hash and compare equal to 1
+    index = {(type(lab), lab): k for k, lab in enumerate(labels)}
+    identity = data["identity"]
+    if not _is_label(identity) or (type(identity), identity) not in index:
         raise InputError(f"{source}: identity label not among elements")
     table_rows = data["table"]
     m = len(labels)
@@ -184,10 +186,10 @@ def group_from_dict(data, source: str = "<group>") -> FiniteGroup:
     for r, row in enumerate(table_rows):
         if not isinstance(row, list) or len(row) != m:
             raise InputError(f"{source}: table row {r + 1} must have {m} entries")
-        unknown = [lab for lab in row if not _is_label(lab) or lab not in index]
+        unknown = [lab for lab in row if not _is_label(lab) or (type(lab), lab) not in index]
         if unknown:
             raise InputError(f"{source}: unknown label {unknown[0]!r} in table row {r + 1}")
-        table.append([index[lab] for lab in row])
+        table.append([index[type(lab), lab] for lab in row])
     group = FiniteGroup(labels, table)
     violation = validate_group(group)
     if violation is not None:
@@ -195,7 +197,7 @@ def group_from_dict(data, source: str = "<group>") -> FiniteGroup:
             f"{source}: not a group: {violation.kind} fails at {violation.where} "
             f"({violation.detail})"
         )
-    if group.identity != index[data["identity"]]:
+    if group.identity != index[type(identity), identity]:
         raise InputError(f"{source}: declared identity does not match the table")
     return group
 

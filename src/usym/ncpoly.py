@@ -96,13 +96,39 @@ def _accumulate(out: dict, items: Iterable[tuple]) -> dict:
     return out
 
 
-class NCPoly:
-    """Finite scalar combination of words; zero coefficients are never stored."""
+class _Combination:
+    """The arithmetic NCPoly (keys: words) and TensorPoly (keys: tuples of
+    words) share: zero coefficients are never stored, results take the type
+    of self, and only combinations of one type are equal."""
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[Word, Scalar] | None = None):
-        self.terms: dict[Word, Scalar] = {w: c for w, c in (terms or {}).items() if c}
+    def __init__(self, terms: Mapping | None = None):
+        self.terms: dict = {k: c for k, c in (terms or {}).items() if c}
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __add__(self, other):
+        return type(self)(_accumulate(dict(self.terms), other.terms.items()))
+
+    def __neg__(self):
+        return type(self)({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and other.terms == self.terms
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self.terms.items()))
+
+
+class NCPoly(_Combination):
+    """Finite scalar combination of words; zero coefficients are never stored."""
+
+    __slots__ = ()
 
     @classmethod
     def constant(cls, coeff: Scalar) -> "NCPoly":
@@ -111,9 +137,6 @@ class NCPoly:
     @classmethod
     def gen(cls, g: GenId, one: Scalar) -> "NCPoly":
         return cls({(g,): one})
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def degree(self) -> int:
         if not self.terms:
@@ -128,15 +151,6 @@ class NCPoly:
             raise ValueError("zero polynomial has no leading word")
         return max(self.terms, key=word_key)
 
-    def __add__(self, other: "NCPoly") -> "NCPoly":
-        return NCPoly(_accumulate(dict(self.terms), other.terms.items()))
-
-    def __neg__(self) -> "NCPoly":
-        return NCPoly({w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other: "NCPoly") -> "NCPoly":
-        return self + (-other)
-
     def __mul__(self, other: "NCPoly") -> "NCPoly":
         if not isinstance(other, NCPoly):
             return NotImplemented
@@ -149,12 +163,6 @@ class NCPoly:
 
     def sorted_terms(self) -> list[tuple[Word, Scalar]]:
         return sorted(self.terms.items(), key=lambda t: word_key(t[0]), reverse=True)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, NCPoly) and other.terms == self.terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
 
     def __repr__(self) -> str:
         return format_poly(self)
@@ -553,17 +561,12 @@ def ideal_member_bounded(p: NCPoly, system: RewriteSystem, degree_bound: int) ->
     return system.normal_form(p).is_zero()
 
 
-class TensorPoly:
+class TensorPoly(_Combination):
     """Element of a tensor power of the free algebra: each key is a tuple of
     k words, one per leg (k = 0 for eps, 1 for a polynomial, 2 for Delta, 3
     for coassociativity)."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping[tuple[Word, ...], Scalar] | None = None):
-        self.terms: dict[tuple[Word, ...], Scalar] = {
-            k: c for k, c in (terms or {}).items() if c
-        }
+    __slots__ = ()
 
     @classmethod
     def of(cls, *factors: NCPoly) -> "TensorPoly":
@@ -574,30 +577,12 @@ class TensorPoly:
             out[legs] = functools.reduce(operator.mul, coeffs)
         return cls(out)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "TensorPoly") -> "TensorPoly":
-        return TensorPoly(_accumulate(dict(self.terms), other.terms.items()))
-
-    def __neg__(self) -> "TensorPoly":
-        return TensorPoly({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other: "TensorPoly") -> "TensorPoly":
-        return self + (-other)
-
     def sorted_terms(self) -> list[tuple[tuple[Word, ...], Scalar]]:
         return sorted(
             self.terms.items(),
             key=lambda t: tuple(map(word_key, t[0])),
             reverse=True,
         )
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, TensorPoly) and other.terms == self.terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
 
     def __repr__(self) -> str:
         return format_tensor(self)

@@ -12,6 +12,7 @@ import pytest
 
 from usym import FinAlgebra, GradingPoint, Matrix, NCPoly, QQ, Subspace, TensorPoly
 from usym.cli import main
+from usym.groups import FiniteGroup
 from usym.linalg import _rref
 from usym.ncpoly import gen_key, word_key
 
@@ -131,6 +132,20 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
 def full_space(field, n: int) -> Subspace:
     """The whole of k^n."""
     return Subspace.from_vectors(field, n, Matrix.identity(field, n).rows)
+
+
+# S_3 = <r, s | r^3 = s^2 = e, r s = s r^2>, elements e, r, r^2, s, sr, sr^2
+S3 = FiniteGroup(
+    ("e", "r", "r2", "s", "sr", "sr2"),
+    (
+        (0, 1, 2, 3, 4, 5),
+        (1, 2, 0, 5, 3, 4),
+        (2, 0, 1, 4, 5, 3),
+        (3, 4, 5, 0, 1, 2),
+        (4, 5, 3, 2, 0, 1),
+        (5, 3, 4, 1, 2, 0),
+    ),
+)
 
 
 def trivial_point(a: FinAlgebra, g) -> GradingPoint:

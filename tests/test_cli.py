@@ -180,6 +180,16 @@ def test_labels_with_one_key_text_are_refused(tmp_path, fmt):
     assert err == "error: labels.json: elements must be a list of distinct labels\n"
 
 
+def test_exit_1_on_identity_label_of_another_json_type(tmp_path):
+    # true and 1.0 equal 1 in Python, but name no element 1 of the file
+    path = tmp_path / "labels.json"
+    doc = {"elements": [1, "g"], "identity": True, "table": [[True, "g"], ["g", 1.0]]}
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(["gradings", fx("dual_gf3.json"), "--group", str(path)])
+    assert (code, out) == (1, "")
+    assert err == "error: labels.json: identity label not among elements\n"
+
+
 def test_exit_1_on_missing_file(tmp_path):
     code, out, err = run_cli(["present", str(tmp_path / "absent.json")])
     assert code == 1

@@ -28,7 +28,7 @@ from usym.gradings import _decompositions, _projections, apply_automorphism
 from usym.groups import FiniteGroup
 from usym.io import load_algebra, load_group
 from usym.unionfind import orbit_partition
-from conftest import dual_numbers, full_matrices, full_space, triangular, trivial_point
+from conftest import S3, dual_numbers, full_matrices, full_space, triangular, trivial_point
 
 
 def dimension_profile(grading):
@@ -49,19 +49,6 @@ def span(field, n, *vectors):
 KLEIN = FiniteGroup(
     ("e", "a", "b", "c"),
     ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)),
-)
-
-# S_3 = <r, s | r^3 = s^2 = e, r s = s r^2>, elements e, r, r^2, s, sr, sr^2
-S3 = FiniteGroup(
-    ("e", "r", "r2", "s", "sr", "sr2"),
-    (
-        (0, 1, 2, 3, 4, 5),
-        (1, 2, 0, 5, 3, 4),
-        (2, 0, 1, 4, 5, 3),
-        (3, 4, 5, 0, 1, 2),
-        (4, 5, 3, 2, 0, 1),
-        (5, 3, 4, 1, 2, 0),
-    ),
 )
 
 GRID = [

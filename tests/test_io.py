@@ -203,6 +203,26 @@ def test_group_labels_with_one_key_text_refused():
             group_from_dict(doc)
 
 
+@pytest.mark.parametrize(
+    "elements, identity, table, message",
+    [
+        ([1, "g"], True, [[1, "g"], ["g", 1]], "identity label not among elements"),
+        ([1, "g"], 1.0, [[1, "g"], ["g", 1]], "identity label not among elements"),
+        ([1.0, "g"], 1, [[1.0, "g"], ["g", 1.0]], "identity label not among elements"),
+        ([1, "g"], 1, [[True, "g"], ["g", 1]], "unknown label True in table row 1"),
+        ([1, "g"], 1, [[1, "g"], ["g", 1.0]], "unknown label 1.0 in table row 2"),
+        ([0, "g"], 0, [[False, "g"], ["g", 0]], "unknown label False in table row 1"),
+    ],
+)
+def test_group_labels_of_another_json_type_are_unknown(elements, identity, table, message):
+    # JSON true and 1.0 hash and compare equal to 1, yet name no element 1
+    doc = {"elements": elements, "identity": identity, "table": table}
+    with pytest.raises(InputError, match=message):
+        group_from_dict(doc)
+    doc = {"elements": elements, "identity": elements[0], "table": [elements, elements[::-1]]}
+    assert group_from_dict(doc).labels == tuple(elements)
+
+
 def test_load_group_cyclic_shorthand():
     g, meta = load_group("cyclic:4")
     assert g.order == 4

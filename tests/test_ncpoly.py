@@ -200,6 +200,22 @@ def test_tensor_normal_form():
     assert format_tensor(coeff3) == "-3 * x[2,2] x[1,2] (x) x[2,2] (x) x[2,2]"
 
 
+def test_polynomials_and_tensors_share_arithmetic_not_equality():
+    # the empty word and the 0-leg key are both (): only the type tells
+    # the constant polynomial 1 from the 0-leg tensor 1
+    const, tensor = NCPoly.constant(ONE), TensorPoly({(): ONE})
+    assert const.terms == tensor.terms
+    assert const != tensor and tensor != const
+    assert len({const, tensor}) == 2
+    for t in (const, tensor, poly((2, (X, Y)), (-1, ())), tensor_term((X,), (Y,), QQ(3))):
+        same = type(t)(dict(t.terms))
+        assert same == t and hash(same) == hash(t)
+        assert type(t + same) is type(t - same) is type(-t) is type(t)
+        assert t + same == type(t)({k: c + c for k, c in t.terms.items()})
+        assert (t - same).is_zero() and -(-t) == t
+        assert type(t)({k: QQ.zero for k in t.terms}).is_zero()
+
+
 def test_substitute():
     subs = {(1, 1): poly((1, ())), (2, 1): NCPoly()}
     p = poly((1, ((1, 1), (2, 2))), (1, ((2, 1),)), (2, ()))

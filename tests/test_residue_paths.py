@@ -20,8 +20,9 @@ from usym import (
     is_algebra_map,
     is_grading_point,
 )
-from usym.io import load_algebra
+from usym.io import group_from_dict, load_algebra
 from conftest import (
+    S3,
     cyclic_group_algebra,
     dual_numbers,
     full_matrices,
@@ -203,11 +204,23 @@ def test_is_algebra_map_matches_dense():
     assert verdicts[True] > 100 and verdicts[False] > 1000
 
 
+# C_3 on g, g^2, e: its identity is the last element, not index 0
+C3_IDENTITY_LAST = group_from_dict(
+    {
+        "elements": ["g", "g2", "e"],
+        "identity": "e",
+        "table": [["g2", "e", "g"], ["e", "g", "g2"], ["g", "g2", "e"]],
+    }
+)
+
 GRID = [
     (dual_numbers, 2, cyclic_group(2)),
     (dual_numbers, 3, cyclic_group(2)),
     (dual_numbers, 2, cyclic_group(3)),
     (triangular, 2, cyclic_group(2)),
+    (dual_numbers, 3, C3_IDENTITY_LAST),
+    (triangular, 2, C3_IDENTITY_LAST),
+    (dual_numbers, 3, S3),
 ]
 
 
@@ -258,7 +271,9 @@ def test_grading_point_conditions_on_random_families(p):
     # families that sum to the identity, so the later conditions are reached
     rng = random.Random(p)
     fld = GF(p)
-    for a, g in [(triangular(fld), cyclic_group(2)), (dual_numbers(fld), cyclic_group(3))]:
+    families = [(triangular(fld), cyclic_group(2)), (dual_numbers(fld), cyclic_group(3))]
+    families += [(triangular(fld), C3_IDENTITY_LAST), (dual_numbers(fld), S3)]
+    for a, g in families:
         n, m = a.n, g.order
         for _ in range(200):
             mats = [

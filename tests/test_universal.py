@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import pytest
 
@@ -12,13 +13,15 @@ from usym import (
     build_relations,
     check_bialgebra,
     check_comodule,
+    cyclic_group,
     enumerate_endomorphisms,
+    enumerate_points,
     fixture_path,
 )
-from usym.io import load_algebra
+from usym.io import load_algebra, load_group
 from usym.linalg import Matrix
 from usym.universal import _on_leg
-from conftest import dual_numbers, ground_field, iter_words, rref, tensor_term, triangular
+from conftest import S3, dual_numbers, ground_field, iter_words, rref, tensor_term, triangular
 
 ONE = QQ.one
 X12, X22 = (1, 2), (2, 2)
@@ -229,6 +232,40 @@ def test_eps_kills_every_relation(dual_q, triangular_q):
 
 
 GF_FIXTURES = ["dual_gf2", "dual_gf3", "dual_gf5", "dual_gf7", "triangular_gf2", "triangular_gf3"]
+GROUP_FIXTURES = ["group_c2", "group_c3", "group_klein"]
+TRIVIAL_GROUP = cyclic_group(1)
+
+
+def presentation_relations(p):
+    """Every substitution g - q and every rule lead - rest of p."""
+    one = p.algebra.field.one
+    relations = [NCPoly.gen(g, one) - q for g, q in p.system.subs.items()]
+    return relations + [rule.poly for rule in p.system.rules]
+
+
+def value_in_group_algebra(rel, image, g, field):
+    """rel at x[s,i] -> image[s, i] in k[G], an element of k[G] written as its
+    coefficient list in g's element order; words multiply left to right."""
+    m = g.order
+    value = [field.zero] * m
+    for w, c in rel.terms.items():
+        term = [field.zero] * m
+        term[g.identity] = c
+        for gen in w:
+            product = [field.zero] * m
+            for sigma, x in enumerate(term):
+                for tau, y in enumerate(image[gen]):
+                    product[g.mul(sigma, tau)] = product[g.mul(sigma, tau)] + x * y
+            term = product
+        value = [x + y for x, y in zip(value, term)]
+    return value
+
+
+def value_in_field(rel, image, field):
+    """rel at x[s,i] -> image[s, i] in k, which is k[G] for the trivial G."""
+    image = {gen: [x] for gen, x in image.items()}
+    return value_in_group_algebra(rel, image, TRIVIAL_GROUP, field)[0]
+
 
 
 @pytest.mark.parametrize("name", GF_FIXTURES)
@@ -239,16 +276,11 @@ def test_endomorphisms_are_the_characters_of_the_presentation(name):
     a = load_algebra(fixture_path(f"{name}.json"))[0]
     p = build_presentation(a, 3)
     f = a.field
-    relations = [NCPoly.gen(g, f.one) - q for g, q in p.system.subs.items()]
-    relations += [rule.poly for rule in p.system.rules]
+    relations = presentation_relations(p)
 
     def at(m, rel):
-        value = f.zero
-        for w, c in rel.terms.items():
-            for s, i in w:
-                c = c * m.rows[s - 1][i - 1]
-            value = value + c
-        return value
+        image = {(s + 1, i + 1): x for s, row in enumerate(m.rows) for i, x in enumerate(row)}
+        return value_in_field(rel, image, f)
 
     points = enumerate_endomorphisms(a).points
     assert points and relations
@@ -256,6 +288,54 @@ def test_endomorphisms_are_the_characters_of_the_presentation(name):
         for rel in relations:
             assert not at(m, rel), (m, rel)
     assert any(at(Matrix.zeros(f, a.n, a.n), rel) for rel in relations)
+
+    # conversely, the common zeros of the rules, over all values of the
+    # surviving generators and the eliminated ones set by their
+    # substitutions, are exactly the endomorphisms
+    n, q = a.n, f.characteristic
+    gens = [(s, i) for s in range(1, n + 1) for i in range(1, n + 1)]
+    free = [gen for gen in gens if gen not in p.system.subs]
+    assert q ** len(free) <= 10**5  # small enough to try every value
+    zeros = []
+    for values in itertools.product(map(f, range(q)), repeat=len(free)):
+        x = dict(zip(free, values))
+        x.update({gen: value_in_field(sub, x, f) for gen, sub in p.system.subs.items()})
+        if not any(value_in_field(rule.poly, x, f) for rule in p.system.rules):
+            zeros.append(tuple(tuple(x[s, i] for i in range(1, n + 1)) for s in range(1, n + 1)))
+    assert len(zeros) == len(points)
+    assert sorted(zeros) == sorted(m.rows for m in points)
+
+
+@pytest.mark.parametrize(
+    "name, group_name",
+    [(name, group_name) for name in GF_FIXTURES for group_name in GROUP_FIXTURES]
+    + [(name, "S3") for name in GF_FIXTURES if name.startswith("dual_")],
+)
+def test_grading_points_are_the_characters_of_the_presentation(name, group_name):
+    # the grading points are Hom_BiAlg(a(A), k[G]): x[s,i] -> sum_sigma
+    # P^sigma[s][i] sigma at every point kills every substitution and every
+    # rule, with the words multiplied in k[G] in order (S_3 does not
+    # commute); the zero family, not a point, does not
+    a = load_algebra(fixture_path(f"{name}.json"))[0]
+    g = S3 if group_name == "S3" else load_group(str(fixture_path(f"{group_name}.json")))[0]
+    f = a.field
+    relations = presentation_relations(build_presentation(a, 3))
+
+    def at(matrices, rel):
+        image = {
+            (s + 1, i + 1): [mat.rows[s][i] for mat in matrices]
+            for s in range(a.n)
+            for i in range(a.n)
+        }
+        return value_in_group_algebra(rel, image, g, f)
+
+    points = enumerate_points(a, g)
+    assert points and relations
+    for point in points:
+        for rel in relations:
+            assert not any(at(point.matrices, rel)), (point, rel)
+    zero = [Matrix.zeros(f, a.n, a.n)] * g.order
+    assert any(any(at(zero, rel)) for rel in relations)
 
 
 def test_tables_cover_every_generator(dual_q, triangular_q):
