@@ -16,11 +16,13 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .fields import Field, Scalar
-from .linalg import Matrix, Vector, _residues
+from .linalg import Matrix, Vector, _residue_ops
 
 
 class FinAlgebra:
-    __slots__ = ("field", "n", "labels", "tau", "_by_result", "_by_pair")
+    __slots__ = (
+        "field", "n", "labels", "tau", "_by_result", "_by_pair", "_residue_products", "_graded"
+    )
 
     def __init__(
         self,
@@ -52,6 +54,15 @@ class FinAlgebra:
         for (i, j, s), c in clean.items():
             by_pair.setdefault((i, j), {})[s] = c
         self._by_pair = by_pair
+        # the same products as {(i, j): [(s, tau[i,j,s]), ...]}, each constant
+        # read as a residue (see linalg._residue_ops)
+        read = _residue_ops(field).read
+        self._residue_products = {
+            ij: list(zip(prods, read(prods.values()))) for ij, prods in by_pair.items()
+        }
+        # A (x) k[G] for each group G a grading point of this algebra was
+        # tested for, built on the first test (see gradings.is_grading_point)
+        self._graded: dict = {}
 
     def tau_get(self, i: int, j: int, s: int) -> Scalar:
         return self.tau.get((i, j, s), self.field.zero)
@@ -153,32 +164,25 @@ def validate_algebra(a: FinAlgebra) -> Violation | None:
     return None
 
 
-def _residue_products(alg: FinAlgebra) -> dict[tuple[int, int], list[tuple[int, Scalar]]]:
-    """The nonzero products e_i e_j as {(i, j): [(s, tau[i,j,s]), ...]}, with
-    each constant read as a residue (see linalg._residues)."""
-    by_pair = alg._by_pair
-    [flat], *_ = _residues(alg.field, [[c for prods in by_pair.values() for c in prods.values()]])
-    consts = iter(flat)
-    return {ij: [(s, next(consts)) for s in prods] for ij, prods in by_pair.items()}
-
-
 def is_algebra_map(b: FinAlgebra, a: FinAlgebra, f: Matrix) -> bool:
     """Is f (columns = images of B's basis in A) a unit-preserving algebra map
     B -> A?  This is the one point test: M is a point of a(A) exactly when
     is_algebra_map(A, A, M), and gradings.is_grading_point ends with it.
 
-    f's columns and both constant tables are read as residues once; for each
-    (i, j), sum_u tau_B[i,j,u] f(e_u) - f(e_i) f(e_j) is formed on them from
-    the sparse tables and each coordinate is reduced once."""
+    f's columns are read as residues once; for each (i, j),
+    sum_u tau_B[i,j,u] f(e_u) - f(e_i) f(e_j) is formed on them from both
+    algebras' residue tables (FinAlgebra._residue_products, formed once per
+    algebra) and each coordinate is reduced once."""
     if f.nrows != a.n or f.ncols != b.n:
         raise ValueError(f"map shape {f.nrows}x{f.ncols} does not match dim A={a.n}, dim B={b.n}")
     if a.field != b.field or f.field != a.field:
         raise ValueError("algebra map endpoints must share one field")
     if f.column(0) != a.unit:
         return False
-    cols, _, reduce, _ = _residues(a.field, [list(col) for col in zip(*f.rows)])
+    ops = _residue_ops(a.field)
+    cols, reduce = [ops.read(col) for col in zip(*f.rows)], ops.reduce
     support = [[(k, x) for k, x in enumerate(col) if x] for col in cols]
-    tau_b, tau_a = _residue_products(b), _residue_products(a)
+    tau_b, tau_a = b._residue_products, a._residue_products
     for i in range(b.n):
         for j in range(b.n):
             acc = [0] * a.n

@@ -288,9 +288,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built by the first main call and reused by the later ones in the process:
+# parse_args leaves a parser as it found it
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         report = args.run(args)
     except InputError as exc:

@@ -30,7 +30,7 @@ from .groups import FiniteGroup
 from .linalg import (
     Matrix,
     Subspace,
-    _residues,
+    _residue_ops,
     column_space,
     count_subspaces,
     enumerate_subspaces,
@@ -65,7 +65,7 @@ class Grading:
         return self.components.get(sigma)
 
     def sort_key(self):
-        return tuple((k, v.basis) for k, v in self.components.items())
+        return tuple((k, v.rows) for k, v in self.components.items())
 
     def __eq__(self, other) -> bool:
         return (
@@ -101,17 +101,19 @@ def is_grading_point(a: FinAlgebra, g: FiniteGroup, point: GradingPoint) -> bool
     """The one grading-point test: the coaction rho(e_i) =
     sum_{s,sigma} P^sigma[s][i] e_s (x) sigma is counital (the P^sigma sum to
     the identity) and coassociative (they are orthogonal idempotents), both
-    checked on their residues (see linalg._residues), and is an algebra map
+    checked on their residues (see linalg._residue_ops), and is an algebra map
     A -> A (x) k[G]: is_algebra_map on the P^sigma stacked in the blocks of
-    _tensor_group_algebra, which tests the unit column, then the relations."""
+    _tensor_group_algebra, which tests the unit column, then the relations.
+    A (x) k[G] is built on the first test for G and kept on A, so that
+    enumerate_points, which re-checks every point it found, builds it once."""
     m, n = g.order, a.n
     if len(point.matrices) != m:
         raise ValueError(f"point has {len(point.matrices)} matrices, group order is {m}")
     for mat in point.matrices:
         if mat.nrows != n or mat.ncols != n:
             raise ValueError("matrix size does not match the algebra dimension")
-    rows, _, reduce, _ = _residues(a.field, [list(row) for mat in point.matrices for row in mat.rows])
-    P = [rows[sigma * n:(sigma + 1) * n] for sigma in range(m)]
+    ops = _residue_ops(a.field)
+    P, reduce = [[ops.read(row) for row in mat.rows] for mat in point.matrices], ops.reduce
 
     for s in range(n):
         if reduce([sum(mat[s][i] for mat in P) for i in range(n)]) != [int(s == i) for i in range(n)]:
@@ -125,7 +127,9 @@ def is_grading_point(a: FinAlgebra, g: FiniteGroup, point: GradingPoint) -> bool
                 if row != (P[s][r] if s == t else [0] * n):
                     return False
 
-    ag, order = _tensor_group_algebra(a, g)
+    if g not in a._graded:
+        a._graded[g] = _tensor_group_algebra(a, g)
+    ag, order = a._graded[g]
     stacked = Matrix(a.field, [row for sigma in order for row in point.matrices[sigma].rows])
     return is_algebra_map(a, ag, stacked)
 
@@ -141,7 +145,9 @@ def grading_from_point(a: FinAlgebra, g: FiniteGroup, point: GradingPoint) -> Gr
 
 
 def validate_grading(a: FinAlgebra, g: FiniteGroup, grading: Grading) -> bool:
-    """Direct-sum and multiplicativity checks by exact linear algebra."""
+    """Direct-sum and multiplicativity checks by exact linear algebra, on the
+    components' residue rows: each e_u e_v is formed from the algebra's
+    residue table (FinAlgebra._residue_products), as in is_algebra_map."""
     if grading.ambient != a.n or grading.order != g.order:
         raise ValueError("grading shape does not match algebra/group")
     total = Subspace.zero(a.field, a.n)
@@ -157,16 +163,27 @@ def validate_grading(a: FinAlgebra, g: FiniteGroup, grading: Grading) -> bool:
     ident = grading.component(g.identity)
     if ident is None or not ident.contains(a.unit):
         return False
-    for sigma, u_comp in grading.components.items():
-        for tau, v_comp in grading.components.items():
+    ops = _residue_ops(a.field)
+    prods, n = a._residue_products, a.n
+    support = {
+        sigma: [[(i, x) for i, x in enumerate(row) if x] for row in comp.rows]
+        for sigma, comp in grading.components.items()
+    }
+    for sigma, u_comp in support.items():
+        for tau, v_comp in support.items():
             target = grading.component(g.mul(sigma, tau))
-            for u in u_comp.basis:
-                for v in v_comp.basis:
-                    prod = a.multiply(u, v)
+            for u in u_comp:
+                for v in v_comp:
+                    acc = [0] * n
+                    for i, x in u:
+                        for j, y in v:
+                            for s, c in prods.get((i, j), ()):
+                                acc[s] += c * x * y
+                    prod = ops.reduce(acc)
                     if target is None:
                         if any(prod):
                             return False
-                    elif not target.contains(prod):
+                    elif not target._has(prod, ops.submul):
                         return False
     return True
 

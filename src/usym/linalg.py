@@ -1,53 +1,76 @@
 """Exact dense linear algebra over the package's scalar domains.
 
-Matrices are immutable row-tuples.  Subspaces are kept in reduced
-row-echelon form with no zero rows, which makes the representative unique:
-two subspaces are equal iff their stored bases are identical.
+Matrices are immutable row-tuples of field scalars.  A Subspace is held as
+its reduced row-echelon form with no zero rows, which makes the
+representative unique: two subspaces are equal iff their stored rows are
+identical.
 
-Row reduction (_rref, behind inverse, Subspace and column_space) and
-Subspace.contains run one elimination loop for both fields: over GF(p) on
-the entries' int residues, reduced mod p after each row operation and made
-FpElements once at the end; over QQ on the Fractions themselves.
+Over GF(p) the arithmetic runs on the entries' int residues, reduced mod p
+after each row operation; over QQ on the Fractions themselves, so one loop
+serves both fields (see _residue_ops).  Row reduction (_eliminate, behind
+inverse, Subspace and column_space) makes FpElements only where a Matrix
+comes out of it.  A Subspace keeps its rows as residues and makes the
+FpElement rows of its `basis` once, the first time a caller reads them
+(reports and the projections of gradings.point_from_grading); its own
+operations (sum, contains, image_under, ==, hash, sort_key) never do.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .fields import Field, FpElement, PrimeField, Scalar
 
 Vector = tuple  # length-n tuple of scalars
 
 
-def _residues(field: Field, rows: list[list]) -> tuple[list[list], Callable, Callable, Callable]:
-    """(rows, inverse, reduce, back): over GF(p), the rows as int residues, the
-    inverse mod p, a row reduced mod p and a row of residues as FpElements;
-    over QQ, the rows themselves, 1/x and the identity twice."""
+class _Ops(NamedTuple):
+    """Row arithmetic for one field, on residues (see _residue_ops)."""
+
+    read: Callable  # a row of field scalars -> a list of residues
+    inverse: Callable  # x -> 1/x
+    reduce: Callable  # a row -> the row reduced
+    submul: Callable  # (x, f, y) -> x - f*y, reduced
+    back: Callable  # a row of residues -> a row of field scalars
+
+
+@functools.cache  # one set of closures per field
+def _residue_ops(field: Field) -> _Ops:
+    """Over GF(p): FpElements read as int residues, the inverse mod p, rows
+    reduced mod p, and residues made FpElements.  Over QQ the same loops run
+    on the Fractions themselves: read copies a row into a list, and reduce
+    and back leave it as it is."""
     if isinstance(field, PrimeField):
         p = field.characteristic
-        return (
-            [[x.v for x in row] for row in rows],
+        return _Ops(
+            lambda row: [x.v for x in row],
             lambda x: pow(x, p - 2, p),
             lambda row: [x % p for x in row],
+            lambda x, f, y: [(a - f * b) % p for a, b in zip(x, y)],
             lambda row: [FpElement(p, x) for x in row],
         )
     one = field.one
-    return rows, lambda x: one / x, _same, _same
+    return _Ops(
+        list,
+        lambda x: one / x,
+        _same,
+        lambda x, f, y: [a - f * b for a, b in zip(x, y)],
+        _same,
+    )
 
 
 def _same(row: list) -> list:
     return row
 
 
-def _rref(field: Field, rows: list[list]) -> tuple[list[list], list[int]]:
-    """Reduced row echelon form of rows, as (new rows, pivot columns).
-
-    Over GF(p) one elimination runs on the int residues, and the entries
-    become FpElements once, at the end."""
-    rows, inverse, reduce, back = _residues(field, rows)
+def _eliminate(rows: list, ops: _Ops) -> tuple[list, list[int]]:
+    """Reduced row echelon form of rows of residues, as (new rows, pivot
+    columns); rows is reordered in place."""
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
+    submul = ops.submul
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
@@ -55,18 +78,26 @@ def _rref(field: Field, rows: list[list]) -> tuple[list[list], list[int]]:
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        if rows[r][c] != 1:  # every row of a Subspace basis has pivot 1
-            inv = inverse(rows[r][c])
-            rows[r] = reduce([x * inv for x in rows[r]])
+        if rows[r][c] != 1:  # every row of a Subspace has pivot 1
+            inv = ops.inverse(rows[r][c])
+            rows[r] = ops.reduce([x * inv for x in rows[r]])
         for i in range(nrows):
             if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = reduce([a - f * b for a, b in zip(rows[i], rows[r])])
+                rows[i] = submul(rows[i], rows[i][c], rows[r])
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return [back(row) for row in rows], pivots
+    return rows, pivots
+
+
+def _rref(field: Field, rows: list[list]) -> tuple[list[list], list[int]]:
+    """Reduced row echelon form of rows of field scalars, as (new rows,
+    pivot columns).  Over GF(p) one elimination runs on the int residues,
+    and the entries become FpElements once, at the end."""
+    ops = _residue_ops(field)
+    rows, pivots = _eliminate([ops.read(row) for row in rows], ops)
+    return [ops.back(row) for row in rows], pivots
 
 
 class Matrix:
@@ -186,24 +217,35 @@ def format_vector(v: Sequence[Scalar]) -> str:
 
 
 class Subspace:
-    """Subspace of k^n held as a canonical RREF basis (rows, no zero rows)."""
+    """Subspace of k^n held as its canonical RREF: `rows`, no zero rows,
+    each entry an int residue over GF(p) and a Fraction over QQ.  `basis`,
+    the same rows as field scalars (FpElements over GF(p), the Fractions
+    over QQ), is built on its first read and kept."""
 
-    __slots__ = ("field", "ambient", "basis")
+    __slots__ = ("field", "ambient", "rows", "_basis")
 
-    def __init__(self, field: Field, ambient: int, basis: tuple[Vector, ...]):
+    def __init__(self, field: Field, ambient: int, rows: tuple[tuple, ...]):
         self.field = field
         self.ambient = ambient
-        self.basis = basis
+        self.rows = rows
+        self._basis: tuple[Vector, ...] | None = None
 
     @classmethod
     def from_vectors(cls, field: Field, ambient: int, vectors: Iterable[Sequence[Scalar]]) -> "Subspace":
-        vecs = [list(v) for v in vectors]
-        for v in vecs:
+        read = _residue_ops(field).read
+        rows = [read(v) for v in vectors]
+        for v in rows:
             if len(v) != ambient:
                 raise ValueError(f"ambient dimension mismatch: {len(v)} vs {ambient}")
-        if not vecs:
+        return cls._span(field, ambient, rows)
+
+    @classmethod
+    def _span(cls, field: Field, ambient: int, rows: list) -> "Subspace":
+        """The span of rows of residues (see _residue_ops); the list rows is
+        reused."""
+        if not rows:
             return cls(field, ambient, ())
-        rows, pivots = _rref(field, vecs)
+        rows, pivots = _eliminate(rows, _residue_ops(field))
         return cls(field, ambient, tuple(tuple(r) for r in rows[: len(pivots)]))
 
     @classmethod
@@ -211,11 +253,18 @@ class Subspace:
         return cls(field, ambient, ())
 
     @property
+    def basis(self) -> tuple[Vector, ...]:
+        if self._basis is None:
+            back = _residue_ops(self.field).back
+            self._basis = tuple(tuple(back(row)) for row in self.rows)
+        return self._basis
+
+    @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
 
     def is_zero(self) -> bool:
-        return not self.basis
+        return not self.rows
 
     def _require_same_ambient(self, other: "Subspace") -> None:
         if self.ambient != other.ambient or self.field != other.field:
@@ -223,40 +272,52 @@ class Subspace:
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._require_same_ambient(other)
-        # a zero operand leaves the other's canonical basis as it is
-        if not self.basis:
+        # a zero operand leaves the other's canonical rows as they are
+        if not self.rows:
             return other
-        if not other.basis:
+        if not other.rows:
             return self
-        return Subspace.from_vectors(self.field, self.ambient, self.basis + other.basis)
+        return Subspace._span(self.field, self.ambient, [*self.rows, *other.rows])
 
     def contains(self, vec: Sequence[Scalar]) -> bool:
         if len(vec) != self.ambient:
             raise ValueError("ambient dimension mismatch")
-        (v, *basis), _, reduce, _ = _residues(self.field, [list(vec), *self.basis])
-        for row in basis:
+        ops = _residue_ops(self.field)
+        return self._has(ops.read(vec), ops.submul)
+
+    def _has(self, v: list, submul: Callable) -> bool:
+        """Does the span hold v, a row of residues?  submul is that of
+        _residue_ops(self.field)."""
+        for row in self.rows:
             pivot = next(j for j, x in enumerate(row) if x)
             if v[pivot]:
-                f = v[pivot]
-                v = reduce([a - f * b for a, b in zip(v, row)])
+                v = submul(v, v[pivot], row)
         return not any(v)
 
     def image_under(self, m: Matrix) -> "Subspace":
-        return Subspace.from_vectors(self.field, m.nrows, [m.apply(v) for v in self.basis])
+        if m.ncols != self.ambient:
+            raise ValueError(f"dimension mismatch {m.ncols} vs {self.ambient}")
+        ops = _residue_ops(self.field)
+        mrows = [ops.read(row) for row in m.rows]
+        images = [
+            ops.reduce([sum(a * b for a, b in zip(mrow, row)) for mrow in mrows])
+            for row in self.rows
+        ]
+        return Subspace._span(self.field, m.nrows, images)
 
     def sort_key(self):
-        return (self.dim, self.basis)
+        return (self.dim, self.rows)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Subspace)
             and other.ambient == self.ambient
             and other.field == self.field
-            and other.basis == self.basis
+            and other.rows == self.rows
         )
 
     def __hash__(self) -> int:
-        return hash((self.ambient, self.basis))
+        return hash((self.ambient, self.rows))
 
     def __repr__(self) -> str:
         return format_subspace(self)
@@ -276,12 +337,11 @@ def enumerate_subspaces(field: PrimeField, n: int) -> Iterator[Subspace]:
     """All subspaces of GF(p)^n, by dimension then canonical basis.
 
     Walks RREF shapes directly: pick pivot columns, then fill the free
-    entries (right of each pivot, outside other pivot columns).
+    entries (right of each pivot, outside other pivot columns) with residues.
     """
     if not isinstance(field, PrimeField):
         raise ValueError("subspace enumeration requires a finite field")
-    elems = list(field.elements())
-    z, o = field.zero, field.one
+    elems = range(field.characteristic)
     yield Subspace.zero(field, n)
     for r in range(1, n + 1):
         for pivots in itertools.combinations(range(n), r):
@@ -292,9 +352,9 @@ def enumerate_subspaces(field: PrimeField, n: int) -> Iterator[Subspace]:
                 if j > pivots[i] and j not in pivots
             ]
             for values in itertools.product(elems, repeat=len(free_cells)):
-                rows = [[z] * n for _ in range(r)]
+                rows = [[0] * n for _ in range(r)]
                 for i, c in enumerate(pivots):
-                    rows[i][c] = o
+                    rows[i][c] = 1
                 for (i, j), v in zip(free_cells, values):
                     rows[i][j] = v
                 yield Subspace(field, n, tuple(tuple(row) for row in rows))

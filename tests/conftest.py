@@ -9,12 +9,17 @@ import io
 import json
 
 import pytest
+from hypothesis import settings
 
 from usym import FinAlgebra, GradingPoint, Matrix, NCPoly, QQ, Subspace, TensorPoly
 from usym.cli import main
 from usym.groups import FiniteGroup
 from usym.linalg import _rref
 from usym.ncpoly import gen_key, word_key
+
+# pytest --hypothesis-profile=deep: ten times the default examples, for the
+# property tests that leave the example count to the profile
+settings.register_profile("deep", max_examples=1000, deadline=None)
 
 
 def dual_numbers(field) -> FinAlgebra:
@@ -127,6 +132,49 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """m in reduced row-echelon form, and its pivot columns."""
     rows, pivots = _rref(m.field, [list(r) for r in m.rows])
     return Matrix(m.field, rows), tuple(pivots)
+
+
+def scalar_rref(field, rows):
+    """Reduced row echelon form by row operations on the field's own scalars
+    (FpElement over GF(p)): the oracle for the elimination on residues, and
+    for the Subspace operations on residue rows."""
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = field.one / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return rows, pivots
+
+
+def scalar_basis(field, vectors):
+    """The canonical basis of the span of vectors, on field scalars."""
+    rows, pivots = scalar_rref(field, [list(v) for v in vectors])
+    return tuple(tuple(row) for row in rows[: len(pivots)])
+
+
+def scalar_contains(basis, vec):
+    """Does the span of basis, a canonical basis on field scalars, hold vec?"""
+    v = list(vec)
+    for row in basis:
+        pivot = next(j for j, x in enumerate(row) if x)
+        if v[pivot]:
+            f = v[pivot]
+            v = [a - f * b for a, b in zip(v, row)]
+    return not any(v)
 
 
 def full_space(field, n: int) -> Subspace:

@@ -477,3 +477,25 @@ def test_classify_reads_inverses_off_the_table(monkeypatch):
     # classify conjugates each of the 2 points by each of the 2 automorphisms
     # with the inverses on Aut's table, and inverts nothing itself
     assert calls == {"inverse": 2, "conjugate_point": 2 * 2}
+
+
+def test_main_calls_in_one_process_match_separate_processes():
+    # main builds its parser once per process; reusing it for other
+    # subcommands, after a usage error and after an input error must give
+    # what a fresh process gives
+    calls = [
+        ["present", fx("dual_q.json")],
+        ["present", fx("dual_q.json"), "--max-degree", "abc"],
+        ["aut", fx("dual_gf3.json"), "--format", "json", "--oracle"],
+        ["gradings", fx("dual_gf3.json")],
+        ["endo", fx("dual_q.json")],
+        ["gradings", fx("dual_gf3.json"), "--group", "cyclic:2", "--classify"],
+        ["present", fx("dual_q.json")],
+    ]
+    script = "import sys; from usym.cli import main; sys.exit(main(sys.argv[1:]))"
+    for argv in calls:
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *argv], capture_output=True, text=True
+        )
+        assert run_cli(argv) == (proc.returncode, proc.stdout, proc.stderr), argv
+    assert [run_cli(argv)[0] for argv in calls] == [0, 1, 0, 1, 1, 0, 0]

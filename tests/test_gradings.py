@@ -210,6 +210,50 @@ def test_grading_oracle_validates_each_decomposition(monkeypatch):
     assert len(calls) == 802 == sum(1 for _ in _decompositions(a, c2))
 
 
+def test_grading_oracle_makes_no_field_scalars(monkeypatch):
+    # the same 802 decompositions, eliminated and checked on residue rows:
+    # no FpElement is constructed until a caller reads a component's basis,
+    # which builds its n x dim entries once
+    from usym.fields import FpElement
+
+    a, c2 = full_matrices(GF(2)), cyclic_group(2)
+    made = []
+    original = FpElement.__init__
+
+    def counted(self, p, v):
+        made.append(v)
+        original(self, p, v)
+
+    monkeypatch.setattr(FpElement, "__init__", counted)
+    gradings = enumerate_gradings_oracle(a, c2)
+    assert len(gradings) == 5 and len(made) == 0
+    comps = [comp for gr in gradings for comp in gr.components.values()]
+    for _ in range(2):  # the second read builds nothing
+        assert all(comp.basis for comp in comps)
+        assert len(made) == 5 * 4 * 4
+
+
+def test_enumerate_points_builds_the_tensor_algebra_once(monkeypatch):
+    # enumerate_points re-checks each of its points with is_grading_point,
+    # which builds A (x) k[G] once per algebra and group
+    import usym.gradings
+
+    built = []
+
+    def counted(a, g, _original=usym.gradings._tensor_group_algebra):
+        built.append((a, g))
+        return _original(a, g)
+
+    monkeypatch.setattr(usym.gradings, "_tensor_group_algebra", counted)
+    a, b, c2, c3 = full_matrices(GF(2)), triangular(GF(3)), cyclic_group(2), cyclic_group(3)
+    assert len(enumerate_points(a, c2)) == 5 and built == [(a, c2)]
+    assert len(enumerate_points(b, c2)) > 1 and built == [(a, c2), (b, c2)]
+    assert is_grading_point(a, c2, trivial_point(a, c2)) and len(built) == 2
+    assert is_grading_point(a, c3, trivial_point(a, c3)) and built[2:] == [(a, c3)]
+    # an equal group read again is the same key
+    assert is_grading_point(a, cyclic_group(3), trivial_point(a, c3)) and len(built) == 3
+
+
 def test_oracle_search_guard():
     a = triangular(GF(3))
     with pytest.raises(SearchSizeError):

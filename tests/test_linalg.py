@@ -2,11 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from usym import GF, QQ, Matrix, Subspace, column_space, enumerate_subspaces
 from usym.fields import FpElement
 from usym.linalg import count_subspaces
-from conftest import full_space, rref
+from conftest import full_space, rref, scalar_basis, scalar_contains, scalar_rref
 
 
 def mat(field, rows):
@@ -126,46 +127,6 @@ def test_random_rank_nullity_consistency():
         assert sp_before == sp_after
 
 
-def scalar_rref(field, rows):
-    """Reduced row echelon form by row operations on the field's own scalars
-    (FpElement over GF(p)): the oracle for the elimination on residues."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = field.one / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivots
-
-
-def scalar_basis(field, vectors):
-    rows, pivots = scalar_rref(field, [list(v) for v in vectors])
-    return tuple(tuple(row) for row in rows[: len(pivots)])
-
-
-def scalar_contains(basis, vec):
-    v = list(vec)
-    for row in basis:
-        pivot = next(j for j, x in enumerate(row) if x)
-        if v[pivot]:
-            f = v[pivot]
-            v = [a - f * b for a, b in zip(v, row)]
-    return not any(v)
-
-
 def random_matrices(field, rng):
     """Every shape up to 5 x 5 (empty, wide, tall, square), once with random
     entries and once of rank at most 1 below its smaller side."""
@@ -229,3 +190,74 @@ def test_elimination_matches_scalar_oracle(field):
         for vec in probes:
             assert space.contains(vec) is scalar_contains(space.basis, vec)
     assert inverted and singular
+
+
+def scalars(field):
+    """Hypothesis scalars of field: every residue over GF(p), small
+    fractions over QQ."""
+    if field == QQ:
+        return st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    return st.integers(0, field.characteristic - 1).map(field)
+
+
+def vectors(field, n, **size):
+    return st.lists(st.tuples(*[scalars(field)] * n), **size)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_subspace_operations_match_scalar_oracle(data):
+    # the Subspace operations on residue rows against scalar_rref on
+    # FpElements (Fractions over QQ): spans, sums, membership, images and
+    # column spaces, with the stored rows the residues of the oracle's basis
+    field = data.draw(st.sampled_from([GF(2), GF(3), GF(5), GF(7), QQ]), label="field")
+    n = data.draw(st.integers(1, 5), label="n")
+    u_vecs = data.draw(vectors(field, n, max_size=6), label="u")
+    w_vecs = data.draw(vectors(field, n, max_size=6), label="w")
+    read = (lambda x: x) if field == QQ else (lambda x: x.v)
+
+    def agrees(space, want):
+        # the stored rows are the residues of the oracle's basis, and the
+        # basis built from them is that basis
+        assert space.rows == tuple(tuple(read(x) for x in row) for row in want)
+        assert space.basis == want and of_field(field, space.basis)
+        assert space.dim == len(want)
+
+    u, w = Subspace.from_vectors(field, n, u_vecs), Subspace.from_vectors(field, n, w_vecs)
+    want_u, want_w = scalar_basis(field, u_vecs), scalar_basis(field, w_vecs)
+    agrees(u, want_u)
+    agrees(w, want_w)
+    agrees(u.sum(w), scalar_basis(field, want_u + want_w))
+    probes = u_vecs + w_vecs + data.draw(vectors(field, n, max_size=4), label="probes")
+    probes += [tuple(a + b for a, b in zip(x, y)) for x, y in zip(u_vecs, u_vecs[1:])]
+    for vec in probes:
+        assert u.contains(vec) is scalar_contains(want_u, vec)
+    k = data.draw(st.integers(1, 5), label="k")
+    m = Matrix(field, data.draw(vectors(field, n, min_size=k, max_size=k), label="m"))
+    agrees(u.image_under(m), scalar_basis(field, [m.apply(v) for v in want_u]))
+    agrees(column_space(m), scalar_basis(field, m.transpose().rows))
+
+
+@pytest.mark.parametrize("p,n", [(2, 3), (3, 3), (5, 2), (7, 2)])
+def test_enumerated_subspace_equals_span_of_mixed_basis(p, n):
+    # the subspace enumerate_subspaces builds and the same span that
+    # from_vectors eliminates from another spanning set are the same value
+    f = GF(p)
+    rng = random.Random(p * 10 + n)
+    for s in enumerate_subspaces(f, n):
+        basis = list(s.basis)
+        # each row plus random multiples of the rows after it, scaled by a
+        # nonzero factor, in reverse order, and then their sum: the same span
+        mixed = []
+        for i, row in enumerate(basis):
+            scale = f(rng.randrange(1, p))
+            vec = [scale * x for x in row]
+            for later in basis[i + 1:]:
+                c = f(rng.randrange(p))
+                vec = [a + c * b for a, b in zip(vec, later)]
+            mixed.append(tuple(vec))
+        mixed.reverse()
+        mixed.append(tuple(sum(col, f.zero) for col in zip(*mixed)) if mixed else (f.zero,) * n)
+        t = Subspace.from_vectors(f, n, mixed)
+        assert t == s and hash(t) == hash(s)
+        assert t.sort_key() == s.sort_key() and t.basis == s.basis

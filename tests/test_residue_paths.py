@@ -1,7 +1,7 @@
-"""FinAlgebra.multiply, is_algebra_map and is_grading_point against the dense
-versions they replaced, which run on the field's own scalars (FpElement over
-GF(p), Fraction over QQ): the oracles for the sparse products and for the
-point tests on int residues."""
+"""FinAlgebra.multiply, is_algebra_map, is_grading_point and validate_grading
+against the dense versions they replaced, which run on the field's own
+scalars (FpElement over GF(p), Fraction over QQ): the oracles for the sparse
+products, the point tests and the grading check on int residues."""
 
 import random
 from fractions import Fraction
@@ -11,21 +11,29 @@ import pytest
 from usym import (
     GF,
     QQ,
+    Grading,
     GradingPoint,
     Matrix,
+    Subspace,
+    automorphism_group,
     cyclic_group,
     enumerate_measuring_points,
     enumerate_points,
     fixture_path,
+    grading_from_point,
     is_algebra_map,
     is_grading_point,
+    validate_grading,
 )
+from usym.gradings import apply_automorphism
 from usym.io import group_from_dict, load_algebra
 from conftest import (
     S3,
     cyclic_group_algebra,
     dual_numbers,
     full_matrices,
+    scalar_basis,
+    scalar_contains,
     triangular,
     trivial_point,
     truncated_polynomial,
@@ -115,6 +123,27 @@ def dense_is_grading_point(a, g, point):
                             if term:
                                 rhs = rhs + c * term
                     if lhs != rhs:
+                        return False
+    return True
+
+
+def dense_validate_grading(a, g, grading):
+    """The direct-sum, unit and multiplicativity checks on the components'
+    bases as field scalars, with dense products and scalar_contains."""
+    bases = {sigma: comp.basis for sigma, comp in grading.components.items()}
+    vectors = [v for basis in bases.values() for v in basis]
+    if len(vectors) != a.n or len(scalar_basis(a.field, vectors)) != a.n:
+        return False
+    ident = bases.get(g.identity)
+    if ident is None or not scalar_contains(ident, a.unit):
+        return False
+    for sigma, us in bases.items():
+        for tau, vs in bases.items():
+            target = bases.get(g.mul(sigma, tau))
+            for u in us:
+                for v in vs:
+                    prod = dense_multiply(a, u, v)
+                    if not (scalar_contains(target, prod) if target else not any(prod)):
                         return False
     return True
 
@@ -285,3 +314,56 @@ def test_grading_point_conditions_on_random_families(p):
                 rest = rest + Matrix(fld, [[-x for x in row] for row in mat.rows])
             point = GradingPoint(tuple(mats + [rest]))
             assert is_grading_point(a, g, point) is dense_is_grading_point(a, g, point)
+
+
+def test_residue_table_reads_each_constant():
+    for a in algebras():
+        read = (lambda c: c) if a.field == QQ else (lambda c: c.v)
+        want = {}
+        for (i, j, s), c in sorted(a.tau.items()):
+            want.setdefault((i, j), []).append((s, read(c)))
+        assert {ij: sorted(prods) for ij, prods in a._residue_products.items()} == want
+
+
+def test_validate_grading_matches_dense():
+    # the gradings of the points, moved by every automorphism (valid) and by
+    # random invertible matrices, relabelled by a random permutation of the
+    # group, and with one component replaced by a random span
+    rng = random.Random(13)
+    verdicts = {True: 0, False: 0}
+    cases = [
+        (full_matrices(GF(3)), cyclic_group(2)),
+        (triangular(GF(5)), cyclic_group(2)),
+        (dual_numbers(GF(5)), cyclic_group(3)),
+        (cyclic_group_algebra(GF(5), 2), cyclic_group(2)),
+        (dual_numbers(GF(3)), S3),
+        # u = 1 + g in GF(2)[C_2] has u^2 = 2 + 2g = 0: of degree h in C_3,
+        # A_h A_h lies in the zero component, through sums of p terms
+        (cyclic_group_algebra(GF(2), 2), cyclic_group(3)),
+    ]
+    for a, g in cases:
+        fld, n = a.field, a.n
+        draw = drawer(fld, rng)
+        gradings = [grading_from_point(a, g, pt) for pt in enumerate_points(a, g)]
+        automorphisms = automorphism_group(a).points
+        for grading in list(gradings):
+            gradings += [apply_automorphism(grading, m) for m in automorphisms]
+            for _ in range(4):
+                m = Matrix(fld, [[draw() for _ in range(n)] for _ in range(n)])
+                if m.is_invertible():
+                    gradings.append(apply_automorphism(grading, m))
+            labels = list(range(g.order))
+            rng.shuffle(labels)
+            comps = {labels[sigma]: comp for sigma, comp in grading.components.items()}
+            gradings.append(Grading(n, g.order, comps))
+            sigma, comp = rng.choice(list(grading.components.items()))
+            comps = dict(grading.components)
+            comps[sigma] = Subspace.from_vectors(
+                fld, n, [[draw() for _ in range(n)] for _ in range(comp.dim)]
+            )
+            gradings.append(Grading(n, g.order, comps))
+        for grading in gradings:
+            want = dense_validate_grading(a, g, grading)
+            assert validate_grading(a, g, grading) is want
+            verdicts[want] += 1
+    assert verdicts[True] > 300 and verdicts[False] > 50
