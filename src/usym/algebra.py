@@ -83,22 +83,6 @@ class FinAlgebra:
     def unit(self) -> Vector:
         return self.basis_vector(0)
 
-    def multiply(self, x: Vector, y: Vector) -> Vector:
-        if len(x) != self.n or len(y) != self.n:
-            raise ValueError("element length does not match algebra dimension")
-        out = [self.field.zero] * self.n
-        by_pair = self._by_pair
-        ys = [(j, b) for j, b in enumerate(y) if b]
-        for i, a in enumerate(x):
-            if a:
-                for j, b in ys:
-                    prods = by_pair.get((i, j))
-                    if prods:
-                        ab = a * b
-                        for s, c in prods.items():
-                            out[s] = out[s] + ab * c
-        return tuple(out)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, FinAlgebra)
@@ -169,18 +153,17 @@ def is_algebra_map(b: FinAlgebra, a: FinAlgebra, f: Matrix) -> bool:
     B -> A?  This is the one point test: M is a point of a(A) exactly when
     is_algebra_map(A, A, M), and gradings.is_grading_point ends with it.
 
-    f's columns are read as residues once; for each (i, j),
-    sum_u tau_B[i,j,u] f(e_u) - f(e_i) f(e_j) is formed on them from both
-    algebras' residue tables (FinAlgebra._residue_products, formed once per
-    algebra) and each coordinate is reduced once."""
+    For each (i, j), sum_u tau_B[i,j,u] f(e_u) - f(e_i) f(e_j) is formed on
+    the columns of f's residues from both algebras' residue tables
+    (FinAlgebra._residue_products, formed once per algebra) and each
+    coordinate is reduced once."""
     if f.nrows != a.n or f.ncols != b.n:
         raise ValueError(f"map shape {f.nrows}x{f.ncols} does not match dim A={a.n}, dim B={b.n}")
     if a.field != b.field or f.field != a.field:
         raise ValueError("algebra map endpoints must share one field")
-    if f.column(0) != a.unit:
+    cols, reduce = list(zip(*f.residues)), _residue_ops(a.field).reduce
+    if cols[0] != tuple(int(k == 0) for k in range(a.n)):  # the unit of A
         return False
-    ops = _residue_ops(a.field)
-    cols, reduce = [ops.read(col) for col in zip(*f.rows)], ops.reduce
     support = [[(k, x) for k, x in enumerate(col) if x] for col in cols]
     tau_b, tau_a = b._residue_products, a._residue_products
     for i in range(b.n):

@@ -19,7 +19,9 @@ on the points' residues.  Aut(A) is the group of units of End(A) (the
 paper's first theorem), so automorphism_group reads the units off End's
 table, {i : table[i][j] = table[j][i] = identity for some j}, and takes End's
 table restricted to them as its own: no product is formed twice.  The
-points themselves stay Matrix objects over the prime field.
+points are Matrix objects over the prime field, built from the search's
+int residues and held as them (see linalg), so enumerating End builds no
+FpElement.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ def _product_table(points: tuple[Matrix, ...], p: int) -> tuple:
     set.  Products are formed on the residues mod p.  Row s of a * b is row s
     of a times b, so each right factor b multiplies each distinct row found
     among the points once."""
-    rows = [tuple(tuple(x.v for x in row) for row in pt.rows) for pt in points]
+    rows = [pt.residues for pt in points]
     index = {r: k for k, r in enumerate(rows)}
     distinct = {row for r in rows for row in r}
     columns = []  # columns[j][i]: the index of points[i] * points[j]
@@ -210,14 +212,13 @@ def search_points(
             return iter((solvers[d](P),))
         return iter(range(p))
 
-    scalars = list(fld.elements())
     visited = 0
     out = []
     tries = [candidates(0)]  # tries[d]: the values left for cell order[d]
     while tries:
         d = len(tries) - 1
         if d == len(order):  # every cell assigned
-            out.append(tuple(Matrix(fld, [[scalars[x[k]] for x in row] for row in P]) for k in range(m)))
+            out.append(tuple(Matrix._of_residues(fld, [[x[k] for x in row] for row in P]) for k in range(m)))
             tries.pop()
             continue
         s, i, k = order[d]

@@ -45,7 +45,7 @@ class GradingPoint:
     matrices: tuple[Matrix, ...]
 
     def sort_key(self):
-        return tuple(m.rows for m in self.matrices)
+        return tuple(m.residues for m in self.matrices)
 
     def __len__(self) -> int:
         return len(self.matrices)
@@ -65,7 +65,7 @@ class Grading:
         return self.components.get(sigma)
 
     def sort_key(self):
-        return tuple((k, v.rows) for k, v in self.components.items())
+        return tuple((k, v.residues) for k, v in self.components.items())
 
     def __eq__(self, other) -> bool:
         return (
@@ -112,8 +112,7 @@ def is_grading_point(a: FinAlgebra, g: FiniteGroup, point: GradingPoint) -> bool
     for mat in point.matrices:
         if mat.nrows != n or mat.ncols != n:
             raise ValueError("matrix size does not match the algebra dimension")
-    ops = _residue_ops(a.field)
-    P, reduce = [[ops.read(row) for row in mat.rows] for mat in point.matrices], ops.reduce
+    P, reduce = [mat.residues for mat in point.matrices], _residue_ops(a.field).reduce
 
     for s in range(n):
         if reduce([sum(mat[s][i] for mat in P) for i in range(n)]) != [int(s == i) for i in range(n)]:
@@ -124,13 +123,15 @@ def is_grading_point(a: FinAlgebra, g: FiniteGroup, point: GradingPoint) -> bool
         for t in range(m):
             for r in range(n):
                 row = reduce([sum(x * y for x, y in zip(P[s][r], col)) for col in columns[t]])
-                if row != (P[s][r] if s == t else [0] * n):
+                if row != list(P[s][r] if s == t else (0,) * n):
                     return False
 
     if g not in a._graded:
         a._graded[g] = _tensor_group_algebra(a, g)
     ag, order = a._graded[g]
-    stacked = Matrix(a.field, [row for sigma in order for row in point.matrices[sigma].rows])
+    stacked = Matrix._of_residues(
+        a.field, [row for sigma in order for row in point.matrices[sigma].residues]
+    )
     return is_algebra_map(a, ag, stacked)
 
 
@@ -139,7 +140,7 @@ def grading_from_point(a: FinAlgebra, g: FiniteGroup, point: GradingPoint) -> Gr
     components = {
         sigma: column_space(mat)
         for sigma, mat in enumerate(point.matrices)
-        if any(any(row) for row in mat.rows)
+        if any(any(row) for row in mat.residues)
     }
     return Grading(a.n, g.order, components)
 
@@ -166,7 +167,7 @@ def validate_grading(a: FinAlgebra, g: FiniteGroup, grading: Grading) -> bool:
     ops = _residue_ops(a.field)
     prods, n = a._residue_products, a.n
     support = {
-        sigma: [[(i, x) for i, x in enumerate(row) if x] for row in comp.rows]
+        sigma: [[(i, x) for i, x in enumerate(row) if x] for row in comp.residues]
         for sigma, comp in grading.components.items()
     }
     for sigma, u_comp in support.items():
@@ -190,14 +191,16 @@ def validate_grading(a: FinAlgebra, g: FiniteGroup, grading: Grading) -> bool:
 
 def _projections(field, parts: list[tuple[int, Subspace]]) -> dict[int, Matrix]:
     """Projections onto each part along the sum of the others: with B the
-    matrix of all the parts' basis vectors, P^sigma is B's columns for sigma
-    times the matching rows of B^-1."""
-    binv = Matrix.from_columns(field, [v for _, comp in parts for v in comp.basis]).inverse()
+    matrix whose columns are all the parts' residue rows, P^sigma is B's
+    columns for sigma times the matching rows of B^-1."""
+    basis = Matrix._of_residues(field, [v for _, comp in parts for v in comp.residues])
+    binv = basis.transpose().inverse()
     out: dict[int, Matrix] = {}
     start = 0
     for sigma, comp in parts:
         stop = start + comp.dim
-        out[sigma] = Matrix.from_columns(field, comp.basis) * Matrix(field, binv.rows[start:stop])
+        cols = Matrix._of_residues(field, comp.residues).transpose()
+        out[sigma] = cols * Matrix._of_residues(field, binv.residues[start:stop])
         start = stop
     return out
 

@@ -222,11 +222,12 @@ def tensor_json(t: TensorPoly) -> list[dict]:
 
 
 def matrix_json(m: Matrix) -> list[list[str]]:
-    return [[str(x) for x in row] for row in m.rows]
+    # the text of an int residue is that of its FpElement
+    return [[str(x) for x in row] for row in m.residues]
 
 
 def subspace_json(s: Subspace) -> list[list[str]]:
-    return [[str(x) for x in row] for row in s.basis]
+    return [[str(x) for x in row] for row in s.residues]
 
 
 def presentation_json(p: Presentation) -> dict:

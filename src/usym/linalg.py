@@ -1,24 +1,25 @@
 """Exact dense linear algebra over the package's scalar domains.
 
-Matrices are immutable row-tuples of field scalars.  A Subspace is held as
-its reduced row-echelon form with no zero rows, which makes the
-representative unique: two subspaces are equal iff their stored rows are
-identical.
+A Matrix and a Subspace both hold `residues`: their rows as int residues
+over GF(p) and as the Fractions themselves over QQ (see _residue_ops).  All
+their arithmetic runs on these rows, reduced mod p after each row
+operation, so one loop serves both fields, and no other module converts
+their entries between residues and field scalars.  Field scalars come in
+only through the public constructors (Matrix(field, rows), identity, zeros,
+from_columns and Subspace.from_vectors) and Subspace.contains, and go out
+only through det and the views a caller reads, Matrix.rows and
+Subspace.basis, each built on its first read and kept.
 
-Over GF(p) the arithmetic runs on the entries' int residues, reduced mod p
-after each row operation; over QQ on the Fractions themselves, so one loop
-serves both fields (see _residue_ops).  Row reduction (_eliminate, behind
-inverse, Subspace and column_space) makes FpElements only where a Matrix
-comes out of it.  A Subspace keeps its rows as residues and makes the
-FpElement rows of its `basis` once, the first time a caller reads them
-(reports and the projections of gradings.point_from_grading); its own
-operations (sum, contains, image_under, ==, hash, sort_key) never do.
+A Subspace is held as its reduced row-echelon form with no zero rows,
+which makes the representative unique: two subspaces are equal iff their
+residue rows are identical.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+from operator import add, mul
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .fields import Field, FpElement, PrimeField, Scalar
@@ -38,14 +39,15 @@ class _Ops(NamedTuple):
 
 @functools.cache  # one set of closures per field
 def _residue_ops(field: Field) -> _Ops:
-    """Over GF(p): FpElements read as int residues, the inverse mod p, rows
+    """Over GF(p): scalars read as int residues, the inverse mod p, rows
     reduced mod p, and residues made FpElements.  Over QQ the same loops run
     on the Fractions themselves: read copies a row into a list, and reduce
-    and back leave it as it is."""
+    and back leave it as it is.  read coerces each scalar into the field
+    first, so a scalar of another field raises TypeError."""
     if isinstance(field, PrimeField):
         p = field.characteristic
         return _Ops(
-            lambda row: [x.v for x in row],
+            lambda row: [x.v for x in map(field, row)],
             lambda x: pow(x, p - 2, p),
             lambda row: [x % p for x in row],
             lambda x, f, y: [(a - f * b) % p for a, b in zip(x, y)],
@@ -53,7 +55,7 @@ def _residue_ops(field: Field) -> _Ops:
         )
     one = field.one
     return _Ops(
-        list,
+        lambda row: list(map(field, row)),
         lambda x: one / x,
         _same,
         lambda x, f, y: [a - f * b for a, b in zip(x, y)],
@@ -91,25 +93,32 @@ def _eliminate(rows: list, ops: _Ops) -> tuple[list, list[int]]:
     return rows, pivots
 
 
-def _rref(field: Field, rows: list[list]) -> tuple[list[list], list[int]]:
-    """Reduced row echelon form of rows of field scalars, as (new rows,
-    pivot columns).  Over GF(p) one elimination runs on the int residues,
-    and the entries become FpElements once, at the end."""
-    ops = _residue_ops(field)
-    rows, pivots = _eliminate([ops.read(row) for row in rows], ops)
-    return [ops.back(row) for row in rows], pivots
-
-
 class Matrix:
-    __slots__ = ("field", "rows")
+    """A matrix over QQ or GF(p), held as `residues`, its rows of residues
+    (see _residue_ops), the same convention as Subspace.  `rows`, the same
+    rows as field scalars, is built on its first read and kept.  The
+    constructors read field scalars; _of_residues takes residues."""
+
+    __slots__ = ("field", "residues", "_rows")
 
     def __init__(self, field: Field, rows: Iterable[Iterable[Scalar]]):
+        read = _residue_ops(field).read
         self.field = field
-        self.rows = tuple(tuple(row) for row in rows)
-        if self.rows:
-            width = len(self.rows[0])
-            if any(len(row) != width for row in self.rows):
+        self.residues = tuple(tuple(read(row)) for row in rows)
+        self._rows: tuple[Vector, ...] | None = None
+        if self.residues:
+            width = len(self.residues[0])
+            if any(len(row) != width for row in self.residues):
                 raise ValueError("ragged matrix")
+
+    @classmethod
+    def _of_residues(cls, field: Field, rows: Iterable[Sequence]) -> "Matrix":
+        """The matrix whose rows of residues are rows, all of one length."""
+        m = cls.__new__(cls)
+        m.field = field
+        m.residues = tuple(map(tuple, rows))
+        m._rows = None
+        return m
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
@@ -126,46 +135,52 @@ class Matrix:
         return cls(field, zip(*cols)) if cols else cls(field, [])
 
     @property
+    def rows(self) -> tuple[Vector, ...]:
+        if self._rows is None:
+            back = _residue_ops(self.field).back
+            self._rows = tuple(tuple(back(row)) for row in self.residues)
+        return self._rows
+
+    @property
     def nrows(self) -> int:
-        return len(self.rows)
+        return len(self.residues)
 
     @property
     def ncols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
-
-    def column(self, j: int) -> Vector:
-        return tuple(row[j] for row in self.rows)
+        return len(self.residues[0]) if self.residues else 0
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, zip(*self.rows)) if self.rows else self
+        return Matrix._of_residues(self.field, zip(*self.residues)) if self.residues else self
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        return Matrix(self.field, [[a + b for a, b in zip(r, s)] for r, s in zip(self.rows, other.rows)])
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise ValueError(
+                f"dimension mismatch {self.nrows}x{self.ncols} vs {other.nrows}x{other.ncols}"
+            )
+        reduce = _residue_ops(self.field).reduce
+        return Matrix._of_residues(
+            self.field, [reduce(list(map(add, r, s))) for r, s in zip(self.residues, other.residues)]
+        )
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.ncols != other.nrows:
             raise ValueError(f"dimension mismatch {self.ncols} vs {other.nrows}")
-        cols = other.transpose().rows
-        z = self.field.zero
-        out = []
-        for row in self.rows:
-            out.append([sum((a * b for a, b in zip(row, col) if a and b), z) for col in cols])
-        return Matrix(self.field, out)
-
-    def apply(self, vec: Sequence[Scalar]) -> Vector:
-        if len(vec) != self.ncols:
-            raise ValueError(f"dimension mismatch {self.ncols} vs {len(vec)}")
-        z = self.field.zero
-        return tuple(sum((a * b for a, b in zip(row, vec) if a and b), z) for row in self.rows)
+        cols = list(zip(*other.residues))
+        reduce = _residue_ops(self.field).reduce
+        return Matrix._of_residues(
+            self.field, [reduce([sum(map(mul, row, col)) for col in cols]) for row in self.residues]
+        )
 
     def det(self) -> Scalar:
+        """The determinant, as a field scalar."""
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
+        ops = _residue_ops(self.field)
         n = self.nrows
-        rows = [list(r) for r in self.rows]
-        det = self.field.one
+        rows = [list(r) for r in self.residues]
+        det = 1
         for c in range(n):
             pivot = next((i for i in range(c, n) if rows[i][c]), None)
             if pivot is None:
@@ -174,12 +189,11 @@ class Matrix:
                 rows[c], rows[pivot] = rows[pivot], rows[c]
                 det = -det
             det = det * rows[c][c]
-            inv = self.field.one / rows[c][c]
+            inv = ops.inverse(rows[c][c])
             for i in range(c + 1, n):
                 if rows[i][c]:
-                    f = rows[i][c] * inv
-                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
-        return det
+                    rows[i] = ops.submul(rows[i], rows[i][c] * inv, rows[c])
+        return self.field(det)
 
     def is_invertible(self) -> bool:
         return self.nrows == self.ncols and bool(self.det())
@@ -189,27 +203,27 @@ class Matrix:
             raise ValueError("inverse of a non-square matrix")
         n = self.nrows
         ident = Matrix.identity(self.field, n)
-        aug = [list(r) + list(i) for r, i in zip(self.rows, ident.rows)]
-        rows, pivots = _rref(self.field, aug)
+        aug = [[*r, *i] for r, i in zip(self.residues, ident.residues)]
+        rows, pivots = _eliminate(aug, _residue_ops(self.field))
         if len(pivots) != n or pivots != list(range(n)):
             raise ValueError("matrix is singular")
-        return Matrix(self.field, [row[n:] for row in rows])
+        return Matrix._of_residues(self.field, [row[n:] for row in rows])
 
     def sort_key(self):
-        return self.rows
+        return self.residues
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Matrix) and other.rows == self.rows and other.field == self.field
+        return isinstance(other, Matrix) and other.residues == self.residues and other.field == self.field
 
     def __hash__(self) -> int:
-        return hash(self.rows)
+        return hash(self.residues)
 
     def __repr__(self) -> str:
         return format_matrix(self)
 
 
 def format_matrix(m: Matrix) -> str:
-    return "[" + ",".join("[" + ",".join(str(x) for x in row) + "]" for row in m.rows) + "]"
+    return "[" + ",".join(format_vector(row) for row in m.residues) + "]"
 
 
 def format_vector(v: Sequence[Scalar]) -> str:
@@ -217,17 +231,17 @@ def format_vector(v: Sequence[Scalar]) -> str:
 
 
 class Subspace:
-    """Subspace of k^n held as its canonical RREF: `rows`, no zero rows,
-    each entry an int residue over GF(p) and a Fraction over QQ.  `basis`,
-    the same rows as field scalars (FpElements over GF(p), the Fractions
-    over QQ), is built on its first read and kept."""
+    """Subspace of k^n held as its canonical RREF: `residues`, no zero rows,
+    each entry an int residue over GF(p) and a Fraction over QQ, as in
+    Matrix.  `basis`, the same rows as field scalars (FpElements over GF(p),
+    the Fractions over QQ), is built on its first read and kept."""
 
-    __slots__ = ("field", "ambient", "rows", "_basis")
+    __slots__ = ("field", "ambient", "residues", "_basis")
 
-    def __init__(self, field: Field, ambient: int, rows: tuple[tuple, ...]):
+    def __init__(self, field: Field, ambient: int, residues: tuple[tuple, ...]):
         self.field = field
         self.ambient = ambient
-        self.rows = rows
+        self.residues = residues
         self._basis: tuple[Vector, ...] | None = None
 
     @classmethod
@@ -256,15 +270,15 @@ class Subspace:
     def basis(self) -> tuple[Vector, ...]:
         if self._basis is None:
             back = _residue_ops(self.field).back
-            self._basis = tuple(tuple(back(row)) for row in self.rows)
+            self._basis = tuple(tuple(back(row)) for row in self.residues)
         return self._basis
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.residues)
 
     def is_zero(self) -> bool:
-        return not self.rows
+        return not self.residues
 
     def _require_same_ambient(self, other: "Subspace") -> None:
         if self.ambient != other.ambient or self.field != other.field:
@@ -273,11 +287,11 @@ class Subspace:
     def sum(self, other: "Subspace") -> "Subspace":
         self._require_same_ambient(other)
         # a zero operand leaves the other's canonical rows as they are
-        if not self.rows:
+        if not self.residues:
             return other
-        if not other.rows:
+        if not other.residues:
             return self
-        return Subspace._span(self.field, self.ambient, [*self.rows, *other.rows])
+        return Subspace._span(self.field, self.ambient, [*self.residues, *other.residues])
 
     def contains(self, vec: Sequence[Scalar]) -> bool:
         if len(vec) != self.ambient:
@@ -288,7 +302,7 @@ class Subspace:
     def _has(self, v: list, submul: Callable) -> bool:
         """Does the span hold v, a row of residues?  submul is that of
         _residue_ops(self.field)."""
-        for row in self.rows:
+        for row in self.residues:
             pivot = next(j for j, x in enumerate(row) if x)
             if v[pivot]:
                 v = submul(v, v[pivot], row)
@@ -297,27 +311,25 @@ class Subspace:
     def image_under(self, m: Matrix) -> "Subspace":
         if m.ncols != self.ambient:
             raise ValueError(f"dimension mismatch {m.ncols} vs {self.ambient}")
-        ops = _residue_ops(self.field)
-        mrows = [ops.read(row) for row in m.rows]
+        reduce = _residue_ops(self.field).reduce
         images = [
-            ops.reduce([sum(a * b for a, b in zip(mrow, row)) for mrow in mrows])
-            for row in self.rows
+            reduce([sum(map(mul, mrow, row)) for mrow in m.residues]) for row in self.residues
         ]
         return Subspace._span(self.field, m.nrows, images)
 
     def sort_key(self):
-        return (self.dim, self.rows)
+        return (self.dim, self.residues)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Subspace)
             and other.ambient == self.ambient
             and other.field == self.field
-            and other.rows == self.rows
+            and other.residues == self.residues
         )
 
     def __hash__(self) -> int:
-        return hash((self.ambient, self.rows))
+        return hash((self.ambient, self.residues))
 
     def __repr__(self) -> str:
         return format_subspace(self)
@@ -326,7 +338,7 @@ class Subspace:
 def format_subspace(s: Subspace) -> str:
     if s.is_zero():
         return "span[]"
-    return "span[" + ",".join(format_vector(v) for v in s.basis) + "]"
+    return "span[" + ",".join(format_vector(v) for v in s.residues) + "]"
 
 
 def column_space(m: Matrix) -> Subspace:

@@ -14,7 +14,7 @@ from hypothesis import settings
 from usym import FinAlgebra, GradingPoint, Matrix, NCPoly, QQ, Subspace, TensorPoly
 from usym.cli import main
 from usym.groups import FiniteGroup
-from usym.linalg import _rref
+from usym.linalg import _eliminate, _residue_ops
 from usym.ncpoly import gen_key, word_key
 
 # pytest --hypothesis-profile=deep: ten times the default examples, for the
@@ -130,8 +130,25 @@ def permuted(algebra: FinAlgebra, perm: list[int]) -> FinAlgebra:
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """m in reduced row-echelon form, and its pivot columns."""
-    rows, pivots = _rref(m.field, [list(r) for r in m.rows])
-    return Matrix(m.field, rows), tuple(pivots)
+    rows, pivots = _eliminate([list(r) for r in m.residues], _residue_ops(m.field))
+    return Matrix._of_residues(m.field, rows), tuple(pivots)
+
+
+def apply(m: Matrix, vec) -> tuple:
+    """m times the column vector vec, on field scalars."""
+    return tuple(sum((a * b for a, b in zip(row, vec)), m.field.zero) for row in m.rows)
+
+
+def dense_multiply(a: FinAlgebra, x, y) -> tuple:
+    """The product x y in a, summed over the whole constant table on field
+    scalars."""
+    if len(x) != a.n or len(y) != a.n:
+        raise ValueError("element length does not match algebra dimension")
+    out = [a.field.zero] * a.n
+    for (i, j, s), c in a.tau.items():
+        if x[i] and y[j]:
+            out[s] = out[s] + x[i] * y[j] * c
+    return tuple(out)
 
 
 def scalar_rref(field, rows):

@@ -37,7 +37,15 @@ from usym import (
 )
 from usym.io import load_algebra
 from usym.ncpoly import substitute
-from conftest import dual_numbers, iter_words, overlap_candidates, rref, scan_reduce, triangular
+from conftest import (
+    apply,
+    dual_numbers,
+    iter_words,
+    overlap_candidates,
+    rref,
+    scan_reduce,
+    triangular,
+)
 
 X12, X22 = (1, 2), (2, 2)
 ONE = QQ.one
@@ -173,11 +181,11 @@ def test_criterion_4_automorphism_correspondence(p):
         composite = m1 * m2
         for i in range(algebra.n):
             v = algebra.basis_vector(i)
-            if composite.apply(v) != m1.apply(m2.apply(v)):
+            if apply(composite, v) != apply(m1, apply(m2, v)):
                 hom_ok = False
     ident = counit_point(algebra)
     identity_ok = all(
-        ident.apply(algebra.basis_vector(i)) == algebra.basis_vector(i)
+        apply(ident, algebra.basis_vector(i)) == algebra.basis_vector(i)
         for i in range(algebra.n)
     )
 

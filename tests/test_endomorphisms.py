@@ -19,7 +19,14 @@ from usym import (
     validate_algebra,
 )
 from usym.io import load_algebra
-from conftest import dual_numbers, full_matrices, ground_field, triangular, truncated_polynomial
+from conftest import (
+    apply,
+    dual_numbers,
+    full_matrices,
+    ground_field,
+    triangular,
+    truncated_polynomial,
+)
 
 
 def fmat(field, rows):
@@ -61,7 +68,7 @@ def test_gamma_dual_scales_t(dual_q):
     w = fmat(QQ, [[1, 0], [0, 9]])
     assert is_algebra_map(dual_q, dual_q, w)
     t = dual_q.basis_vector(1)
-    assert w.apply(t) == (QQ(0), QQ(9))
+    assert apply(w, t) == (QQ(0), QQ(9))
     not_a_point = fmat(QQ, [[1, 1], [0, 1]])
     assert not is_algebra_map(dual_q, dual_q, not_a_point)
 
@@ -144,7 +151,7 @@ def test_monoid_isomorphism_property():
             # composing the applications
             for i in range(a.n):
                 v = a.basis_vector(i)
-                assert prod.apply(v) == m1.apply(m2.apply(v))
+                assert apply(prod, v) == apply(m1, apply(m2, v))
         # gamma is a bijection onto the brute-force algebra maps
         assert tuple(m.rows for m in pts) == tuple(
             m.rows for m in enumerate_homs(a, a)
@@ -169,7 +176,7 @@ def test_enumerate_homs_base_field_domain(dual_q):
     k = ground_field(f3)
     homs = enumerate_homs(k, a)
     assert len(homs) == 1
-    assert homs[0].column(0) == a.unit
+    assert homs[0].transpose().rows[0] == a.unit
 
 
 def test_homs_dual_to_dual_count():
@@ -183,7 +190,7 @@ def test_cross_algebra_routes_agree():
     a = triangular(f2)
     direct = enumerate_homs(b, a)
     # t^2 = 0 sends t to a square-zero element of T_2: 0 or e2
-    assert [m.column(1) for m in direct] == [(f2(0),) * 3, (f2(0), f2(1), f2(0))]
+    assert [m.transpose().rows[1] for m in direct] == [(f2(0),) * 3, (f2(0), f2(1), f2(0))]
     for m in direct:
         assert is_algebra_map(b, a, m)
 

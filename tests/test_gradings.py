@@ -14,6 +14,7 @@ from usym import (
     classify,
     conjugate_point,
     cyclic_group,
+    enumerate_endomorphisms,
     enumerate_gradings_oracle,
     enumerate_points,
     fixture_path,
@@ -28,7 +29,16 @@ from usym.gradings import _decompositions, _projections, apply_automorphism
 from usym.groups import FiniteGroup
 from usym.io import load_algebra, load_group
 from usym.unionfind import orbit_partition
-from conftest import S3, dual_numbers, full_matrices, full_space, triangular, trivial_point
+from conftest import (
+    S3,
+    cyclic_group_algebra,
+    dual_numbers,
+    full_matrices,
+    full_space,
+    triangular,
+    trivial_point,
+    truncated_cubic,
+)
 
 
 def dimension_profile(grading):
@@ -231,6 +241,26 @@ def test_grading_oracle_makes_no_field_scalars(monkeypatch):
     for _ in range(2):  # the second read builds nothing
         assert all(comp.basis for comp in comps)
         assert len(made) == 5 * 4 * 4
+
+
+@pytest.mark.parametrize("name", ["dual_gf3", "triangular_gf3"])
+def test_point_searches_make_no_field_scalars(name, monkeypatch):
+    # the searches hand out their points as Matrix residues, and End's table
+    # and the re-check of each grading point run on those: no FpElement is
+    # constructed
+    from usym.fields import FpElement
+
+    a, _ = load_algebra(str(fixture_path(f"{name}.json")))
+    made = []
+    original = FpElement.__init__
+
+    def counted(self, p, v):
+        made.append(v)
+        original(self, p, v)
+
+    monkeypatch.setattr(FpElement, "__init__", counted)
+    assert len(enumerate_endomorphisms(a)) > 1 and made == []
+    assert len(enumerate_points(a, cyclic_group(2))) > 1 and made == []
 
 
 def test_enumerate_points_builds_the_tensor_algebra_once(monkeypatch):
@@ -657,6 +687,83 @@ def test_points_equal_gradings_oracle_on_fixtures(name, group_name):
 def test_triangular_gf3_s3_point_count():
     # the case the oracle test above leaves out: 16 grading points
     assert len(enumerate_points(triangular(GF(3)), S3)) == 16
+
+
+def dual_group_counts(aut, group):
+    """The number of G-grading points and of their classes, read off Aut's
+    multiplication table alone.  When G is abelian and k holds its
+    characters, a G-grading is an action of the character group, which is
+    isomorphic to G, on A by automorphisms, and isomorphic gradings are
+    conjugate actions (Elduque & Kochetov, Gradings on Simple Lie Algebras,
+    AMS 2013, 1.4).  So for G = C_m with m | p - 1 the points are the phi with
+    phi^m = 1, and for the Klein group with p odd the commuting pairs
+    (phi, psi) with phi^2 = psi^2 = 1; the classes are their orbits under
+    simultaneous conjugation."""
+    table = aut.multiplication_table()
+    e, units = aut.identity_index, range(len(table))
+
+    def power(x, k):
+        y = e
+        for _ in range(k):
+            y = table[y][x]
+        return y
+
+    def order(sigma):  # of sigma in the group
+        k, x = 1, sigma
+        while x != group.identity:
+            k, x = k + 1, group.mul(x, sigma)
+        return k
+
+    if any(order(sigma) == group.order for sigma in range(group.order)):
+        actions = [(x,) for x in units if power(x, group.order) == e]
+    else:
+        assert group.order == 4  # the Klein group
+        involutions = [x for x in units if power(x, 2) == e]
+        actions = [(x, y) for x in involutions for y in involutions if table[x][y] == table[y][x]]
+    inverse = [row.index(e) for row in table]
+    classes = {
+        min(tuple(table[table[g][x]][inverse[g]] for x in action) for g in units)
+        for action in actions
+    }
+    return len(actions), len(classes)
+
+
+def split_abelian_cases():
+    """Each GF(p) fixture with each cyclic group of order dividing p - 1
+    and, for p odd, the Klein group."""
+    klein = load_group(str(fixture_path("group_klein.json")))[0]
+    for name in GF_FIXTURES:
+        p = int(name.rsplit("gf", 1)[1])
+        for m in range(1, p):
+            if (p - 1) % m == 0:
+                yield pytest.param(name, cyclic_group(m), id=f"{name}-cyclic:{m}")
+        if p % 2:
+            yield pytest.param(name, klein, id=f"{name}-klein")
+
+
+@pytest.mark.parametrize("name, group", split_abelian_cases())
+def test_dual_group_counts_match_classify(name, group):
+    a, _ = load_algebra(str(fixture_path(f"{name}.json")))
+    result = classify(a, group)
+    assert dual_group_counts(result.automorphisms, group) == (len(result.points), result.class_count)
+
+
+@pytest.mark.parametrize(
+    "a, group, counts",
+    [
+        (truncated_cubic(GF(7)), cyclic_group(3), (15, 3)),
+        (cyclic_group_algebra(GF(5), 4), cyclic_group(2), (10, 3)),
+    ],
+    ids=["cubic_gf7-cyclic:3", "c4_gf5-cyclic:2"],
+)
+def test_dual_group_counts_beyond_the_oracle(a, group, counts):
+    # classify's gradings oracle would walk 116^3 and 1120^2 subspace tuples
+    # here, so the classes are the conjugation orbits of the points, taken
+    # directly
+    points, aut = enumerate_points(a, group), automorphism_group(a)
+    pairs = [(m, m.inverse()) for m in aut.points]
+    classes = {min(conjugate_point(pt, m, minv).sort_key() for m, minv in pairs) for pt in points}
+    assert dual_group_counts(aut, group) == (len(points), len(classes)) == counts
 
 
 @pytest.mark.parametrize("p, order", [(7, 7), (5, 8)])

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from usym import GF, QQ, Matrix, Subspace, column_space, enumerate_subspaces
 from usym.fields import FpElement
 from usym.linalg import count_subspaces
-from conftest import full_space, rref, scalar_basis, scalar_contains, scalar_rref
+from conftest import apply, full_space, rref, scalar_basis, scalar_contains, scalar_rref
 
 
 def mat(field, rows):
@@ -18,9 +19,31 @@ def test_matrix_product_and_apply():
     m = mat(QQ, [[1, 2], [3, 4]])
     n = mat(QQ, [[0, 1], [1, 0]])
     assert m * n == mat(QQ, [[2, 1], [4, 3]])
-    assert m.apply((QQ(1), QQ(0))) == (QQ(1), QQ(3))
+    assert (m * mat(QQ, [[1], [0]])).rows == ((QQ(1),), (QQ(3),))
     with pytest.raises(ValueError):
         m * mat(QQ, [[1, 2, 3]])
+
+
+def test_matrix_sum_checks_shapes():
+    m = mat(QQ, [[1, 2], [3, 4]])
+    assert m + m == mat(QQ, [[2, 4], [6, 8]])
+    for other in (mat(QQ, [[1]]), mat(QQ, [[1, 2]]), mat(QQ, [[1], [2]]), Matrix(QQ, [])):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            m + other
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            other + m
+
+
+def test_constructors_coerce_scalars_into_the_field():
+    # the residue rows are read through the field: a scalar of another
+    # field is refused, not stored as a residue of the wrong modulus
+    f3 = GF(3)
+    assert Matrix(f3, [[4, 2]]) == mat(f3, [[1, 2]]) and Matrix(QQ, [[1]]).rows == ((QQ(1),),)
+    for field in (f3, QQ):
+        with pytest.raises(TypeError):
+            Matrix(field, [[GF(5)(4)]])
+        with pytest.raises(TypeError):
+            Subspace.from_vectors(field, 1, [(GF(5)(4),)])
 
 
 def test_det_inverse_rational():
@@ -152,12 +175,48 @@ def of_field(field, vectors):
     return all(type(x) is FpElement and x.p == field.characteristic for v in vectors for x in v)
 
 
+def scalar_det(field, rows):
+    """The determinant by the Leibniz formula, on field scalars."""
+    n, total = len(rows), field.zero
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = field.one if inversions % 2 == 0 else -field.one
+        for i, j in enumerate(perm):
+            term = term * rows[i][j]
+        total = total + term
+    return total
+
+
 @pytest.mark.parametrize("field", [GF(2), GF(3), GF(5), GF(7), QQ], ids=str)
 def test_elimination_matches_scalar_oracle(field):
     rng = random.Random(field.characteristic)
     inverted = singular = 0
     mats = list(random_matrices(field, rng))
+    read = (lambda x: x) if field == QQ else (lambda x: x.v)
+    pick = random.Random(field.characteristic + 100)  # leaves the draws from rng as they were
     for m in mats:
+        # the same matrix from its residues is the same value, with the same
+        # field-scalar rows
+        same = Matrix._of_residues(field, [[read(x) for x in row] for row in m.rows])
+        assert same == m and hash(same) == hash(m)
+        assert same.rows == m.rows and of_field(field, same.rows) and of_field(field, m.rows)
+        # sums and products on residues against sums of products of scalars:
+        # the same residues (==) and the same field-scalar rows
+        addend = pick.choice([mt for mt in mats if mt.nrows == m.nrows and mt.ncols == m.ncols])
+        total = m + addend
+        want = [[a + b for a, b in zip(r, s)] for r, s in zip(m.rows, addend.rows)]
+        assert total == Matrix(field, want) and total.rows == tuple(map(tuple, want))
+        right = pick.choice([mt for mt in mats if mt.nrows == m.ncols])
+        prod = m * right
+        want = [
+            [sum((a * b for a, b in zip(row, col)), field.zero) for col in zip(*right.rows)]
+            for row in m.rows
+        ]
+        assert prod == Matrix(field, want) and prod.rows == tuple(map(tuple, want))
+        assert of_field(field, total.rows) and of_field(field, prod.rows)
+        if m.nrows == m.ncols:
+            det = m.det()
+            assert det == scalar_det(field, m.rows) and of_field(field, [(det,)])
         want_rows, want_pivots = scalar_rref(field, [list(r) for r in m.rows])
         got, pivots = rref(m)
         assert got.rows == tuple(tuple(r) for r in want_rows) and of_field(field, got.rows)
@@ -219,7 +278,7 @@ def test_subspace_operations_match_scalar_oracle(data):
     def agrees(space, want):
         # the stored rows are the residues of the oracle's basis, and the
         # basis built from them is that basis
-        assert space.rows == tuple(tuple(read(x) for x in row) for row in want)
+        assert space.residues == tuple(tuple(read(x) for x in row) for row in want)
         assert space.basis == want and of_field(field, space.basis)
         assert space.dim == len(want)
 
@@ -234,7 +293,7 @@ def test_subspace_operations_match_scalar_oracle(data):
         assert u.contains(vec) is scalar_contains(want_u, vec)
     k = data.draw(st.integers(1, 5), label="k")
     m = Matrix(field, data.draw(vectors(field, n, min_size=k, max_size=k), label="m"))
-    agrees(u.image_under(m), scalar_basis(field, [m.apply(v) for v in want_u]))
+    agrees(u.image_under(m), scalar_basis(field, [apply(m, v) for v in want_u]))
     agrees(column_space(m), scalar_basis(field, m.transpose().rows))
 
 
