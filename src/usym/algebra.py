@@ -123,26 +123,25 @@ def validate_algebra(a: FinAlgebra) -> Violation | None:
                 return Violation("unit", (1, j + 1, s + 1), "left unit axiom fails")
             if a.tau_get(j, 0, s) != want:
                 return Violation("unit", (j + 1, 1, s + 1), "right unit axiom fails")
-    # (e_i e_j) e_l - e_i (e_j e_l) from the sparse products; its smallest
-    # nonzero coordinate s is the first failing (i, j, l, s) in index order
-    empty: dict[int, Scalar] = {}
-    by_pair = a._by_pair
+    # (e_i e_j) e_l - e_i (e_j e_l) on the residue products, reduced once: its
+    # first nonzero coordinate s is the first failing (i, j, l, s)
+    tau, reduce = a._residue_products, _residue_ops(a.field).reduce
     for i in range(n):
         for j in range(n):
-            ij = by_pair.get((i, j), empty).items()
+            ij = tau.get((i, j), ())
             for l in range(n):
-                diff: dict[int, Scalar] = {}
+                diff = [0] * n
                 for u, c in ij:
-                    for s, d in by_pair.get((u, l), empty).items():
-                        diff[s] = diff.get(s, zero) + c * d
-                for u, c in by_pair.get((j, l), empty).items():
-                    for s, d in by_pair.get((i, u), empty).items():
-                        diff[s] = diff.get(s, zero) - c * d
-                bad = [s for s, v in diff.items() if v]
+                    for s, d in tau.get((u, l), ()):
+                        diff[s] += c * d
+                for u, c in tau.get((j, l), ()):
+                    for s, d in tau.get((i, u), ()):
+                        diff[s] -= c * d
+                bad = [s for s, v in enumerate(reduce(diff)) if v]
                 if bad:
                     return Violation(
                         "associativity",
-                        (i + 1, j + 1, l + 1, min(bad) + 1),
+                        (i + 1, j + 1, l + 1, bad[0] + 1),
                         "(e_i e_j) e_l != e_i (e_j e_l)",
                     )
     return None

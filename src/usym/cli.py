@@ -80,8 +80,8 @@ def _cmd_present(args) -> Report:
     presentation = build_presentation(algebra, _require_degree(args.max_degree))
     echo = f"present {meta.name} --max-degree {args.max_degree} --format {args.format}"
     report = Report(echo, [("algebra", meta.name, meta.digest)])
-    report.payload = presentation_json(presentation)
-    report.text_lines = presentation_text(presentation)
+    report.payload = presentation_json(presentation) if args.format == "json" else {}
+    report.text_lines = presentation_text(presentation) if args.format == "text" else []
     return report
 
 

@@ -20,6 +20,13 @@ the choice cannot change a normal form modulo a confluent system, but it does
 modulo an unfinished one, which is what interreduction and completion reduce
 against.
 
+Reduction runs on ints (``_ints``): residues over GF(p), and over QQ the
+Fractions times their common denominator, each rule held as lc * lead ->
+rest (lc = 1 over GF(p), and lc > 0 with content 1 over QQ).  A step on
+c * w, g = gcd(c, lc), multiplies all terms by lc/g and adds c/g times the
+shifted rest, so no division runs until the result is read back.  Scaling
+keeps the set of words present, so each step and result is as on scalars.
+
 Modulo a fixed rule list the step taken on a word depends only on that word,
 so the normal form is a linear map (Bergman, *The diamond lemma for ring
 theory*, 1978): NF(sum c_w w) = sum c_w NF(w).  A RewriteSystem therefore
@@ -50,13 +57,14 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
+import math
 import operator
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import CompletionBoundError, PresentationContradiction
-from .fields import Scalar
+from .fields import Fraction, FpElement, Scalar
 
 GenId = tuple[int, int]  # (s, i), 1-based: the generator x[s,i]
 Word = tuple[GenId, ...]  # () is the multiplicative unit
@@ -146,11 +154,6 @@ class NCPoly(_Combination):
     def generators(self) -> set[GenId]:
         return {g for w in self.terms for g in w}
 
-    def leading_word(self) -> Word:
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading word")
-        return max(self.terms, key=word_key)
-
     def __mul__(self, other: "NCPoly") -> "NCPoly":
         if not isinstance(other, NCPoly):
             return NotImplemented
@@ -201,45 +204,67 @@ class RewriteRule:
         return f"{format_word(self.lead)} -> {format_poly(self.rest)}"
 
 
-def _make_rule(p: NCPoly) -> RewriteRule:
-    """The rule lead -> rest of p made monic, lead its leading word."""
-    lead = p.leading_word()
-    c = p.terms[lead]
-    monic = NCPoly({w: v / c for w, v in p.terms.items()})
-    rest = NCPoly({w: -v for w, v in monic.terms.items() if w != lead})
-    return RewriteRule(lead, rest, monic)
+def _ints(terms: Mapping[Word, Scalar]) -> tuple[dict[Word, int], int, int]:
+    """(ints, d, m): over GF(p) the residues, d = 1 and m = p; over QQ the
+    Fractions times the lcm d of their denominators, and m = 0."""
+    c = next(iter(terms.values()), None)
+    if isinstance(c, FpElement):
+        return {w: c.v for w, c in terms.items()}, 1, c.p
+    d = math.lcm(*[c.denominator for c in terms.values()])
+    return {w: c.numerator * (d // c.denominator) for w, c in terms.items()}, d, 0
+
+
+def _scalars(ints: Mapping[Word, int], d: int, m: int) -> dict[Word, Scalar]:
+    """The field scalars ints / d, for d and m as _ints gives them."""
+    if m:
+        inv = pow(d, -1, m)
+        return {w: FpElement(m, v * inv) for w, v in ints.items()}
+    return {w: Fraction(v, d) for w, v in ints.items()}
+
+
+def _make_rule(ints: Mapping[Word, int], m: int) -> RewriteRule:
+    """The monic rule lead -> rest of the ints (see _ints), lead the largest."""
+    lead = max(ints, key=word_key)
+    monic = _scalars(ints, ints[lead], m)
+    rest = NCPoly({w: -v for w, v in monic.items() if w != lead})
+    return RewriteRule(lead, rest, NCPoly(monic))
 
 
 class _RuleIndex:
     """The leads of a rule list, for finding a reduction site by hash probes.
 
-    ``first`` maps each lead word to (rank, rule), where the rank is the
-    rule's place in the list, or, in a rule state, its lead's ``word_key``
-    (the same order for a RewriteSystem's sorted rules); when several rules
+    ``first`` maps each lead word to (rank, rule, lc, rest), where the rank
+    is the rule's place in the list, or, in a rule state, its lead's
+    ``word_key`` (the same order for a RewriteSystem's sorted rules), and
+    lc * lead -> rest is the rule on ints (see _ints); when several rules
     share a lead (a hand-built RewriteSystem may), it keeps the first.
-    ``lengths`` holds every lead length (and, after :meth:`discard`, perhaps
-    some that no lead has any more).
+    ``lengths`` holds every lead length (after :meth:`discard`, perhaps some
+    that no lead has any more), ``modulus`` the rules' m (see _ints).
     """
 
-    __slots__ = ("first", "lengths")
+    __slots__ = ("first", "lengths", "modulus")
 
     def __init__(self, rules: Iterable[RewriteRule] = ()):
-        self.first: dict[Word, tuple[object, RewriteRule]] = {}
+        self.first: dict[Word, tuple] = {}
         self.lengths: set[int] = set()
+        self.modulus = 0
         for rank, rule in enumerate(rules):
             self.add(rank, rule)
 
     def add(self, rank, rule: RewriteRule) -> None:
-        self.first.setdefault(rule.lead, (rank, rule))
+        ints, _, m = _ints(rule.poly.terms)
+        lc, rest = ints.pop(rule.lead), {w: -c % m if m else -c for w, c in ints.items()}
+        self.first.setdefault(rule.lead, (rank, rule, lc, rest))
         self.lengths.add(len(rule.lead))
+        self.modulus = m
 
     def discard(self, lead: Word) -> None:
         """Drop the lead; only for an index whose leads are distinct."""
         del self.first[lead]
 
-    def site(self, w: Word) -> tuple[RewriteRule, int] | None:
-        """The rule and position a reduction step applies to w, or None if w
-        is irreducible: the lowest rank, then the leftmost occurrence."""
+    def site(self, w: Word) -> tuple[tuple, int] | None:
+        """The entry of ``first`` and position a reduction step applies to w,
+        or None if w is irreducible: the lowest rank, then the leftmost."""
         best = None
         for length in self.lengths:
             for pos in range(len(w) - length + 1):
@@ -247,7 +272,7 @@ class _RuleIndex:
                 if hit is not None:
                     key = (hit[0], pos)
                     if best is None or key < best[0]:
-                        best = (key, hit[1], pos)
+                        best = (key, hit, pos)
         return None if best is None else best[1:]
 
 
@@ -256,10 +281,10 @@ def _queue_key(w: Word):
     return (-len(w), tuple([(-i, -s) for s, i in w]))
 
 
-def _reduce(p: NCPoly, index: _RuleIndex) -> NCPoly:
-    """Full normal form of p modulo the indexed rules: each step takes the
-    largest reducible word, the lowest rule rank, the leftmost position."""
-    terms = dict(p.terms)
+def _reduce(terms: dict[Word, int], index: _RuleIndex) -> int:
+    """Make the int terms (see _ints; over GF(p) any nonzero residues) s times
+    their normal form modulo the indexed rules, in place, and return s."""
+    m, scale = index.modulus, 1
     # Every word of terms not yet found irreducible.  A step only brings in
     # words below the one it rewrites, and an irreducible word stays so, so
     # the first reducible word popped is the largest one.
@@ -273,23 +298,27 @@ def _reduce(p: NCPoly, index: _RuleIndex) -> NCPoly:
         site = index.site(w)
         if site is None:
             continue
-        rule, pos = site
+        (_, rule, lc, rest), pos = site
         del terms[w]
+        if lc != 1:  # the terms times f = lc/g, then c/g times lc w -> rest
+            f = lc // math.gcd(c, lc)
+            c, scale = c * f // lc, scale * f
+            if f != 1:
+                terms.update({v: x * f for v, x in terms.items()})
         left, right = w[:pos], w[pos + len(rule.lead) :]
-        for v, d in rule.rest.terms.items():
-            v = left + v + right
-            d = c * d
+        for v, d in rest.items():
+            v, d = left + v + right, c * d
             old = terms.get(v)
             if old is None:
-                terms[v] = d
+                terms[v] = d % m if m else d
                 heapq.heappush(queue, (_queue_key(v), v))
             else:
-                d = old + d
+                d = (old + d) % m if m else old + d
                 if d:
                     terms[v] = d
                 else:
                     del terms[v]
-    return NCPoly(terms)
+    return scale
 
 
 _UNASKED = object()  # a word not yet in a RewriteSystem's table
@@ -332,8 +361,8 @@ class RewriteSystem:
         system's field; c / c is the field's 1 on the first ask."""
         nf = self._nf.get(w, _UNASKED)
         if nf is _UNASKED:
-            term = substitute(NCPoly({w: c / c}), self.subs)
-            nf = _reduce(term, self._index).terms
+            ints, d, m = _ints(substitute(NCPoly({w: c / c}), self.subs).terms)
+            nf = _scalars(ints, d * _reduce(ints, self._index), m)
             # a step or a substitution only brings in words other than w
             nf = self._nf[w] = None if w in nf else nf
         return nf
@@ -423,7 +452,7 @@ class _RuleState:
         self.pairs = pairs
 
     def rules(self) -> list[RewriteRule]:
-        return [r for _, r in self.index.first.values()]
+        return [entry[1] for entry in self.index.first.values()]
 
     def add(self, rule: RewriteRule) -> None:
         self.index.add(word_key(rule.lead), rule)
@@ -446,15 +475,15 @@ class _RuleState:
         rule with a word it occurs in."""
         work = deque(work)
         while work:
-            p = _reduce(substitute(work.popleft(), self.subs), self.index)
-            if p.is_zero():
+            ints, d, m = _ints(substitute(work.popleft(), self.subs).terms)
+            d *= _reduce(ints, self.index)
+            if not ints:
                 continue
-            rule = _make_rule(p)
+            rule = _make_rule(ints, m)
             lead = rule.lead
             if len(lead) == 0:
-                raise PresentationContradiction(
-                    f"relations force the scalar equation {format_poly(p)} = 0"
-                )
+                p = format_poly(NCPoly(_scalars(ints, d, m)))
+                raise PresentationContradiction(f"relations force the scalar equation {p} = 0")
             if len(lead) == 1:
                 g = lead[0]
                 single = {g: rule.rest}
@@ -497,9 +526,8 @@ def complete(system: RewriteSystem, degree_bound: int) -> RewriteSystem:
     """Bounded overlap completion (diamond lemma style).
 
     Resolves every overlap ambiguity whose overlap word has degree at most
-    ``degree_bound``, adding oriented S-polynomials as new rules until a
-    fixpoint; the result computes canonical normal forms for all inputs of
-    degree <= degree_bound.
+    ``degree_bound``, adding oriented S-polynomials as rules until a fixpoint:
+    the result gives canonical normal forms of all inputs of degree <= it.
 
     The rules of ``system`` are taken as they stand (a second rule with a
     lead already taken is reduced like a new relation) and their critical
@@ -526,7 +554,7 @@ def complete(system: RewriteSystem, degree_bound: int) -> RewriteSystem:
         else:
             state.add(rule)
     state.run(taken)
-    leads = state.index.first
+    leads, m = state.index.first, state.index.modulus
     checked: set[tuple[Word, Word, int]] = set()
     found = 0
     while pairs.heap:
@@ -534,14 +562,17 @@ def complete(system: RewriteSystem, degree_bound: int) -> RewriteSystem:
         if u not in leads or v not in leads or (u, v, k) in checked:
             continue
         checked.add((u, v, k))
-        # the overlap word u + v[k:] rewritten by the rule of u at position
-        # 0, and by the rule of v at position len(u) - k; the normal form is
-        # linear, so one reduction of the difference is NF(left) - NF(right)
-        left = leads[u][1].rest.shift((), v[k:])
-        right = leads[v][1].rest.shift(u[: len(u) - k], ())
-        diff = _reduce(left - right, state.index)
-        if not diff.is_zero():
-            state.run([diff])
+        # the overlap word u + v[k:] rewritten by the rule of u at 0 (left)
+        # and of v at len(u) - k (right); NF is linear, so one reduction of
+        # lc_u lc_v (left - right) on ints is lc_u lc_v (NF(left) - NF(right))
+        # (over GF(p) lc = 1, and a word cancels iff its two residues agree)
+        (_, _, lc_u, rest_u), (_, _, lc_v, rest_v) = leads[u], leads[v]
+        head, tail = u[: len(u) - k], v[k:]
+        diff = {w + tail: lc_v * c for w, c in rest_u.items()}
+        _accumulate(diff, ((head + w, -lc_u * c) for w, c in rest_v.items()))
+        scale = _reduce(diff, state.index) * lc_u * lc_v
+        if diff:
+            state.run([NCPoly(_scalars(diff, scale, m))])
             found += 1
             if found >= _COMPLETION_ROUND_CAP:
                 raise CompletionBoundError(

@@ -128,6 +128,14 @@ def permuted(algebra: FinAlgebra, perm: list[int]) -> FinAlgebra:
     return FinAlgebra(algebra.field, algebra.n, tau, tuple(labels))
 
 
+def rescaled(algebra: FinAlgebra, scales) -> FinAlgebra:
+    """The same algebra in the basis s_k e_k, for scales s (s_0 = 1 keeps
+    the unit first): tau[i,j,k] becomes tau[i,j,k] s_i s_j / s_k."""
+    s = [algebra.field(x) for x in scales]
+    tau = {(i, j, k): c * s[i] * s[j] / s[k] for (i, j, k), c in algebra.tau.items()}
+    return FinAlgebra(algebra.field, algebra.n, tau, algebra.labels)
+
+
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """m in reduced row-echelon form, and its pivot columns."""
     rows, pivots = _eliminate([list(r) for r in m.residues], _residue_ops(m.field))
@@ -315,3 +323,70 @@ def overlap_candidates(rules, degree_bound):
                         out.append((word_key(w), u, v, k, ri, rj))
     out.sort(key=lambda t: t[:4])
     return out
+
+
+def macaulay_system(relations, degree_bound):
+    """The oracle for completion: the substitutions and rules that
+    build_presentation's system must hold, read off the reduced row echelon
+    form of the Macaulay matrix.  Its rows are the products u r v of degree
+    <= degree_bound of each relation r with words u and v; its columns are
+    the words, largest first.  Reductions never raise a word's degree, so
+    complete's claim at D, canonical normal forms on words of degree <= D,
+    is reduction modulo V_D, the span of these rows (not the whole of the
+    ideal's degree <= D part, which products of higher degree may reach).
+    The pivot words are then exactly the words that the system rewrites,
+    and a pivot with no other pivot as a factor is an eliminated generator
+    or a rule's lead (Bergman's diamond lemma).  Returns (subs, rules):
+    each such pivot (a generator, or a lead of degree >= 2) mapped to minus
+    the rest of its row, as NCPolys.  Only dicts and field scalars; no
+    linalg and no ncpoly reduction."""
+    gens = sorted({g for r in relations for w in r.terms for g in w}, key=gen_key)
+    words = list(iter_words(gens, degree_bound))
+    rank = {w: k for k, w in enumerate(words)}  # deglex: iter_words' order
+    of_length = [[w for w in words if len(w) == d] for d in range(degree_bound + 1)]
+
+    def add(row, w, x):
+        y = row[w] + x if w in row else x
+        if y:
+            row[w] = y
+        else:
+            row.pop(w, None)
+
+    # row echelon form, each row monic at its pivot, its largest word
+    pivots = {}
+    for r in relations:
+        for shift in range(degree_bound - r.degree() + 1):
+            for left in range(shift + 1):
+                for u in of_length[left]:
+                    for v in of_length[shift - left]:
+                        row = {u + w + v: c for w, c in r.terms.items()}
+                        while row:
+                            lead = max(row, key=rank.__getitem__)
+                            c = row[lead]
+                            if lead not in pivots:
+                                pivots[lead] = {w: x / c for w, x in row.items()}
+                                break
+                            for w, x in pivots[lead].items():
+                                add(row, w, -c * x)
+    # reduced, smallest pivot first: the pivots in a row's rest are smaller,
+    # and their rows already hold no pivot but their own
+    for lead in sorted(pivots, key=rank.__getitem__):
+        row = {}
+        for w, x in pivots[lead].items():
+            if w == lead or w not in pivots:
+                add(row, w, x)
+            else:
+                for v, y in pivots[w].items():
+                    if v != w:
+                        add(row, v, -x * y)
+        pivots[lead] = row
+    subs, rules = {}, {}
+    for lead, row in pivots.items():
+        factors = {lead[i:j] for i in range(len(lead)) for j in range(i + 1, len(lead) + 1)}
+        if len(factors & pivots.keys()) == 1:
+            rest = NCPoly({w: -x for w, x in row.items() if w != lead})
+            if len(lead) == 1:
+                subs[lead[0]] = rest
+            else:
+                rules[lead] = rest
+    return subs, rules

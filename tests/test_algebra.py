@@ -62,6 +62,37 @@ def test_validate_associativity_violation():
     assert v.where[:3] == (2, 2, 2)
 
 
+def test_validate_reads_residues(monkeypatch):
+    # associativity is checked on the residue table: a valid GF(p) algebra
+    # makes no FpElement, and a tampered one reports the first failing
+    # (i, j, l, s), as the dense definition does
+    from usym.fields import FpElement
+
+    f3, f5 = GF(3), GF(5)
+    tampered = []
+    for base, t, c in ((triangular(f3), (1, 1, 2), f3(2)), (full_matrices(f5), (2, 3, 1), f5(3))):
+        tau = dict(base.tau)
+        tau[t] = c  # e2 e2 = 2 e3 in T_2(GF(3)); E12 E21 = 3 E11 in M_2(GF(5))
+        tampered.append(FinAlgebra(base.field, base.n, tau))
+    valid = [triangular(f3), full_matrices(f5), cyclic_group_algebra(f3, 3)]
+    made = []
+    original = FpElement.__init__
+
+    def counted(self, p, v):
+        made.append(v)
+        original(self, p, v)
+
+    monkeypatch.setattr(FpElement, "__init__", counted)
+    assert [validate_algebra(a) for a in valid] == [None] * 3 and made == []
+    detail = "(e_i e_j) e_l != e_i (e_j e_l)"
+    assert [validate_algebra(a) for a in tampered] == [
+        Violation("associativity", (2, 2, 2, 2), detail),
+        Violation("associativity", (3, 4, 3, 3), detail),
+    ]
+    assert made == []
+    assert [validate_algebra(a) for a in tampered] == [dense_validate(a) for a in tampered]
+
+
 def test_multiply_dual_numbers(dual_q):
     t = dual_q.basis_vector(1)
     assert dense_multiply(dual_q, t, t) == (QQ.zero, QQ.zero)

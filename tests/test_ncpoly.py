@@ -22,8 +22,10 @@ from usym.ncpoly import (
     RewriteRule,
     _PairQueue,
     _RuleIndex,
+    _ints,
     _make_rule,
     _reduce,
+    _scalars,
     format_poly,
     format_tensor,
     format_word,
@@ -34,9 +36,14 @@ from conftest import (
     cyclic_group_algebra,
     full_matrices,
     iter_words,
+    macaulay_system,
     overlap_candidates,
+    permuted,
+    rescaled,
     scan_reduce,
     tensor_term,
+    triangular,
+    truncated_cubic,
     truncated_polynomial,
     upper_triangular,
 )
@@ -57,8 +64,8 @@ def poly(*terms):
 def nilsquare_rules():
     """The system {x^2 -> 0, xy -> -yx} with xy chosen as the second lead
     (the opposite orientation to what deglex would pick)."""
-    r1 = _make_rule(poly((1, (X, X))))
-    r2 = _make_rule(poly((1, (X, Y)), (1, (Y, X))))
+    r1 = _make_rule({(X, X): 1}, 0)
+    r2 = _make_rule({(X, Y): 1, (Y, X): 1}, 0)
     # orient by hand: lead xy, rest -yx
     assert r2.lead in ((X, Y), (Y, X))
     lead = (X, Y)
@@ -134,6 +141,33 @@ def test_interreduce_contradiction():
         interreduce([poly((1, x), (-1, ())), poly((1, x))])
 
 
+@pytest.mark.parametrize(
+    "field, interreduced, completed", [(QQ, "7/15", "-1/12"), (GF(11), "10", "10")], ids=["QQ", "GF11"]
+)
+def test_contradiction_message_shows_the_scalar(field, interreduced, completed):
+    # the scalar is read back from the ints exactly, also where a step or a
+    # pair scaled them: xy = 2/3 and xy = 1/5 force 2/3 - 1/5 = 7/15 = 0; with
+    # xy -> 2/3 z, yz -> 5/4 x, zz -> 1/2 and xx -> 1/3, the overlap xyz gives
+    # 2/3 zz - 5/4 xx = 1/3 - 5/12 = -1/12, formed on ints as 12 times that
+    z = (1, 3)
+
+    def rule(lead, c, w):
+        rest = NCPoly({w: field(c)})
+        return RewriteRule(lead, rest, NCPoly({lead: field.one}) - rest)
+
+    relations = [rule((X, Y), c, ()).poly for c in ("2/3", "1/5")]
+    with pytest.raises(PresentationContradiction) as info:
+        interreduce(relations)
+    assert str(info.value) == f"relations force the scalar equation {interreduced} * 1 = 0"
+    rules = [
+        rule((X, Y), "2/3", (z,)), rule((Y, z), "5/4", (X,)),
+        rule((z, z), "1/2", ()), rule((X, X), "1/3", ()),
+    ]
+    with pytest.raises(PresentationContradiction) as info:
+        complete(RewriteSystem(rules=rules), 3)
+    assert str(info.value) == f"relations force the scalar equation {completed} * 1 = 0"
+
+
 def test_interreduce_cascaded_substitution():
     # y - x and x - 1 force both substitutions y -> 1 and x -> 1
     rels = [poly((1, (Y,)), (-1, (X,))), poly((1, (X,)), (-1, ()))]
@@ -149,7 +183,7 @@ def test_complete_resolves_overlap_without_new_rules():
 
 
 def test_complete_single_rule_unchanged():
-    system = RewriteSystem({}, [_make_rule(poly((1, (X, X))))], 0)
+    system = RewriteSystem({}, [_make_rule({(X, X): 1}, 0)], 0)
     done = complete(system, 4)
     assert len(done.rules) == 1
 
@@ -387,10 +421,16 @@ def hand_rule(lead, *rest_terms):
     return RewriteRule(lead, rest, poly((1, lead)) - rest)
 
 
+def reduced(p, index):
+    """_reduce on the ints of p, read back as field scalars."""
+    ints, d, m = _ints(p.terms)
+    return NCPoly(_scalars(ints, d * _reduce(ints, index), m))
+
+
 def assert_matches_scan(p, rules):
     """Indexed reduction equals the scan, term order included; returns it
     with the reverse-order scan's normal form."""
-    got = _reduce(p, _RuleIndex(rules))
+    got = reduced(p, _RuleIndex(rules))
     want = scan_reduce(p, list(rules), "standard")
     assert got == want and list(got.terms) == list(want.terms)
     return got, scan_reduce(p, list(rules), "reverse")
@@ -477,12 +517,12 @@ def test_reduction_is_linear_on_random_rule_lists(field):
         for _, u, v, k, ri, rj in overlap_candidates(rules, 5):
             left = ri.rest.shift((), v[k:])
             right = rj.rest.shift(u[: len(u) - k], ())
-            assert _reduce(left - right, index) == _reduce(left, index) - _reduce(right, index)
+            assert reduced(left - right, index) == reduced(left, index) - reduced(right, index)
             overlaps += 1
         # the words of a normal form are irreducible: the word table marks
         # them, and both normal forms hand them back with their coefficients
         system = RewriteSystem(rules=rules)
-        for w, c in _reduce(p, index).terms.items():
+        for w, c in reduced(p, index).terms.items():
             assert system.normal_form(NCPoly({w: c})) == NCPoly({w: c})
             assert system._nf[w] is None
             t = tensor_term(w, (), w, c)
@@ -490,6 +530,65 @@ def test_reduction_is_linear_on_random_rule_lists(field):
             irreducible += 1
     # 619 overlaps with this seed, and 345 (QQ) or 237 (GF(3)) normal-form words
     assert overlaps >= 300 and irreducible >= 200
+
+
+@st.composite
+def rule_lists(draw, field):
+    """1-4 rules on three generators, leads of degree 2-3, not completed, and
+    a polynomial of degree <= 6 to reduce modulo them; over QQ most
+    coefficients are neither 1 nor integers, so most rules have lc > 1 on
+    ints."""
+    gens = [X, Y, (1, 3)]
+
+    def terms(lo, hi, size):
+        word = st.lists(st.sampled_from(gens), min_size=lo, max_size=hi).map(tuple)
+        return st.lists(st.tuples(word, coeffs), min_size=1, max_size=size).map(dict)
+
+    if field == QQ:
+        coeffs = st.sampled_from(["7/3", "-1/2", "5/4", "-2/9", "3", "-1"]).map(QQ)
+    else:
+        coeffs = st.sampled_from(list(field.elements())[1:])
+    leads = st.lists(st.sampled_from(gens), min_size=2, max_size=3).map(tuple)
+    rules = []
+    for lead in draw(st.lists(leads, min_size=1, max_size=4)):
+        rest = draw(terms(0, len(lead), 3))
+        rest = NCPoly({w: c for w, c in rest.items() if word_key(w) < word_key(lead)})
+        rules.append(RewriteRule(lead, rest, NCPoly({lead: field.one}) - rest))
+    return rules, NCPoly(draw(terms(0, 6, 4)))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=["QQ", "GF3"])
+@settings(deadline=None)
+@given(data=st.data())
+def test_int_reduction_matches_scalar_scan(field, data):
+    # _reduce runs on ints and returns its scale s; the scan on field scalars
+    # is the oracle: the ints end as d s times its normal form (d from
+    # _ints), term order included, and over GF(p) s is 1
+    rules, p = data.draw(rule_lists(field))
+    ints, d, m = _ints(p.terms)
+    scale = _reduce(ints, _RuleIndex(rules))
+    want = scan_reduce(p, rules, "standard")
+    assert _scalars(ints, d * scale, m) == want.terms and list(ints) == list(want.terms)
+    assert scale >= 1 and (m == 0 or scale == 1)
+
+
+def test_reduce_scales_by_the_lead_coefficient_over_the_gcd():
+    # xy -> 2/3 yx is 3 xy -> 2 yx on ints: a step on c xy scales the terms
+    # by 3 / gcd(c, 3), so 1 xy scales them by 3 and 3 xy leaves them
+    index = _RuleIndex([hand_rule((X, Y), ("2/3", (Y, X)))])
+    assert index.first[(X, Y)][2:] == (3, {(Y, X): 2})
+    terms = {(X, Y): 1, (Y, Y): 5}
+    assert _reduce(terms, index) == 3 and terms == {(Y, Y): 15, (Y, X): 2}
+    terms = {(X, Y): 3, (Y, Y): 5}
+    assert _reduce(terms, index) == 1 and terms == {(Y, Y): 5, (Y, X): 2}
+    # over GF(p) the rule is its monic residues, and the terms never scale:
+    # 4 xy + 3 yx -> 4 * 3 yx + 3 yx = 15 yx = 0 in GF(5)
+    f = GF(5)
+    rest = NCPoly({(Y, X): f(3)})
+    index = _RuleIndex([RewriteRule((X, Y), rest, NCPoly({(X, Y): f.one}) - rest)])
+    assert index.modulus == 5 and index.first[(X, Y)][2:] == (1, {(Y, X): 3})
+    terms = {(X, Y): 4, (Y, X): 3}
+    assert _reduce(terms, index) == 1 and terms == {}
 
 
 def test_complete_reduces_a_second_rule_with_a_taken_lead():
@@ -552,11 +651,11 @@ def test_pair_queue_matches_overlap_scan():
 def assert_table_matches_reduce(system, p):
     """normal_form reads the word table; it must equal one _reduce of the
     whole substituted polynomial, also once every word is in the table."""
-    want = _reduce(substitute(p, system.subs), _RuleIndex(system.rules))
+    want = reduced(substitute(p, system.subs), _RuleIndex(system.rules))
     assert system.normal_form(p) == want
     for w, c in p.terms.items():
         single = NCPoly({w: c})
-        assert system.normal_form(single) == _reduce(
+        assert system.normal_form(single) == reduced(
             substitute(single, system.subs), _RuleIndex(system.rules)
         )
     assert system.normal_form(p) == want
@@ -566,7 +665,7 @@ def per_leg_tensor_normal_form(t, system):
     """The per-leg formula the word table replaced: each leg reduced as its
     own polynomial, the coefficient with the first leg, the others with 1."""
     def nf(word, c):
-        return _reduce(substitute(NCPoly({word: c}), system.subs), _RuleIndex(system.rules))
+        return reduced(substitute(NCPoly({word: c}), system.subs), _RuleIndex(system.rules))
 
     out = TensorPoly()
     for legs, c in t.terms.items():
@@ -617,9 +716,9 @@ def test_check_reduces_each_word_once(monkeypatch, tmp_path):
 
     calls = []
 
-    def counted(p, index, _original=_reduce):
+    def counted(ints, index, _original=_reduce):
         calls.append("standard")
-        return _original(p, index)
+        return _original(ints, index)
 
     monkeypatch.setattr(ncpoly_mod, "_reduce", counted)
     path = algebra_file(tmp_path, "x4", truncated_polynomial(QQ, 4))
@@ -666,8 +765,9 @@ def test_scalar_work_of_present_and_check(monkeypatch, tmp_path):
     assert main(["present", path, "--max-degree", "4"]) == 0
     # 714 and 415 when interreduction took the unit relations last and
     # completion sent every rule back through interreduction
-    # 711 before Delta was tabulated on the eliminated generators too
-    assert counts == {"mul": 712, "div": 107}
+    # 711 before Delta was tabulated on the eliminated generators too; 712
+    # and 107 while reduction and completion ran on Fractions, not on ints
+    assert counts == {"mul": 110, "div": 0}
     counts.update(mul=0, div=0)
     assert main(["check", path, "--max-degree", "4"]) == 0
     # 7,973 and 1,867 when each overlap reduced its two sides apart, every
@@ -677,5 +777,121 @@ def test_scalar_work_of_present_and_check(monkeypatch, tmp_path):
     # while Delta of a word multiplied coefficients equal to one; 1,724 and
     # 264 while coaction-coassoc read Delta of a generator where it now forms
     # (eta (x) id) eta; 1,789 and 338 while coaction-mult handed the raw
-    # relations to the word table (a raw word costs a division as it enters)
-    assert counts == {"mul": 1763, "div": 264}
+    # relations to the word table (a raw word costs a division as it enters);
+    # 1,763 and 264 while reduction and completion ran on Fractions
+    assert counts == {"mul": 1095, "div": 157}
+
+
+# ---------------------------------------------------------------------------
+# completion on ints, and against the Macaulay-matrix oracle
+
+
+@pytest.mark.parametrize(
+    "build, bound",
+    [(lambda: full_matrices(QQ), 3), (lambda: truncated_polynomial(GF(3), 4), 4)],
+    ids=["m2_QQ", "poly4_GF3"],
+)
+def test_complete_makes_no_scalars_on_a_confluent_system(build, bound, monkeypatch):
+    # every critical pair of these interreduced systems reduces to zero; the
+    # pair loop forms and reduces each on the rules' ints, so completion
+    # constructs no Fraction and no FpElement
+    from fractions import Fraction
+    from usym import build_relations
+    from usym.fields import FpElement
+
+    system = interreduce(build_relations(build()))
+    assert len(overlap_candidates(list(system.rules), bound)) > 100
+    made = []
+
+    def counting(original):
+        def made_one(*args, **kwargs):
+            made.append(args[1:])
+            return original(*args, **kwargs)
+        return made_one
+
+    monkeypatch.setattr(Fraction, "__new__", counting(Fraction.__new__))
+    if hasattr(Fraction, "_from_coprime_ints"):  # Python >= 3.12 makes results here
+        original = Fraction._from_coprime_ints.__func__
+        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(counting(original)))
+    monkeypatch.setattr(FpElement, "__init__", counting(FpElement.__init__))
+    done = complete(system, bound)
+    assert made == []
+    monkeypatch.undo()
+    assert done == system and done.degree_bound == bound
+
+
+def macaulay_cases():
+    """(name, algebra builder, degree bound, deep only): the fixtures, and
+    the presentations that tests/test_rewrite_bytes.py pins by sha256, at
+    D=3 where D=4 would cost the oracle more than a few seconds."""
+    from usym import fixture_path
+    from usym.io import load_algebra
+
+    names = [
+        "dual_gf2", "dual_gf3", "dual_gf5", "dual_gf7", "dual_q",
+        "ground_field_q", "triangular_gf2", "triangular_gf3", "triangular_q",
+    ]
+    for name in names:
+        yield name, lambda name=name: load_algebra(fixture_path(f"{name}.json"))[0], 3, False
+    yield "triangular_q_D4", lambda: triangular(QQ), 4, True
+    # bases with constants such as 7/3, so that rules have lc > 1 on ints
+    yield "triangular_rescaled", lambda: rescaled(triangular(QQ), [1, "7/3", "-2/5"]), 3, False
+    yield "cubic_rescaled", lambda: rescaled(truncated_cubic(QQ), [1, "2/3", "-5/4"]), 3, False
+    yield "poly4_0213_rescaled", lambda: rescaled(
+        permuted(truncated_polynomial(QQ, 4), [0, 2, 1, 3]), [1, "2/3", "-5/4", "7/2"]
+    ), 3, True
+    yield "poly4", lambda: truncated_polynomial(QQ, 4), 3, False
+    yield "poly4_GF3", lambda: truncated_polynomial(GF(3), 4), 3, False
+    yield "m2", lambda: full_matrices(QQ), 3, False
+    yield "m2_reversed", lambda: permuted(full_matrices(QQ), [0, 3, 2, 1]), 3, True
+    yield "c4", lambda: cyclic_group_algebra(QQ, 4), 3, True
+    # bases whose completion takes 28 rounds (k[x]/(x^4)), and took 129
+    # when each round resolved one S-polynomial (k[x]/(x^5))
+    for n, perm, deep in ((4, [0, 2, 1, 3], False), (4, [0, 3, 2, 1], False),
+                          (5, [0, 1, 4, 3, 2], True), (5, [0, 3, 4, 2, 1], True)):
+        name = f"poly{n}_" + "".join(map(str, perm))
+        yield name, lambda n=n, perm=perm: permuted(truncated_polynomial(QQ, n), perm), 3, deep
+
+
+def same_as_macaulay(system, oracle):
+    subs, rules = oracle
+    ordered = sorted(rules.items(), key=lambda rule: word_key(rule[0]))
+    return system.subs == subs and [(r.lead, r.rest) for r in system.rules] == ordered
+
+
+MACAULAY = list(macaulay_cases())
+
+
+@pytest.mark.parametrize("build, bound, deep", [c[1:] for c in MACAULAY], ids=[c[0] for c in MACAULAY])
+def test_completion_matches_macaulay_oracle(build, bound, deep, request):
+    # about 2 s in all; the cases marked deep (4 s more) run only under
+    # --hypothesis-profile=deep
+    from usym import build_presentation, build_relations
+
+    if deep and request.config.getoption("--hypothesis-profile") != "deep":
+        pytest.skip("runs under --hypothesis-profile=deep")
+    algebra = build()
+    oracle = macaulay_system(build_relations(algebra), bound)
+    assert same_as_macaulay(build_presentation(algebra, bound).system, oracle)
+
+
+def test_macaulay_comparison_catches_tampering():
+    # a system with one rule dropped, or with one coefficient changed,
+    # differs from the oracle
+    from usym import build_presentation, build_relations
+
+    algebra = permuted(truncated_polynomial(QQ, 4), [0, 2, 1, 3])
+    system = build_presentation(algebra, 3).system
+    oracle = macaulay_system(build_relations(algebra), 3)
+    assert same_as_macaulay(system, oracle)
+    rules = list(system.rules)
+    k = next(k for k, r in enumerate(rules) if not r.rest.is_zero())
+    dropped = rules[:k] + rules[k + 1 :]
+    assert not same_as_macaulay(RewriteSystem(system.subs, dropped, 3), oracle)
+    lead, rest = rules[k].lead, dict(rules[k].rest.terms)
+    w = next(iter(rest))
+    rest[w] = rest[w] + ONE
+    rest = NCPoly(rest)
+    changed = rules[:k] + [RewriteRule(lead, rest, NCPoly({lead: ONE}) - rest)] + rules[k + 1 :]
+    assert not same_as_macaulay(RewriteSystem(system.subs, changed, 3), oracle)
+    assert same_as_macaulay(RewriteSystem(system.subs, rules, 3), oracle)
