@@ -168,12 +168,12 @@ def _cmd_gradings(args) -> Report:
     # as without it, so the same SearchSizeError comes first
     if args.classify:
         result = classify(algebra, group, bound)
-        points, oracle = result.points, result.gradings
+        points, induced, oracle = result.points, result.induced, result.gradings
     else:
         result = None
         points = enumerate_points(algebra, group, bound)
         oracle = enumerate_gradings_oracle(algebra, group, bound) if args.oracle else ()
-    induced = [grading_from_point(algebra, group, p) for p in points]
+        induced = [grading_from_point(algebra, group, p) for p in points]
     flags = ""
     if args.classify:
         flags += " --classify"

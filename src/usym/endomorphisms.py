@@ -8,11 +8,14 @@ A -> A (column i holds the image of e_i), and is_algebra_map(a, a, M) is the
 point test.  The convolution product of points is the matrix product, giving
 the monoid isomorphism with (End(A), o).  One search (search_points) finds
 these points and the grading points of gradings.py.
-It assigns int residues cell by cell in an order computed once from the
-conditions' cell sets (next the cell that completes the most conditions),
-checks each condition when its last cell is set, and gives a cell that a
-condition solves (the counit's last coefficient, for grading points) its
-one forced value instead of trying all p.
+Its conditions are data: each relation, and each extra condition of a
+grading point, is a set of polynomial equations of degree <= 2 in the
+matrix cells, to vanish mod p.  It assigns int residues cell by cell in an
+order computed once from the conditions' cell sets (next the cell that
+completes the most conditions).  The equations completed at a cell are
+compiled once into a x^2 + b x + c in it, so a cell takes the one value
+that an equation linear in it solves, or else only the residues at which
+all of them vanish; a solved value counts as one value tried.
 
 End's multiplication table is formed once, by integer matrix products mod p
 on the points' residues.  Aut(A) is the group of units of End(A) (the
@@ -125,6 +128,69 @@ def _require_search_size(needed: int, max_search: int, what: str) -> None:
         raise SearchSizeError(needed, max_search, what)
 
 
+# where the search's list of values holds 1: a key (ONE, u) of an equation is
+# a linear term in the cell at depth u, and (ONE, ONE) the constant
+ONE = -1
+
+
+def _compile_cell(equations: list, d: int, p: int) -> tuple[list, list]:
+    """The equations completed at depth d, each written as a x^2 + b x + c in
+    the value x of the cell there.  An equation is {(u, w): coefficient},
+    u <= w <= d, the sum of coefficient * x[u] * x[w] over its keys, with x[u]
+    the value of the cell at depth u and x[ONE] = 1.  b is kept as terms
+    (k, u), read k x[u], and c as terms (k, u, w), read k x[u] x[w].  Returns
+    (linear, quadratic): (b, c) of each equation with a = 0 mod p, and
+    (a, b, c) of the others."""
+    linear, quadratic = [], []
+    for eq in equations:
+        a, bterms, cterms = 0, [], []
+        for (u, w), k in eq.items():
+            if u == d:
+                a += k
+            elif w == d:
+                bterms.append((k, u))
+            else:
+                cterms.append((k, u, w))
+        if a % p:
+            quadratic.append((a, bterms, cterms))
+        else:
+            linear.append((bterms, cterms))
+    return linear, quadratic
+
+
+def _cell_values(linear: list, quadratic: list, x: list, p: int):
+    """The residues at which every equation of _compile_cell vanishes mod p,
+    given the values x of the cells before it.  An equation with a = 0 and
+    b != 0 solves the cell, and the one value is checked against the others;
+    one with a = b = 0 and c != 0 leaves none; otherwise every residue is
+    tried on the quadratic equations.  (Plain loops: on the few terms of an
+    equation they cost a third of what generator sums do.)"""
+    v = None
+    for bterms, cterms in linear:
+        b = c = 0
+        for k, u in bterms:
+            b += k * x[u]
+        for k, u, w in cterms:
+            c += k * x[u] * x[w]
+        if v is None:
+            b %= p
+            if b:
+                v = -c * pow(b, -1, p) % p
+            elif c % p:
+                return ()
+        elif (b * v + c) % p:
+            return ()
+    values = range(p) if v is None else (v,)
+    for a, bterms, cterms in quadratic:
+        b = c = 0
+        for k, u in bterms:
+            b += k * x[u]
+        for k, u, w in cterms:
+            c += k * x[u] * x[w]
+        values = [v for v in values if ((a * v + b) * v + c) % p == 0]
+    return values
+
+
 def search_points(
     a: FinAlgebra, g: FiniteGroup, extra: list, max_search: int, what: str
 ) -> list[tuple[Matrix, ...]]:
@@ -133,48 +199,38 @@ def search_points(
     each is returned as its matrices P^sigma in G's order.
 
     Column 0 is the unit of A at the identity of G.  The other cells (s, i, k),
-    the coefficient of P[s][i] at the k-th element of G, are assigned in one
-    order fixed up front from the conditions: the next cell is the one that
-    completes the most conditions, ties going to the column-major first
-    (the most-constrained static order of Freuder, JACM 1982, and Haralick &
-    Elliott, AIJ 1980).  A condition is a set of cells and a predicate on P
-    (read as P[s][i][k]), checked as soon as its last cell is assigned; it may
-    carry a third item, a solver for that last cell: given P with the cell
-    at 0, the one residue the cell can take.  A solved cell takes that value
-    alone, any other cell every residue.  Every value assigned counts as one
-    value tried, and more than max_search values tried raise SearchSizeError.
+    the coefficient of P[s][i] at the k-th element of G, are int residues.
+    A condition is (cells, equations): a set of cells, and polynomials of
+    degree <= 2 in them, {(): c, (cell,): c, (cell, cell'): c}, that must
+    vanish mod p.  A relation r[a,i,j] is one condition, with one equation per
+    coordinate of k[G].  The cells are assigned in one order fixed up front
+    from the conditions' cell sets: the next cell is the one that completes
+    the most conditions, ties going to the column-major first (the
+    most-constrained static order of Freuder, JACM 1982, and Haralick &
+    Elliott, AIJ 1980).  The column-0 cells are folded into the constants
+    once, each equation is compiled at the depth of its last cell
+    (_compile_cell), and a cell takes only the values those equations allow
+    (_cell_values).  Every value assigned counts as one value tried, a
+    solved one too, and more than max_search values tried raise
+    SearchSizeError.
     """
     fld = a.field
-    p, n, m = fld.characteristic, a.n, g.order
+    p, n, m, e = fld.characteristic, a.n, g.order, g.identity
+    # r[ai,i,j]: sum_u tau[i,j,u] P[ai,u] = sum_{s,t} tau[s,t,ai] P[s,i] P[t,j]
+    relations = [
+        (ai, i, j, [(u, c.v) for u, c in a.basis_product(i, j).items()],
+         [(s, t, c.v) for s, t, c in a.pairs_with_result(ai)])
+        for ai in range(n) for i in range(n) for j in range(n)
+    ]
 
-    def relation(ai: int, i: int, j: int):
-        # sum_u tau[i,j,u] P[ai,u] = sum_{s,t} tau[s,t,ai] P[s,i] P[t,j]
-        lhs = [(u, c.v) for u, c in a.basis_product(i, j).items()]
-        rhs = [(s, t, c.v) for s, t, c in a.pairs_with_result(ai)]
-
-        def holds(P: list) -> bool:
-            acc = [0] * m
-            for u, c in lhs:
-                for k, x in enumerate(P[ai][u]):
-                    acc[k] += c * x
-            for s, t, c in rhs:
-                y = P[t][j]
-                for k1, x in enumerate(P[s][i]):
-                    if x:
-                        for k2, z in enumerate(y):
-                            if z:
-                                acc[g.table[k1][k2]] -= c * x * z
-            return not any(v % p for v in acc)
-
+    def relation_cells(ai, i, j, lhs, rhs) -> set:
         entries = {(ai, u) for u, _ in lhs} | {(s, i) for s, _, _ in rhs} | {(t, j) for _, t, _ in rhs}
-        return {(s, i, k) for s, i in entries for k in range(m)}, holds
+        return {(s, i, k) for s, i in entries for k in range(m)}
 
-    # the caller's conditions come first: they are the cheaper ones
-    conditions = extra + [relation(ai, i, j) for ai in range(n) for i in range(n) for j in range(n)]
-    P = [[[int(s == i == 0 and k == g.identity) for k in range(m)] for i in range(n)] for s in range(n)]
+    cell_sets = [cells for cells, _ in extra] + [relation_cells(*r) for r in relations]
     free = [(s, i, k) for i in range(1, n) for s in range(n) for k in range(m)]
     rank = {cell: r for r, cell in enumerate(free)}
-    open_cells = [{c for c in cond[0] if c in rank} for cond in conditions]
+    open_cells = [{c for c in cells if c in rank} for cells in cell_sets]
     watch: dict = {cell: [] for cell in free}  # the conditions each free cell is in
     completes = dict.fromkeys(free, 0)  # the conditions a cell would complete next
     for q, cells in enumerate(open_cells):
@@ -182,54 +238,84 @@ def search_points(
             watch[c].append(q)
         if len(cells) == 1:
             completes[next(iter(cells))] += 1
-        elif not cells and not conditions[q][1](P):
-            return []
     order: list = []
-    checks: list[list] = []  # checks[d]: the predicates completed by order[d]
-    solvers: list = []  # solvers[d]: the forced value of order[d], or None
     left = set(free)
     while left:
         cell = max(left, key=lambda c: (completes[c], -rank[c]))
         left.remove(cell)
         order.append(cell)
-        checks.append([])
-        solvers.append(None)
         for q in watch[cell]:
             cells = open_cells[q]
             cells.remove(cell)
             if len(cells) == 1:
                 completes[next(iter(cells))] += 1
-            elif not cells:
-                checks[-1].append(conditions[q][1])
-                if len(conditions[q]) > 2 and solvers[-1] is None:
-                    solvers[-1] = conditions[q][2]
 
-    def candidates(d: int):
-        """The values to try at order[d]: the forced one, or every residue."""
-        if d < len(order) and solvers[d] is not None:
-            s, i, k = order[d]
-            P[s][i][k] = 0
-            return iter((solvers[d](P),))
-        return iter(range(p))
+    # at[s][i][k]: the depth of cell (s, i, k) in the order; of column 0, ONE
+    # for the unit of A at G's identity and None for the cells fixed at 0
+    depth = {cell: d for d, cell in enumerate(order)}
+    at = [[[depth.get((s, i, k)) for k in range(m)] for i in range(n)] for s in range(n)]
+    at[0][0][e] = ONE
 
+    def on_depths(eq: dict) -> dict:
+        """A caller's equation, keyed by the sorted depths of its cells."""
+        out: dict = {}
+        for cells, c in eq.items():
+            ends = [at[s][i][k] for s, i, k in cells]
+            if None not in ends:
+                key = (ONE,) * (2 - len(ends)) + tuple(sorted(ends))
+                out[key] = out.get(key, 0) + c
+        return out
+
+    def relation(ai, i, j, lhs, rhs) -> list[dict]:
+        # coordinate k of sum_u tau[i,j,u] P[ai,u] - sum_{s,t} tau[s,t,ai] P[s,i] P[t,j]
+        eqs: list[dict] = [{} for _ in range(m)]
+        for u, c in lhs:
+            for k, w in enumerate(at[ai][u]):
+                if w is not None:
+                    eqs[k][ONE, w] = c
+        for s, t, c in rhs:
+            right = at[t][j]
+            for u, row in zip(at[s][i], g.table):
+                if u is not None:
+                    for w, k in zip(right, row):
+                        if w is not None:
+                            key = (u, w) if u <= w else (w, u)
+                            eqs[k][key] = eqs[k].get(key, 0) - c
+        return eqs
+
+    # each equation filed at the depth of its deepest cell; the caller's come
+    # first, as they are the cheaper ones to solve a cell from
+    completed: list[list] = [[] for _ in order]
+    for eq in itertools.chain(
+        (on_depths(eq) for _, eqs in extra for eq in eqs),
+        (eq for r in relations for eq in relation(*r)),
+    ):
+        eq = {key: c % p for key, c in eq.items() if c % p}
+        if eq:
+            last = max(w for _, w in eq)
+            if last == ONE:  # a nonzero constant
+                return []
+            completed[last].append(eq)
+    compiled = [_compile_cell(eqs, d, p) for d, eqs in enumerate(completed)] + [([], [])]
+
+    x = [0] * len(order) + [1]  # x[d]: the value of order[d]; x[ONE] = 1
     visited = 0
     out = []
-    tries = [candidates(0)]  # tries[d]: the values left for cell order[d]
+    tries = [iter(_cell_values(*compiled[0], x, p))]  # tries[d]: the values left for order[d]
     while tries:
         d = len(tries) - 1
-        if d == len(order):  # every cell assigned
-            out.append(tuple(Matrix._of_residues(fld, [[x[k] for x in row] for row in P]) for k in range(m)))
+        if d == len(order):  # every cell assigned: P[s][i][k] is x[at[s][i][k]], or 0
+            P = [[[0 if u is None else x[u] for u in cell] for cell in row] for row in at]
+            out.append(tuple(Matrix._of_residues(fld, [[c[k] for c in row] for row in P]) for k in range(m)))
             tries.pop()
             continue
-        s, i, k = order[d]
         for v in tries[d]:
             visited += 1
             if visited > max_search:
                 raise SearchSizeError(visited, max_search, what)
-            P[s][i][k] = v
-            if all(holds(P) for holds in checks[d]):
-                tries.append(candidates(d + 1))
-                break
+            x[d] = v
+            tries.append(iter(_cell_values(*compiled[d + 1], x, p)))
+            break
         else:
             tries.pop()
     return out

@@ -219,25 +219,27 @@ def enumerate_points(
     a: FinAlgebra, g: FiniteGroup, max_search: int = DEFAULT_MAX_SEARCH
 ) -> tuple[GradingPoint, ...]:
     """All bialgebra-map points over a prime field, canonically sorted: the
-    points search over G with the counit and comultiplication conditions."""
-    fld = _require_prime_field(a)
-    p, n, m = fld.characteristic, a.n, g.order
+    points search over G with the counit and comultiplication conditions,
+    each one equation in the cells P[s][i][k] (see search_points).  The
+    counit's is linear, so it solves an entry's last coefficient; a
+    coproduct's has degree 2 and can solve any cell it does not square.  A
+    solved value counts as one value tried."""
+    _require_prime_field(a)
+    n, m = a.n, g.order
 
     def counit(s: int, i: int):
-        # the coefficients of P[s][i] sum to eps(x[s,i]) = delta(s, i), which
-        # forces the last one: with it at 0, the sum falls short by the value
-        return (
-            {(s, i, k) for k in range(m)},
-            lambda P: (sum(P[s][i]) - (s == i)) % p == 0,
-            lambda P: ((s == i) - sum(P[s][i])) % p,
-        )
+        # the coefficients of P[s][i] sum to eps(x[s,i]) = delta(s, i)
+        cells = {(s, i, k) for k in range(m)}
+        eq = {(c,): 1 for c in cells}
+        eq[()] = -int(s == i)
+        return cells, [eq]
 
     def coproduct(s: int, i: int, sg: int, tg: int):
-        # sum_t P^sigma[s,t] P^tau[t,i] = delta(sigma, tau) P^sigma[s,i]
-        cells = {(s, t, sg) for t in range(n)} | {(t, i, tg) for t in range(n)}
-        return cells, lambda P: (
-            sum(P[s][t][sg] * P[t][i][tg] for t in range(n)) - (sg == tg) * P[s][i][sg]
-        ) % p == 0
+        # sum_t P^sigma[s,t] P^tau[t,i] - delta(sigma, tau) P^sigma[s,i]
+        eq = {((s, t, sg), (t, i, tg)): 1 for t in range(n)}
+        if sg == tg:
+            eq[((s, i, sg),)] = -1
+        return {c for key in eq for c in key}, [eq]
 
     entries = [(s, i) for s in range(n) for i in range(n)]
     conditions = [counit(s, i) for s, i in entries] + [
@@ -316,6 +318,7 @@ def apply_automorphism(grading: Grading, m: Matrix) -> Grading:
 @dataclass
 class ClassifyResult:
     points: tuple[GradingPoint, ...]
+    induced: tuple[Grading, ...]  # grading_from_point of each point, in point order
     gradings: tuple[Grading, ...]  # from the independent oracle
     automorphisms: EndoMonoid
     point_orbits: tuple[tuple[int, ...], ...]
@@ -364,13 +367,12 @@ def classify(
     grading_orbits = orbit_partition(len(gradings), [grading_action(m) for m in aut.points])
 
     # push the point partition through grading_from_point and compare
-    to_grading = [
-        grading_index.get(grading_from_point(a, g, pt).sort_key()) for pt in points
-    ]
+    induced = tuple(grading_from_point(a, g, pt) for pt in points)
+    to_grading = [grading_index.get(gr.sort_key()) for gr in induced]
     ok = all(idx is not None for idx in to_grading)
     if ok:
         pushed = sorted(
             tuple(sorted({to_grading[i] for i in orbit})) for orbit in point_orbits
         )
         ok = pushed == sorted(grading_orbits)
-    return ClassifyResult(points, gradings, aut, point_orbits, grading_orbits, ok)
+    return ClassifyResult(points, induced, gradings, aut, point_orbits, grading_orbits, ok)

@@ -325,21 +325,16 @@ def overlap_candidates(rules, degree_bound):
     return out
 
 
-def macaulay_system(relations, degree_bound):
-    """The oracle for completion: the substitutions and rules that
-    build_presentation's system must hold, read off the reduced row echelon
-    form of the Macaulay matrix.  Its rows are the products u r v of degree
-    <= degree_bound of each relation r with words u and v; its columns are
-    the words, largest first.  Reductions never raise a word's degree, so
-    complete's claim at D, canonical normal forms on words of degree <= D,
-    is reduction modulo V_D, the span of these rows (not the whole of the
-    ideal's degree <= D part, which products of higher degree may reach).
-    The pivot words are then exactly the words that the system rewrites,
-    and a pivot with no other pivot as a factor is an eliminated generator
-    or a rule's lead (Bergman's diamond lemma).  Returns (subs, rules):
-    each such pivot (a generator, or a lead of degree >= 2) mapped to minus
-    the rest of its row, as NCPolys.  Only dicts and field scalars; no
-    linalg and no ncpoly reduction."""
+def macaulay_rows(relations, degree_bound):
+    """The reduced row echelon form of the Macaulay matrix.  Its rows are the
+    products u r v of degree <= degree_bound of each relation r with words u
+    and v; its columns are the words, largest first.  Returns {pivot word:
+    row}, each row a dict {word: scalar} that holds its pivot with
+    coefficient 1 and no other pivot word.  So modulo V_D, the span of the
+    rows (see macaulay_system), the normal form of a pivot word is the
+    word minus its row, and every other word of degree <= degree_bound is
+    its own.  Only dicts and field scalars; no linalg and no ncpoly
+    reduction."""
     gens = sorted({g for r in relations for w in r.terms for g in w}, key=gen_key)
     words = list(iter_words(gens, degree_bound))
     rank = {w: k for k, w in enumerate(words)}  # deglex: iter_words' order
@@ -380,6 +375,22 @@ def macaulay_system(relations, degree_bound):
                     if v != w:
                         add(row, v, -x * y)
         pivots[lead] = row
+    return pivots
+
+
+def macaulay_system(relations, degree_bound):
+    """The oracle for completion: the substitutions and rules that
+    build_presentation's system must hold, read off the reduced row echelon
+    form of the Macaulay matrix (macaulay_rows).  Reductions never raise a
+    word's degree, so complete's claim at D, canonical normal forms on words
+    of degree <= D, is reduction modulo V_D, the span of the matrix's rows
+    (not the whole of the ideal's degree <= D part, which products of higher
+    degree may reach).  The pivot words are then exactly the words that the
+    system rewrites, and a pivot with no other pivot as a factor is an
+    eliminated generator or a rule's lead (Bergman's diamond lemma).
+    Returns (subs, rules): each such pivot (a generator, or a lead of
+    degree >= 2) mapped to minus the rest of its row, as NCPolys."""
+    pivots = macaulay_rows(relations, degree_bound)
     subs, rules = {}, {}
     for lead, row in pivots.items():
         factors = {lead[i:j] for i in range(len(lead)) for j in range(i + 1, len(lead) + 1)}

@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from usym import (
     GF,
@@ -11,20 +12,25 @@ from usym import (
     SearchSizeError,
     automorphism_group,
     counit_point,
+    cyclic_group,
     enumerate_endomorphisms,
     enumerate_homs,
     enumerate_measuring_points,
+    enumerate_points,
     fixture_path,
     is_algebra_map,
     validate_algebra,
 )
+from usym.endomorphisms import ONE, _cell_values, _compile_cell
 from usym.io import load_algebra
 from conftest import (
     apply,
+    cyclic_group_algebra,
     dual_numbers,
     full_matrices,
     ground_field,
     triangular,
+    truncated_cubic,
     truncated_polynomial,
 )
 
@@ -277,12 +283,64 @@ def test_hom_oracle_tests_every_candidate(monkeypatch, tmp_path):
 
 
 def test_search_bound_counts_values_tried():
-    # T_2(GF(3)) tries 66 values; the bound trips as soon as the count passes it
+    # T_2(GF(3)) tries 35 values; the bound trips as soon as the count passes it
     a = triangular(GF(3))
-    assert len(enumerate_endomorphisms(a, max_search=66)) == 14
+    assert len(enumerate_endomorphisms(a, max_search=35)) == 14
     with pytest.raises(SearchSizeError) as info:
-        enumerate_endomorphisms(a, max_search=65)
-    assert (info.value.needed, info.value.bound) == (66, 65)
+        enumerate_endomorphisms(a, max_search=34)
+    assert (info.value.needed, info.value.bound) == (35, 34)
+
+
+@pytest.mark.parametrize(
+    "search, tried, count",
+    [
+        (lambda bound: enumerate_endomorphisms(full_matrices(GF(3)), bound), 410, 24),
+        (lambda bound: enumerate_points(triangular(GF(3)), cyclic_group(3), bound), 327, 7),
+        (lambda bound: enumerate_points(truncated_cubic(GF(7)), cyclic_group(3), bound), 2203, 15),
+        (lambda bound: enumerate_points(cyclic_group_algebra(GF(5), 4), cyclic_group(2), bound), 9051, 10),
+    ],
+    ids=["end-M2-GF3", "T2-GF3-C3", "cubic-GF7-C3", "C4-GF5-C2"],
+)
+def test_values_tried_are_exact(search, tried, count):
+    # a value solved from an equation linear in its cell, or left by a forward
+    # check of the cell's quadratic equations, counts as one value tried
+    assert len(search(tried)) == count
+    with pytest.raises(SearchSizeError) as info:
+        search(tried - 1)
+    assert (info.value.needed, info.value.bound) == (tried, tried - 1)
+
+
+@st.composite
+def cell_systems(draw):
+    """(p, d, x, equations): random equations of degree <= 2 in the cells at
+    depths 0..d, keyed as search_points keys them, and values x of the
+    cells before depth d (x[d] is not read, x[ONE] = 1)."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    d = draw(st.integers(0, 3))
+    x = draw(st.lists(st.integers(0, p - 1), min_size=d, max_size=d)) + [0, 1]
+    ends = [ONE, *range(d + 1)]
+    keys = [(u, w) for u in ends for w in ends if u <= w]
+    equation = st.dictionaries(st.sampled_from(keys), st.integers(0, p - 1), max_size=5)
+    return p, d, x, draw(st.lists(equation, max_size=4))
+
+
+@given(cell_systems())
+@example((3, 0, [0, 1], [{(0, 0): 1, (ONE, ONE): 1}]))  # x^2 + 1: a != 0, b = 0, c != 0
+@example((5, 0, [0, 1], [{(0, 0): 1, (ONE, ONE): 1}]))  # x^2 + 1 = (x - 2)(x - 3)
+@example((7, 1, [3, 0, 1], [{(0, 1): 2, (ONE, ONE): 1}, {(ONE, 1): 1, (ONE, 0): 4}]))
+@example((5, 1, [2, 0, 1], [{(ONE, 1): 1, (ONE, ONE): 4}, {(1, 1): 1, (ONE, ONE): 3}]))
+@example((2, 1, [1, 0, 1], [{(0, 0): 1, (ONE, ONE): 1}, {(1, 1): 0}, {}]))  # all zero
+def test_cell_values_match_a_scan_of_every_residue(system):
+    # the compiled solve and forward check give exactly the residues at
+    # which every equation vanishes
+    p, d, x, equations = system
+
+    def vanishes(v):
+        y = x[:d] + [v] + x[d + 1 :]
+        return all(sum(k * y[u] * y[w] for (u, w), k in eq.items()) % p == 0 for eq in equations)
+
+    values = _cell_values(*_compile_cell(equations, d, p), x, p)
+    assert list(values) == [v for v in range(p) if vanishes(v)]
 
 
 def test_aut_refused_by_the_old_estimate_now_runs():

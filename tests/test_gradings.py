@@ -197,7 +197,7 @@ def test_point_search_matches_decomposition_route():
     for build, p, group in GRID + [(triangular, 2, KLEIN)]:
         a = build(GF(p))
         assert list(enumerate_points(a, group)) == _decomposition_route(a, group)
-    # the bound counts the values tried: T_2(GF(3)) with C3 tries 707
+    # the bound counts the values tried: T_2(GF(3)) with C3 tries 327
     with pytest.raises(SearchSizeError) as info:
         enumerate_points(triangular(GF(3)), cyclic_group(3), max_search=100)
     assert (info.value.needed, info.value.bound) == (101, 100)
@@ -390,6 +390,8 @@ def test_classify_grid_agreement():
         result = classify(a, group)
         assert result.counts_agree
         assert result.correspondence_ok
+        # the gradings the points induce, in point order, as the CLI reports them
+        assert result.induced == tuple(grading_from_point(a, group, pt) for pt in result.points)
 
 
 @pytest.mark.parametrize(
@@ -768,7 +770,7 @@ def test_dual_group_counts_beyond_the_oracle(a, group, counts):
 
 @pytest.mark.parametrize("p, order", [(7, 7), (5, 8)])
 def test_counit_forces_last_coefficient(p, order):
-    # the counit fixes each entry's last coefficient: 3,116 and 1,784 values
+    # the counit fixes each entry's last coefficient: 494 and 399 values
     # find the gradings of the dual numbers, t in any one degree
     a, group = dual_numbers(GF(p)), cyclic_group(order)
     points = enumerate_points(a, group, max_search=10_000)
@@ -798,10 +800,11 @@ def test_point_search_convolves_in_group_order():
     good, bad = point((0, r, s, S3.mul(r, s))), point((0, r, s, S3.mul(s, r)))
     assert is_grading_point(a, S3, GradingPoint(good))
     assert not is_grading_point(a, S3, GradingPoint(bad))
-    pins = [
-        ({(i, j, k)}, lambda P, i=i, j=j, k=k: P[i][j][k] in (good[k].rows[i][j].v, bad[k].rows[i][j].v))
-        for i in range(4)
-        for j in range(4)
-        for k in range(S3.order)
-    ]
+    # each cell x pinned by the equation (x - a)(x - b) = x^2 - (a + b) x + a b
+    pins = []
+    for i in range(4):
+        for j in range(4):
+            for k in range(S3.order):
+                cell, u, v = (i, j, k), good[k].residues[i][j], bad[k].residues[i][j]
+                pins.append(({cell}, [{(cell, cell): 1, (cell,): -(u + v), (): u * v}]))
     assert search_points(a, S3, pins, DEFAULT_MAX_SEARCH, "pinned search") == [good]

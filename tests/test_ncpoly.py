@@ -35,7 +35,9 @@ from usym.ncpoly import (
 from conftest import (
     cyclic_group_algebra,
     full_matrices,
+    dual_numbers,
     iter_words,
+    macaulay_rows,
     macaulay_system,
     overlap_candidates,
     permuted,
@@ -895,3 +897,48 @@ def test_macaulay_comparison_catches_tampering():
     changed = rules[:k] + [RewriteRule(lead, rest, NCPoly({lead: ONE}) - rest)] + rules[k + 1 :]
     assert not same_as_macaulay(RewriteSystem(system.subs, changed, 3), oracle)
     assert same_as_macaulay(RewriteSystem(system.subs, rules, 3), oracle)
+
+
+@pytest.mark.parametrize("build", [triangular, truncated_cubic], ids=["T2", "cubic"])
+def test_normal_forms_match_macaulay_rows(build):
+    # on every word of degree <= D over the n^2 = 9 generators, normal_form
+    # is reduction by the oracle's rows: a pivot word goes to itself minus
+    # its row, any other word to itself
+    from usym import build_presentation, build_relations
+
+    algebra, bound = build(QQ), 3
+    relations = build_relations(algebra)
+    rows = macaulay_rows(relations, bound)
+    system = build_presentation(algebra, bound).system
+    gens = {g for r in relations for w in r.terms for g in w}
+    words = list(iter_words(gens, bound))
+    assert len(gens) == 9 and len(words) == 820 and len(rows) > 400
+    for w in words:
+        assert system.normal_form(NCPoly({w: ONE})) == NCPoly({w: ONE}) - NCPoly(rows.get(w, {}))
+
+
+@pytest.mark.parametrize(
+    "build, counts",
+    [
+        (lambda: dual_numbers(QQ), {2: 2, 3: 2, 4: 2}),
+        # the basis whose completion takes 28 rounds: D = 3 adds 27 rules of degree 3
+        (lambda: permuted(truncated_polynomial(QQ, 4), [0, 2, 1, 3]), {2: 36, 3: 63}),
+    ],
+    ids=["dual", "poly4_0213"],
+)
+def test_no_degree_fall_from_D_to_D_plus_1(build, counts):
+    # completing at D + 1 keeps the substitutions and the rules of degree
+    # <= D of the system completed at D and adds rules of degree D + 1 only;
+    # so does the oracle.  counts: the number of rules at each D
+    from usym import build_presentation, build_relations
+
+    algebra = build()
+    relations = build_relations(algebra)
+    systems = {bound: build_presentation(algebra, bound).system for bound in counts}
+    assert {bound: len(s.rules) for bound, s in systems.items()} == counts
+    for bound in list(counts)[:-1]:
+        low, high = systems[bound], systems[bound + 1]
+        assert high.subs == low.subs
+        assert [r for r in high.rules if len(r.lead) <= bound] == list(low.rules)
+        subs, rules = macaulay_system(relations, bound + 1)
+        assert same_as_macaulay(low, (subs, {w: r for w, r in rules.items() if len(w) <= bound}))
