@@ -31,11 +31,13 @@ Modulo a fixed rule list the step taken on a word depends only on that word,
 so the normal form is a linear map (Bergman, *The diamond lemma for ring
 theory*, 1978): NF(sum c_w w) = sum c_w NF(w).  A RewriteSystem therefore
 keeps a word table, filled the first time a word is asked, with the normal
-form of 1 * w (substituted, then reduced), or a mark that w is its own
-normal form; ``normal_form`` and every leg of ``tensor_normal_form`` read it,
-so each word is reduced once per system, and a marked word is copied with
-its coefficient instead of multiplied by 1.  The polynomials given to one
-system share its field.
+form of 1 * w (substituted, then reduced) on ints with its denominator (see
+_ints), or a mark that w is its own normal form.  The int core
+``_tensor_nf`` reads every leg of a tensor off the table, so each word is
+reduced once per system, and a marked word is copied with its coefficient
+instead of multiplied by 1; ``normal_form`` and ``tensor_normal_form`` wrap
+it, reading their scalars into ints and the result back.  The polynomials
+given to one system share its field.
 
 Interreduction and completion work on one rule state (``_RuleState``): the
 substitutions, the rule index and, for each lead, the factors of its rule's
@@ -222,6 +224,11 @@ def _scalars(ints: Mapping[Word, int], d: int, m: int) -> dict[Word, Scalar]:
     return {w: Fraction(v, d) for w, v in ints.items()}
 
 
+def _mod(terms: dict, m: int) -> dict:
+    """The nonzero residues mod m of the int terms, or the terms if m = 0."""
+    return {k: v % m for k, v in terms.items() if v % m} if m else terms
+
+
 def _make_rule(ints: Mapping[Word, int], m: int) -> RewriteRule:
     """The monic rule lead -> rest of the ints (see _ints), lead the largest."""
     lead = max(ints, key=word_key)
@@ -346,33 +353,31 @@ class RewriteSystem:
         )
         self.degree_bound = degree_bound
         self._index = _RuleIndex(self.rules)
-        # word -> terms of its normal form with coefficient 1, or None when
-        # the word is its own normal form
-        self._nf: dict[Word, dict[Word, Scalar] | None] = {}
+        # word -> (ints, d) of its normal form with coefficient 1 (see
+        # _ints), or None when the word is its own normal form
+        self._nf: dict[Word, tuple[dict[Word, int], int] | None] = {}
 
     def max_rule_degree(self) -> int:
         return max((len(r.lead) for r in self.rules), default=0)
 
-    def _word_nf(self, w: Word, c: Scalar) -> dict[Word, Scalar] | None:
-        """The terms of the normal form of 1 * w (substituted, then reduced),
-        formed the first time w is asked, or None if w is its own normal
-        form (no eliminated generator and no rule applies), so that callers
-        copy c * w without a multiplication.  c is any nonzero scalar of the
-        system's field; c / c is the field's 1 on the first ask."""
+    def _word_nf(self, w: Word, m: int) -> tuple[dict[Word, int], int] | None:
+        """The normal form of 1 * w (substituted, then reduced) as (ints, d),
+        see _ints, formed the first time w is asked, or None if w is its own
+        normal form (no eliminated generator and no rule applies), so that
+        callers copy c * w without a multiplication.  m is the field's
+        modulus, 0 for QQ, which gives the 1 substituted on the first ask."""
         nf = self._nf.get(w, _UNASKED)
         if nf is _UNASKED:
-            ints, d, m = _ints(substitute(NCPoly({w: c / c}), self.subs).terms)
-            nf = _scalars(ints, d * _reduce(ints, self._index), m)
+            ints, d, _ = _ints(substitute(NCPoly(_scalars({w: 1}, 1, m)), self.subs).terms)
+            d *= _reduce(ints, self._index)
             # a step or a substitution only brings in words other than w
-            nf = self._nf[w] = None if w in nf else nf
+            nf = self._nf[w] = None if w in ints else (ints, d)
         return nf
 
     def normal_form(self, p: NCPoly) -> NCPoly:
-        out: dict[Word, Scalar] = {}
-        for w, c in p.terms.items():
-            nf = self._word_nf(w, c)
-            _accumulate(out, ((w, c),) if nf is None else ((v, c * d) for v, d in nf.items()))
-        return NCPoly(out)
+        ints, d, m = _ints(p.terms)
+        out, e = _tensor_nf({(w,): c for w, c in ints.items()}, m, self)
+        return NCPoly(_scalars({k[0]: c for k, c in out.items()}, d * e, m) if out else {})
 
     def __eq__(self, other) -> bool:
         return (
@@ -627,19 +632,36 @@ def format_tensor(t: TensorPoly) -> str:
     )
 
 
-def tensor_normal_form(t: TensorPoly, system: RewriteSystem) -> TensorPoly:
-    """Reduce every tensor leg independently and re-aggregate: the sum over
-    terms c * w1 (x) ... (x) wk of c * NF(w1) (x) ... (x) NF(wk), each leg's
-    normal form read off the system's word table.  A leg that is its own
-    normal form is copied, and its term keeps its coefficient unmultiplied."""
-    out: dict[tuple[Word, ...], Scalar] = {}
-    for legs, c in t.terms.items():
-        partial: list[tuple[tuple[Word, ...], Scalar]] = [((), c)]
+def _tensor_nf(terms: Mapping[tuple[Word, ...], int], m: int, system: RewriteSystem):
+    """The int core of tensor_normal_form on int terms with modulus m (see
+    _ints): (ints, d), ints / d the sum over terms c * w1 (x) ... (x) wk of
+    c * NF(w1) (x) ... (x) NF(wk), each leg read off the system's word table
+    (a leg that is its own normal form is copied, and its term keeps its
+    coefficient unmultiplied).  A term's denominator is the product of its
+    legs' (1 over GF(p)), and all terms are rescaled to their lcm d."""
+    parts = []
+    for legs, c in terms.items():
+        partial, den = [((), c)], 1
         for w in legs:
-            nf = system._word_nf(w, c)
+            nf = system._word_nf(w, m)
             if nf is None:
                 partial = [(k + (w,), a) for k, a in partial]
             else:
-                partial = [(k + (v,), a * d) for k, a in partial for v, d in nf.items()]
-        _accumulate(out, partial)
-    return TensorPoly(out)
+                ints, d = nf
+                den *= d
+                partial = [(k + (v,), a * e) for k, a in partial for v, e in ints.items()]
+        parts.append((partial, den))
+    d = math.lcm(*[den for _, den in parts])
+    out: dict[tuple[Word, ...], int] = {}
+    for partial, den in parts:
+        f = d // den
+        _accumulate(out, partial if f == 1 else ((k, a * f) for k, a in partial))
+    return _mod(out, m), d
+
+
+def tensor_normal_form(t: TensorPoly, system: RewriteSystem) -> TensorPoly:
+    """Reduce every tensor leg independently and re-aggregate (see
+    _tensor_nf), on the ints of t's scalars, read back as field scalars."""
+    ints, d, m = _ints(t.terms)
+    out, e = _tensor_nf(ints, m, system)
+    return TensorPoly(_scalars(out, d * e, m) if out else {})

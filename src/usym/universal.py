@@ -17,14 +17,18 @@ canonical coaction are
 
 with each generator read as its image in the quotient (its substitution, if
 eliminated).  The presentation tabulates Delta and eps on all n^2 generators
-and eta on every basis vector.  The checkers read Delta, eps and eta only
-from those tables; none of them evaluates the formulas above.  Delta and eps
-are both algebra maps, read as tables of 2-leg and 0-leg tensors, and one
-routine applies either to a tensor leg, extended multiplicatively to words.
+and eta on every basis vector, and keeps the raw relations.  The checkers
+read Delta, eps and eta only from those tables; none of them evaluates the
+formulas above.  Delta and eps are both algebra maps, read once per check as
+int tables (``ncpoly._ints``) of 2-leg and 0-leg tensors, and one routine
+applies either to a tensor leg, extended multiplicatively to words.  Each
+bialgebra axiom is a zero test of an int normal form, which does not depend
+on scale, so only a failing item's detail is read back as field scalars.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field
 
@@ -38,6 +42,10 @@ from .ncpoly import (
     TensorPoly,
     Word,
     _accumulate,
+    _ints,
+    _scalars,
+    _mod,
+    _tensor_nf,
     complete,
     format_genid,
     gen_key,
@@ -82,13 +90,14 @@ def _all_gens(n: int) -> list[GenId]:
 @dataclass(eq=True)
 class Presentation:
     """The computable face of a(A): surviving generators, substitutions and
-    rules, Delta/eps tables on all n^2 generators, and the canonical coaction
-    table."""
+    rules, the raw relations (``build_relations``), Delta/eps tables on all
+    n^2 generators, and the canonical coaction table."""
 
     algebra: FinAlgebra
     degree_bound: int
     gens: tuple[GenId, ...]
     system: RewriteSystem
+    relations: tuple[NCPoly, ...]
     delta: dict[GenId, TensorPoly] = field(default_factory=dict)
     eps: dict[GenId, Scalar] = field(default_factory=dict)
     # coaction[i] lists (s, poly) with eta(e_{i+1}) = sum_s e_{s+1} (x) poly
@@ -98,7 +107,8 @@ class Presentation:
 def build_presentation(a: FinAlgebra, degree_bound: int = DEFAULT_DEGREE_BOUND) -> Presentation:
     if degree_bound < 2:
         raise ValueError("degree bound must be at least 2")
-    system = complete(interreduce(build_relations(a)), degree_bound)
+    relations = tuple(build_relations(a))
+    system = complete(interreduce(relations), degree_bound)
     n = a.n
     one, zero = a.field.one, a.field.zero
     # each generator's image in the quotient: its substitution, or itself
@@ -116,36 +126,61 @@ def build_presentation(a: FinAlgebra, degree_bound: int = DEFAULT_DEGREE_BOUND) 
         tuple((s - 1, image[s, i]) for s in range(1, n + 1) if not image[s, i].is_zero())
         for i in range(1, n + 1)
     )
-    return Presentation(a, degree_bound, gens, system, delta, eps, coaction)
+    return Presentation(a, degree_bound, gens, system, relations, delta, eps, coaction)
 
 
-def _on_leg(
-    table: dict[GenId, TensorPoly], legs: int, t: TensorPoly, leg: int, one: Scalar
-) -> TensorPoly:
-    """Apply an algebra map out of the free algebra to leg `leg` of t.  The
-    map is its table of `legs`-leg tensors on the generators (two legs for
-    Delta, none for eps), extended multiplicatively: a word goes to the
-    legwise product of its generators' tensors, the empty word to the unit
-    tensor.  The result's legs replace that leg in t's key.  A coefficient
-    product with a factor one is not formed."""
-    out: dict[tuple[Word, ...], Scalar] = {}
-    for key, c in t.terms.items():
+def _on_leg(table: dict, legs: int, x: tuple, leg: int, d: int, m: int) -> tuple[dict, int]:
+    """Apply an algebra map out of the free algebra to leg `leg` of x =
+    (terms, den), the int tensor terms / den.  The map is its int table of
+    `legs`-leg tensors on the generators with denominator d (see _ints; two
+    legs for Delta, none for eps), extended multiplicatively: a word goes to
+    the legwise product of its generators' tensors, the empty word to the
+    unit tensor.  The result's legs replace that leg in the keys.  The image
+    of a word of length l has denominator d^l, so its term is scaled by
+    d^(top - l), top the longest word on that leg, and the result is
+    (ints, den * d^top), its ints residues mod m over GF(p)."""
+    terms, den = x
+    top = max((len(key[leg]) for key in terms), default=0)
+    out: dict[tuple[Word, ...], int] = {}
+    for key, c in terms.items():
         w = key[leg]
-        image = table[w[0]].terms if w else {((),) * legs: one}
+        image = table[w[0]] if w else {((),) * legs: 1}
         for g in w[1:]:
             image = _accumulate(
                 {},
                 (
-                    (tuple(map(operator.add, a, b)), e if d == one else d if e == one else d * e)
-                    for a, d in image.items()
-                    for b, e in table[g].terms.items()
+                    (tuple(map(operator.add, a, b)), u * v)
+                    for a, u in image.items()
+                    for b, v in table[g].items()
                 ),
             )
-        head, tail = key[:leg], key[leg + 1 :]
-        _accumulate(
-            out, ((head + split + tail, c if d == one else c * d) for split, d in image.items())
-        )
-    return TensorPoly(out)
+        head, tail, c = key[:leg], key[leg + 1 :], c * d ** (top - len(w))
+        _accumulate(out, ((head + split + tail, c * u) for split, u in image.items()))
+    return _mod(out, m), den * d**top
+
+
+def _int_tables(p: Presentation) -> tuple[dict, int, dict, int, int]:
+    """(delta, d, eps, e, m): Delta and eps as int tables with denominators
+    d and e and modulus m (see _ints), eps as 0-leg tensors, so that
+    _on_leg applies it as it applies Delta."""
+    ints, d, _ = _ints({(g, k): c for g, t in p.delta.items() for k, c in t.terms.items()})
+    delta = {g: {k: ints[g, k] for k in t.terms} for g, t in p.delta.items()}
+    eps, e, m = _ints(p.eps)
+    return delta, d, {g: {(): c} if c else {} for g, c in eps.items()}, e, m
+
+
+def _one_leg(poly: NCPoly) -> tuple[dict, int]:
+    """(terms, den): the ints of a polynomial as 1-leg tensor terms / den."""
+    ints, den, _ = _ints(poly.terms)
+    return {(w,): c for w, c in ints.items()}, den
+
+
+def _minus(x: tuple, y: tuple) -> dict:
+    """The ints of x - y, for x and y as (terms, den), over lcm of the dens."""
+    (a, da), (b, db) = x, y
+    lcm = math.lcm(da, db)
+    out = {k: c * (lcm // da) for k, c in a.items()}
+    return _accumulate(out, ((k, -c * (lcm // db)) for k, c in b.items()))
 
 
 def _relation_labels(a: FinAlgebra) -> list[str]:
@@ -163,44 +198,29 @@ def _relation_labels(a: FinAlgebra) -> list[str]:
 def check_bialgebra(p: Presentation) -> CheckReport:
     """Verify that the tabulated Delta and eps are well defined on the
     quotient and satisfy the coalgebra axioms on the surviving generators."""
-    a = p.algebra
-    one = a.field.one
-    delta = p.delta
-    # eps as 0-leg tensors, so that _on_leg applies it as it applies Delta
-    eps = {g: TensorPoly({(): e}) for g, e in p.eps.items()}
+    delta, d, eps, e, m = _int_tables(p)
     items: list[CheckItem] = []
 
-    relations = build_relations(a)
-    for label, rel in zip(_relation_labels(a), relations):
-        r = TensorPoly.of(rel)
-        dh = tensor_normal_form(_on_leg(delta, 2, r, 0, one), p.system)
-        items.append(
-            CheckItem(
-                f"delta-descends {label}",
-                dh.is_zero(),
-                "" if dh.is_zero() else f"residue {dh!r}",
-            )
-        )
-        eh = _on_leg(eps, 0, r, 0, one)
-        items.append(
-            CheckItem(
-                f"eps-descends {label}",
-                eh.is_zero(),
-                "" if eh.is_zero() else f"residue {eh.terms[()]}",
-            )
-        )
+    for label, rel in zip(_relation_labels(p.algebra), p.relations):
+        r = _one_leg(rel)
+        image, den = _on_leg(delta, 2, r, 0, d, m)
+        dh, dn = _tensor_nf(image, m, p.system)
+        detail = dh and f"residue {TensorPoly(_scalars(dh, den * dn, m))!r}"
+        items.append(CheckItem(f"delta-descends {label}", not dh, detail or ""))
+        eh, den = _on_leg(eps, 0, r, 0, e, m)
+        detail = eh and f"residue {_scalars(eh, den, m)[()]}"
+        items.append(CheckItem(f"eps-descends {label}", not eh, detail or ""))
 
     for g in p.gens:
-        dg = delta[g]
-        # (Delta (x) id) Delta(g) against (id (x) Delta) Delta(g), as 3-leg tensors
-        left, right = (
-            tensor_normal_form(_on_leg(delta, 2, dg, leg, one), p.system) for leg in (0, 1)
-        )
-        items.append(CheckItem(f"coassoc {format_genid(g)}", left == right))
-
-        gen_nf = tensor_normal_form(TensorPoly({((g,),): one}), p.system)
+        dg = (delta[g], d)
+        # NF of (Delta (x) id) Delta(g) - (id (x) Delta) Delta(g), as 3-leg tensors
+        left, right = (_on_leg(delta, 2, dg, leg, d, m) for leg in (0, 1))
+        coassoc = _tensor_nf(_minus(left, right), m, p.system)[0]
+        items.append(CheckItem(f"coassoc {format_genid(g)}", not coassoc))
+        # NF of (eps (x) id) Delta(g) - g and of (id (x) eps) Delta(g) - g
+        gen = ({((g,),): 1}, 1)
         counit_ok = all(
-            tensor_normal_form(_on_leg(eps, 0, dg, leg, one), p.system) == gen_nf
+            not _tensor_nf(_minus(_on_leg(eps, 0, dg, leg, e, m), gen), m, p.system)[0]
             for leg in (0, 1)
         )
         items.append(CheckItem(f"counit {format_genid(g)}", counit_ok))
@@ -214,7 +234,7 @@ def check_comodule(p: Presentation) -> CheckReport:
     a = p.algebra
     n = a.n
     one = a.field.one
-    eps = {g: TensorPoly({(): e}) for g, e in p.eps.items()}
+    delta, d, eps, e, m = _int_tables(p)
     # eta[i][s] is the coordinate of e_{s+1} in eta(e_{i+1}); absent ones are zero
     eta = [[NCPoly()] * n for _ in range(n)]
     for i, entries in enumerate(p.coaction):
@@ -233,29 +253,27 @@ def check_comodule(p: Presentation) -> CheckReport:
             # the coordinate e_t of (eta (x) id) eta(e_i), sum_s eta[s][t] (x) eta[i][s],
             # against that of (id (x) Delta) eta(e_i), Delta(eta[i][t])
             lhs = sum((TensorPoly.of(eta[s][t], eta[i][s]) for s in range(n)), TensorPoly())
-            rhs = _on_leg(p.delta, 2, TensorPoly.of(eta[i][t]), 0, one)
+            rhs = TensorPoly(_scalars(*_on_leg(delta, 2, _one_leg(eta[i][t]), 0, d, m), m))
             if not tensor_normal_form(lhs - rhs, p.system).is_zero():
                 ok = False
                 detail = f"component t={t + 1}"
                 break
         items.append(CheckItem(f"coaction-coassoc e[{i + 1}]", ok, detail))
 
-        counit_ok = all(
-            _on_leg(eps, 0, TensorPoly.of(eta[i][s]), 0, one)
-            == TensorPoly({(): one} if s == i else {})
-            for s in range(n)
-        )
+        # (eps (x) id) eta(e_i) = e_i: each coordinate e_s of it minus [s = i]
+        # is 0 (over GF(p) both are residues with den 1)
+        counit = [_on_leg(eps, 0, _one_leg(eta[i][s]), 0, e, m) for s in range(n)]
+        counit_ok = all(not _minus(x, ({(): 1} if s == i else {}, 1)) for s, x in enumerate(counit))
         items.append(CheckItem(f"coaction-counit e[{i + 1}]", counit_ok))
 
     # the relation r[a,i,j] is the coordinate a of eta(e_i e_j) - eta(e_i) eta(e_j);
     # substituted first, its words are already in the word table
-    rels = build_relations(a)
     for i in range(n):
         for j in range(n):
             ok = True
             detail = ""
             for ai in range(n):
-                rel = substitute(rels[(ai * n + i) * n + j], p.system.subs)
+                rel = substitute(p.relations[(ai * n + i) * n + j], p.system.subs)
                 if not ideal_member_bounded(rel, p.system, p.degree_bound):
                     ok = False
                     detail = f"coordinate a={ai + 1}"

@@ -263,6 +263,20 @@ def tensor_term(*legs_and_coeff) -> TensorPoly:
     return TensorPoly({tuple(legs): coeff})
 
 
+def legwise_product(table, legs, w, field):
+    """The image of the word w under a table of legs-leg tensors, formed term
+    by term with every coefficient multiplied."""
+    want = {((),) * legs: field.one}
+    for g in w:
+        product = {}
+        for a, c in want.items():
+            for b, d in table[g].terms.items():
+                key = tuple(x + y for x, y in zip(a, b))
+                product[key] = product.get(key, field.zero) + c * d
+        want = product
+    return want
+
+
 def iter_words(gens, max_degree):
     """All words over gens of degree <= max_degree, in deglex order."""
     level = [()]

@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -26,6 +27,7 @@ from usym.ncpoly import (
     _make_rule,
     _reduce,
     _scalars,
+    _tensor_nf,
     format_poly,
     format_tensor,
     format_word,
@@ -37,6 +39,7 @@ from conftest import (
     full_matrices,
     dual_numbers,
     iter_words,
+    legwise_product,
     macaulay_rows,
     macaulay_system,
     overlap_candidates,
@@ -534,6 +537,13 @@ def test_reduction_is_linear_on_random_rule_lists(field):
     assert overlaps >= 300 and irreducible >= 200
 
 
+def coefficients(field):
+    """Nonzero scalars of field; over QQ mostly neither 1 nor integers."""
+    if field == QQ:
+        return st.sampled_from(["7/3", "-1/2", "5/4", "-2/9", "3", "-1"]).map(QQ)
+    return st.sampled_from(list(field.elements())[1:])
+
+
 @st.composite
 def rule_lists(draw, field):
     """1-4 rules on three generators, leads of degree 2-3, not completed, and
@@ -546,10 +556,7 @@ def rule_lists(draw, field):
         word = st.lists(st.sampled_from(gens), min_size=lo, max_size=hi).map(tuple)
         return st.lists(st.tuples(word, coeffs), min_size=1, max_size=size).map(dict)
 
-    if field == QQ:
-        coeffs = st.sampled_from(["7/3", "-1/2", "5/4", "-2/9", "3", "-1"]).map(QQ)
-    else:
-        coeffs = st.sampled_from(list(field.elements())[1:])
+    coeffs = coefficients(field)
     leads = st.lists(st.sampled_from(gens), min_size=2, max_size=3).map(tuple)
     rules = []
     for lead in draw(st.lists(leads, min_size=1, max_size=4)):
@@ -711,6 +718,85 @@ def test_tensor_normal_form_matches_per_leg_formula():
     assert nonzero >= 100
 
 
+FIELDS = pytest.mark.parametrize("field", [QQ, GF(3), GF(5)], ids=["QQ", "GF3", "GF5"])
+
+
+@FIELDS
+@settings(deadline=None)
+@given(data=st.data())
+def test_int_tensor_core_matches_per_leg_formula(field, data):
+    # _tensor_nf on the ints of a random 2- or 3-leg tensor, modulo a rule
+    # list that is not confluent (over QQ most rules have lc > 1, so the
+    # word table's normal forms carry denominators) and a substitution for
+    # x[2,1]: ints / d are the per-leg formula's terms on field scalars, and
+    # over GF(p) nonzero residues with d = 1, also once the words are in
+    # the table
+    rules, _ = data.draw(rule_lists(field))
+    coeffs = coefficients(field)
+    sub = {(): data.draw(coeffs), (X,): data.draw(coeffs), (Y, X): data.draw(coeffs)}
+    system = RewriteSystem({(2, 1): NCPoly(sub)}, rules)
+    word = st.lists(st.sampled_from([X, Y, (1, 3), (2, 1)]), max_size=3).map(tuple)
+    legs = data.draw(st.sampled_from([2, 3]))
+    t = TensorPoly(data.draw(st.dictionaries(st.tuples(*[word] * legs), coeffs, max_size=5)))
+    ints, d, m = _ints(t.terms)
+    out, e = _tensor_nf(ints, m, system)
+    assert _scalars(out, d * e, m) == per_leg_tensor_normal_form(t, system).terms
+    assert m == 0 or (e == 1 and all(0 < v < m for v in out.values()))
+    assert _tensor_nf(ints, m, system) == (out, e)
+
+
+def legwise_image(table, legs, t, leg, field):
+    """table applied to leg `leg` of t on field scalars, each word by its
+    legwise product (see conftest); zero terms dropped."""
+    out = {}
+    for key, c in t.terms.items():
+        for split, x in legwise_product(table, legs, key[leg], field).items():
+            k = key[:leg] + split + key[leg + 1 :]
+            out[k] = out.get(k, field.zero) + c * x
+    return {k: c for k, c in out.items() if c}
+
+
+@functools.cache
+def triangular_presentation(field):
+    from usym import build_presentation
+
+    return build_presentation(triangular(field), 3)
+
+
+@FIELDS
+@settings(deadline=None)
+@given(data=st.data())
+def test_int_on_leg_matches_scalar_legwise_product(field, data):
+    # the Delta and eps tables of T_2 with each term rescaled (over QQ by
+    # scalars such as 7/3, so each table has a denominator > 1), read into
+    # ints by the checker, applied to one leg of a random tensor whose words
+    # on that leg have mixed lengths: the result / its denominator is the
+    # legwise product on field scalars, and over GF(p) nonzero residues
+    # over 1
+    import dataclasses
+    from usym.universal import _int_tables, _on_leg
+
+    p = triangular_presentation(field)
+    coeffs = coefficients(field)
+    delta = {
+        g: TensorPoly({k: c * data.draw(coeffs) for k, c in t.terms.items()})
+        for g, t in p.delta.items()
+    }
+    values = st.one_of(st.just(field.zero), coeffs)
+    eps = {g: data.draw(values) for g in p.eps}
+    int_delta, d, int_eps, e, m = _int_tables(dataclasses.replace(p, delta=delta, eps=eps))
+    size = data.draw(st.sampled_from([1, 2, 3]))
+    word = st.lists(st.sampled_from(list(p.delta)), max_size=3).map(tuple)
+    t = TensorPoly(data.draw(st.dictionaries(st.tuples(*[word] * size), coeffs, max_size=5)))
+    leg = data.draw(st.integers(0, size - 1))
+    terms, den, _ = _ints(t.terms)
+    scalar_eps = {g: TensorPoly({(): c}) for g, c in eps.items()}
+    for table, legs, scalars, table_den in ((int_delta, 2, delta, d), (int_eps, 0, scalar_eps, e)):
+        got, got_den = _on_leg(table, legs, (terms, den), leg, table_den, m)
+        assert _scalars(got, got_den, m) == legwise_image(scalars, legs, t, leg, field)
+        assert m == 0 or (got_den == 1 and all(0 < v < m for v in got.values()))
+
+
 def test_check_reduces_each_word_once(monkeypatch, tmp_path):
     from usym import build_presentation
     from usym.cli import main
@@ -780,8 +866,11 @@ def test_scalar_work_of_present_and_check(monkeypatch, tmp_path):
     # 264 while coaction-coassoc read Delta of a generator where it now forms
     # (eta (x) id) eta; 1,789 and 338 while coaction-mult handed the raw
     # relations to the word table (a raw word costs a division as it enters);
-    # 1,763 and 264 while reduction and completion ran on Fractions
-    assert counts == {"mul": 1095, "div": 157}
+    # 1,763 and 264 while reduction and completion ran on Fractions; 1,095
+    # and 157 while the word table held Fractions (one division per word as
+    # it entered) and the bialgebra checker applied Delta and eps and took
+    # tensor normal forms on field scalars
+    assert counts == {"mul": 180, "div": 0}
 
 
 # ---------------------------------------------------------------------------

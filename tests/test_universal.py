@@ -20,8 +20,19 @@ from usym import (
 )
 from usym.io import load_algebra, load_group
 from usym.linalg import Matrix
+from usym.ncpoly import _ints, _scalars
 from usym.universal import _on_leg
-from conftest import S3, dual_numbers, ground_field, iter_words, rref, tensor_term, triangular
+from conftest import (
+    S3,
+    dual_numbers,
+    ground_field,
+    iter_words,
+    legwise_product,
+    rescaled,
+    rref,
+    tensor_term,
+    triangular,
+)
 
 ONE = QQ.one
 X12, X22 = (1, 2), (2, 2)
@@ -212,6 +223,75 @@ def test_checks_fail_on_dropped_rule():
             ]
 
 
+def failing_details(p):
+    items = check_bialgebra(p).items + check_comodule(p).items
+    return [(item.name, item.detail) for item in items if not item.passed]
+
+
+def test_failing_details_show_the_exact_residues():
+    # dual numbers in the basis 1, s e_2: the relations' coefficients and a
+    # tampered Delta or eps make residues with denominators over QQ, and
+    # the details print them as field scalars, words of both lengths, a
+    # constant leg and the residues of GF(3) included
+    qq = build_presentation(rescaled(dual_numbers(QQ), (1, "-3/2")), 4)
+    gf3 = build_presentation(rescaled(dual_numbers(GF(3)), (1, 2)), 4)
+
+    def with_extra_term(p):
+        # Delta(x[1,2]) plus 2/5 x[2,2] (x) 1
+        f = p.algebra.field
+        return with_delta(p, X12, p.delta[X12] + tensor_term((X22,), (), f(2) / f(5)))
+
+    assert failing_details(with_extra_term(qq)) == [
+        (
+            "delta-descends r[1,2,2]",
+            "residue -4/25 * x[2,2] x[2,2] (x) 1 + -4/5 * x[2,2] (x) x[1,2]",
+        ),
+        ("delta-descends r[2,2,2]", "residue -4/5 * x[2,2] x[2,2] (x) x[2,2]"),
+        ("coassoc x[1,2]", ""),
+        ("counit x[1,2]", ""),
+        ("coaction-coassoc e[2]", "component t=1"),
+    ]
+    assert failing_details(with_extra_term(gf3)) == [
+        ("delta-descends r[1,2,2]", "residue 2 * x[2,2] x[2,2] (x) 1 + 1 * x[2,2] (x) x[1,2]"),
+        ("delta-descends r[2,2,2]", "residue 1 * x[2,2] x[2,2] (x) x[2,2]"),
+        ("coassoc x[1,2]", ""),
+        ("counit x[1,2]", ""),
+        ("coaction-coassoc e[2]", "component t=1"),
+    ]
+    assert failing_details(with_eps(qq, X12, QQ("-7/2"))) == [
+        ("eps-descends r[1,2,2]", "residue -49/4"),
+        ("eps-descends r[2,2,2]", "residue 7"),
+        ("counit x[1,2]", ""),
+        ("coaction-counit e[2]", ""),
+    ]
+    assert failing_details(with_eps(qq, (1, 1), QQ("-7/2"))) == [
+        ("eps-descends r[1,1,1]", "residue -63/4"),
+        ("eps-descends r[2,1,2]", "residue 9/2"),
+        ("eps-descends r[2,2,1]", "residue 9/2"),
+        ("eps-descends r[unit,1]", "residue -9/2"),
+    ]
+    assert failing_details(with_eps(gf3, X12, GF(3)(1))) == [
+        ("eps-descends r[1,2,2]", "residue 2"),
+        ("eps-descends r[2,2,2]", "residue 1"),
+        ("counit x[1,2]", ""),
+        ("coaction-counit e[2]", ""),
+    ]
+    rules = gf3.system.rules
+    system = RewriteSystem(gf3.system.subs, rules[:1], 4)
+    assert failing_details(dataclasses.replace(gf3, system=system)) == [
+        (
+            "delta-descends r[1,2,2]",
+            "residue 2 * x[1,2] (x) x[2,2] x[1,2] + 2 * x[1,2] (x) x[1,2] x[2,2]",
+        ),
+        (
+            "delta-descends r[2,2,2]",
+            "residue 2 * x[2,2] x[1,2] (x) x[2,2] x[2,2] + 2 * x[1,2] x[2,2] (x) x[2,2] x[2,2]"
+            " + 2 * x[2,2] (x) x[2,2] x[1,2] + 2 * x[2,2] (x) x[1,2] x[2,2]",
+        ),
+        ("coaction-mult e[2]e[2]", "coordinate a=2"),
+    ]
+
+
 def test_build_presentation_deterministic(dual_q, triangular_q):
     for a in (dual_q, triangular_q):
         p1 = build_presentation(a, 4)
@@ -223,12 +303,23 @@ def test_build_presentation_deterministic(dual_q, triangular_q):
         assert p1.coaction == p2.coaction
 
 
+def on_leg(table, legs, t, leg):
+    """_on_leg on a table of scalar tensors and a scalar tensor t: both read
+    into ints (see _ints), the result read back as field scalars."""
+    ints, d, _ = _ints({(g, k): c for g, u in table.items() for k, c in u.terms.items()})
+    int_table = {g: {} for g in table}
+    for (g, k), c in ints.items():
+        int_table[g][k] = c
+    terms, dt, m = _ints(t.terms)
+    return TensorPoly(_scalars(*_on_leg(int_table, legs, (terms, dt), leg, d, m), m))
+
+
 def test_eps_kills_every_relation(dual_q, triangular_q):
     for a in (dual_q, triangular_q):
         p = build_presentation(a, 4)
         eps = {g: TensorPoly({(): e}) for g, e in p.eps.items()}
         for rel in build_relations(a):
-            assert _on_leg(eps, 0, TensorPoly.of(rel), 0, a.field.one).is_zero()
+            assert on_leg(eps, 0, TensorPoly.of(rel), 0).is_zero()
 
 
 GF_FIXTURES = ["dual_gf2", "dual_gf3", "dual_gf5", "dual_gf7", "triangular_gf2", "triangular_gf3"]
@@ -452,20 +543,6 @@ def test_checks_fail_on_tampered_eps():
     ]
 
 
-def legwise_product(table, legs, w, field):
-    """The image of the word w under a table of legs-leg tensors, formed term
-    by term with every coefficient multiplied."""
-    want = {((),) * legs: field.one}
-    for g in w:
-        product = {}
-        for a, c in want.items():
-            for b, d in table[g].terms.items():
-                key = tuple(x + y for x, y in zip(a, b))
-                product[key] = product.get(key, field.zero) + c * d
-        want = product
-    return want
-
-
 def delta_tables(field):
     """Delta of T_3, and the same table with its terms rescaled, so that
     coefficients other than one occur."""
@@ -485,9 +562,9 @@ def test_delta_word_is_the_legwise_product():
         for delta in delta_tables(field):
             for w in iter_words(list(delta), 3):
                 want = legwise_product(delta, 2, w, field)
-                assert _on_leg(delta, 2, tensor_term(w, one), 0, one) == TensorPoly(want)
+                assert on_leg(delta, 2, tensor_term(w, one), 0) == TensorPoly(want)
                 scaled = {k: two * c for k, c in want.items()}
-                assert _on_leg(delta, 2, tensor_term(w, two), 0, one) == TensorPoly(scaled)
+                assert on_leg(delta, 2, tensor_term(w, two), 0) == TensorPoly(scaled)
 
 
 def test_eps_word_is_the_product_of_scalars():
@@ -504,7 +581,7 @@ def test_eps_word_is_the_product_of_scalars():
         for table in tables:
             for w in iter_words(list(table), 3):
                 want = {k: three * c for k, c in legwise_product(table, 0, w, field).items()}
-                assert _on_leg(table, 0, tensor_term(w, three), 0, one) == TensorPoly(want)
+                assert on_leg(table, 0, tensor_term(w, three), 0) == TensorPoly(want)
             # eps on either leg of a 2-leg tensor leaves the other leg
             words = list(iter_words(list(table), 2))
             t = TensorPoly({(u, v): field(k + 1) for k, (u, v) in enumerate(zip(words, words[3:]))})
@@ -514,7 +591,7 @@ def test_eps_word_is_the_product_of_scalars():
                     for d in legwise_product(table, 0, key[leg], field).values():
                         rest = (key[1 - leg],)
                         want[rest] = want.get(rest, field.zero) + c * d
-                assert _on_leg(table, 0, t, leg, one) == TensorPoly(want)
+                assert on_leg(table, 0, t, leg) == TensorPoly(want)
 
 
 def test_delta_on_the_second_leg_gives_three_legs():
@@ -531,6 +608,6 @@ def test_delta_on_the_second_leg_gives_three_legs():
                 for split, d in legwise_product(delta, 2, v, field).items():
                     key = (u,) + split
                     want[key] = want.get(key, field.zero) + c * d
-            got = _on_leg(delta, 2, t, 1, field.one)
+            got = on_leg(delta, 2, t, 1)
             assert got == TensorPoly(want)
             assert got.terms and all(len(key) == 3 for key in got.terms)
