@@ -15,6 +15,7 @@ from conftest import (
     overlap_candidates,
     permuted,
     report_digest,
+    rescaled,
     truncated_polynomial,
 )
 
@@ -26,6 +27,10 @@ def generated(name, build):
 def poly_permuted(n, perm):
     name = f"poly{n}_" + "".join(map(str, perm))
     return generated(name, lambda: permuted(truncated_polynomial(QQ, n), perm))
+
+
+def poly4_rescaled():
+    return rescaled(truncated_polynomial(QQ, 4), (1, "-3/2", "2/5", 7))
 
 
 def fixture(name):
@@ -69,6 +74,21 @@ CASES = [
      "1b3d9b99f0afa4d73dcdf5b38b715b5eb21629452078baf12cd72dcf683f6073"),
     ("poly5_03421", poly_permuted(5, [0, 3, 4, 2, 1]), "present", "3", "json",
      "098630e65472d87c6f1c2ea0f04b6858041e3c836ac92fade7ad8814d9adcb08"),
+    # the substitutions' residues over GF(p), and their denominators over QQ
+    # on a basis rescaled by non-unit scalars
+    ("poly5_gf5", generated("poly5_gf5", lambda: truncated_polynomial(GF(5), 5)),
+     "present", "3", "json",
+     "f36e734b6820cba9bb903e2b7884a98886442346083a16fed557be8c89af4321"),
+    ("triangular_gf3", fixture("triangular_gf3"), "present", "3", "text",
+     "f31b62be8524b1a88a0b392616083f6ca72dab376e1470156c0055ca20ea411d"),
+    ("poly4_rescaled_D3", generated("poly4_rescaled", poly4_rescaled), "present", "3", "json",
+     "ac1eae5704c91bef43efca7d44a6bfa3969eba94ef10f8ca8591b92deabb0d57"),
+    ("poly4_rescaled_D4", generated("poly4_rescaled", poly4_rescaled), "present", "4", "json",
+     "7c0b1be2173b642b0eba218d684733fc6e64f6066ce638a951314e2778be7e6b"),
+    ("poly4_rescaled_D3", generated("poly4_rescaled", poly4_rescaled), "check", "3", "json",
+     "7af21e00c8edcdec8f558f9e6acaf750fa578b990442528e7b06fa6fde8d8fb9"),
+    ("poly4_rescaled_D4", generated("poly4_rescaled", poly4_rescaled), "check", "4", "json",
+     "3c428b1929206709f7a2d105ea26daf4dcc444cdbf1cb0d6fcf2f339b581cae7"),
 ]
 
 
