@@ -5,53 +5,46 @@ Generators are pairs ``(s, i)`` (1-based) printed ``x[s,i]``.  The monomial
 order is degree-first, then left-to-right lexicographic on the generator
 precedence ``(s, i) < (s', i')  iff  i < i' or (i = i' and s < s')``, so the
 first-column generators ``x[a,1]`` are the smallest and get eliminated by
-substitution.  Rewrite rules are stored monic with the leading word on the
-left; a rewrite system also carries the substitutions for eliminated
-generators, so together they generate the full defining ideal.
+substitution.  A rewrite system holds the substitutions for eliminated
+generators and rules lead -> rest (every word of rest below lead), which
+together generate the full defining ideal.
 
-Reduction finds its steps through a rule index (``_RuleIndex``): a dict from
-each lead word to its rule and rank, and the set of lead lengths, so a word
-w is tested with O(|w| * #lengths) hash probes of its factors.  A
-RewriteSystem builds its index once; interreduction keeps one in step with
-its working rules.  Each step takes exactly what a scan of every word, rule
-and position would: the largest reducible word, the rule of lowest rank whose
-lead occurs in it, and that lead's leftmost occurrence.  By the diamond lemma
-the choice cannot change a normal form modulo a confluent system, but it does
-modulo an unfinished one, which is what interreduction and completion reduce
-against.
+Inside the module every coefficient is an int (``_ints``): a residue over
+GF(p), and over QQ a Fraction times a common denominator.  Each rule is held
+once, as its entry lc * lead -> rest (``_entry``), and each substitution as
+its image, int terms over a denominator.  Field scalars enter and leave only
+at the edges: the relations ``interreduce`` reads, the RewriteSystem
+constructor, its views ``subs`` and ``rules`` (built on first read and
+kept), and the wrappers ``substitute``, ``normal_form`` and
+``tensor_normal_form``.  One routine, ``_on_leg``, applies an algebra map of
+the free algebra to one leg of an int tensor: substitution (the map fixing
+the surviving generators) here, and Delta and eps in ``universal``.
 
-Reduction runs on ints (``_ints``): residues over GF(p), and over QQ the
-Fractions times their common denominator, each rule held as lc * lead ->
-rest (lc = 1 over GF(p), and lc > 0 with content 1 over QQ).  A step on
-c * w, g = gcd(c, lc), multiplies all terms by lc/g and adds c/g times the
-shifted rest, so no division runs until the result is read back.  Scaling
-keeps the set of words present, so each step and result is as on scalars.
+Reduction finds its steps by hash probes of a word's factors in a rule index
+(``_RuleIndex``), and takes exactly what a scan of every word, rule and
+position would: the largest reducible word, the rule of lowest rank whose
+lead occurs in it, and that lead's leftmost occurrence.  A step on c * w
+scales all terms by lc / gcd(c, lc) instead of dividing.  Modulo a fixed
+rule list the step taken on a word depends only on that word, so the normal
+form is a linear map (Bergman, *The diamond lemma for ring theory*, 1978):
+NF(sum c_w w) = sum c_w NF(w), and the scale of the ints never shows in a
+result.  A RewriteSystem keeps a word table, filled the first time a word is
+asked, with the normal form of 1 * w (substituted, then reduced), or a mark
+that w is its own normal form; ``_tensor_nf`` reads every leg of a tensor
+off it, so each word is reduced once per system.
 
-Modulo a fixed rule list the step taken on a word depends only on that word,
-so the normal form is a linear map (Bergman, *The diamond lemma for ring
-theory*, 1978): NF(sum c_w w) = sum c_w NF(w).  A RewriteSystem therefore
-keeps a word table, filled the first time a word is asked, with the normal
-form of 1 * w (substituted, then reduced) on ints with its denominator (see
-_ints), or a mark that w is its own normal form.  The int core
-``_tensor_nf`` reads every leg of a tensor off the table, so each word is
-reduced once per system, and a marked word is copied with its coefficient
-instead of multiplied by 1; ``normal_form`` and ``tensor_normal_form`` wrap
-it, reading their scalars into ints and the result back.  The polynomials
-given to one system share its field.
-
-Interreduction and completion work on one rule state (``_RuleState``): the
-substitutions, the rule index and, for each lead, the factors of its rule's
-words.  Interreduction takes the relations in order of degree, so the
-linear ones become substitutions before any other is oriented; a new lead
-sends back only the rules it occurs in.  Completion seeds the state with the
-rules as they stand and keeps their critical pairs on a heap
-(``_PairQueue``), formed once per new lead by probing maps of the leads'
-prefixes and suffixes.  It resolves them smallest overlap word first, each
-by one reduction of left - right (the two rewrites of the overlap word, so
-the words the two sides share cancel before any step runs), and a nonzero
-S-polynomial enters the state as one more relation.  The truncated reduced
-basis this reaches is unique (Bergman), so neither the order of the
-relations nor that of the pairs can show in a result.
+Interreduction and completion work on one rule state (``_RuleState``) whose
+work items are int relations over a denominator.  Interreduction takes the
+relations in order of degree, so the linear ones become substitutions before
+any other is oriented; a new lead sends back only the rules it occurs in.
+Completion seeds the state with the system's entries and keeps their
+critical pairs on a heap (``_PairQueue``).  It resolves them smallest
+overlap word first, each by one reduction of left - right (the two rewrites
+of the overlap word), and a nonzero S-polynomial enters the state as one
+more relation.  The truncated reduced basis this reaches is unique (Bergman),
+so neither the order of the relations nor that of the pairs can show in a
+result; the choice of step can, modulo the unfinished rule lists that
+interreduction and completion reduce against.
 """
 
 from __future__ import annotations
@@ -179,23 +172,6 @@ def format_poly(p: NCPoly) -> str:
     return " + ".join(f"{c} * {format_word(w)}" for w, c in p.sorted_terms())
 
 
-def substitute(p: NCPoly, subs: Mapping[GenId, NCPoly]) -> NCPoly:
-    """Replace eliminated generators by their substitution polynomials."""
-    if not subs or not any(g in subs for g in p.generators()):
-        return p
-    out = NCPoly()
-    for word, c in p.terms.items():
-        acc = NCPoly({(): c})
-        for g in word:
-            rep = subs.get(g)
-            if rep is None:
-                acc = acc.shift((), (g,))
-            else:
-                acc = acc * rep
-        out = out + acc
-    return out
-
-
 @dataclass(frozen=True)
 class RewriteRule:
     lead: Word
@@ -229,45 +205,105 @@ def _mod(terms: dict, m: int) -> dict:
     return {k: v % m for k, v in terms.items() if v % m} if m else terms
 
 
-def _make_rule(ints: Mapping[Word, int], m: int) -> RewriteRule:
-    """The monic rule lead -> rest of the ints (see _ints), lead the largest."""
-    lead = max(ints, key=word_key)
-    monic = _scalars(ints, ints[lead], m)
-    rest = NCPoly({w: -v for w, v in monic.items() if w != lead})
-    return RewriteRule(lead, rest, NCPoly(monic))
+def _one_leg(p: NCPoly) -> tuple[dict, int]:
+    """(terms, d): the ints of a polynomial (see _ints) as 1-leg tensor terms."""
+    ints, d, _ = _ints(p.terms)
+    return {(w,): c for w, c in ints.items()}, d
+
+
+def _sum(parts: list[tuple[Iterable[tuple], int]], m: int) -> tuple[dict, int]:
+    """(ints, d): the sum of the int (terms, den) in parts over the lcm d of
+    their dens, each scaled by d / den, as residues mod m over GF(p)."""
+    d = math.lcm(*[den for _, den in parts])
+    out: dict = {}
+    for terms, den in parts:
+        f = d // den
+        _accumulate(out, terms if f == 1 else ((k, c * f) for k, c in terms))
+    return _mod(out, m), d
+
+
+def _on_leg(table: Mapping, legs: int, x: tuple, leg: int, m: int) -> tuple[dict, int]:
+    """Apply an algebra map of the free algebra to leg `leg` of x = (terms,
+    den), int tensor terms / den (see _ints).  The map sends a generator in
+    `table` to its image (ints, d), int `legs`-leg tensor terms / d, and
+    fixes the others (legs = 1: substitution); a word goes to the legwise
+    product of its generators' images over the product of their d, the
+    empty word to the unit tensor.  The result's legs replace leg `leg` in
+    the keys; its denominator is den times the lcm of the words' (_sum)."""
+    terms, den = x
+    parts = []
+    for key, c in terms.items():
+        image, d = {((),) * legs: 1}, 1
+        for g in key[leg]:
+            factor, e = table.get(g) or ({((g,),): 1}, 1)
+            products = itertools.product(image.items(), factor.items())
+            image = _accumulate(
+                {}, ((tuple(map(operator.add, a, b)), u * v) for (a, u), (b, v) in products)
+            )
+            d *= e
+        head, tail = key[:leg], key[leg + 1 :]
+        parts.append(([(head + split + tail, c * u) for split, u in image.items()], d))
+    out, d = _sum(parts, m)
+    return out, den * d
+
+
+def _substituted(ints: dict[Word, int], d: int, subs: Mapping, m: int) -> tuple[dict, int]:
+    """(ints, d) of the int terms / d with each generator of subs (1-leg
+    images, see _on_leg) replaced; the terms themselves if none occurs."""
+    if not any(g in subs for w in ints for g in w):
+        return ints, d
+    out, d = _on_leg(subs, 1, ({(w,): c for w, c in ints.items()}, d), 0, m)
+    return {k[0]: c for k, c in out.items()}, d
+
+
+def substitute(p: NCPoly, subs: Mapping[GenId, NCPoly]) -> NCPoly:
+    """Replace eliminated generators by their substitution polynomials."""
+    ints, d, m = _ints(p.terms)
+    table = {g: _one_leg(q) for g, q in subs.items()}
+    return NCPoly(_scalars(*_substituted(ints, d, table, m), m))
+
+
+def _entry(ints: Mapping[Word, int], lead: Word, m: int) -> tuple[Word, int, dict[Word, int]]:
+    """(lead, lc, rest): the rule lc * lead -> rest of the int terms (see
+    _ints) with the given lead; lc = 1 over GF(p), and over QQ lc > 0 with
+    content 1, so that equal rules have equal entries."""
+    lc = ints[lead]
+    if m:
+        inv = pow(lc, -1, m)
+        return lead, 1, {w: -c * inv % m for w, c in ints.items() if w != lead}
+    g = math.gcd(*ints.values()) if lc > 0 else -math.gcd(*ints.values())
+    return lead, lc // g, {w: -c // g for w, c in ints.items() if w != lead}
+
+
+def _relation(lead: Word, lc: int, rest: Mapping[Word, int], m: int) -> tuple[dict, int]:
+    """(ints, lc): the monic relation lead - rest / lc of a rule entry."""
+    return {lead: lc, **_mod({w: -c for w, c in rest.items()}, m)}, lc
 
 
 class _RuleIndex:
     """The leads of a rule list, for finding a reduction site by hash probes.
 
-    ``first`` maps each lead word to (rank, rule, lc, rest), where the rank
+    ``first`` maps each lead word to (rank, lead, lc, rest), where the rank
     is the rule's place in the list, or, in a rule state, its lead's
     ``word_key`` (the same order for a RewriteSystem's sorted rules), and
-    lc * lead -> rest is the rule on ints (see _ints); when several rules
+    lc * lead -> rest is the rule on ints (see _entry); when several rules
     share a lead (a hand-built RewriteSystem may), it keeps the first.
-    ``lengths`` holds every lead length (after :meth:`discard`, perhaps some
-    that no lead has any more), ``modulus`` the rules' m (see _ints).
+    ``lengths`` holds every lead length (in a rule state, perhaps some that
+    no lead has any more), ``modulus`` the field's m (see _ints).
     """
 
     __slots__ = ("first", "lengths", "modulus")
 
-    def __init__(self, rules: Iterable[RewriteRule] = ()):
+    def __init__(self, rules: Iterable[tuple], modulus: int):
         self.first: dict[Word, tuple] = {}
         self.lengths: set[int] = set()
-        self.modulus = 0
-        for rank, rule in enumerate(rules):
-            self.add(rank, rule)
+        self.modulus = modulus
+        for rank, entry in enumerate(rules):
+            self.add(rank, *entry)
 
-    def add(self, rank, rule: RewriteRule) -> None:
-        ints, _, m = _ints(rule.poly.terms)
-        lc, rest = ints.pop(rule.lead), {w: -c % m if m else -c for w, c in ints.items()}
-        self.first.setdefault(rule.lead, (rank, rule, lc, rest))
-        self.lengths.add(len(rule.lead))
-        self.modulus = m
-
-    def discard(self, lead: Word) -> None:
-        """Drop the lead; only for an index whose leads are distinct."""
-        del self.first[lead]
+    def add(self, rank, lead: Word, lc: int, rest: dict[Word, int]) -> None:
+        self.first.setdefault(lead, (rank, lead, lc, rest))
+        self.lengths.add(len(lead))
 
     def site(self, w: Word) -> tuple[tuple, int] | None:
         """The entry of ``first`` and position a reduction step applies to w,
@@ -305,14 +341,14 @@ def _reduce(terms: dict[Word, int], index: _RuleIndex) -> int:
         site = index.site(w)
         if site is None:
             continue
-        (_, rule, lc, rest), pos = site
+        (_, lead, lc, rest), pos = site
         del terms[w]
         if lc != 1:  # the terms times f = lc/g, then c/g times lc w -> rest
             f = lc // math.gcd(c, lc)
             c, scale = c * f // lc, scale * f
             if f != 1:
                 terms.update({v: x * f for v, x in terms.items()})
-        left, right = w[:pos], w[pos + len(rule.lead) :]
+        left, right = w[:pos], w[pos + len(lead) :]
         for v, d in rest.items():
             v, d = left + v + right, c * d
             old = terms.get(v)
@@ -334,11 +370,15 @@ _UNASKED = object()  # a word not yet in a RewriteSystem's table
 class RewriteSystem:
     """Substitutions for eliminated generators plus interreduced rewrite rules.
 
-    ``degree_bound`` is the degree up to which overlap completion has
-    certified confluence (0 before :func:`complete` has run).
+    Held on ints with the field's modulus (see _ints): each substitution as
+    its image (see _on_leg), each rule as its entry (see _entry), sorted by
+    lead in a rule index.  ``subs`` and ``rules``, as field scalars, are
+    built on first read and kept; the constructor reads field scalars.
+    ``degree_bound`` is the degree up to which completion has certified
+    confluence (0 before :func:`complete`).
     """
 
-    __slots__ = ("subs", "rules", "degree_bound", "_index", "_nf")
+    __slots__ = ("degree_bound", "_subs", "_rules", "_index", "_nf", "_subs_view", "_rules_view")
 
     def __init__(
         self,
@@ -346,29 +386,61 @@ class RewriteSystem:
         rules: Iterable[RewriteRule] = (),
         degree_bound: int = 0,
     ):
-        ordered = sorted((subs or {}).items(), key=lambda kv: gen_key(kv[0]))
-        self.subs: dict[GenId, NCPoly] = dict(ordered)
-        self.rules: tuple[RewriteRule, ...] = tuple(
-            sorted(rules, key=lambda r: word_key(r.lead))
-        )
-        self.degree_bound = degree_bound
-        self._index = _RuleIndex(self.rules)
-        # word -> (ints, d) of its normal form with coefficient 1 (see
-        # _ints), or None when the word is its own normal form
+        subs, rules = subs or {}, list(rules)
+        polys = [*subs.values(), *(r.poly for r in rules)]
+        c = next((c for q in polys for c in q.terms.values()), 0)
+        m = c.p if isinstance(c, FpElement) else 0
+        entries = [_entry(_ints(r.poly.terms)[0], r.lead, m) for r in rules]
+        self._hold({g: _one_leg(q) for g, q in subs.items()}, entries, m, degree_bound)
+
+    @classmethod
+    def _of_state(cls, state: "_RuleState", degree_bound: int) -> "RewriteSystem":
+        """The system of a rule state's int substitutions and rules."""
+        system, index = cls.__new__(cls), state.index
+        rules = [entry[1:] for entry in index.first.values()]
+        system._hold(state.subs, rules, index.modulus, degree_bound)
+        return system
+
+    def _hold(self, subs: Mapping, rules: Iterable[tuple], m: int, degree_bound: int) -> None:
+        self._subs = dict(sorted(subs.items(), key=lambda kv: gen_key(kv[0])))
+        self._rules = tuple(sorted(rules, key=lambda e: word_key(e[0])))
+        self._index, self.degree_bound = _RuleIndex(self._rules, m), degree_bound
+        # word -> (ints, d) of the normal form of 1 * word, or None if it is its own
         self._nf: dict[Word, tuple[dict[Word, int], int] | None] = {}
+        self._subs_view = self._rules_view = None
+
+    @property
+    def subs(self) -> dict[GenId, NCPoly]:
+        if self._subs_view is None:
+            m = self._index.modulus
+            self._subs_view = {
+                g: NCPoly(_scalars({k[0]: c for k, c in t.items()}, d, m))
+                for g, (t, d) in self._subs.items()
+            }
+        return self._subs_view
+
+    @property
+    def rules(self) -> tuple[RewriteRule, ...]:
+        if self._rules_view is None:
+            m, rules = self._index.modulus, []
+            one = _scalars({(): 1}, 1, m)[()]
+            for lead, lc, rest in self._rules:
+                rest = NCPoly(_scalars(rest, lc, m))
+                rules.append(RewriteRule(lead, rest, NCPoly({lead: one}) - rest))
+            self._rules_view = tuple(rules)
+        return self._rules_view
 
     def max_rule_degree(self) -> int:
-        return max((len(r.lead) for r in self.rules), default=0)
+        return max((len(lead) for lead, _, _ in self._rules), default=0)
 
-    def _word_nf(self, w: Word, m: int) -> tuple[dict[Word, int], int] | None:
+    def _word_nf(self, w: Word) -> tuple[dict[Word, int], int] | None:
         """The normal form of 1 * w (substituted, then reduced) as (ints, d),
         see _ints, formed the first time w is asked, or None if w is its own
         normal form (no eliminated generator and no rule applies), so that
-        callers copy c * w without a multiplication.  m is the field's
-        modulus, 0 for QQ, which gives the 1 substituted on the first ask."""
+        callers copy c * w without a multiplication."""
         nf = self._nf.get(w, _UNASKED)
         if nf is _UNASKED:
-            ints, d, _ = _ints(substitute(NCPoly(_scalars({w: 1}, 1, m)), self.subs).terms)
+            ints, d = _substituted({w: 1}, 1, self._subs, self._index.modulus)
             d *= _reduce(ints, self._index)
             # a step or a substitution only brings in words other than w
             nf = self._nf[w] = None if w in ints else (ints, d)
@@ -380,11 +452,8 @@ class RewriteSystem:
         return NCPoly(_scalars({k[0]: c for k, c in out.items()}, d * e, m) if out else {})
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RewriteSystem)
-            and other.subs == self.subs
-            and other.rules == self.rules
-        )
+        same = isinstance(other, RewriteSystem) and other._subs == self._subs
+        return same and other._rules == self._rules
 
     def __repr__(self) -> str:
         subs = "; ".join(f"{format_genid(g)} -> {format_poly(q)}" for g, q in self.subs.items())
@@ -445,65 +514,59 @@ class _RuleState:
     the substitutions, the rules in a _RuleIndex ranked by lead (so the
     lowest rank is the smallest lead, as in a RewriteSystem), and for each
     lead every factor of every word of its rule, so a new lead finds the
-    rules it reduces by lookup.  ``pairs``, when given, follows every lead
-    added and discarded."""
+    rules it reduces by lookup.  ``pairs`` follows every lead added and
+    discarded (interreduction's degree bound 0 makes no pairs)."""
 
     __slots__ = ("subs", "index", "factors", "pairs")
 
-    def __init__(self, subs: Mapping[GenId, NCPoly], pairs: _PairQueue | None = None):
-        self.subs: dict[GenId, NCPoly] = dict(subs)
-        self.index = _RuleIndex()
+    def __init__(self, subs: Mapping, modulus: int, degree_bound: int):
+        self.subs: dict[GenId, tuple[dict, int]] = dict(subs)
+        self.index = _RuleIndex((), modulus)
         self.factors: dict[Word, set[Word]] = {}
-        self.pairs = pairs
+        self.pairs = _PairQueue(degree_bound)
 
-    def rules(self) -> list[RewriteRule]:
-        return [entry[1] for entry in self.index.first.values()]
-
-    def add(self, rule: RewriteRule) -> None:
-        self.index.add(word_key(rule.lead), rule)
-        self.factors[rule.lead] = {
-            w[i:j] for w in rule.poly.terms for i in range(len(w)) for j in range(i + 1, len(w) + 1)
+    def add(self, lead: Word, lc: int, rest: dict[Word, int]) -> None:
+        self.index.add(word_key(lead), lead, lc, rest)
+        self.factors[lead] = {
+            w[i:j] for w in (lead, *rest) for i in range(len(w)) for j in range(i + 1, len(w) + 1)
         }
-        if self.pairs is not None:
-            self.pairs.add(rule.lead)
+        self.pairs.add(lead)
 
-    def discard(self, lead: Word) -> None:
-        self.index.discard(lead)
+    def discard(self, lead: Word) -> tuple[dict[Word, int], int]:
+        """Drop the rule of lead and return it as a relation (see _relation)."""
+        _, _, lc, rest = self.index.first.pop(lead)
         del self.factors[lead]
-        if self.pairs is not None:
-            self.pairs.discard(lead)
+        self.pairs.discard(lead)
+        return _relation(lead, lc, rest, self.index.modulus)
 
-    def run(self, work: Iterable[NCPoly]) -> None:
-        """Substitute, reduce and orient each polynomial of work in turn;
-        a polynomial that reduces to zero is dropped, one with a linear lead
-        eliminates that generator, and a new lead sends back to work every
-        rule with a word it occurs in."""
-        work = deque(work)
+    def run(self, work: Iterable[tuple[dict[Word, int], int]]) -> None:
+        """Substitute, reduce and orient each int relation (ints, d) of work
+        in turn (see _ints): one that reduces to zero is dropped, one with a
+        linear lead eliminates that generator, and a new lead sends back to
+        work every rule with a word it occurs in."""
+        work, m = deque(work), self.index.modulus
         while work:
-            ints, d, m = _ints(substitute(work.popleft(), self.subs).terms)
+            ints, d = _substituted(*work.popleft(), self.subs, m)
             d *= _reduce(ints, self.index)
             if not ints:
                 continue
-            rule = _make_rule(ints, m)
-            lead = rule.lead
+            lead, lc, rest = _entry(ints, max(ints, key=word_key), m)
             if len(lead) == 0:
                 p = format_poly(NCPoly(_scalars(ints, d, m)))
                 raise PresentationContradiction(f"relations force the scalar equation {p} = 0")
             if len(lead) == 1:
-                g = lead[0]
-                single = {g: rule.rest}
-                self.subs = {h: substitute(q, single) for h, q in self.subs.items()}
-                self.subs[g] = rule.rest
+                single = {lead[0]: ({(w,): c for w, c in rest.items()}, lc)}
+                for g, image in self.subs.items():
+                    terms, e = _on_leg(single, 1, image, 0, m)
+                    h = math.gcd(e, *terms.values())
+                    self.subs[g] = ({k: c // h for k, c in terms.items()}, e // h)
+                self.subs.update(single)
                 # the eliminated generator may occur in any rule
-                olds = self.rules()
-                work.extendleft(reversed([r.poly for r in olds]))
-                for r in olds:
-                    self.discard(r.lead)
+                work.extendleft(reversed([self.discard(old) for old in list(self.index.first)]))
             else:
                 for old in [old for old, fs in self.factors.items() if lead in fs]:
-                    work.append(self.index.first[old][1].poly)
-                    self.discard(old)
-                self.add(rule)
+                    work.append(self.discard(old))
+                self.add(lead, lc, rest)
 
 
 def interreduce(relations: Iterable[NCPoly]) -> RewriteSystem:
@@ -519,9 +582,10 @@ def interreduce(relations: Iterable[NCPoly]) -> RewriteSystem:
     Raises PresentationContradiction if some relation reduces to a nonzero
     scalar.
     """
-    state = _RuleState({})
-    state.run(sorted(relations, key=NCPoly.degree))
-    return RewriteSystem(state.subs, state.rules(), 0)
+    read = [_ints(p.terms) for p in sorted(relations, key=NCPoly.degree)]
+    state = _RuleState({}, max([x[2] for x in read], default=0), 0)
+    state.run([x[:2] for x in read])
+    return RewriteSystem._of_state(state, 0)
 
 
 _COMPLETION_ROUND_CAP = 1000
@@ -550,20 +614,20 @@ def complete(system: RewriteSystem, degree_bound: int) -> RewriteSystem:
             f"degree bound {degree_bound} is below the maximal rule degree "
             f"{system.max_rule_degree()}"
         )
-    pairs = _PairQueue(degree_bound)
-    state = _RuleState(system.subs, pairs)
+    m = system._index.modulus
+    state = _RuleState(system._subs, m, degree_bound)
     taken = []
-    for rule in system.rules:
-        if rule.lead in state.index.first:
-            taken.append(rule.poly)
+    for lead, lc, rest in system._rules:
+        if lead in state.index.first:
+            taken.append(_relation(lead, lc, rest, m))
         else:
-            state.add(rule)
+            state.add(lead, lc, rest)
     state.run(taken)
-    leads, m = state.index.first, state.index.modulus
+    leads = state.index.first
     checked: set[tuple[Word, Word, int]] = set()
     found = 0
-    while pairs.heap:
-        _, u, v, k = heapq.heappop(pairs.heap)
+    while state.pairs.heap:
+        _, u, v, k = heapq.heappop(state.pairs.heap)
         if u not in leads or v not in leads or (u, v, k) in checked:
             continue
         checked.add((u, v, k))
@@ -577,14 +641,14 @@ def complete(system: RewriteSystem, degree_bound: int) -> RewriteSystem:
         _accumulate(diff, ((head + w, -lc_u * c) for w, c in rest_v.items()))
         scale = _reduce(diff, state.index) * lc_u * lc_v
         if diff:
-            state.run([NCPoly(_scalars(diff, scale, m))])
+            state.run([(diff, scale)])
             found += 1
             if found >= _COMPLETION_ROUND_CAP:
                 raise CompletionBoundError(
                     f"no completion fixpoint within {_COMPLETION_ROUND_CAP} rounds "
                     f"at degree bound {degree_bound}"
                 )
-    return RewriteSystem(state.subs, state.rules(), degree_bound)
+    return RewriteSystem._of_state(state, degree_bound)
 
 
 def ideal_member_bounded(p: NCPoly, system: RewriteSystem, degree_bound: int) -> bool:
@@ -638,12 +702,12 @@ def _tensor_nf(terms: Mapping[tuple[Word, ...], int], m: int, system: RewriteSys
     c * NF(w1) (x) ... (x) NF(wk), each leg read off the system's word table
     (a leg that is its own normal form is copied, and its term keeps its
     coefficient unmultiplied).  A term's denominator is the product of its
-    legs' (1 over GF(p)), and all terms are rescaled to their lcm d."""
+    legs' (1 over GF(p)), and the terms are summed over their lcm (_sum)."""
     parts = []
     for legs, c in terms.items():
         partial, den = [((), c)], 1
         for w in legs:
-            nf = system._word_nf(w, m)
+            nf = system._word_nf(w)
             if nf is None:
                 partial = [(k + (w,), a) for k, a in partial]
             else:
@@ -651,12 +715,7 @@ def _tensor_nf(terms: Mapping[tuple[Word, ...], int], m: int, system: RewriteSys
                 den *= d
                 partial = [(k + (v,), a * e) for k, a in partial for v, e in ints.items()]
         parts.append((partial, den))
-    d = math.lcm(*[den for _, den in parts])
-    out: dict[tuple[Word, ...], int] = {}
-    for partial, den in parts:
-        f = d // den
-        _accumulate(out, partial if f == 1 else ((k, a * f) for k, a in partial))
-    return _mod(out, m), d
+    return _sum(parts, m)
 
 
 def tensor_normal_form(t: TensorPoly, system: RewriteSystem) -> TensorPoly:

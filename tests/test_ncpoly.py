@@ -8,6 +8,7 @@ import usym.ncpoly as ncpoly_mod
 from usym import (
     GF,
     QQ,
+    FpElement,
     NCPoly,
     PresentationContradiction,
     RewriteSystem,
@@ -23,8 +24,9 @@ from usym.ncpoly import (
     RewriteRule,
     _PairQueue,
     _RuleIndex,
+    _entry,
     _ints,
-    _make_rule,
+    _on_leg,
     _reduce,
     _scalars,
     _tensor_nf,
@@ -69,14 +71,7 @@ def poly(*terms):
 def nilsquare_rules():
     """The system {x^2 -> 0, xy -> -yx} with xy chosen as the second lead
     (the opposite orientation to what deglex would pick)."""
-    r1 = _make_rule({(X, X): 1}, 0)
-    r2 = _make_rule({(X, Y): 1, (Y, X): 1}, 0)
-    # orient by hand: lead xy, rest -yx
-    assert r2.lead in ((X, Y), (Y, X))
-    lead = (X, Y)
-    rest = poly((-1, (Y, X)))
-    r2 = RewriteRule(lead, rest, poly((1, (X, Y)), (1, (Y, X))))
-    return RewriteSystem({}, [r1, r2], 0)
+    return RewriteSystem({}, [hand_rule((X, X)), hand_rule((X, Y), (-1, (Y, X)))], 0)
 
 
 def test_order_precedence():
@@ -188,7 +183,7 @@ def test_complete_resolves_overlap_without_new_rules():
 
 
 def test_complete_single_rule_unchanged():
-    system = RewriteSystem({}, [_make_rule({(X, X): 1}, 0)], 0)
+    system = RewriteSystem({}, [hand_rule((X, X))], 0)
     done = complete(system, 4)
     assert len(done.rules) == 1
 
@@ -259,6 +254,33 @@ def test_substitute():
     subs = {(1, 1): poly((1, ())), (2, 1): NCPoly()}
     p = poly((1, ((1, 1), (2, 2))), (1, ((2, 1),)), (2, ()))
     assert substitute(p, subs) == poly((1, ((2, 2),)), (2, ()))
+
+
+def test_rule_free_system_keeps_the_modulus(tmp_path):
+    # a system with substitutions and no rules still reduces mod p: over
+    # GF(3), x[2,1] -> 2 x[2,2] makes x[2,1] x[2,1] 4 x[2,2] x[2,2], and the
+    # word table holds the residue 1, not 4; the legs of a tensor likewise
+    from usym import build_presentation
+    from conftest import algebra_file, ground_field, report_output
+
+    f = GF(3)
+    x21, x22 = (2, 1), (2, 2)
+    system = RewriteSystem({x21: NCPoly({(x22,): f(2)})}, [])
+    assert format_poly(system.normal_form(NCPoly({(x21, x21): f.one}))) == "1 * x[2,2] x[2,2]"
+    assert system._nf[x21, x21] == ({(x22, x22): 1}, 1)
+    t = tensor_normal_form(TensorPoly({((x21, x21), (x21,)): f.one}), system)
+    assert format_tensor(t) == "2 * x[2,2] x[2,2] (x) x[2,2]"
+    assert system._nf[(x21,)] == ({(x22,): 2}, 1)
+    # k as an algebra over GF(3) eliminates its one generator and keeps no
+    # rule: its tables hold GF(3) scalars
+    p = build_presentation(ground_field(f), 3)
+    assert not p.system.rules and p.system.subs == {(1, 1): NCPoly.constant(f.one)}
+    scalars = [*p.system.subs[1, 1].terms.values(), *p.delta[1, 1].terms.values()]
+    scalars += [c for _, q in p.coaction[0] for c in q.terms.values()]
+    assert scalars and all(type(c) is FpElement and c.p == 3 for c in scalars)
+    assert p.delta[1, 1] == TensorPoly({((), ()): f.one})
+    text = report_output(["present", algebra_file(tmp_path, "k", ground_field(f))])
+    assert "eliminated (1):\n  x[1,1] -> 1 * 1\nrules (0):\n" in text
 
 
 def test_format_round_trip_examples():
@@ -426,6 +448,13 @@ def hand_rule(lead, *rest_terms):
     return RewriteRule(lead, rest, poly((1, lead)) - rest)
 
 
+def rule_index(rules):
+    """The _RuleIndex of a list of scalar rules, ranked by their places."""
+    read = [_ints(r.poly.terms) for r in rules]
+    m = max([x[2] for x in read], default=0)
+    return _RuleIndex([_entry(x[0], r.lead, m) for r, x in zip(rules, read)], m)
+
+
 def reduced(p, index):
     """_reduce on the ints of p, read back as field scalars."""
     ints, d, m = _ints(p.terms)
@@ -435,7 +464,7 @@ def reduced(p, index):
 def assert_matches_scan(p, rules):
     """Indexed reduction equals the scan, term order included; returns it
     with the reverse-order scan's normal form."""
-    got = reduced(p, _RuleIndex(rules))
+    got = reduced(p, rule_index(rules))
     want = scan_reduce(p, list(rules), "standard")
     assert got == want and list(got.terms) == list(want.terms)
     return got, scan_reduce(p, list(rules), "reverse")
@@ -518,7 +547,7 @@ def test_reduction_is_linear_on_random_rule_lists(field):
     overlaps = irreducible = 0
     for _ in range(150):
         rules, p = random_rule_list(rng, field)
-        index = _RuleIndex(rules)
+        index = rule_index(rules)
         for _, u, v, k, ri, rj in overlap_candidates(rules, 5):
             left = ri.rest.shift((), v[k:])
             right = rj.rest.shift(u[: len(u) - k], ())
@@ -575,7 +604,7 @@ def test_int_reduction_matches_scalar_scan(field, data):
     # _ints), term order included, and over GF(p) s is 1
     rules, p = data.draw(rule_lists(field))
     ints, d, m = _ints(p.terms)
-    scale = _reduce(ints, _RuleIndex(rules))
+    scale = _reduce(ints, rule_index(rules))
     want = scan_reduce(p, rules, "standard")
     assert _scalars(ints, d * scale, m) == want.terms and list(ints) == list(want.terms)
     assert scale >= 1 and (m == 0 or scale == 1)
@@ -584,7 +613,7 @@ def test_int_reduction_matches_scalar_scan(field, data):
 def test_reduce_scales_by_the_lead_coefficient_over_the_gcd():
     # xy -> 2/3 yx is 3 xy -> 2 yx on ints: a step on c xy scales the terms
     # by 3 / gcd(c, 3), so 1 xy scales them by 3 and 3 xy leaves them
-    index = _RuleIndex([hand_rule((X, Y), ("2/3", (Y, X)))])
+    index = rule_index([hand_rule((X, Y), ("2/3", (Y, X)))])
     assert index.first[(X, Y)][2:] == (3, {(Y, X): 2})
     terms = {(X, Y): 1, (Y, Y): 5}
     assert _reduce(terms, index) == 3 and terms == {(Y, Y): 15, (Y, X): 2}
@@ -594,7 +623,7 @@ def test_reduce_scales_by_the_lead_coefficient_over_the_gcd():
     # 4 xy + 3 yx -> 4 * 3 yx + 3 yx = 15 yx = 0 in GF(5)
     f = GF(5)
     rest = NCPoly({(Y, X): f(3)})
-    index = _RuleIndex([RewriteRule((X, Y), rest, NCPoly({(X, Y): f.one}) - rest)])
+    index = rule_index([RewriteRule((X, Y), rest, NCPoly({(X, Y): f.one}) - rest)])
     assert index.modulus == 5 and index.first[(X, Y)][2:] == (1, {(Y, X): 3})
     terms = {(X, Y): 4, (Y, X): 3}
     assert _reduce(terms, index) == 1 and terms == {}
@@ -660,12 +689,12 @@ def test_pair_queue_matches_overlap_scan():
 def assert_table_matches_reduce(system, p):
     """normal_form reads the word table; it must equal one _reduce of the
     whole substituted polynomial, also once every word is in the table."""
-    want = reduced(substitute(p, system.subs), _RuleIndex(system.rules))
+    want = reduced(substitute(p, system.subs), rule_index(system.rules))
     assert system.normal_form(p) == want
     for w, c in p.terms.items():
         single = NCPoly({w: c})
         assert system.normal_form(single) == reduced(
-            substitute(single, system.subs), _RuleIndex(system.rules)
+            substitute(single, system.subs), rule_index(system.rules)
         )
     assert system.normal_form(p) == want
 
@@ -674,7 +703,7 @@ def per_leg_tensor_normal_form(t, system):
     """The per-leg formula the word table replaced: each leg reduced as its
     own polynomial, the coefficient with the first leg, the others with 1."""
     def nf(word, c):
-        return reduced(substitute(NCPoly({word: c}), system.subs), _RuleIndex(system.rules))
+        return reduced(substitute(NCPoly({word: c}), system.subs), rule_index(system.rules))
 
     out = TensorPoly()
     for legs, c in t.terms.items():
@@ -774,7 +803,7 @@ def test_int_on_leg_matches_scalar_legwise_product(field, data):
     # legwise product on field scalars, and over GF(p) nonzero residues
     # over 1
     import dataclasses
-    from usym.universal import _int_tables, _on_leg
+    from usym.universal import _int_tables
 
     p = triangular_presentation(field)
     coeffs = coefficients(field)
@@ -784,15 +813,15 @@ def test_int_on_leg_matches_scalar_legwise_product(field, data):
     }
     values = st.one_of(st.just(field.zero), coeffs)
     eps = {g: data.draw(values) for g in p.eps}
-    int_delta, d, int_eps, e, m = _int_tables(dataclasses.replace(p, delta=delta, eps=eps))
+    int_delta, int_eps, m = _int_tables(dataclasses.replace(p, delta=delta, eps=eps))
     size = data.draw(st.sampled_from([1, 2, 3]))
     word = st.lists(st.sampled_from(list(p.delta)), max_size=3).map(tuple)
     t = TensorPoly(data.draw(st.dictionaries(st.tuples(*[word] * size), coeffs, max_size=5)))
     leg = data.draw(st.integers(0, size - 1))
     terms, den, _ = _ints(t.terms)
     scalar_eps = {g: TensorPoly({(): c}) for g, c in eps.items()}
-    for table, legs, scalars, table_den in ((int_delta, 2, delta, d), (int_eps, 0, scalar_eps, e)):
-        got, got_den = _on_leg(table, legs, (terms, den), leg, table_den, m)
+    for table, legs, scalars in ((int_delta, 2, delta), (int_eps, 0, scalar_eps)):
+        got, got_den = _on_leg(table, legs, (terms, den), leg, m)
         assert _scalars(got, got_den, m) == legwise_image(scalars, legs, t, leg, field)
         assert m == 0 or (got_den == 1 and all(0 < v < m for v in got.values()))
 
@@ -835,28 +864,40 @@ def test_check_reduces_each_word_once(monkeypatch, tmp_path):
 
 
 def test_scalar_work_of_present_and_check(monkeypatch, tmp_path):
+    import sys
     from fractions import Fraction
     from usym.cli import main
     from conftest import algebra_file, truncated_polynomial
 
-    counts = {"mul": 0, "div": 0}
+    counts = {"mul": 0, "div": 0, "new": 0}
 
     def counted(name, original):
-        def op(a, b):
+        def op(*args, **kwargs):
             counts[name] += 1
-            return original(a, b)
+            return original(*args, **kwargs)
         return op
 
     monkeypatch.setattr(Fraction, "__mul__", counted("mul", Fraction.__mul__))
     monkeypatch.setattr(Fraction, "__truediv__", counted("div", Fraction.__truediv__))
+    # "new" counts every Fraction constructed
+    monkeypatch.setattr(Fraction, "__new__", counted("new", Fraction.__new__))
+    if hasattr(Fraction, "_from_coprime_ints"):  # Python >= 3.12 makes results here
+        original = Fraction._from_coprime_ints.__func__
+        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(counted("new", original)))
+    # Python >= 3.12 first turns the int of an int-by-Fraction operation into
+    # a Fraction: 20 more in validate_algebra as the input loads
+    loading = 20 if sys.version_info >= (3, 12) else 0
     path = algebra_file(tmp_path, "x4", truncated_polynomial(QQ, 4))
     assert main(["present", path, "--max-degree", "4"]) == 0
     # 714 and 415 when interreduction took the unit relations last and
     # completion sent every rule back through interreduction
     # 711 before Delta was tabulated on the eliminated generators too; 712
-    # and 107 while reduction and completion ran on Fractions, not on ints
-    assert counts == {"mul": 110, "div": 0}
-    counts.update(mul=0, div=0)
+    # and 107 while reduction and completion ran on Fractions, not on ints;
+    # 110 multiplications and 560 Fractions while the rule state read every
+    # new rule into Fractions and back, build_relations summed each term
+    # onto a zero, and Delta was tabulated by TensorPoly.of
+    assert counts == {"mul": 40, "div": 0, "new": 425 + loading}
+    counts.update(mul=0, div=0, new=0)
     assert main(["check", path, "--max-degree", "4"]) == 0
     # 7,973 and 1,867 when each overlap reduced its two sides apart, every
     # reduction step scaled a shifted copy of the rule, and every normal-form
@@ -869,8 +910,10 @@ def test_scalar_work_of_present_and_check(monkeypatch, tmp_path):
     # 1,763 and 264 while reduction and completion ran on Fractions; 1,095
     # and 157 while the word table held Fractions (one division per word as
     # it entered) and the bialgebra checker applied Delta and eps and took
-    # tensor normal forms on field scalars
-    assert counts == {"mul": 180, "div": 0}
+    # tensor normal forms on field scalars; 180 multiplications and 932
+    # Fractions while the rule state and the word table read their ints
+    # into Fractions and back, and substitute multiplied NCPolys
+    assert counts == {"mul": 80, "div": 0, "new": 554 + loading}
 
 
 # ---------------------------------------------------------------------------
@@ -878,19 +921,32 @@ def test_scalar_work_of_present_and_check(monkeypatch, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "build, bound",
-    [(lambda: full_matrices(QQ), 3), (lambda: truncated_polynomial(GF(3), 4), 4)],
-    ids=["m2_QQ", "poly4_GF3"],
+    "step, build, bound, confluent",
+    [
+        ("complete", lambda: full_matrices(QQ), 3, True),
+        ("complete", lambda: truncated_polynomial(GF(3), 4), 4, True),
+        ("complete", lambda: permuted(truncated_polynomial(QQ, 4), [0, 2, 1, 3]), 3, False),
+        ("interreduce", lambda: full_matrices(QQ), 3, True),
+        ("interreduce", lambda: truncated_polynomial(GF(3), 4), 4, True),
+    ],
+    ids=["m2_QQ", "poly4_GF3", "poly4_0213_QQ", "interreduce-m2_QQ", "interreduce-poly4_GF3"],
 )
-def test_complete_makes_no_scalars_on_a_confluent_system(build, bound, monkeypatch):
-    # every critical pair of these interreduced systems reduces to zero; the
-    # pair loop forms and reduces each on the rules' ints, so completion
-    # constructs no Fraction and no FpElement
+def test_complete_makes_no_scalars_on_a_confluent_system(
+    step, build, bound, confluent, monkeypatch
+):
+    # the rule state holds its rules, substitutions and work items on ints.
+    # Every critical pair of the m2 and poly4 systems reduces to zero, and
+    # the pair loop forms and reduces each on the rules' ints; those of the
+    # 28-round basis of k[x]/(x^4) do not, and each S-polynomial enters the
+    # state as an int relation.  Interreduction reads its relations once.
+    # So neither constructs a Fraction or an FpElement; reading the result's
+    # rules and subs may
     from fractions import Fraction
     from usym import build_relations
     from usym.fields import FpElement
 
-    system = interreduce(build_relations(build()))
+    relations = build_relations(build())
+    system = interreduce(relations)
     assert len(overlap_candidates(list(system.rules), bound)) > 100
     made = []
 
@@ -905,10 +961,11 @@ def test_complete_makes_no_scalars_on_a_confluent_system(build, bound, monkeypat
         original = Fraction._from_coprime_ints.__func__
         monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(counting(original)))
     monkeypatch.setattr(FpElement, "__init__", counting(FpElement.__init__))
-    done = complete(system, bound)
+    done = complete(system, bound) if step == "complete" else interreduce(relations)
     assert made == []
     monkeypatch.undo()
-    assert done == system and done.degree_bound == bound
+    assert (done == system) == confluent
+    assert done.degree_bound == (bound if step == "complete" else 0)
 
 
 def macaulay_cases():

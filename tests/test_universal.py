@@ -20,8 +20,7 @@ from usym import (
 )
 from usym.io import load_algebra, load_group
 from usym.linalg import Matrix
-from usym.ncpoly import _ints, _scalars
-from usym.universal import _on_leg
+from usym.ncpoly import _ints, _on_leg, _scalars
 from conftest import (
     S3,
     dual_numbers,
@@ -307,11 +306,11 @@ def on_leg(table, legs, t, leg):
     """_on_leg on a table of scalar tensors and a scalar tensor t: both read
     into ints (see _ints), the result read back as field scalars."""
     ints, d, _ = _ints({(g, k): c for g, u in table.items() for k, c in u.terms.items()})
-    int_table = {g: {} for g in table}
+    int_table = {g: ({}, d) for g in table}
     for (g, k), c in ints.items():
-        int_table[g][k] = c
+        int_table[g][0][k] = c
     terms, dt, m = _ints(t.terms)
-    return TensorPoly(_scalars(*_on_leg(int_table, legs, (terms, dt), leg, d, m), m))
+    return TensorPoly(_scalars(*_on_leg(int_table, legs, (terms, dt), leg, m), m))
 
 
 def test_eps_kills_every_relation(dual_q, triangular_q):
