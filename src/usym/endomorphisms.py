@@ -17,14 +17,15 @@ compiled once into a x^2 + b x + c in it, so a cell takes the one value
 that an equation linear in it solves, or else only the residues at which
 all of them vanish; a solved value counts as one value tried.
 
-End's multiplication table is formed once, by integer matrix products mod p
-on the points' residues.  Aut(A) is the group of units of End(A) (the
-paper's first theorem), so automorphism_group reads the units off End's
-table, {i : table[i][j] = table[j][i] = identity for some j}, and takes End's
-table restricted to them as its own: no product is formed twice.  The
-points are Matrix objects over the prime field, built from the search's
-int residues and held as them (see linalg), so enumerating End builds no
-FpElement.
+A multiplication table is formed once per point set, by integer matrix
+products mod p on the points' residues.  Aut(A) is the group of units of
+End(A) (the paper's first theorem), and an invertible point is a unit
+exactly when its inverse matrix is a point too; so automorphism_group keeps
+the points of nonzero determinant, looks each one's inverse up among all
+the points, and forms the table of those units alone: no product outside
+Aut.  enumerate_endomorphisms forms End's full table.  The points are
+Matrix objects over the prime field, built from the search's int residues
+and held as them (see linalg), so enumerating End builds no FpElement.
 """
 
 from __future__ import annotations
@@ -67,14 +68,12 @@ class EndoMonoid:
     algebra: FinAlgebra
     points: tuple[Matrix, ...]  # canonically sorted, duplicate-free
     identity_index: int
-    # _table[i][j]: index of points[i] * points[j], None when outside the set;
-    # formed from the points unless read off a larger table (units())
-    _table: tuple | None = field(default=None, repr=False, compare=False)
+    # _table[i][j]: index of points[i] * points[j], None when outside the set
+    _table: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         p = _require_prime_field(self.algebra).characteristic
-        if self._table is None:
-            self._table = _product_table(self.points, p)
+        self._table = _product_table(self.points, p)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -90,28 +89,14 @@ class EndoMonoid:
             raise KeyError("a product of points lies outside the set")
         return self._table
 
-    def _invertible(self, e: int) -> list[int]:
-        """The i with a j such that table[i][j] and table[j][i] are both e."""
-        t = self._table
-        return [
-            i for i, row in enumerate(t) if any(t[j][i] == e for j, x in enumerate(row) if x == e)
-        ]
-
     def inverses_in_set(self) -> bool:
         """Every member has a two-sided inverse inside the set (group check):
         a j with table[i][j] and table[j][i] both the counit point's index."""
         ident = counit_point(self.algebra)
         e = next((k for k, p in enumerate(self.points) if p == ident), None)
-        return e is not None and len(self._invertible(e)) == len(self.points)
-
-    def units(self) -> EndoMonoid:
-        """The members with a two-sided inverse for identity_index, with this
-        table restricted to them and re-indexed: no product is formed."""
-        keep = self._invertible(self.identity_index)
-        new = {i: k for k, i in enumerate(keep)}
-        table = tuple(tuple(new.get(self._table[i][j]) for j in keep) for i in keep)
-        return EndoMonoid(
-            self.algebra, tuple(self.points[i] for i in keep), new[self.identity_index], table
+        t = self._table
+        return e is not None and all(
+            any(x == e and t[j][i] == e for j, x in enumerate(row)) for i, row in enumerate(t)
         )
 
 
@@ -330,31 +315,37 @@ def enumerate_measuring_points(
     return tuple(sorted((mats[0] for mats in found), key=lambda mt: mt.sort_key()))
 
 
+def _counit_index(a: FinAlgebra, points: tuple[Matrix, ...]) -> int:
+    ident = counit_point(a)
+    k = next((k for k, p in enumerate(points) if p == ident), None)
+    if k is None:
+        raise RuntimeError("counit point missing from enumeration")
+    return k
+
+
 def enumerate_endomorphisms(a: FinAlgebra, max_search: int = DEFAULT_MAX_SEARCH) -> EndoMonoid:
     """All points of a(A) over a prime field, verified closed with identity."""
     points = enumerate_measuring_points(a, max_search)
-    identity_index = next((k for k, p in enumerate(points) if p == counit_point(a)), None)
-    if identity_index is None:
-        raise RuntimeError("counit point missing from enumeration")
-    monoid = EndoMonoid(a, points, identity_index)
+    monoid = EndoMonoid(a, points, _counit_index(a, points))
     if not monoid.is_closed():
         raise RuntimeError("enumerated point set is not closed under convolution")
     return monoid
 
 
 def automorphism_group(a: FinAlgebra, max_search: int = DEFAULT_MAX_SEARCH) -> EndoMonoid:
-    """The invertible points of a(A): the units of End(A), with End's table
-    restricted to them; verified closed with inverses."""
-    monoid = enumerate_endomorphisms(a, max_search)
-    group = monoid.units()
-    # cross-check: the units are exactly the points of nonzero determinant
-    if group.points != tuple(p for p in monoid.points if p.is_invertible()):
-        raise RuntimeError("units of End differ from its invertible points")
+    """The invertible points of a(A), with their own table: the units of
+    End(A), as each one's inverse is required to be a point (found among the
+    points and tested as an algebra map); verified closed with inverses."""
+    points = enumerate_measuring_points(a, max_search)
+    units = tuple(m for m in points if m.is_invertible())
+    group = EndoMonoid(a, units, _counit_index(a, units))
+    all_points = set(points)
+    for m in units:
+        inv = m.inverse()
+        if inv not in all_points or not is_algebra_map(a, a, inv):
+            raise RuntimeError("inverse of a point is not a point")
     if not group.is_closed() or not group.inverses_in_set():
         raise RuntimeError("invertible points do not form a group")
-    for p in group.points:
-        if not is_algebra_map(a, a, p.inverse()):
-            raise RuntimeError("inverse of a point is not a point")
     return group
 
 

@@ -229,6 +229,17 @@ def trivial_point(a: FinAlgebra, g) -> GradingPoint:
     return GradingPoint(tuple(mats))
 
 
+def end_units(monoid) -> tuple:
+    """The members of monoid with a two-sided inverse for its identity_index,
+    read off its table: End's units, the oracle for automorphism_group."""
+    t, e = monoid._table, monoid.identity_index
+    return tuple(
+        monoid.points[i]
+        for i, row in enumerate(t)
+        if any(x == e and t[j][i] == e for j, x in enumerate(row))
+    )
+
+
 def algebra_file(tmp_path, name, algebra):
     """Write algebra in the input format and return the path."""
     doc = {

@@ -423,9 +423,13 @@ def test_exit_3_on_cyclic_table_above_bound(monkeypatch):
     [
         # End(dual_gf3) has 3 points: one 3 x 3 table, formed on residues
         (["endo", fx("dual_gf3.json")], 0),
-        # Aut is read off End's table; one inverse per automorphism for
-        # automorphism_group's is_algebra_map check
+        # Aut forms only its own table, of its 2 points; one inverse per
+        # automorphism, looked up among the points and tested as an algebra
+        # map by automorphism_group
         (["aut", fx("dual_gf3.json"), "--field-check"], 2),
+        # 6 of triangular_gf3's 14 points are invertible: the other 8 are
+        # dropped before any table is formed
+        (["aut", fx("triangular_gf3.json"), "--field-check"], 6),
     ],
 )
 def test_endo_aut_form_each_product_once(monkeypatch, argv, inverses):
@@ -451,7 +455,9 @@ def test_endo_aut_form_each_product_once(monkeypatch, argv, inverses):
     assert code == 0
     assert "FAIL" not in out
     assert calls == {"__mul__": 0, "inverse": inverses}
-    assert tables == [3]  # End's table only: Aut builds none of its own
+    # one table: End's of its 3 points, or Aut's of its own points, one per
+    # inverse
+    assert tables == ([3] if argv[0] == "endo" else [inverses])
 
 
 def test_classify_reads_inverses_off_the_table(monkeypatch):

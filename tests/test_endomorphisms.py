@@ -27,11 +27,13 @@ from conftest import (
     apply,
     cyclic_group_algebra,
     dual_numbers,
+    end_units,
     full_matrices,
     ground_field,
     triangular,
     truncated_cubic,
     truncated_polynomial,
+    upper_triangular,
 )
 
 
@@ -376,36 +378,49 @@ def _fixture(name):
     return lambda: load_algebra(fixture_path(f"{name}.json"))[0]
 
 
-# (id, builder, |Aut| or None); |Aut k[x]/(x^n)| = (p - 1) p^(n - 2): x goes
-# to c1 x + ... + c(n-1) x^(n-1) with c1 != 0
+# (id, builder, |Aut| or None, deep); |Aut k[x]/(x^n)| = (p - 1) p^(n - 2): x
+# goes to c1 x + ... + c(n-1) x^(n-1) with c1 != 0; |Aut T_3(GF(p))| =
+# (p - 1)^2 p^3; GF(5)[C_4] is GF(5)^4 (x^4 - 1 splits over GF(5)), whose
+# automorphisms permute its 4 primitive idempotents: 24
 TABLE_CASES = (
-    [(f"fixture-{name}", _fixture(name), None)
+    [(f"fixture-{name}", _fixture(name), None, False)
      for name in ("dual_gf2", "dual_gf3", "dual_gf5", "dual_gf7", "triangular_gf2", "triangular_gf3")]
-    + [(f"poly{n}-gf{p}", lambda p=p, n=n: truncated_polynomial(GF(p), n), (p - 1) * p ** (n - 2))
+    + [(f"poly{n}-gf{p}", lambda p=p, n=n: truncated_polynomial(GF(p), n), (p - 1) * p ** (n - 2), False)
        for p in (2, 3, 5) for n in (2, 3, 4)]
-    + [("m2-gf2", lambda: full_matrices(GF(2)), None)]
+    + [
+        ("m2-gf2", lambda: full_matrices(GF(2)), None, False),
+        ("t3-gf2", lambda: upper_triangular(GF(2), 3), 8, False),
+        ("c4-gf5", lambda: cyclic_group_algebra(GF(5), 4), 24, False),
+        # the |End|² Matrix products checked here take 10-50 s: deep profile only
+        ("t3-gf3", lambda: upper_triangular(GF(3), 3), 108, True),
+        ("poly5-gf5", lambda: truncated_polynomial(GF(5), 5), 500, True),
+    ]
 )
 
 
 @pytest.mark.parametrize(
-    "build, aut_order", [c[1:] for c in TABLE_CASES], ids=[c[0] for c in TABLE_CASES]
+    "build, aut_order, deep", [c[1:] for c in TABLE_CASES], ids=[c[0] for c in TABLE_CASES]
 )
-def test_int_table_matches_matrix_products(build, aut_order):
+def test_int_table_matches_matrix_products(build, aut_order, deep, request):
+    if deep and request.config.getoption("--hypothesis-profile") != "deep":
+        pytest.skip("runs under --hypothesis-profile=deep")
     a = build()
     end = enumerate_endomorphisms(a)
     table = end.multiplication_table()
-    index = {m.rows: k for k, m in enumerate(end.points)}
+    index = {m: k for k, m in enumerate(end.points)}
     for i, m1 in enumerate(end.points):
-        assert table[i] == tuple(index[(m1 * m2).rows] for m2 in end.points)
-    # Aut = the units of End: its points are End's of nonzero determinant,
-    # its table End's restricted to them
+        assert table[i] == tuple(index[m1 * m2] for m2 in end.points)
+    # Aut = the units of End, read off End's table: they are End's points of
+    # nonzero determinant, and Aut's own table is End's restricted to them
     aut = automorphism_group(a)
-    units = [k for k, m in enumerate(end.points) if m.is_invertible()]
-    assert aut.points == tuple(end.points[k] for k in units)
+    units = end_units(end)
+    assert units == tuple(m for m in end.points if m.is_invertible())
+    assert aut.points == units
     assert aut.points[aut.identity_index] == counit_point(a)
-    position = {k: u for u, k in enumerate(units)}
+    keep = [index[m] for m in units]
+    position = {k: u for u, k in enumerate(keep)}
     assert aut.multiplication_table() == tuple(
-        tuple(position[table[i][j]] for j in units) for i in units
+        tuple(position[table[i][j]] for j in keep) for i in keep
     )
     if aut_order is not None:
         assert len(aut) == aut_order
@@ -417,8 +432,26 @@ def test_units_need_two_sided_inverses():
     # b * c = e but c * b = c: b has a right inverse and no two-sided one.
     a = dual_numbers(GF(3))
     e, b, c = (fmat(a.field, [[1, 0], [0, d]]) for d in (1, 0, 2))
-    table = ((0, 1, 2), (1, 1, 0), (2, 2, 2))
-    monoid = EndoMonoid(a, (e, b, c), 0, table)
-    assert monoid.units().points == (e,)
-    assert monoid.units().multiplication_table() == ((0,),)
+    monoid = EndoMonoid(a, (e, b, c), 0)
+    monoid._table = ((0, 1, 2), (1, 1, 0), (2, 2, 2))
+    assert end_units(monoid) == (e,)
     assert not monoid.inverses_in_set()
+
+
+def test_aut_looks_each_inverse_up_among_the_points(monkeypatch):
+    # diag(1,2) and diag(1,3) are inverse points of dual_gf5; with diag(1,3)
+    # left out of the points, diag(1,2) is invertible but no unit
+    import usym.endomorphisms as endo_mod
+
+    a = _fixture("dual_gf5")()
+    dropped = fmat(a.field, [[1, 0], [0, 3]])
+    enumerate_all = endo_mod.enumerate_measuring_points
+
+    def without_dropped(a, max_search):
+        points = enumerate_all(a, max_search)
+        assert dropped in points
+        return tuple(m for m in points if m != dropped)
+
+    monkeypatch.setattr(endo_mod, "enumerate_measuring_points", without_dropped)
+    with pytest.raises(RuntimeError, match="inverse of a point is not a point"):
+        automorphism_group(a)
