@@ -9,13 +9,14 @@ point test.  The convolution product of points is the matrix product, giving
 the monoid isomorphism with (End(A), o).  One search (search_points) finds
 these points and the grading points of gradings.py.
 Its conditions are data: each relation, and each extra condition of a
-grading point, is a set of polynomial equations of degree <= 2 in the
-matrix cells, to vanish mod p.  It assigns int residues cell by cell in an
-order computed once from the conditions' cell sets (next the cell that
-completes the most conditions).  The equations completed at a cell are
-compiled once into a x^2 + b x + c in it, so a cell takes the one value
-that an equation linear in it solves, or else only the residues at which
-all of them vanish; a solved value counts as one value tried.
+grading point, is a list of polynomial equations of degree <= 2, keyed by
+the matrix cells they name, to vanish mod p.  It assigns int residues cell
+by cell in an order computed once from the cells each condition names (next
+the cell that completes the most conditions), and then keys every equation
+by the depths of its cells in that order.  The equations completed at a
+cell are compiled once into a x^2 + b x + c in it, so a cell takes the one
+value that an equation linear in it solves, or else only the residues at
+which all of them vanish; a solved value counts as one value tried.
 
 A multiplication table is formed once per point set, by integer matrix
 products mod p on the points' residues.  Aut(A) is the group of units of
@@ -91,11 +92,10 @@ class EndoMonoid:
 
     def inverses_in_set(self) -> bool:
         """Every member has a two-sided inverse inside the set (group check):
-        a j with table[i][j] and table[j][i] both the counit point's index."""
-        ident = counit_point(self.algebra)
-        e = next((k for k, p in enumerate(self.points) if p == ident), None)
-        t = self._table
-        return e is not None and all(
+        a j with table[i][j] and table[j][i] both identity_index, which must
+        hold the counit point."""
+        e, t = self.identity_index, self._table
+        return self.has_identity() and all(
             any(x == e and t[j][i] == e for j, x in enumerate(row)) for i, row in enumerate(t)
         )
 
@@ -185,37 +185,40 @@ def search_points(
 
     Column 0 is the unit of A at the identity of G.  The other cells (s, i, k),
     the coefficient of P[s][i] at the k-th element of G, are int residues.
-    A condition is (cells, equations): a set of cells, and polynomials of
-    degree <= 2 in them, {(): c, (cell,): c, (cell, cell'): c}, that must
-    vanish mod p.  A relation r[a,i,j] is one condition, with one equation per
-    coordinate of k[G].  The cells are assigned in one order fixed up front
-    from the conditions' cell sets: the next cell is the one that completes
-    the most conditions, ties going to the column-major first (the
-    most-constrained static order of Freuder, JACM 1982, and Haralick &
-    Elliott, AIJ 1980).  The column-0 cells are folded into the constants
-    once, each equation is compiled at the depth of its last cell
-    (_compile_cell), and a cell takes only the values those equations allow
-    (_cell_values).  Every value assigned counts as one value tried, a
-    solved one too, and more than max_search values tried raise
-    SearchSizeError.
+    A condition is a list of polynomial equations of degree <= 2 in the
+    cells, {(): c, (cell,): c, (cell, cell'): c}, that must vanish mod p, and
+    its cells are the ones its keys name.  A relation r[a,i,j] is one
+    condition, with one equation per element of G.  The cells are assigned in
+    one order fixed up front from the conditions' cells: the next cell is the
+    one that completes the most conditions, ties going to the column-major
+    first (the most-constrained static order of Freuder, JACM 1982, and
+    Haralick & Elliott, AIJ 1980).  Each equation is then keyed by the depths
+    of its cells in that order, the column-0 cells folded into its constant,
+    and compiled at the depth of its last cell (_compile_cell), and a cell
+    takes only the values those equations allow (_cell_values).  Every value
+    assigned counts as one value tried, a solved one too, and more than
+    max_search values tried raise SearchSizeError.
     """
     fld = a.field
     p, n, m, e = fld.characteristic, a.n, g.order, g.identity
-    # r[ai,i,j]: sum_u tau[i,j,u] P[ai,u] = sum_{s,t} tau[s,t,ai] P[s,i] P[t,j]
-    relations = [
-        (ai, i, j, [(u, c.v) for u, c in a.basis_product(i, j).items()],
-         [(s, t, c.v) for s, t, c in a.pairs_with_result(ai)])
-        for ai in range(n) for i in range(n) for j in range(n)
-    ]
 
-    def relation_cells(ai, i, j, lhs, rhs) -> set:
-        entries = {(ai, u) for u, _ in lhs} | {(s, i) for s, _, _ in rhs} | {(t, j) for _, t, _ in rhs}
-        return {(s, i, k) for s, i in entries for k in range(m)}
+    def relation(ai: int, i: int, j: int) -> list[dict]:
+        # coordinate k of sum_u tau[i,j,u] P[ai,u] - sum_{s,t} tau[s,t,ai] P[s,i] P[t,j]
+        eqs: list[dict] = [{} for _ in range(m)]
+        for u, c in a.basis_product(i, j).items():
+            for k in range(m):
+                eqs[k][(ai, u, k),] = c.v
+        for s, t, c in a.pairs_with_result(ai):  # each (s, t) once, so each key once
+            for k1, row in enumerate(g.table):
+                for k2, k in enumerate(row):
+                    eqs[k][(s, i, k1), (t, j, k2)] = -c.v
+        return eqs
 
-    cell_sets = [cells for cells, _ in extra] + [relation_cells(*r) for r in relations]
+    conditions = extra + [relation(ai, i, j) for ai in range(n) for i in range(n) for j in range(n)]
     free = [(s, i, k) for i in range(1, n) for s in range(n) for k in range(m)]
     rank = {cell: r for r, cell in enumerate(free)}
-    open_cells = [{c for c in cells if c in rank} for cells in cell_sets]
+    # the free cells that each condition's keys name, and that are not assigned yet
+    open_cells = [{c for eq in eqs for cells in eq for c in cells if c in rank} for eqs in conditions]
     watch: dict = {cell: [] for cell in free}  # the conditions each free cell is in
     completes = dict.fromkeys(free, 0)  # the conditions a cell would complete next
     for q, cells in enumerate(open_cells):
@@ -235,52 +238,35 @@ def search_points(
             if len(cells) == 1:
                 completes[next(iter(cells))] += 1
 
-    # at[s][i][k]: the depth of cell (s, i, k) in the order; of column 0, ONE
-    # for the unit of A at G's identity and None for the cells fixed at 0
+    # depth[cell]: its place in the order; ONE for the unit of A at G's
+    # identity, and absent for the other column-0 cells, fixed at 0
     depth = {cell: d for d, cell in enumerate(order)}
-    at = [[[depth.get((s, i, k)) for k in range(m)] for i in range(n)] for s in range(n)]
-    at[0][0][e] = ONE
+    depth[0, 0, e] = ONE
 
     def on_depths(eq: dict) -> dict:
-        """A caller's equation, keyed by the sorted depths of its cells."""
+        """An equation, keyed by the sorted depths of its cells."""
         out: dict = {}
         for cells, c in eq.items():
-            ends = [at[s][i][k] for s, i, k in cells]
-            if None not in ends:
-                key = (ONE,) * (2 - len(ends)) + tuple(sorted(ends))
+            if len(cells) == 2:
+                u, w = depth.get(cells[0]), depth.get(cells[1])
+            else:
+                u, w = ONE, depth.get(cells[0]) if cells else ONE
+            if u is not None and w is not None:
+                key = (u, w) if u <= w else (w, u)
                 out[key] = out.get(key, 0) + c
         return out
-
-    def relation(ai, i, j, lhs, rhs) -> list[dict]:
-        # coordinate k of sum_u tau[i,j,u] P[ai,u] - sum_{s,t} tau[s,t,ai] P[s,i] P[t,j]
-        eqs: list[dict] = [{} for _ in range(m)]
-        for u, c in lhs:
-            for k, w in enumerate(at[ai][u]):
-                if w is not None:
-                    eqs[k][ONE, w] = c
-        for s, t, c in rhs:
-            right = at[t][j]
-            for u, row in zip(at[s][i], g.table):
-                if u is not None:
-                    for w, k in zip(right, row):
-                        if w is not None:
-                            key = (u, w) if u <= w else (w, u)
-                            eqs[k][key] = eqs[k].get(key, 0) - c
-        return eqs
 
     # each equation filed at the depth of its deepest cell; the caller's come
     # first, as they are the cheaper ones to solve a cell from
     completed: list[list] = [[] for _ in order]
-    for eq in itertools.chain(
-        (on_depths(eq) for _, eqs in extra for eq in eqs),
-        (eq for r in relations for eq in relation(*r)),
-    ):
-        eq = {key: c % p for key, c in eq.items() if c % p}
-        if eq:
-            last = max(w for _, w in eq)
-            if last == ONE:  # a nonzero constant
-                return []
-            completed[last].append(eq)
+    for eqs in conditions:
+        for eq in eqs:
+            eq = {key: c % p for key, c in on_depths(eq).items() if c % p}
+            if eq:
+                last = max(w for _, w in eq)
+                if last == ONE:  # a nonzero constant
+                    return []
+                completed[last].append(eq)
     compiled = [_compile_cell(eqs, d, p) for d, eqs in enumerate(completed)] + [([], [])]
 
     x = [0] * len(order) + [1]  # x[d]: the value of order[d]; x[ONE] = 1
@@ -289,9 +275,10 @@ def search_points(
     tries = [iter(_cell_values(*compiled[0], x, p))]  # tries[d]: the values left for order[d]
     while tries:
         d = len(tries) - 1
-        if d == len(order):  # every cell assigned: P[s][i][k] is x[at[s][i][k]], or 0
-            P = [[[0 if u is None else x[u] for u in cell] for cell in row] for row in at]
-            out.append(tuple(Matrix._of_residues(fld, [[c[k] for c in row] for row in P]) for k in range(m)))
+        if d == len(order):  # every cell assigned: P[s][i][k] is x[depth[s, i, k]], or 0
+            value = {cell: x[w] for cell, w in depth.items()}
+            rows = [[[value.get((s, i, k), 0) for i in range(n)] for s in range(n)] for k in range(m)]
+            out.append(tuple(Matrix._of_residues(fld, r) for r in rows))
             tries.pop()
             continue
         for v in tries[d]:

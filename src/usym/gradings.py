@@ -112,6 +112,8 @@ def is_grading_point(a: FinAlgebra, g: FiniteGroup, point: GradingPoint) -> bool
     for mat in point.matrices:
         if mat.nrows != n or mat.ncols != n:
             raise ValueError("matrix size does not match the algebra dimension")
+        if mat.field != a.field:
+            raise ValueError("grading point and algebra must share one field")
     P, reduce = [mat.residues for mat in point.matrices], _residue_ops(a.field).reduce
 
     for s in range(n):
@@ -219,31 +221,30 @@ def enumerate_points(
     a: FinAlgebra, g: FiniteGroup, max_search: int = DEFAULT_MAX_SEARCH
 ) -> tuple[GradingPoint, ...]:
     """All bialgebra-map points over a prime field, canonically sorted: the
-    points search over G with the counit and comultiplication conditions,
-    each one equation in the cells P[s][i][k] (see search_points).  The
-    counit's is linear, so it solves an entry's last coefficient; a
-    coproduct's has degree 2 and can solve any cell it does not square.  A
-    solved value counts as one value tried."""
+    points search over G with the counit and comultiplication conditions.
+    Each condition is one equation, keyed by the cells P[s][i][k] it names
+    (see search_points).  The counit's is linear, so it solves an entry's
+    last coefficient; a coproduct's has degree 2 and can solve any cell it
+    does not square.  A solved value counts as one value tried."""
     _require_prime_field(a)
     n, m = a.n, g.order
 
-    def counit(s: int, i: int):
+    def counit(s: int, i: int) -> dict:
         # the coefficients of P[s][i] sum to eps(x[s,i]) = delta(s, i)
-        cells = {(s, i, k) for k in range(m)}
-        eq = {(c,): 1 for c in cells}
+        eq = {((s, i, k),): 1 for k in range(m)}
         eq[()] = -int(s == i)
-        return cells, [eq]
+        return eq
 
-    def coproduct(s: int, i: int, sg: int, tg: int):
+    def coproduct(s: int, i: int, sg: int, tg: int) -> dict:
         # sum_t P^sigma[s,t] P^tau[t,i] - delta(sigma, tau) P^sigma[s,i]
         eq = {((s, t, sg), (t, i, tg)): 1 for t in range(n)}
         if sg == tg:
-            eq[((s, i, sg),)] = -1
-        return {c for key in eq for c in key}, [eq]
+            eq[(s, i, sg),] = -1
+        return eq
 
     entries = [(s, i) for s in range(n) for i in range(n)]
-    conditions = [counit(s, i) for s, i in entries] + [
-        coproduct(s, i, sg, tg) for s, i in entries for sg in range(m) for tg in range(m)
+    conditions = [[counit(s, i)] for s, i in entries] + [
+        [coproduct(s, i, sg, tg)] for s, i in entries for sg in range(m) for tg in range(m)
     ]
     found = search_points(a, g, conditions, max_search, "grading point enumeration")
     points = sorted((GradingPoint(mats) for mats in found), key=lambda pt: pt.sort_key())

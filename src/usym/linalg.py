@@ -8,7 +8,9 @@ their entries between residues and field scalars.  Field scalars come in
 only through the public constructors (Matrix(field, rows), identity, zeros,
 from_columns and Subspace.from_vectors) and Subspace.contains, and go out
 only through det and the views a caller reads, Matrix.rows and
-Subspace.basis, each built on its first read and kept.
+Subspace.basis, each built on its first read and kept.  Residues of two
+fields never mix: they raise TypeError.  One elimination, _eliminate, gives
+the inverse, the span of a Subspace and det.
 
 A Subspace is held as its reduced row-echelon form with no zero rows,
 which makes the representative unique: two subspaces are equal iff their
@@ -67,20 +69,31 @@ def _same(row: list) -> list:
     return row
 
 
-def _eliminate(rows: list, ops: _Ops) -> tuple[list, list[int]]:
+def _require_same_field(x, y) -> None:
+    if y.field != x.field:  # as a scalar of another field does
+        raise TypeError(f"{y.field.spec_string()} residues used in {x.field.spec_string()}")
+
+
+def _eliminate(rows: list, ops: _Ops) -> tuple[list, list[int], Scalar]:
     """Reduced row echelon form of rows of residues, as (new rows, pivot
-    columns); rows is reordered in place."""
+    columns, det); rows is reordered in place.  det is the product of the
+    pivots divided out, negated at each row swap: the determinant of a
+    square matrix of full rank, as a residue (not reduced mod p)."""
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
     submul = ops.submul
     pivots: list[int] = []
+    det = 1
     r = 0
     for c in range(ncols):
         pivot = next((i for i in range(r, nrows) if rows[i][c]), None)
         if pivot is None:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
+        if pivot != r:
+            rows[r], rows[pivot] = rows[pivot], rows[r]
+            det = -det
         if rows[r][c] != 1:  # every row of a Subspace has pivot 1
+            det *= rows[r][c]
             inv = ops.inverse(rows[r][c])
             rows[r] = ops.reduce([x * inv for x in rows[r]])
         for i in range(nrows):
@@ -90,7 +103,7 @@ def _eliminate(rows: list, ops: _Ops) -> tuple[list, list[int]]:
         r += 1
         if r == nrows:
             break
-    return rows, pivots
+    return rows, pivots, det
 
 
 class Matrix:
@@ -153,6 +166,7 @@ class Matrix:
         return Matrix._of_residues(self.field, zip(*self.residues)) if self.residues else self
 
     def __add__(self, other: "Matrix") -> "Matrix":
+        _require_same_field(self, other)
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError(
                 f"dimension mismatch {self.nrows}x{self.ncols} vs {other.nrows}x{other.ncols}"
@@ -165,6 +179,7 @@ class Matrix:
     def __mul__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
             return NotImplemented
+        _require_same_field(self, other)
         if self.ncols != other.nrows:
             raise ValueError(f"dimension mismatch {self.ncols} vs {other.nrows}")
         cols = list(zip(*other.residues))
@@ -174,26 +189,11 @@ class Matrix:
         )
 
     def det(self) -> Scalar:
-        """The determinant, as a field scalar."""
+        """The determinant, as a field scalar (see _eliminate)."""
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
-        ops = _residue_ops(self.field)
-        n = self.nrows
-        rows = [list(r) for r in self.residues]
-        det = 1
-        for c in range(n):
-            pivot = next((i for i in range(c, n) if rows[i][c]), None)
-            if pivot is None:
-                return self.field.zero
-            if pivot != c:
-                rows[c], rows[pivot] = rows[pivot], rows[c]
-                det = -det
-            det = det * rows[c][c]
-            inv = ops.inverse(rows[c][c])
-            for i in range(c + 1, n):
-                if rows[i][c]:
-                    rows[i] = ops.submul(rows[i], rows[i][c] * inv, rows[c])
-        return self.field(det)
+        _, pivots, det = _eliminate([list(r) for r in self.residues], _residue_ops(self.field))
+        return self.field(det) if len(pivots) == self.nrows else self.field.zero
 
     def is_invertible(self) -> bool:
         return self.nrows == self.ncols and bool(self.det())
@@ -204,8 +204,8 @@ class Matrix:
         n = self.nrows
         ident = Matrix.identity(self.field, n)
         aug = [[*r, *i] for r, i in zip(self.residues, ident.residues)]
-        rows, pivots = _eliminate(aug, _residue_ops(self.field))
-        if len(pivots) != n or pivots != list(range(n)):
+        rows, pivots, _ = _eliminate(aug, _residue_ops(self.field))
+        if pivots != list(range(n)):
             raise ValueError("matrix is singular")
         return Matrix._of_residues(self.field, [row[n:] for row in rows])
 
@@ -259,7 +259,7 @@ class Subspace:
         reused."""
         if not rows:
             return cls(field, ambient, ())
-        rows, pivots = _eliminate(rows, _residue_ops(field))
+        rows, pivots, _ = _eliminate(rows, _residue_ops(field))
         return cls(field, ambient, tuple(tuple(r) for r in rows[: len(pivots)]))
 
     @classmethod
@@ -311,6 +311,7 @@ class Subspace:
     def image_under(self, m: Matrix) -> "Subspace":
         if m.ncols != self.ambient:
             raise ValueError(f"dimension mismatch {m.ncols} vs {self.ambient}")
+        _require_same_field(self, m)
         reduce = _residue_ops(self.field).reduce
         images = [
             reduce([sum(map(mul, mrow, row)) for mrow in m.residues]) for row in self.residues

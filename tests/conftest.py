@@ -138,7 +138,7 @@ def rescaled(algebra: FinAlgebra, scales) -> FinAlgebra:
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """m in reduced row-echelon form, and its pivot columns."""
-    rows, pivots = _eliminate([list(r) for r in m.residues], _residue_ops(m.field))
+    rows, pivots, _ = _eliminate([list(r) for r in m.residues], _residue_ops(m.field))
     return Matrix._of_residues(m.field, rows), tuple(pivots)
 
 

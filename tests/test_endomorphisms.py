@@ -22,7 +22,7 @@ from usym import (
     validate_algebra,
 )
 from usym.endomorphisms import ONE, _cell_values, _compile_cell
-from usym.io import load_algebra
+from usym.io import load_algebra, load_group
 from conftest import (
     apply,
     cyclic_group_algebra,
@@ -293,6 +293,10 @@ def test_search_bound_counts_values_tried():
     assert (info.value.needed, info.value.bound) == (35, 34)
 
 
+def _klein():
+    return load_group(str(fixture_path("group_klein.json")))[0]
+
+
 @pytest.mark.parametrize(
     "search, tried, count",
     [
@@ -300,8 +304,11 @@ def test_search_bound_counts_values_tried():
         (lambda bound: enumerate_points(triangular(GF(3)), cyclic_group(3), bound), 327, 7),
         (lambda bound: enumerate_points(truncated_cubic(GF(7)), cyclic_group(3), bound), 2203, 15),
         (lambda bound: enumerate_points(cyclic_group_algebra(GF(5), 4), cyclic_group(2), bound), 9051, 10),
+        (lambda bound: enumerate_points(_fixture("dual_gf5")(), _klein(), bound), 103, 4),
+        (lambda bound: enumerate_points(full_matrices(GF(2)), cyclic_group(2), bound), 333, 5),
+        (lambda bound: enumerate_points(truncated_polynomial(GF(3), 3), _klein(), bound), 1871, 10),
     ],
-    ids=["end-M2-GF3", "T2-GF3-C3", "cubic-GF7-C3", "C4-GF5-C2"],
+    ids=["end-M2-GF3", "T2-GF3-C3", "cubic-GF7-C3", "C4-GF5-C2", "dual-GF5-Klein", "M2-GF2-C2", "x3-GF3-Klein"],
 )
 def test_values_tried_are_exact(search, tried, count):
     # a value solved from an equation linear in its cell, or left by a forward

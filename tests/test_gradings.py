@@ -4,6 +4,7 @@ import pytest
 
 from usym import (
     GF,
+    QQ,
     FinAlgebra,
     Grading,
     GradingPoint,
@@ -806,5 +807,35 @@ def test_point_search_convolves_in_group_order():
         for j in range(4):
             for k in range(S3.order):
                 cell, u, v = (i, j, k), good[k].residues[i][j], bad[k].residues[i][j]
-                pins.append(({cell}, [{(cell, cell): 1, (cell,): -(u + v), (): u * v}]))
+                pins.append([{(cell, cell): 1, (cell,): -(u + v), (): u * v}])
     assert search_points(a, S3, pins, DEFAULT_MAX_SEARCH, "pinned search") == [good]
+
+
+def test_constant_conditions():
+    # an equation with no free cell is a constant: nonzero, it leaves no
+    # point; zero, it changes nothing.  The unit cell (0, 0, e) is 1 and the
+    # other column-0 cells are 0, so an equation in them is a constant too
+    a, group = dual_numbers(GF(3)), cyclic_group(2)
+
+    def search(extra):
+        return search_points(a, group, extra, DEFAULT_MAX_SEARCH, "constant condition")
+
+    everything = search([])
+    assert len(everything) == 9  # the algebra maps A -> A (x) k[C_2]
+    assert search([[{(): 1}]]) == [] and search([[{(): 3}]]) == everything
+    assert search([[{(): 0}]]) == everything
+    assert search([[{((0, 0, 0),): 1}]]) == [] and search([[{((0, 0, 0),): 1, (): -1}]]) == everything
+    assert search([[{((1, 0, 1),): 1, (): 2}]]) == [] and search([[{((1, 0, 1),): 1}]]) == everything
+    assert search([[{((0, 0, 0), (0, 0, 0)): 1, ((1, 0, 0), (0, 1, 0)): 1}]]) == []
+    assert search([[{(): 0}, {(): 2}]]) == [] and search([[{(): 0}], [{(): 2}]]) == []
+
+
+@pytest.mark.parametrize("other", [GF(3), QQ], ids=["GF3", "QQ"])
+def test_grading_point_of_another_field_is_refused(other):
+    # the trivial point's residues read the same over GF(5); is_algebra_map
+    # refuses the same mistake
+    a, group = dual_numbers(GF(5)), cyclic_group(2)
+    assert is_grading_point(a, group, trivial_point(a, group))
+    foreign = trivial_point(dual_numbers(other), group)
+    with pytest.raises(ValueError, match="share one field"):
+        is_grading_point(a, group, foreign)

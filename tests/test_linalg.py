@@ -46,6 +46,25 @@ def test_constructors_coerce_scalars_into_the_field():
             Subspace.from_vectors(field, 1, [(GF(5)(4),)])
 
 
+def test_matrices_of_two_fields_do_not_mix():
+    # residues of GF(5) or QQ read as GF(3) residues would give a wrong
+    # answer: a sum, a product or an image over another field is refused
+    f3, f5 = GF(3), GF(5)
+    m3 = mat(f3, [[1, 2], [0, 1]])
+    for other in (mat(f5, [[4, 1], [1, 3]]), mat(QQ, [[4, 1], [1, 3]])):
+        for combine in (lambda x, y: x * y, lambda x, y: x + y):
+            with pytest.raises(TypeError):
+                combine(m3, other)
+            with pytest.raises(TypeError):
+                combine(other, m3)
+        with pytest.raises(TypeError):
+            full_space(f3, 2).image_under(other)
+        with pytest.raises(TypeError):
+            Subspace.from_vectors(other.field, 2, [other.rows[0]]).image_under(m3)
+    assert mat(QQ, [[2]]) * mat(QQ, [[3]]) == mat(QQ, [[6]])
+    assert (m3 + m3) * m3 == mat(f3, [[2, 2], [0, 2]])
+
+
 def test_det_inverse_rational():
     m = mat(QQ, [[1, 2], [3, 4]])
     assert m.det() == QQ(-2)
