@@ -75,11 +75,35 @@ def _require_degree(value: int) -> int:
     return value
 
 
+def _header(args, *metas) -> Report:
+    """A report with its header: the command line echoed with each input file
+    by name, then the options that are set in parser order, and one input
+    line for the algebra and one for the group, if metas has one."""
+    inputs = [(role, m.name, m.digest) for role, m in zip(("algebra", "group"), metas)]
+    names = {role: name for role, name, _ in inputs}
+    options = ""
+    for flag, _ in args.options:
+        dest = flag[2:].replace("-", "_")
+        value = names.get(dest, getattr(args, dest))
+        if value is not False:
+            options += f" {flag}" if value is True else f" {flag} {value}"
+    return Report(f"{args.command} {metas[0].name}{options} --format {args.format}", inputs)
+
+
+def _describe(report: Report, algebra, checks: list, payload: dict, lines: list[str]) -> Report:
+    """Fill in the checks, and the payload and the text lines, each led by
+    the field and the dimension of the algebra."""
+    field = algebra.field.spec_string()
+    report.checks = checks
+    report.payload = {"field": field, "dimension": algebra.n, **payload}
+    report.text_lines = [f"field: {field}", f"dimension: {algebra.n}", *lines]
+    return report
+
+
 def _cmd_present(args) -> Report:
     algebra, meta = load_algebra(args.file)
     presentation = build_presentation(algebra, _require_degree(args.max_degree))
-    echo = f"present {meta.name} --max-degree {args.max_degree} --format {args.format}"
-    report = Report(echo, [("algebra", meta.name, meta.digest)])
+    report = _header(args, meta)
     report.payload = presentation_json(presentation) if args.format == "json" else {}
     report.text_lines = presentation_text(presentation) if args.format == "text" else []
     return report
@@ -88,41 +112,21 @@ def _cmd_present(args) -> Report:
 def _cmd_check(args) -> Report:
     algebra, meta = load_algebra(args.file)
     presentation = build_presentation(algebra, _require_degree(args.max_degree))
-    bialgebra = check_bialgebra(presentation)
-    comodule = check_comodule(presentation)
-    echo = f"check {meta.name} --max-degree {args.max_degree} --format {args.format}"
-    report = Report(echo, [("algebra", meta.name, meta.digest)])
-    report.checks = [(item.name, item.passed) for item in bialgebra.items + comodule.items]
-    report.payload = {
-        "field": algebra.field.spec_string(),
-        "dimension": algebra.n,
+    items = check_bialgebra(presentation).items + check_comodule(presentation).items
+    checks = [(item.name, item.passed) for item in items]
+    payload = {
         "max_degree": presentation.degree_bound,
         "generators": [list(g) for g in presentation.gens],
     }
-    report.text_lines = [
-        f"field: {algebra.field.spec_string()}",
-        f"dimension: {algebra.n}",
-        f"max-degree: {presentation.degree_bound}",
-    ]
-    return report
+    lines = [f"max-degree: {presentation.degree_bound}"]
+    return _describe(_header(args, meta), algebra, checks, payload, lines)
 
 
-def _endo_like(args, group_like: bool) -> Report:
+def _endo_like(args) -> Report:
     algebra, meta = load_algebra(args.file)
     bound = _max_search()
-    name = "aut" if group_like else "endo"
-    if group_like:
-        monoid = automorphism_group(algebra, bound)
-    else:
-        monoid = enumerate_endomorphisms(algebra, bound)
-    flags = ""
-    if args.field_check:
-        flags += " --field-check"
-    if args.oracle:
-        flags += " --oracle"
-    echo = f"{name} {meta.name}{flags} --format {args.format}"
-    report = Report(echo, [("algebra", meta.name, meta.digest)])
-
+    group_like = args.command == "aut"
+    monoid = (automorphism_group if group_like else enumerate_endomorphisms)(algebra, bound)
     checks: list[tuple[str, bool]] = [
         ("closure", monoid.is_closed()),
         ("identity", monoid.has_identity()),
@@ -138,22 +142,17 @@ def _endo_like(args, group_like: bool) -> Report:
         if group_like:
             homs = tuple(m for m in homs if m.is_invertible())
         checks.append(("oracle-match", homs == monoid.points))
-    report.checks = checks
-    report.payload = {
-        "field": algebra.field.spec_string(),
-        "dimension": algebra.n,
+    payload = {
         "count": len(monoid.points),
         "identity_index": monoid.identity_index,
         "points": [matrix_json(m) for m in monoid.points],
     }
-    report.text_lines = [
-        f"field: {algebra.field.spec_string()}",
-        f"dimension: {algebra.n}",
+    lines = [
         f"points ({len(monoid.points)}):",
         *[f"  {format_matrix(m)}" for m in monoid.points],
         f"identity-index: {monoid.identity_index}",
     ]
-    return report
+    return _describe(_header(args, meta), algebra, checks, payload, lines)
 
 
 def _cmd_gradings(args) -> Report:
@@ -174,31 +173,14 @@ def _cmd_gradings(args) -> Report:
         points = enumerate_points(algebra, group, bound)
         oracle = enumerate_gradings_oracle(algebra, group, bound) if args.oracle else ()
         induced = [grading_from_point(algebra, group, p) for p in points]
-    flags = ""
-    if args.classify:
-        flags += " --classify"
-    if args.oracle:
-        flags += " --oracle"
-    echo = f"gradings {meta.name} --group {group_meta.name}{flags} --format {args.format}"
-    report = Report(
-        echo,
-        [
-            ("algebra", meta.name, meta.digest),
-            ("group", group_meta.name, group_meta.digest),
-        ],
-    )
     checks: list[tuple[str, bool]] = []
     payload = {
-        "field": algebra.field.spec_string(),
-        "dimension": algebra.n,
         "group_order": group.order,
         "count": len(points),
         "points": [grading_point_json(group, p) for p in points],
         "gradings": [grading_json(group, g) for g in induced],
     }
     lines = [
-        f"field: {algebra.field.spec_string()}",
-        f"dimension: {algebra.n}",
         f"group: {group_meta.name} order={group.order}",
         f"points ({len(points)}):",
         *[f"  point {k}: {grading_point_text(group, p)}" for k, p in enumerate(points)],
@@ -228,10 +210,7 @@ def _cmd_gradings(args) -> Report:
         )
         lines.append(f"  point-orbits ({result.class_count}): {orbit_text}")
         lines.append(f"  grading-classes: {len(result.grading_orbits)}")
-    report.checks = checks
-    report.payload = payload
-    report.text_lines = lines
-    return report
+    return _describe(_header(args, meta, group_meta), algebra, checks, payload, lines)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -243,47 +222,40 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+_FLAG = {"action": "store_true"}
+_MAX_DEGREE = ("--max-degree", {"type": int, "default": DEFAULT_DEGREE_BOUND})
+_ENDO_OPTIONS = (("--field-check", _FLAG), ("--oracle", _FLAG))
+_GRADINGS_OPTIONS = (
+    ("--group", {"required": True, "help": "group file or cyclic:m"}),
+    ("--classify", _FLAG),
+    ("--oracle", _FLAG),
+)
+
+# (command, help, handler, options after the file and --format, in parser order)
+_COMMANDS = (
+    ("present", "presentation of the universal bialgebra", _cmd_present, (_MAX_DEGREE,)),
+    ("check", "verify bialgebra and comodule axioms", _cmd_check, (_MAX_DEGREE,)),
+    ("endo", "enumerate the endomorphism monoid", _endo_like, _ENDO_OPTIONS),
+    ("aut", "enumerate the automorphism group", _endo_like, _ENDO_OPTIONS),
+    ("gradings", "enumerate and classify group gradings", _cmd_gradings, _GRADINGS_OPTIONS),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="usym",
         description="Exact universal-bialgebra computations for finite-dimensional algebras",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
+    for command, help_text, run, options in _COMMANDS:
+        p = sub.add_parser(command, help=help_text)
         p.add_argument("file", help="algebra file (JSON)")
         p.add_argument(
             "--format", choices=("text", "json"), default="text", help="output format"
         )
-
-    p_present = sub.add_parser("present", help="presentation of the universal bialgebra")
-    add_common(p_present)
-    p_present.add_argument("--max-degree", type=int, default=DEFAULT_DEGREE_BOUND)
-    p_present.set_defaults(run=_cmd_present)
-
-    p_check = sub.add_parser("check", help="verify bialgebra and comodule axioms")
-    add_common(p_check)
-    p_check.add_argument("--max-degree", type=int, default=DEFAULT_DEGREE_BOUND)
-    p_check.set_defaults(run=_cmd_check)
-
-    p_endo = sub.add_parser("endo", help="enumerate the endomorphism monoid")
-    add_common(p_endo)
-    p_endo.add_argument("--field-check", action="store_true")
-    p_endo.add_argument("--oracle", action="store_true")
-    p_endo.set_defaults(run=lambda args: _endo_like(args, group_like=False))
-
-    p_aut = sub.add_parser("aut", help="enumerate the automorphism group")
-    add_common(p_aut)
-    p_aut.add_argument("--field-check", action="store_true")
-    p_aut.add_argument("--oracle", action="store_true")
-    p_aut.set_defaults(run=lambda args: _endo_like(args, group_like=True))
-
-    p_grad = sub.add_parser("gradings", help="enumerate and classify group gradings")
-    add_common(p_grad)
-    p_grad.add_argument("--group", required=True, help="group file or cyclic:m")
-    p_grad.add_argument("--classify", action="store_true")
-    p_grad.add_argument("--oracle", action="store_true")
-    p_grad.set_defaults(run=_cmd_gradings)
+        for flag, spec in options:
+            p.add_argument(flag, **spec)
+        p.set_defaults(run=run, options=options)
     return parser
 
 

@@ -76,9 +76,10 @@ def _read_json(path: Path) -> tuple[object, LoadedInput]:
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     try:
-        # ValueError: bad UTF-8, bad JSON, or an integer longer than Python converts
+        # ValueError: bad UTF-8, bad JSON, or an integer longer than Python converts;
+        # RecursionError: arrays or objects nested deeper than the decoder recurses
         return json.loads(raw.decode("utf-8")), LoadedInput(path.name, digest_bytes(raw))
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise InputError(f"{path.name}: not valid JSON: {exc}") from exc
 
 

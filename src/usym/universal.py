@@ -20,11 +20,12 @@ eliminated).  The presentation tabulates Delta and eps on all n^2 generators
 and eta on every basis vector, and keeps the raw relations; Delta is formed
 once from the system's int substitutions.  The checkers read Delta, eps and
 eta only from those tables, none of them evaluates the formulas above.
-Delta and eps are algebra maps, read once per check as int tables
-(``ncpoly._ints``) of 2-leg and 0-leg tensors and applied to a tensor leg by
-``ncpoly._on_leg``, the routine that also substitutes.  Each bialgebra axiom
-is a zero test of an int normal form, which does not depend on scale, so
-only a failing item's detail is read back as field scalars.
+Delta, eps and eta's coordinates x[s,i] -> eta[s,i] are algebra maps, read
+once per check as int tables (``ncpoly._ints``) of 2-, 0- and 1-leg tensors
+and applied to a tensor leg by ``ncpoly._on_leg``, the routine that also
+substitutes.  Each axiom is a zero test of an int normal form, which does
+not depend on scale; only a failing item's detail and coaction-coassoc's
+one difference per (i, t), for ``tensor_normal_form``, are read back.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from dataclasses import dataclass, field
 
 from .algebra import FinAlgebra
 from .fields import Scalar
-from .report import CheckItem, CheckReport
 from .ncpoly import (
     GenId,
     NCPoly,
@@ -50,11 +50,26 @@ from .ncpoly import (
     gen_key,
     ideal_member_bounded,
     interreduce,
-    substitute,
     tensor_normal_form,
 )
 
 DEFAULT_DEGREE_BOUND = 4
+
+
+@dataclass(frozen=True)
+class CheckItem:
+    name: str
+    passed: bool
+    detail: str = ""
+
+
+@dataclass
+class CheckReport:
+    items: list[CheckItem]
+
+    @property
+    def ok(self) -> bool:
+        return all(item.passed for item in self.items)
 
 
 def build_relations(a: FinAlgebra) -> list[NCPoly]:
@@ -80,6 +95,12 @@ def build_relations(a: FinAlgebra) -> list[NCPoly]:
 
 def _all_gens(n: int) -> list[GenId]:
     return sorted(((s, i) for s in range(1, n + 1) for i in range(1, n + 1)), key=gen_key)
+
+
+def _coproduct(i: int, j: int, n: int) -> tuple[dict, int]:
+    """The free Delta(x[i,j]) = sum_s x[i,s] (x) x[s,j] as int 2-leg terms
+    over den 1 (see _on_leg)."""
+    return {(((i, s),), ((s, j),)): 1 for s in range(1, n + 1)}, 1
 
 
 @dataclass(eq=True)
@@ -113,7 +134,7 @@ def build_presentation(a: FinAlgebra, degree_bound: int = DEFAULT_DEGREE_BOUND) 
     # Delta(x[i,j]) = sum_s x[i,s] (x) x[s,j], substituted on both legs
     subs, m, delta = system._subs, system._index.modulus, {}
     for i, j in image:
-        x = ({(((i, s),), ((s, j),)): 1 for s in range(1, n + 1)}, 1)
+        x = _coproduct(i, j, n)
         delta[i, j] = TensorPoly(_scalars(*_on_leg(subs, 1, _on_leg(subs, 1, x, 0, m), 1, m), m))
     eps = {(i, j): one if i == j else zero for i, j in image}
     coaction = tuple(
@@ -132,10 +153,11 @@ def _int_tables(p: Presentation) -> tuple[dict, dict, int]:
     return delta, {g: ({(): c} if c else {}, e) for g, c in eps.items()}, m
 
 
-def _minus(x: tuple, y: tuple) -> dict:
-    """The ints of x - y, for x and y as (terms, den), over lcm of the dens."""
+def _minus(x: tuple, y: tuple) -> tuple[dict, int]:
+    """(ints, d) of x - y, for x and y as (terms, den), over the lcm d of
+    the dens."""
     (a, da), (b, db) = x, y
-    return _sum([(a.items(), da), ([(k, -c) for k, c in b.items()], db)], 0)[0]
+    return _sum([(a.items(), da), ([(k, -c) for k, c in b.items()], db)], 0)
 
 
 def _relation_labels(a: FinAlgebra) -> list[str]:
@@ -164,12 +186,12 @@ def check_bialgebra(p: Presentation) -> CheckReport:
         dg = delta[g]
         # NF of (Delta (x) id) Delta(g) - (id (x) Delta) Delta(g), as 3-leg tensors
         left, right = (_on_leg(delta, 2, dg, leg, m) for leg in (0, 1))
-        coassoc = _tensor_nf(_minus(left, right), m, p.system)[0]
+        coassoc = _tensor_nf(_minus(left, right)[0], m, p.system)[0]
         items.append(CheckItem(f"coassoc {format_genid(g)}", not coassoc))
         # NF of (eps (x) id) Delta(g) - g and of (id (x) eps) Delta(g) - g
         gen = ({((g,),): 1}, 1)
         counit_ok = all(
-            not _tensor_nf(_minus(_on_leg(eps, 0, dg, leg, m), gen), m, p.system)[0]
+            not _tensor_nf(_minus(_on_leg(eps, 0, dg, leg, m), gen)[0], m, p.system)[0]
             for leg in (0, 1)
         )
         items.append(CheckItem(f"counit {format_genid(g)}", counit_ok))
@@ -182,36 +204,37 @@ def check_comodule(p: Presentation) -> CheckReport:
     algebra map modulo the relation ideal at the certified degree."""
     n, system = p.algebra.n, p.system
     delta, eps, m = _int_tables(p)
-    # eta[i][s] is the coordinate of e_{s+1} in eta(e_{i+1}); absent ones are zero
-    eta = [[NCPoly()] * n for _ in range(n)]
-    for i, entries in enumerate(p.coaction):
+    # eta[s, i] is the int image of x[s,i], the coordinate of e_s in eta(e_i);
+    # a zero one is ({}, 1), as _on_leg fixes a generator not in its table
+    eta = {g: ({}, 1) for g in _all_gens(n)}
+    for i, entries in enumerate(p.coaction, 1):
         for s, poly in entries:
-            eta[i][s] = poly
+            eta[s + 1, i] = _one_leg(poly)
     unit_ok = p.coaction[0] == ((0, NCPoly.constant(p.algebra.field.one)),)
     items = [CheckItem("coaction-unit e[1]", unit_ok)]
 
     def coassoc(i: int, t: int) -> bool:
-        # the coordinate e_t of (eta (x) id) eta(e_i), sum_s eta[s][t] (x) eta[i][s],
-        # against that of (id (x) Delta) eta(e_i), Delta(eta[i][t])
-        lhs = sum((TensorPoly.of(eta[s][t], eta[i][s]) for s in range(n)), TensorPoly())
-        rhs = TensorPoly(_scalars(*_on_leg(delta, 2, _one_leg(eta[i][t]), 0, m), m))
-        return tensor_normal_form(lhs - rhs, system).is_zero()
+        # the coordinate e_t of (eta (x) id) eta(e_i), eta on both legs of the free
+        # Delta(x[t,i]), against that of (id (x) Delta) eta(e_i), Delta(eta[t, i])
+        lhs = _on_leg(eta, 1, _on_leg(eta, 1, _coproduct(t, i, n), 0, m), 1, m)
+        diff = _minus(lhs, _on_leg(delta, 2, eta[t, i], 0, m))
+        return tensor_normal_form(TensorPoly(_scalars(*diff, m)), system).is_zero()
 
-    for i in range(n):
-        t = next((t for t in range(n) if not coassoc(i, t)), None)
-        detail = "" if t is None else f"component t={t + 1}"
-        items.append(CheckItem(f"coaction-coassoc e[{i + 1}]", t is None, detail))
+    for i in range(1, n + 1):
+        t = next((t for t in range(1, n + 1) if not coassoc(i, t)), None)
+        detail = "" if t is None else f"component t={t}"
+        items.append(CheckItem(f"coaction-coassoc e[{i}]", t is None, detail))
         # (eps (x) id) eta(e_i) = e_i: each coordinate e_s of it minus [s = i]
         # is 0 (over GF(p) both are residues with den 1)
-        counit = [_on_leg(eps, 0, _one_leg(eta[i][s]), 0, m) for s in range(n)]
-        counit_ok = all(not _minus(x, ({(): 1} if s == i else {}, 1)) for s, x in enumerate(counit))
-        items.append(CheckItem(f"coaction-counit e[{i + 1}]", counit_ok))
+        counit = [_on_leg(eps, 0, eta[s, i], 0, m) for s in range(1, n + 1)]
+        want = [({(): 1} if s == i else {}, 1) for s in range(1, n + 1)]
+        counit_ok = all(not _minus(x, y)[0] for x, y in zip(counit, want))
+        items.append(CheckItem(f"coaction-counit e[{i}]", counit_ok))
 
     # the relation r[a,i,j] is the coordinate a of eta(e_i e_j) - eta(e_i) eta(e_j);
-    # substituted first, its words are already in the word table
+    # normal_form substitutes its eliminated generators
     def mult(ai: int, i: int, j: int) -> bool:
-        rel = substitute(p.relations[(ai * n + i) * n + j], system.subs)
-        return ideal_member_bounded(rel, system, p.degree_bound)
+        return ideal_member_bounded(p.relations[(ai * n + i) * n + j], system, p.degree_bound)
 
     for i in range(n):
         for j in range(n):

@@ -6,6 +6,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 
 import pytest
@@ -286,6 +287,63 @@ def legwise_product(table, legs, w, field):
                 product[key] = product.get(key, field.zero) + c * d
         want = product
     return want
+
+
+def semisimple_derivations(a: FinAlgebra) -> list[tuple[tuple[int, ...], ...]]:
+    """The derivations d of a over GF(p) with d^p = d, as residue matrices
+    (column i = d(e_i)).  Der(A) is the kernel of the n^3 equations
+    d(e_i e_j) = d(e_i) e_j + e_i d(e_j) in the n^2 entries of d, solved here
+    by its own elimination mod p.  Such a d is a C_p-grading, A_k its
+    eigenspace of k, since t^p - t splits over GF(p); r pairwise commuting
+    ones are a (C_p)^r-grading."""
+    p, n = a.field.characteristic, a.n
+    tau = {key: c.v for key, c in a.tau.items()}
+    # column k * n + i holds the unknown d[k][i], the e_k coordinate of d(e_i)
+    rows = []
+    for i, j, l in itertools.product(range(n), repeat=3):
+        row = [0] * (n * n)
+        for u in range(n):
+            row[l * n + u] += tau.get((i, j, u), 0)
+        for k in range(n):
+            row[k * n + i] -= tau.get((k, j, l), 0)
+            row[k * n + j] -= tau.get((i, k, l), 0)
+        rows.append([x % p for x in row])
+    pivots: list[int] = []
+    for col in range(n * n):
+        r = next((r for r in range(len(pivots), len(rows)) if rows[r][col]), None)
+        if r is None:
+            continue
+        rows[len(pivots)], rows[r] = rows[r], rows[len(pivots)]
+        pivot = rows[len(pivots)]
+        inv = pow(pivot[col], -1, p)
+        pivot[:] = [x * inv % p for x in pivot]
+        for row in rows:
+            if row is not pivot and row[col]:
+                f = row[col]
+                row[:] = [(x - f * y) % p for x, y in zip(row, pivot)]
+        pivots.append(col)
+    basis = []
+    for free in (c for c in range(n * n) if c not in pivots):
+        v = [0] * (n * n)
+        v[free] = 1
+        for r, c in enumerate(pivots):
+            v[c] = -rows[r][free] % p
+        basis.append(v)
+    out = []
+    for coeffs in itertools.product(range(p), repeat=len(basis)):
+        v = [sum(c * b[x] for c, b in zip(coeffs, basis)) % p for x in range(n * n)]
+        d = tuple(tuple(v[k * n : k * n + n]) for k in range(n))
+        power = d
+        for _ in range(p - 1):
+            power = residue_product(power, d, p)
+        if power == d:
+            out.append(d)
+    return out
+
+
+def residue_product(x, y, p: int) -> tuple[tuple[int, ...], ...]:
+    """The product of two square residue matrices mod p."""
+    return tuple(tuple(sum(a * b for a, b in zip(row, col)) % p for col in zip(*y)) for row in x)
 
 
 def iter_words(gens, max_degree):

@@ -326,6 +326,22 @@ def test_usage_error_and_help_exit_codes_of_the_process():
     assert exit_code("present", "--help") == 0
 
 
+@pytest.mark.parametrize("role", ["algebra", "group"])
+def test_exit_1_on_deeply_nested_json(tmp_path, role):
+    # past its nesting limit json.loads raises RecursionError, not ValueError
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    if role == "algebra":
+        argv = ["present", str(path)]
+    else:
+        argv = ["gradings", fx("dual_gf3.json"), "--group", str(path)]
+    cmd = [sys.executable, "-m", "usym.cli", *argv]
+    proc = subprocess.run(cmd, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("error: deep.json: not valid JSON: ")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
 def test_exit_3_on_search_bound(monkeypatch):
     monkeypatch.setenv("USYM_MAX_SEARCH", "10")
     code, _, err = run_cli(["endo", fx("triangular_gf3.json")])

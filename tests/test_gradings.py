@@ -36,6 +36,8 @@ from conftest import (
     dual_numbers,
     full_matrices,
     full_space,
+    residue_product,
+    semisimple_derivations,
     triangular,
     trivial_point,
     truncated_cubic,
@@ -767,6 +769,71 @@ def test_dual_group_counts_beyond_the_oracle(a, group, counts):
     pairs = [(m, m.inverse()) for m in aut.points]
     classes = {min(conjugate_point(pt, m, minv).sort_key() for m, minv in pairs) for pt in points}
     assert dual_group_counts(aut, group) == (len(points), len(classes)) == counts
+
+
+# name: (C_p-grading points, their classes); in characteristic p these are
+# the derivations d with d^p = d and their Aut-conjugation orbits
+DERIVATION_COUNTS = {
+    "dual_gf2": (3, 3),
+    "dual_gf3": (3, 3),
+    "dual_gf5": (5, 5),
+    "dual_gf7": (7, 7),
+    "triangular_gf2": (3, 2),
+    "triangular_gf3": (7, 3),
+}
+
+
+@pytest.mark.parametrize("name", GF_FIXTURES)
+def test_semisimple_derivations_are_the_cyclic_p_gradings(name):
+    a, _ = load_algebra(str(fixture_path(f"{name}.json")))
+    p = a.field.characteristic
+    result = classify(a, cyclic_group(p))
+    derivations = semisimple_derivations(a)
+    # d and d' are conjugate when m d = d' m for some m in Aut
+    aut = [m.residues for m in result.automorphisms.points]
+    classes: list = []
+    for d in derivations:
+        if not any(
+            residue_product(m, c, p) == residue_product(d, m, p) for c in classes for m in aut
+        ):
+            classes.append(d)
+    counts = (len(result.points), result.class_count)
+    assert (len(derivations), len(classes)) == counts == DERIVATION_COUNTS[name]
+
+
+def elementary_abelian(p: int) -> FiniteGroup:
+    """C_p x C_p, element (a, b) at index a * p + b."""
+    labels = [f"({a},{b})" for a in range(p) for b in range(p)]
+    table = [
+        [(x // p + y // p) % p * p + (x + y) % p for y in range(p * p)] for x in range(p * p)
+    ]
+    return FiniteGroup(labels, table)
+
+
+@pytest.mark.parametrize(
+    "name, group, count",
+    [
+        ("dual_gf2", "klein", 7),
+        ("triangular_gf2", "klein", 7),
+        ("dual_gf3", "C3xC3", 9),
+    ],
+)
+def test_commuting_semisimple_derivations_are_the_cp_squared_gradings(name, group, count):
+    a, _ = load_algebra(str(fixture_path(f"{name}.json")))
+    p = a.field.characteristic
+    if group == "klein":
+        g = load_group(str(fixture_path("group_klein.json")))[0]
+    else:
+        g = elementary_abelian(p)
+        assert validate_group(g) is None
+    derivations = semisimple_derivations(a)
+    pairs = [
+        (d, e)
+        for d in derivations
+        for e in derivations
+        if residue_product(d, e, p) == residue_product(e, d, p)
+    ]
+    assert len(pairs) == len(enumerate_points(a, g)) == count
 
 
 @pytest.mark.parametrize("p, order", [(7, 7), (5, 8)])

@@ -843,10 +843,12 @@ def test_check_reduces_each_word_once(monkeypatch, tmp_path):
     # completion (one reduction per overlap) and interreduction, then one
     # reduction per distinct word (3,316 when every normal_form and tensor
     # leg ran its own reduction, 559 when each overlap reduced its two sides
-    # apart, 451 when interreduction took the unit relations last; 407 while
-    # coaction-mult handed the raw relations to the table, whose 74 raw words
-    # each cost a reduction; substituted first, their words are already there)
-    assert len(calls) == 333
+    # apart, 451 when interreduction took the unit relations last; 333
+    # while coaction-mult substituted each raw relation first, so that its
+    # words were already in the table: now each of the 74 raw words costs a
+    # reduction as it enters the table once, cheaper than a substitution and
+    # a read-back per relation)
+    assert len(calls) == 407
     system = build_presentation(truncated_polynomial(QQ, 4), 4).system
     # two reducible words and one with the eliminated generator x[2,1]
     p = poly((2, ((3, 2), (1, 2))), (-1, ((2, 1), (2, 2))), (1, ((2, 2), (1, 3))))
@@ -912,8 +914,10 @@ def test_scalar_work_of_present_and_check(monkeypatch, tmp_path):
     # it entered) and the bialgebra checker applied Delta and eps and took
     # tensor normal forms on field scalars; 180 multiplications and 932
     # Fractions while the rule state and the word table read their ints
-    # into Fractions and back, and substitute multiplied NCPolys
-    assert counts == {"mul": 80, "div": 0, "new": 554 + loading}
+    # into Fractions and back, and substitute multiplied NCPolys; 80 and 554
+    # while coaction-coassoc formed (eta (x) id) eta with TensorPoly.of on
+    # field scalars and coaction-mult read each substituted relation back
+    assert counts == {"mul": 40, "div": 0, "new": 292 + loading}
 
 
 # ---------------------------------------------------------------------------

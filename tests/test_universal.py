@@ -20,7 +20,8 @@ from usym import (
 )
 from usym.io import load_algebra, load_group
 from usym.linalg import Matrix
-from usym.ncpoly import _ints, _on_leg, _scalars
+from usym.ncpoly import _ints, _on_leg, _one_leg, _scalars
+from usym.universal import _coproduct
 from conftest import (
     S3,
     dual_numbers,
@@ -610,3 +611,37 @@ def test_delta_on_the_second_leg_gives_three_legs():
             got = on_leg(delta, 2, t, 1)
             assert got == TensorPoly(want)
             assert got.terms and all(len(key) == 3 for key in got.terms)
+
+
+ETA_ALGEBRAS = [
+    *[
+        pytest.param(f"{name}.json", id=name)
+        for name in GF_FIXTURES + ["dual_q", "triangular_q", "ground_field_q"]
+    ],
+    pytest.param(rescaled(triangular(QQ), (1, "-3/2", "2/7")), id="T_2-rescaled-QQ"),
+    pytest.param(rescaled(dual_numbers(QQ), (1, "5/3")), id="dual-rescaled-QQ"),
+    pytest.param(rescaled(triangular(GF(3)), (1, 2, 2)), id="T_2-rescaled-GF3"),
+    pytest.param(rescaled(dual_numbers(GF(3)), (1, 2)), id="dual-rescaled-GF3"),
+]
+
+
+@pytest.mark.parametrize("algebra", ETA_ALGEBRAS)
+def test_eta_on_the_free_coproduct_is_the_tensor_formula(algebra):
+    # the e_t coordinate of (eta (x) id) eta(e_i), as check_comodule forms it
+    # (eta on both legs of the free Delta(x[t,i]), on ints), against the
+    # formula sum_s eta[s][t] (x) eta[i][s] on field scalars
+    if isinstance(algebra, str):
+        algebra, _ = load_algebra(str(fixture_path(algebra)))
+    p = build_presentation(algebra, 4)
+    n, m = algebra.n, _ints(p.eps)[2]
+    # eta[i][s] is the coordinate of e_{s+1} in eta(e_{i+1})
+    eta = [[NCPoly()] * n for _ in range(n)]
+    for i, entries in enumerate(p.coaction):
+        for s, poly in entries:
+            eta[i][s] = poly
+    table = {(s + 1, i + 1): _one_leg(eta[i][s]) for i in range(n) for s in range(n)}
+    for i, t in itertools.product(range(n), repeat=2):
+        free = _coproduct(t + 1, i + 1, n)
+        got = _scalars(*_on_leg(table, 1, _on_leg(table, 1, free, 0, m), 1, m), m)
+        want = sum((TensorPoly.of(eta[s][t], eta[i][s]) for s in range(n)), TensorPoly())
+        assert TensorPoly(got) == want
