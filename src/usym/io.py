@@ -2,13 +2,16 @@
 
 Scalars travel as strings ("3/2", "4") in every file and report, so the
 formats are exact and portable.  Reports carry no timestamps or absolute
-paths; identical inputs give byte-identical output.
+paths; identical inputs give byte-identical output.  `_write_json` writes a
+JSON report as json.dumps(doc, indent=2, sort_keys=True) does (tests pin it),
+plus a newline: 2-space indent, sorted keys, ASCII escapes, str/int/bool/null.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from json.encoder import encode_basestring_ascii as _quote
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
@@ -319,6 +322,28 @@ def grading_text(g: FiniteGroup, grading: Grading) -> str:
 # Reports
 
 
+def _write_json(x, newline: str, out: list[str]) -> list[str]:
+    """out, with x appended as json.dumps(x, indent=2, sort_keys=True) writes it."""
+    if isinstance(x, str):
+        out.append(_quote(x))
+    elif isinstance(x, int) or x is None:
+        out.append(int.__repr__(x) if type(x) is int else _label_key(x))
+    elif not isinstance(x, (list, tuple, dict)):
+        raise TypeError(f"{type(x).__name__} is not a report value")
+    else:
+        is_dict, inner = isinstance(x, dict), newline + "  "
+        for k, item in enumerate(sorted(x.items()) if is_dict else x):
+            out.append(("," if k else "[{"[is_dict]) + inner)
+            if is_dict:
+                key, item = item
+                if not (isinstance(key, (str, int, float)) or key is None):
+                    raise TypeError(f"{type(key).__name__} is not a report key")
+                out.append(_quote(_label_key(key)) + ": ")
+            _write_json(item, inner, out)
+        out.append((newline if x else "[{"[is_dict]) + "]}"[is_dict])
+    return out
+
+
 @dataclass
 class Report:
     command: str
@@ -354,7 +379,7 @@ class Report:
             "checks": {name: passed for name, passed in self.checks},
             "result": self.payload,
         }
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        return "".join(_write_json(doc, "\n", [])) + "\n"
 
     def render(self, fmt: str) -> str:
         if fmt == "json":

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -10,6 +11,7 @@ import pytest
 from usym import fixture_path, schema_path
 from usym.cli import main
 from usym.io import digest_bytes
+from conftest import report_output
 
 
 def run_cli(argv):
@@ -154,11 +156,48 @@ def test_json_reports_validate_against_schema(argv):
     assert doc["status"] == "ok"
 
 
+ALGEBRA_FIXTURES = sorted(
+    path.name for path in fixture_path("dual_q.json").parent.glob("*.json")
+    if not path.name.startswith("group_")
+)
+
+
+def json_report_calls():
+    """Every command that accepts a packaged algebra fixture: the point
+    searches only over GF(p), and the Klein group only over GF(2)."""
+    for name in ALGEBRA_FIXTURES:
+        yield ["present", fx(name)]
+        yield ["check", fx(name)]
+        if "_gf" in name:
+            yield ["endo", fx(name), "--field-check", "--oracle"]
+            yield ["aut", fx(name), "--field-check", "--oracle"]
+            yield ["gradings", fx(name), "--group", "cyclic:2", "--classify", "--oracle"]
+        if "_gf2" in name:
+            yield ["gradings", fx(name), "--group", fx("group_klein.json"), "--classify"]
+
+
+@pytest.mark.parametrize(
+    "argv", json_report_calls(), ids=lambda argv: " ".join([argv[0], *map(os.path.basename, argv[1:])])
+)
+def test_json_report_is_the_json_dumps_layout(argv):
+    out = report_output(argv + ["--format", "json"])
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
 def two_label_group(tmp_path, e, g):
     """A group file for C_2 on the labels e (the identity) and g."""
     path = tmp_path / "labels.json"
     path.write_text(json.dumps({"elements": [e, g], "identity": e, "table": [[e, g], [g, e]]}))
     return str(path)
+
+
+def test_number_labels_keep_their_numeric_order_in_json_reports(tmp_path):
+    group = two_label_group(tmp_path, 10, 2)
+    code, out, err = run_cli(["gradings", fx("dual_gf3.json"), "--group", group, "--format", "json"])
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    jsonschema.validate(doc, SCHEMA)
+    assert [list(point) for point in doc["result"]["points"]] == [["2", "10"]] * 2
 
 
 def test_mixed_type_labels_json_report_validates(tmp_path):

@@ -1,10 +1,13 @@
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from usym import GF, InputError, fixture_path
 from usym.io import (
+    Report,
+    _write_json,
     algebra_from_dict,
     digest_bytes,
     grading_point_json,
@@ -193,6 +196,7 @@ def test_grading_point_json_keys(labels, keys):
     group = group_from_dict({"elements": labels, "identity": e, "table": [[e, g], [g, e]]})
     point = grading_point_json(group, trivial_point(dual_numbers(GF(3)), group))
     assert list(json.loads(json.dumps(point, sort_keys=True))) == keys
+    assert written(point) == json.dumps(point, indent=2, sort_keys=True)
 
 
 def test_group_labels_with_one_key_text_refused():
@@ -313,3 +317,67 @@ def test_group_from_dict_fuzz(doc):
         group_from_dict(doc)
     except InputError:
         pass
+
+
+# Report-shaped documents for the JSON writer: str keys in any order; text
+# with non-ASCII characters, lone surrogates, control characters, quotes and
+# backslashes; ints of any size; bools and None at every level; and the
+# number, bool and null keys that group labels give
+REPORT_TEXT = st.text(
+    st.characters(exclude_categories=()) | st.sampled_from('"\\/\x00\x1f\x7f\u00e9\u2028\ud800\udfff'),
+    max_size=6,
+)
+REPORT_LEAVES = (
+    REPORT_TEXT
+    | st.integers()
+    | st.integers(-(10**400), 10**400)
+    | st.booleans()
+    | st.none()
+)
+LABEL_KEYS = st.integers() | st.floats() | st.booleans()
+REPORT_DOCS = st.recursive(
+    REPORT_LEAVES,
+    lambda kids: st.lists(kids, max_size=4)
+    | st.lists(kids, max_size=4).map(tuple)
+    | st.dictionaries(REPORT_TEXT, kids, max_size=4)
+    | st.dictionaries(LABEL_KEYS, kids, max_size=3)
+    | st.dictionaries(st.none(), kids, max_size=1),
+    max_leaves=25,
+)
+
+
+def written(doc) -> str:
+    return "".join(_write_json(doc, "\n", []))
+
+
+@settings(deadline=None)
+@given(REPORT_DOCS)
+def test_json_writer_matches_json_dumps(doc):
+    assert written(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+def test_report_json_is_the_json_dumps_text_and_a_newline():
+    report = Report("present x.json", [("algebra", "x.json", "sha256:0")], [("unit", True)])
+    report.payload = {"z": [], "a": {}, "m": ("\u00e9", -3, None, [[1, 2]], {"k": False})}
+    doc = json.loads(report.to_json())
+    assert report.to_json() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert list(doc["result"]) == ["a", "m", "z"]
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        0.5,
+        Fraction(1, 2),
+        {1, 2},
+        [1, {"a": [0.0]}],
+        {(1, 2): 0},
+        {frozenset(): 0},
+        {Fraction(1, 2): 0},
+    ],
+)
+def test_json_writer_refuses_what_a_report_does_not_hold(doc):
+    # floats too, which json.dumps writes: a report holds no float
+    with pytest.raises(TypeError):
+        written(doc)
+
