@@ -26,6 +26,7 @@ from .errors import (
     SearchSizeError,
 )
 from .gradings import (
+    Grading,
     classify,
     enumerate_gradings_oracle,
     enumerate_points,
@@ -163,16 +164,12 @@ def _cmd_gradings(args) -> Report:
         # refuse a cyclic:m whose m x m table exceeds the bound before building it
         _require_search_size(order * order, bound, "cyclic group table")
     group, group_meta = load_group(args.group)
-    # classify searches points, then oracle gradings, then Aut: the same order
-    # as without it, so the same SearchSizeError comes first
-    if args.classify:
-        result = classify(algebra, group, bound)
-        points, induced, oracle = result.points, result.induced, result.gradings
-    else:
-        result = None
-        points = enumerate_points(algebra, group, bound)
-        oracle = enumerate_gradings_oracle(algebra, group, bound) if args.oracle else ()
-        induced = [grading_from_point(algebra, group, p) for p in points]
+    # the searches in a fixed order, points, oracle gradings, Aut, so that each
+    # flag set meets the same SearchSizeError first
+    points = enumerate_points(algebra, group, bound)
+    oracle = enumerate_gradings_oracle(algebra, group, bound) if args.oracle else ()
+    induced = tuple(grading_from_point(algebra, group, p) for p in points)
+    result = classify(algebra, points, induced, bound) if args.classify else None
     checks: list[tuple[str, bool]] = []
     payload = {
         "group_order": group.order,
@@ -188,12 +185,8 @@ def _cmd_gradings(args) -> Report:
         *[f"  grading {k}: {grading_text(group, g)}" for k, g in enumerate(induced)],
     ]
     if args.oracle:
-        induced_sorted = sorted(induced, key=lambda g: g.sort_key())
-        checks.append(("oracle-match", list(induced_sorted) == list(oracle)))
-        roundtrip = all(
-            point_from_grading(algebra, group, g) == p
-            for p, g in zip(points, induced)
-        )
+        checks.append(("oracle-match", sorted(induced, key=Grading.sort_key) == list(oracle)))
+        roundtrip = all(point_from_grading(algebra, group, g) == p for p, g in zip(points, induced))
         checks.append(("roundtrip", roundtrip))
         payload["oracle_count"] = len(oracle)
     if result is not None:

@@ -176,49 +176,14 @@ def _cell_values(linear: list, quadratic: list, x: list, p: int):
     return values
 
 
-def search_points(
-    a: FinAlgebra, g: FiniteGroup, extra: list, max_search: int, what: str
-) -> list[tuple[Matrix, ...]]:
-    """All n x n matrices P over k[G], k a prime field, that satisfy the
-    relations of a(A) with the convolution of k[G] and the extra conditions;
-    each is returned as its matrices P^sigma in G's order.
-
-    Column 0 is the unit of A at the identity of G.  The other cells (s, i, k),
-    the coefficient of P[s][i] at the k-th element of G, are int residues.
-    A condition is a list of polynomial equations of degree <= 2 in the
-    cells, {(): c, (cell,): c, (cell, cell'): c}, that must vanish mod p, and
-    its cells are the ones its keys name.  A relation r[a,i,j] is one
-    condition, with one equation per element of G.  The cells are assigned in
-    one order fixed up front from the conditions' cells: the next cell is the
-    one that completes the most conditions, ties going to the column-major
-    first (the most-constrained static order of Freuder, JACM 1982, and
-    Haralick & Elliott, AIJ 1980).  Each equation is then keyed by the depths
-    of its cells in that order, the column-0 cells folded into its constant,
-    and compiled at the depth of its last cell (_compile_cell), and a cell
-    takes only the values those equations allow (_cell_values).  Every value
-    assigned counts as one value tried, a solved one too, and more than
-    max_search values tried raise SearchSizeError.
-    """
-    fld = a.field
-    p, n, m, e = fld.characteristic, a.n, g.order, g.identity
-
-    def relation(ai: int, i: int, j: int) -> list[dict]:
-        # coordinate k of sum_u tau[i,j,u] P[ai,u] - sum_{s,t} tau[s,t,ai] P[s,i] P[t,j]
-        eqs: list[dict] = [{} for _ in range(m)]
-        for u, c in a.basis_product(i, j).items():
-            for k in range(m):
-                eqs[k][(ai, u, k),] = c.v
-        for s, t, c in a.pairs_with_result(ai):  # each (s, t) once, so each key once
-            for k1, row in enumerate(g.table):
-                for k2, k in enumerate(row):
-                    eqs[k][(s, i, k1), (t, j, k2)] = -c.v
-        return eqs
-
-    conditions = extra + [relation(ai, i, j) for ai in range(n) for i in range(n) for j in range(n)]
-    free = [(s, i, k) for i in range(1, n) for s in range(n) for k in range(m)]
+def _cell_order(named: list[set], free: list) -> list:
+    """The free cells in the order the search assigns them, given the cells
+    each condition names: next the cell that completes the most conditions,
+    ties going to the first in free (the most-constrained static order of
+    Freuder, JACM 1982, and Haralick & Elliott, AIJ 1980)."""
     rank = {cell: r for r, cell in enumerate(free)}
-    # the free cells that each condition's keys name, and that are not assigned yet
-    open_cells = [{c for eq in eqs for cells in eq for c in cells if c in rank} for eqs in conditions]
+    # the free cells that each condition names, and that are not assigned yet
+    open_cells = [{c for c in cells if c in rank} for cells in named]
     watch: dict = {cell: [] for cell in free}  # the conditions each free cell is in
     completes = dict.fromkeys(free, 0)  # the conditions a cell would complete next
     for q, cells in enumerate(open_cells):
@@ -237,6 +202,63 @@ def search_points(
             cells.remove(cell)
             if len(cells) == 1:
                 completes[next(iter(cells))] += 1
+    return order
+
+
+def search_points(
+    a: FinAlgebra, g: FiniteGroup, extra: list, max_search: int, what: str
+) -> list[tuple[Matrix, ...]]:
+    """All n x n matrices P over k[G], k a prime field, that satisfy the
+    relations of a(A) with the convolution of k[G] and the extra conditions;
+    each is returned as its matrices P^sigma in G's order.
+
+    Column 0 is the unit of A at the identity of G.  The other cells (s, i, k),
+    the coefficient of P[s][i] at the k-th element of G, are int residues.
+    A condition is a list of polynomial equations of degree <= 2 in the
+    cells, {(): c, (cell,): c, (cell, cell'): c}, that must vanish mod p, and
+    its cells are the ones its keys name.  A relation r[a,i,j] is one
+    condition, with one equation per element of G; its products with a
+    column-0 cell fixed at 0 get no key, but its cells are those of all its
+    terms.  The cells are assigned in one order fixed up front from the
+    conditions' cells (_cell_order, ties going to the column-major first).
+    Each equation is then keyed by the depths of its cells in that order, the
+    column-0 cells folded into its constant, and compiled at the depth of its
+    last cell (_compile_cell), and a cell takes only the values those
+    equations allow (_cell_values).  Every value assigned counts as one value
+    tried, a solved one too, and more than max_search values tried raise
+    SearchSizeError.
+    """
+    fld = a.field
+    p, n, m, e = fld.characteristic, a.n, g.order, g.identity
+
+    def nonzero(s: int, i: int):
+        # the k whose cell (s, i, k) is not fixed: all but column 0's, where
+        # only the unit (0, 0, e), fixed at 1, is not 0
+        return range(m) if i else (e,) if s == 0 else ()
+
+    def relation(ai: int, i: int, j: int) -> tuple[set, list[dict]]:
+        # coordinate k of sum_u tau[i,j,u] P[ai,u] - sum_{s,t} tau[s,t,ai] P[s,i] P[t,j],
+        # and the cells its terms name; a product with a cell fixed at 0 names
+        # its cells but gets no key
+        eqs: list[dict] = [{} for _ in range(m)]
+        named = set()
+        for u, c in a.basis_product(i, j).items():
+            for k in range(m):
+                eqs[k][(ai, u, k),] = c.v
+                named.add((ai, u, k))
+        for s, t, c in a.pairs_with_result(ai):  # each (s, t) once, so each key once
+            named.update(cell for k in range(m) for cell in ((s, i, k), (t, j, k)))
+            for k1 in nonzero(s, i):
+                row = g.table[k1]
+                for k2 in nonzero(t, j):
+                    eqs[row[k2]][(s, i, k1), (t, j, k2)] = -c.v
+        return named, eqs
+
+    conditions = [({c for eq in eqs for cells in eq for c in cells}, eqs) for eqs in extra] + [
+        relation(ai, i, j) for ai in range(n) for i in range(n) for j in range(n)
+    ]
+    free = [(s, i, k) for i in range(1, n) for s in range(n) for k in range(m)]
+    order = _cell_order([named for named, _ in conditions], free)
 
     # depth[cell]: its place in the order; ONE for the unit of A at G's
     # identity, and absent for the other column-0 cells, fixed at 0
@@ -259,7 +281,7 @@ def search_points(
     # each equation filed at the depth of its deepest cell; the caller's come
     # first, as they are the cheaper ones to solve a cell from
     completed: list[list] = [[] for _ in order]
-    for eqs in conditions:
+    for _, eqs in conditions:
         for eq in eqs:
             eq = {key: c % p for key, c in on_depths(eq).items() if c % p}
             if eq:

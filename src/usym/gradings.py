@@ -318,13 +318,10 @@ def apply_automorphism(grading: Grading, m: Matrix) -> Grading:
 
 @dataclass
 class ClassifyResult:
-    points: tuple[GradingPoint, ...]
-    induced: tuple[Grading, ...]  # grading_from_point of each point, in point order
-    gradings: tuple[Grading, ...]  # from the independent oracle
     automorphisms: EndoMonoid
     point_orbits: tuple[tuple[int, ...], ...]
-    grading_orbits: tuple[tuple[int, ...], ...]
-    correspondence_ok: bool  # orbit map induced by grading_from_point is a bijection
+    grading_orbits: tuple[tuple[int, ...], ...]  # of the distinct induced gradings
+    correspondence_ok: bool  # points -> gradings is one-to-one and maps orbits onto orbits
 
     @property
     def class_count(self) -> int:
@@ -336,44 +333,28 @@ class ClassifyResult:
 
 
 def classify(
-    a: FinAlgebra, g: FiniteGroup, max_search: int = DEFAULT_MAX_SEARCH
+    a: FinAlgebra, points: tuple, induced: tuple, max_search: int = DEFAULT_MAX_SEARCH
 ) -> ClassifyResult:
-    """Conjugation orbits of points, and independently the automorphism
-    orbits of oracle-enumerated gradings; the two partitions must correspond
-    under grading_from_point."""
-    points = enumerate_points(a, g, max_search)
-    gradings = enumerate_gradings_oracle(a, g, max_search)
+    """The isomorphism classes of gradings, read off the points and Aut: the
+    orbits of the points under conjugation by Aut, and Aut's orbits on the
+    distinct gradings the points induce (induced[k] = grading_from_point of
+    points[k]).  By the paper's main theorem the classes are the point
+    orbits, so the two partitions must correspond: no two points induce one
+    grading, and points k and l share an orbit exactly when their gradings
+    do."""
     aut = automorphism_group(a, max_search)
-
-    point_index = {pt.sort_key(): k for k, pt in enumerate(points)}
-    grading_index = {gr.sort_key(): k for k, gr in enumerate(gradings)}
-
-    def point_action(m: Matrix, minv: Matrix):
-        def act(idx: int) -> int:
-            return point_index[conjugate_point(points[idx], m, minv).sort_key()]
-
-        return act
-
-    def grading_action(m: Matrix):
-        def act(idx: int) -> int:
-            return grading_index[apply_automorphism(gradings[idx], m).sort_key()]
-
-        return act
-
     # each automorphism's inverse is the j with table[i][j] the identity
     inverses = [aut.points[row.index(aut.identity_index)] for row in aut.multiplication_table()]
-    point_orbits = orbit_partition(
-        len(points), [point_action(m, minv) for m, minv in zip(aut.points, inverses)]
-    )
-    grading_orbits = orbit_partition(len(gradings), [grading_action(m) for m in aut.points])
-
-    # push the point partition through grading_from_point and compare
-    induced = tuple(grading_from_point(a, g, pt) for pt in points)
-    to_grading = [grading_index.get(gr.sort_key()) for gr in induced]
-    ok = all(idx is not None for idx in to_grading)
-    if ok:
-        pushed = sorted(
-            tuple(sorted({to_grading[i] for i in orbit})) for orbit in point_orbits
-        )
-        ok = pushed == sorted(grading_orbits)
-    return ClassifyResult(points, induced, gradings, aut, point_orbits, grading_orbits, ok)
+    point_index = {pt: k for k, pt in enumerate(points)}
+    point_orbits = orbit_partition(len(points), [
+        lambda k, m=m, minv=minv: point_index[conjugate_point(points[k], m, minv)]
+        for m, minv in zip(aut.points, inverses)
+    ])
+    gradings = tuple(dict.fromkeys(induced))  # the distinct ones, in point order
+    grading_index = {gr: k for k, gr in enumerate(gradings)}
+    grading_orbits = orbit_partition(len(gradings), [
+        lambda k, m=m: grading_index[apply_automorphism(gradings[k], m)] for m in aut.points
+    ])
+    # equal partitions cover as many indices, so then no two points induce
+    # one grading, gradings[k] is induced by points[k], and the orbits match
+    return ClassifyResult(aut, point_orbits, grading_orbits, grading_orbits == point_orbits)

@@ -18,7 +18,8 @@ constructor, its views ``subs`` and ``rules`` (built on first read and
 kept), and the wrappers ``substitute``, ``normal_form`` and
 ``tensor_normal_form``.  One routine, ``_on_leg``, applies an algebra map of
 the free algebra to one leg of an int tensor: substitution (the map fixing
-the surviving generators) here, and Delta and eps in ``universal``.
+the surviving generators) here, and Delta, eps and, in ``check_comodule``,
+the coaction's coordinates x[s,i] -> eta[s,i] in ``universal``.
 
 Reduction finds its steps by hash probes of a word's factors in a rule index
 (``_RuleIndex``), and takes exactly what a scan of every word, rule and

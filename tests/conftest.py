@@ -12,7 +12,18 @@ import json
 import pytest
 from hypothesis import settings
 
-from usym import FinAlgebra, GradingPoint, Matrix, NCPoly, QQ, Subspace, TensorPoly
+from usym import (
+    QQ,
+    FinAlgebra,
+    GradingPoint,
+    Matrix,
+    NCPoly,
+    Subspace,
+    TensorPoly,
+    classify,
+    enumerate_points,
+    grading_from_point,
+)
 from usym.cli import main
 from usym.groups import FiniteGroup
 from usym.linalg import _eliminate, _residue_ops
@@ -228,6 +239,14 @@ def trivial_point(a: FinAlgebra, g) -> GradingPoint:
     mats = [Matrix.zeros(a.field, a.n, a.n) for _ in range(g.order)]
     mats[g.identity] = Matrix.identity(a.field, a.n)
     return GradingPoint(tuple(mats))
+
+
+def classified(a: FinAlgebra, g):
+    """The grading points of A over G and their classification, as the
+    gradings command forms them: classify on the points and the gradings
+    they induce."""
+    points = enumerate_points(a, g)
+    return points, classify(a, points, tuple(grading_from_point(a, g, pt) for pt in points))
 
 
 def end_units(monoid) -> tuple:

@@ -22,7 +22,6 @@ from usym import (
     build_presentation,
     check_bialgebra,
     check_comodule,
-    classify,
     complete,
     counit_point,
     cyclic_group,
@@ -39,6 +38,7 @@ from usym.io import load_algebra
 from usym.ncpoly import substitute
 from conftest import (
     apply,
+    classified,
     dual_numbers,
     iter_words,
     overlap_candidates,
@@ -249,7 +249,7 @@ def test_criterion_7_classification():
     for label, build, p, m in GRID:
         algebra = build(GF(p))
         group = cyclic_group(m)
-        result = classify(algebra, group)
+        _, result = classified(algebra, group)
         conditions[f"{label}: orbit count equals isomorphism-class count"] = (
             result.counts_agree
         )

@@ -107,7 +107,12 @@ def test_gradings_cyclic_shorthand_classify_oracle():
     assert "orbit-correspondence: pass" in out
 
 
-def test_gradings_classify_searches_once(monkeypatch):
+@pytest.mark.parametrize(
+    "flags, oracle_calls",
+    [(["--classify", "--oracle"], 1), (["--classify"], 0)],
+    ids=["classify-oracle", "classify"],
+)
+def test_gradings_classify_searches_once(monkeypatch, flags, oracle_calls):
     import usym.cli as cli_mod
     import usym.gradings as gradings_mod
 
@@ -126,11 +131,39 @@ def test_gradings_classify_searches_once(monkeypatch):
         wrapper = counting(name)
         monkeypatch.setattr(gradings_mod, name, wrapper)
         monkeypatch.setattr(cli_mod, name, wrapper)
-    code, _, _ = run_cli(
-        ["gradings", fx("dual_gf3.json"), "--group", "cyclic:2", "--classify", "--oracle"]
-    )
+    code, _, _ = run_cli(["gradings", fx("dual_gf3.json"), "--group", "cyclic:2", *flags])
     assert code == 0
-    assert calls == {"enumerate_points": 1, "enumerate_gradings_oracle": 1}
+    assert calls == {"enumerate_points": 1, "enumerate_gradings_oracle": oracle_calls}
+
+
+def test_classify_runs_where_the_decomposition_oracle_is_refused():
+    # T_2(GF(3)) over C_5: 28^5 subspace tuples exceed the default bound, so
+    # only the oracle's guard refuses, and only under --oracle
+    argv = ["gradings", fx("triangular_gf3.json"), "--group", "cyclic:5", "--classify"]
+    code, out, err = run_cli(argv)
+    assert (code, err) == (0, "")
+    assert "point-orbits (5):" in out and "grading-classes: 5" in out
+    code, out, err = run_cli(argv + ["--oracle"])
+    assert (code, out) == (3, "")
+    assert err == "error: grading enumeration needs 17210368 candidates, bound is 16777216\n"
+
+
+def test_orbit_correspondence_fails_when_two_points_induce_one_grading(monkeypatch):
+    import usym.cli as cli_mod
+
+    # every point is made to induce the grading of the first point
+    first = []
+
+    def duplicated(a, g, point, _original=cli_mod.grading_from_point):
+        if not first:
+            first.append(_original(a, g, point))
+        return first[0]
+
+    monkeypatch.setattr(cli_mod, "grading_from_point", duplicated)
+    code, out, _ = run_cli(["gradings", fx("dual_gf3.json"), "--group", "cyclic:2", "--classify"])
+    assert code == 1
+    assert "points (2):" in out
+    assert "orbit-correspondence: FAIL" in out
 
 
 SCHEMA = json.loads(schema_path().read_text())

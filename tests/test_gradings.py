@@ -12,7 +12,6 @@ from usym import (
     SearchSizeError,
     Subspace,
     automorphism_group,
-    classify,
     conjugate_point,
     cyclic_group,
     enumerate_endomorphisms,
@@ -32,6 +31,7 @@ from usym.io import load_algebra, load_group
 from usym.unionfind import orbit_partition
 from conftest import (
     S3,
+    classified,
     cyclic_group_algebra,
     dual_numbers,
     full_matrices,
@@ -41,6 +41,7 @@ from conftest import (
     triangular,
     trivial_point,
     truncated_cubic,
+    upper_triangular,
 )
 
 
@@ -373,15 +374,13 @@ def test_conjugacy_is_equivalence_on_fixtures():
 
 
 def test_classify_c1_single_class():
-    a = dual_numbers(GF(3))
-    result = classify(a, cyclic_group(1))
+    _, result = classified(dual_numbers(GF(3)), cyclic_group(1))
     assert result.class_count == 1
     assert result.counts_agree and result.correspondence_ok
 
 
 def test_classify_dual_c2_gf3_two_classes():
-    a = dual_numbers(GF(3))
-    result = classify(a, cyclic_group(2))
+    _, result = classified(dual_numbers(GF(3)), cyclic_group(2))
     assert result.class_count == 2
     assert len(result.grading_orbits) == 2
     assert result.correspondence_ok
@@ -389,25 +388,28 @@ def test_classify_dual_c2_gf3_two_classes():
 
 def test_classify_grid_agreement():
     for build, p, group in GRID:
-        a = build(GF(p))
-        result = classify(a, group)
+        _, result = classified(build(GF(p)), group)
         assert result.counts_agree
         assert result.correspondence_ok
-        # the gradings the points induce, in point order, as the CLI reports them
-        assert result.induced == tuple(grading_from_point(a, group, pt) for pt in result.points)
+
+
+def t3(field):
+    return upper_triangular(field, 3)
 
 
 @pytest.mark.parametrize(
     "build, p, group",
-    # T_2 over GF(3) with C2: 6 automorphisms, 4 points, 2 classes
-    GRID + [(triangular, 3, cyclic_group(2))],
+    # T_2 over GF(3) with C2: 6 automorphisms, 4 points, 2 classes; T_3 over
+    # GF(2) with C2: 8 automorphisms, 13 points, 4 classes, where the
+    # decomposition oracle would walk 2825^2 subspace tuples
+    GRID + [(triangular, 3, cyclic_group(2)), (t3, 2, cyclic_group(2))],
 )
 def test_class_count_is_burnside_count(build, p, group):
     # the orbit count is the mean number of points each automorphism fixes,
     # counted without orbit_partition
-    result = classify(build(GF(p)), group)
+    points, result = classified(build(GF(p)), group)
     aut = result.automorphisms.points
-    fixed = sum(conjugate(pt, m) == pt for m in aut for pt in result.points)
+    fixed = sum(conjugate(pt, m) == pt for m in aut for pt in points)
     assert fixed % len(aut) == 0
     assert result.class_count == fixed // len(aut)
 
@@ -650,7 +652,7 @@ def test_klein_four_gradings_of_dual():
     pts = enumerate_points(a, k4)
     oracle = enumerate_gradings_oracle(a, k4)
     assert len(pts) == len(oracle)
-    result = classify(a, k4)
+    _, result = classified(a, k4)
     assert result.counts_agree and result.correspondence_ok
 
 
@@ -660,8 +662,8 @@ def test_truncated_cubic_c2_classification():
     from conftest import truncated_cubic
 
     a = truncated_cubic(GF(3))
-    result = classify(a, cyclic_group(2))
-    assert len(result.points) == 4
+    points, result = classified(a, cyclic_group(2))
+    assert len(points) == 4
     assert result.class_count == 2
     assert result.counts_agree and result.correspondence_ok
 
@@ -749,8 +751,8 @@ def split_abelian_cases():
 @pytest.mark.parametrize("name, group", split_abelian_cases())
 def test_dual_group_counts_match_classify(name, group):
     a, _ = load_algebra(str(fixture_path(f"{name}.json")))
-    result = classify(a, group)
-    assert dual_group_counts(result.automorphisms, group) == (len(result.points), result.class_count)
+    points, result = classified(a, group)
+    assert dual_group_counts(result.automorphisms, group) == (len(points), result.class_count)
 
 
 @pytest.mark.parametrize(
@@ -762,13 +764,15 @@ def test_dual_group_counts_match_classify(name, group):
     ids=["cubic_gf7-cyclic:3", "c4_gf5-cyclic:2"],
 )
 def test_dual_group_counts_beyond_the_oracle(a, group, counts):
-    # classify's gradings oracle would walk 116^3 and 1120^2 subspace tuples
-    # here, so the classes are the conjugation orbits of the points, taken
-    # directly
+    # the classes taken directly, as the conjugation orbits of the points,
+    # are the oracle for classify's
     points, aut = enumerate_points(a, group), automorphism_group(a)
     pairs = [(m, m.inverse()) for m in aut.points]
     classes = {min(conjugate_point(pt, m, minv).sort_key() for m, minv in pairs) for pt in points}
     assert dual_group_counts(aut, group) == (len(points), len(classes)) == counts
+    _, result = classified(a, group)
+    assert result.class_count == len(classes)
+    assert result.counts_agree and result.correspondence_ok
 
 
 # name: (C_p-grading points, their classes); in characteristic p these are
@@ -787,7 +791,7 @@ DERIVATION_COUNTS = {
 def test_semisimple_derivations_are_the_cyclic_p_gradings(name):
     a, _ = load_algebra(str(fixture_path(f"{name}.json")))
     p = a.field.characteristic
-    result = classify(a, cyclic_group(p))
+    points, result = classified(a, cyclic_group(p))
     derivations = semisimple_derivations(a)
     # d and d' are conjugate when m d = d' m for some m in Aut
     aut = [m.residues for m in result.automorphisms.points]
@@ -797,7 +801,7 @@ def test_semisimple_derivations_are_the_cyclic_p_gradings(name):
             residue_product(m, c, p) == residue_product(d, m, p) for c in classes for m in aut
         ):
             classes.append(d)
-    counts = (len(result.points), result.class_count)
+    counts = (len(points), result.class_count)
     assert (len(derivations), len(classes)) == counts == DERIVATION_COUNTS[name]
 
 

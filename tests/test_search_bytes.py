@@ -36,6 +36,10 @@ CASES = [
      "95016d3c65eb0786cfef6179c15599ee2f3acaabde5eb7ba81280f87233bfbb9"),
     ("dual_gf3", fixture, ["gradings", "--group", "cyclic:2", "--classify", "--oracle"],
      "a06f2e4ef91b55430f6647fceeba489510f3162e58effdffb0fceb2fefff79be"),
+    # classify without the decomposition oracle
+    ("triangular_gf3", fixture,
+     ["gradings", "--group", str(fixture_path("group_klein.json")), "--classify"],
+     "7a0d5abfe131fd33493a6ae648b49e2669c58db054a91d4e997cd91d003f4e24"),
 ]
 
 
