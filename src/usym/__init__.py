@@ -45,7 +45,6 @@ from .ncpoly import (
     complete,
     ideal_member_bounded,
     interreduce,
-    substitute,
     tensor_normal_form,
 )
 from .universal import (

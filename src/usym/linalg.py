@@ -2,15 +2,16 @@
 
 A Matrix and a Subspace both hold `residues`: their rows as int residues
 over GF(p) and as the Fractions themselves over QQ (see _residue_ops).  All
-their arithmetic runs on these rows, reduced mod p after each row
-operation, so one loop serves both fields, and no other module converts
-their entries between residues and field scalars.  Field scalars come in
-only through the public constructors (Matrix(field, rows), identity, zeros,
-from_columns and Subspace.from_vectors) and Subspace.contains, and go out
-only through det and the views a caller reads, Matrix.rows and
-Subspace.basis, each built on its first read and kept.  Residues of two
-fields never mix: they raise TypeError.  One elimination, _eliminate, gives
-the inverse, the span of a Subspace and det.
+their arithmetic (products, inverses, spans, membership and images) runs
+on these rows, reduced mod p after each row operation, so one loop serves
+both fields, and no other module converts their entries between residues
+and field scalars.  Field scalars come in only through the public
+constructors (Matrix(field, rows), identity, zeros, from_columns and
+Subspace.from_vectors) and Subspace.contains, and go out only through det
+and the views a caller reads, Matrix.rows and Subspace.basis, each built on
+its first read and kept.  Residues of two fields never mix: they raise
+TypeError.  One elimination, _eliminate, gives the inverse, the span of a
+Subspace and det.
 
 A Subspace is held as its reduced row-echelon form with no zero rows,
 which makes the representative unique: two subspaces are equal iff their
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from operator import add, mul
+from operator import mul
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .fields import Field, FpElement, PrimeField, Scalar
@@ -164,17 +165,6 @@ class Matrix:
 
     def transpose(self) -> "Matrix":
         return Matrix._of_residues(self.field, zip(*self.residues)) if self.residues else self
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        _require_same_field(self, other)
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError(
-                f"dimension mismatch {self.nrows}x{self.ncols} vs {other.nrows}x{other.ncols}"
-            )
-        reduce = _residue_ops(self.field).reduce
-        return Matrix._of_residues(
-            self.field, [reduce(list(map(add, r, s))) for r, s in zip(self.residues, other.residues)]
-        )
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):

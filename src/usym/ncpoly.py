@@ -12,14 +12,16 @@ together generate the full defining ideal.
 Inside the module every coefficient is an int (``_ints``): a residue over
 GF(p), and over QQ a Fraction times a common denominator.  Each rule is held
 once, as its entry lc * lead -> rest (``_entry``), and each substitution as
-its image, int terms over a denominator.  Field scalars enter and leave only
-at the edges: the relations ``interreduce`` reads, the RewriteSystem
+its image, int terms over a denominator.  Scalar polynomials and tensors
+(NCPoly, TensorPoly) are values for input and reports: they add, subtract
+and compare, and have no product.  Field scalars enter and leave only at
+the edges: the relations ``interreduce`` reads, the RewriteSystem
 constructor, its views ``subs`` and ``rules`` (built on first read and
-kept), and the wrappers ``substitute``, ``normal_form`` and
-``tensor_normal_form``.  One routine, ``_on_leg``, applies an algebra map of
-the free algebra to one leg of an int tensor: substitution (the map fixing
-the surviving generators) here, and Delta, eps and, in ``check_comodule``,
-the coaction's coordinates x[s,i] -> eta[s,i] in ``universal``.
+kept), and the wrappers ``normal_form`` and ``tensor_normal_form``.  One
+routine, ``_on_leg``, applies an algebra map of the free algebra to one leg
+of an int tensor: substitution (the map fixing the surviving generators)
+here, and Delta, eps and, in ``check_comodule``, the coaction's coordinates
+x[s,i] -> eta[s,i] in ``universal``.
 
 Reduction finds its steps by hash probes of a word's factors in a rule index
 (``_RuleIndex``), and takes exactly what a scan of every word, rule and
@@ -50,7 +52,6 @@ interreduction and completion reduce against.
 
 from __future__ import annotations
 
-import functools
 import heapq
 import itertools
 import math
@@ -147,19 +148,6 @@ class NCPoly(_Combination):
             return -1
         return max(len(w) for w in self.terms)
 
-    def generators(self) -> set[GenId]:
-        return {g for w in self.terms for g in w}
-
-    def __mul__(self, other: "NCPoly") -> "NCPoly":
-        if not isinstance(other, NCPoly):
-            return NotImplemented
-        pairs = itertools.product(self.terms.items(), other.terms.items())
-        return NCPoly(_accumulate({}, ((w1 + w2, c1 * c2) for (w1, c1), (w2, c2) in pairs)))
-
-    def shift(self, left: Word, right: Word) -> "NCPoly":
-        """Multiply by bare words on both sides (no scalars involved)."""
-        return NCPoly({left + w + right: c for w, c in self.terms.items()})
-
     def sorted_terms(self) -> list[tuple[Word, Scalar]]:
         return sorted(self.terms.items(), key=lambda t: word_key(t[0]), reverse=True)
 
@@ -177,7 +165,6 @@ def format_poly(p: NCPoly) -> str:
 class RewriteRule:
     lead: Word
     rest: NCPoly  # rewrite lead -> rest; every word of rest is < lead
-    poly: NCPoly  # the monic relation lead - rest
 
     def __repr__(self) -> str:
         return f"{format_word(self.lead)} -> {format_poly(self.rest)}"
@@ -255,13 +242,6 @@ def _substituted(ints: dict[Word, int], d: int, subs: Mapping, m: int) -> tuple[
         return ints, d
     out, d = _on_leg(subs, 1, ({(w,): c for w, c in ints.items()}, d), 0, m)
     return {k[0]: c for k, c in out.items()}, d
-
-
-def substitute(p: NCPoly, subs: Mapping[GenId, NCPoly]) -> NCPoly:
-    """Replace eliminated generators by their substitution polynomials."""
-    ints, d, m = _ints(p.terms)
-    table = {g: _one_leg(q) for g, q in subs.items()}
-    return NCPoly(_scalars(*_substituted(ints, d, table, m), m))
 
 
 def _entry(ints: Mapping[Word, int], lead: Word, m: int) -> tuple[Word, int, dict[Word, int]]:
@@ -388,10 +368,16 @@ class RewriteSystem:
         degree_bound: int = 0,
     ):
         subs, rules = subs or {}, list(rules)
-        polys = [*subs.values(), *(r.poly for r in rules)]
+        # m is the field's, read off the first scalar of an image or a rest;
+        # where there is none (every image and rest empty), substitution and
+        # reduction only delete words and do no arithmetic, so m = 0 never shows
+        polys = [*subs.values(), *(r.rest for r in rules)]
         c = next((c for q in polys for c in q.terms.values()), 0)
         m = c.p if isinstance(c, FpElement) else 0
-        entries = [_entry(_ints(r.poly.terms)[0], r.lead, m) for r in rules]
+        entries = []
+        for r in rules:
+            ints, d, _ = _ints(r.rest.terms)
+            entries.append(_entry(_relation(r.lead, d, ints, m)[0], r.lead, m))
         self._hold({g: _one_leg(q) for g, q in subs.items()}, entries, m, degree_bound)
 
     @classmethod
@@ -423,12 +409,10 @@ class RewriteSystem:
     @property
     def rules(self) -> tuple[RewriteRule, ...]:
         if self._rules_view is None:
-            m, rules = self._index.modulus, []
-            one = _scalars({(): 1}, 1, m)[()]
-            for lead, lc, rest in self._rules:
-                rest = NCPoly(_scalars(rest, lc, m))
-                rules.append(RewriteRule(lead, rest, NCPoly({lead: one}) - rest))
-            self._rules_view = tuple(rules)
+            m = self._index.modulus
+            self._rules_view = tuple(
+                RewriteRule(lead, NCPoly(_scalars(rest, lc, m))) for lead, lc, rest in self._rules
+            )
         return self._rules_view
 
     def max_rule_degree(self) -> int:
@@ -668,15 +652,6 @@ class TensorPoly(_Combination):
     for coassociativity)."""
 
     __slots__ = ()
-
-    @classmethod
-    def of(cls, *factors: NCPoly) -> "TensorPoly":
-        """The tensor product p1 (x) ... (x) pk of polynomials."""
-        out: dict[tuple[Word, ...], Scalar] = {}
-        for combo in itertools.product(*(f.terms.items() for f in factors)):
-            legs, coeffs = zip(*combo)
-            out[legs] = functools.reduce(operator.mul, coeffs)
-        return cls(out)
 
     def sorted_terms(self) -> list[tuple[tuple[Word, ...], Scalar]]:
         return sorted(

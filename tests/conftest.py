@@ -4,10 +4,12 @@ tests do not depend on the packaged fixture files."""
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import io
 import itertools
 import json
+import operator
 
 import pytest
 from hypothesis import settings
@@ -376,6 +378,51 @@ def iter_words(gens, max_degree):
         yield from level
 
 
+# Naive scalar arithmetic of the free algebra, term by term on field scalars:
+# the oracles below build their products, shifts, tensors and substitutions
+# with these, never with ncpoly's int core (_on_leg, _substituted, _reduce,
+# _tensor_nf), which is the code they check.
+
+
+def poly_product(p, q):
+    """The product p q of two polynomials."""
+    out = {}
+    for (u, a), (v, b) in itertools.product(p.terms.items(), q.terms.items()):
+        out[u + v] = out[u + v] + a * b if u + v in out else a * b
+    return NCPoly(out)
+
+
+def shifted(p, left, right):
+    """left p right, for words left and right."""
+    return NCPoly({left + w + right: c for w, c in p.terms.items()})
+
+
+def tensor_of(*factors):
+    """The tensor product p1 (x) ... (x) pk of polynomials."""
+    out = {}
+    for combo in itertools.product(*(f.terms.items() for f in factors)):
+        legs, coeffs = zip(*combo)
+        out[legs] = functools.reduce(operator.mul, coeffs)
+    return TensorPoly(out)
+
+
+def substituted(p, subs):
+    """p with each generator of subs replaced by its image polynomial, word
+    by word, generator by generator."""
+    out = NCPoly()
+    for w, c in p.terms.items():
+        term = NCPoly.constant(c)
+        for g in w:
+            term = poly_product(term, subs[g]) if g in subs else shifted(term, (), (g,))
+        out = out + term
+    return out
+
+
+def rule_relation(rule, one):
+    """The relation lead - rest of a rewrite rule over the field whose 1 is one."""
+    return NCPoly({rule.lead: one}) - rule.rest
+
+
 def _scan_find(word, factor, leftmost):
     span = len(word) - len(factor)
     positions = range(span + 1) if leftmost else range(span, -1, -1)
@@ -405,7 +452,8 @@ def scan_reduce(p, rules, strategy):
             return p
         w, rule, pos = site
         c = p.terms[w]
-        rewritten = NCPoly.constant(c) * rule.rest.shift(w[:pos], w[pos + len(rule.lead) :])
+        rest = shifted(rule.rest, w[:pos], w[pos + len(rule.lead) :])
+        rewritten = poly_product(NCPoly.constant(c), rest)
         p = (p - NCPoly({w: c})) + rewritten
 
 

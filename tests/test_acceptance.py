@@ -35,7 +35,6 @@ from usym import (
     point_from_grading,
 )
 from usym.io import load_algebra
-from usym.ncpoly import substitute
 from conftest import (
     apply,
     classified,
@@ -43,7 +42,10 @@ from conftest import (
     iter_words,
     overlap_candidates,
     rref,
+    rule_relation,
     scan_reduce,
+    shifted,
+    substituted,
     triangular,
 )
 
@@ -83,7 +85,7 @@ def test_criterion_1_dual_numbers_golden():
     ideal_equal = all(
         p.system.normal_form(rel).is_zero() for rel in target_relations
     ) and all(
-        target_system.normal_form(rule.poly).is_zero() for rule in p.system.rules
+        target_system.normal_form(rule_relation(rule, ONE)).is_zero() for rule in p.system.rules
     )
 
     conditions = {
@@ -136,7 +138,7 @@ def test_criterion_2_triangular_golden():
         reduced, pivots = rref(Matrix(QQ, rows))
         return tuple(reduced.rows[: len(pivots)])
 
-    mine = rowspace([r.poly for r in p.system.rules if len(r.lead) <= 2])
+    mine = rowspace([rule_relation(r, ONE) for r in p.system.rules if len(r.lead) <= 2])
     hand = rowspace(_hand_reduced_triangular())
 
     conditions = {
@@ -273,8 +275,8 @@ def test_criterion_8_rewriting_soundness():
         # every overlap of degree <= 4 resolves to zero
         resolved = True
         for _, u, v, k, ri, rj in overlap_candidates(list(system.rules), 4):
-            left = ri.rest.shift((), v[k:])
-            right = rj.rest.shift(u[: len(u) - k], ())
+            left = shifted(ri.rest, (), v[k:])
+            right = shifted(rj.rest, u[: len(u) - k], ())
             if not (system.normal_form(left - right)).is_zero():
                 resolved = False
         conditions[f"{name}: all overlaps at D=4 resolve"] = resolved
@@ -288,7 +290,7 @@ def test_criterion_8_rewriting_soundness():
                 coeff = QQ(rng.randint(-5, 5))
                 terms[word] = terms.get(word, QQ.zero) + coeff
             poly = NCPoly(terms)
-            reverse = scan_reduce(substitute(poly, system.subs), list(system.rules), "reverse")
+            reverse = scan_reduce(substituted(poly, system.subs), list(system.rules), "reverse")
             if system.normal_form(poly) != reverse:
                 agree = False
         conditions[f"{name}: 500 random degree-<=4 reductions agree with the reverse scan"] = (

@@ -24,16 +24,6 @@ def test_matrix_product_and_apply():
         m * mat(QQ, [[1, 2, 3]])
 
 
-def test_matrix_sum_checks_shapes():
-    m = mat(QQ, [[1, 2], [3, 4]])
-    assert m + m == mat(QQ, [[2, 4], [6, 8]])
-    for other in (mat(QQ, [[1]]), mat(QQ, [[1, 2]]), mat(QQ, [[1], [2]]), Matrix(QQ, [])):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            m + other
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            other + m
-
-
 def test_constructors_coerce_scalars_into_the_field():
     # the residue rows are read through the field: a scalar of another
     # field is refused, not stored as a residue of the wrong modulus
@@ -48,21 +38,20 @@ def test_constructors_coerce_scalars_into_the_field():
 
 def test_matrices_of_two_fields_do_not_mix():
     # residues of GF(5) or QQ read as GF(3) residues would give a wrong
-    # answer: a sum, a product or an image over another field is refused
+    # answer: a product or an image over another field is refused
     f3, f5 = GF(3), GF(5)
     m3 = mat(f3, [[1, 2], [0, 1]])
     for other in (mat(f5, [[4, 1], [1, 3]]), mat(QQ, [[4, 1], [1, 3]])):
-        for combine in (lambda x, y: x * y, lambda x, y: x + y):
-            with pytest.raises(TypeError):
-                combine(m3, other)
-            with pytest.raises(TypeError):
-                combine(other, m3)
+        with pytest.raises(TypeError):
+            m3 * other
+        with pytest.raises(TypeError):
+            other * m3
         with pytest.raises(TypeError):
             full_space(f3, 2).image_under(other)
         with pytest.raises(TypeError):
             Subspace.from_vectors(other.field, 2, [other.rows[0]]).image_under(m3)
     assert mat(QQ, [[2]]) * mat(QQ, [[3]]) == mat(QQ, [[6]])
-    assert (m3 + m3) * m3 == mat(f3, [[2, 2], [0, 2]])
+    assert mat(f3, [[2, 1], [0, 2]]) * m3 == mat(f3, [[2, 2], [0, 2]])
 
 
 def test_det_inverse_rational():
@@ -219,12 +208,8 @@ def test_elimination_matches_scalar_oracle(field):
         same = Matrix._of_residues(field, [[read(x) for x in row] for row in m.rows])
         assert same == m and hash(same) == hash(m)
         assert same.rows == m.rows and of_field(field, same.rows) and of_field(field, m.rows)
-        # sums and products on residues against sums of products of scalars:
-        # the same residues (==) and the same field-scalar rows
-        addend = pick.choice([mt for mt in mats if mt.nrows == m.nrows and mt.ncols == m.ncols])
-        total = m + addend
-        want = [[a + b for a, b in zip(r, s)] for r, s in zip(m.rows, addend.rows)]
-        assert total == Matrix(field, want) and total.rows == tuple(map(tuple, want))
+        # products on residues against sums of products of scalars: the same
+        # residues (==) and the same field-scalar rows
         right = pick.choice([mt for mt in mats if mt.nrows == m.ncols])
         prod = m * right
         want = [
@@ -232,7 +217,7 @@ def test_elimination_matches_scalar_oracle(field):
             for row in m.rows
         ]
         assert prod == Matrix(field, want) and prod.rows == tuple(map(tuple, want))
-        assert of_field(field, total.rows) and of_field(field, prod.rows)
+        assert of_field(field, prod.rows)
         if m.nrows == m.ncols:
             det = m.det()
             assert det == scalar_det(field, m.rows) and of_field(field, [(det,)])

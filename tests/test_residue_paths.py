@@ -76,9 +76,10 @@ def dense_is_grading_point(a, g, point):
         if mat.nrows != n or mat.ncols != n:
             raise ValueError("matrix size does not match the algebra dimension")
 
-    total = Matrix.zeros(a.field, n, n)
-    for mat in point.matrices:
-        total = total + mat
+    total = Matrix(a.field, [
+        [sum((mat.rows[i][j] for mat in point.matrices), a.field.zero) for j in range(n)]
+        for i in range(n)
+    ])
     if total != Matrix.identity(a.field, n):
         return False
 
@@ -288,9 +289,12 @@ def test_grading_point_conditions_on_random_families(p):
                 Matrix(fld, [[fld(rng.randrange(p)) for _ in range(n)] for _ in range(n)])
                 for _ in range(m - 1)
             ]
-            rest = Matrix.identity(fld, n)
-            for mat in mats:
-                rest = rest + Matrix(fld, [[-x for x in row] for row in mat.rows])
+            # the identity minus the others, entry by entry
+            rest = Matrix(fld, [
+                [(fld.one if i == j else fld.zero) - sum((mat.rows[i][j] for mat in mats), fld.zero)
+                 for j in range(n)]
+                for i in range(n)
+            ])
             point = GradingPoint(tuple(mats + [rest]))
             assert is_grading_point(a, g, point) is dense_is_grading_point(a, g, point)
 

@@ -16,6 +16,7 @@ from conftest import (
     permuted,
     report_digest,
     rescaled,
+    shifted,
     truncated_polynomial,
 )
 
@@ -110,6 +111,6 @@ def test_permuted_poly5_overlaps_resolve(perm):
     overlaps = overlap_candidates(list(system.rules), 3)
     assert len(overlaps) > 100
     for _, u, v, k, ri, rj in overlaps:
-        left = ri.rest.shift((), v[k:])
-        right = rj.rest.shift(u[: len(u) - k], ())
+        left = shifted(ri.rest, (), v[k:])
+        right = shifted(rj.rest, u[: len(u) - k], ())
         assert system.normal_form(left - right).is_zero()
