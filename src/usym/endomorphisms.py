@@ -18,9 +18,12 @@ cell are compiled once into a x^2 + b x + c in it, so a cell takes the one
 value that an equation linear in it solves, or else only the residues at
 which all of them vanish; a solved value counts as one value tried.
 
-A multiplication table is formed once per point set, by integer matrix
-products mod p on the points' residues.  Aut(A) is the group of units of
-End(A) (the paper's first theorem), and an invertible point is a unit
+A multiplication table is formed once per point set.  Only the columns of
+a few generators are integer matrix products mod p on the points'
+residues; every other column is composed from known ones by lookups, as
+Froidure & Pin enumerate a finite monoid (_product_table), and the table
+does not depend on which points become generators.  Aut(A) is the group of
+units of End(A) (the paper's first theorem), and an invertible point is a unit
 exactly when its inverse matrix is a point too; so automorphism_group keeps
 the points of nonzero determinant, looks each one's inverse up among all
 the points, and forms the table of those units alone: no product outside
@@ -48,19 +51,54 @@ def counit_point(a: FinAlgebra) -> Matrix:
     return Matrix.identity(a.field, a.n)
 
 
+def _column(b: tuple, rows: list, distinct, index: dict, p: int) -> list:
+    """The index of a * b for each a in rows, None when outside the set, by
+    integer products mod p on the residues.  Row s of a * b is row s of a
+    times b, so b multiplies each of the distinct rows once."""
+    cols = tuple(zip(*b))
+    times_b = {row: tuple(sum(map(mul, row, col)) % p for col in cols) for row in distinct}
+    return [index.get(tuple(times_b[row] for row in a)) for a in rows]
+
+
 def _product_table(points: tuple[Matrix, ...], p: int) -> tuple:
     """table[i][j]: the index of points[i] * points[j], None when outside the
-    set.  Products are formed on the residues mod p.  Row s of a * b is row s
-    of a times b, so each right factor b multiplies each distinct row found
-    among the points once."""
+    set.  Column j, col_j[i] = table[i][j], is formed by products (_column)
+    only for the generators; every other column is read off known ones, by
+    the generators-then-lookups rule of Froidure & Pin (Algorithms for
+    computing finite semigroups, 1997).  In the points' order, a point with
+    no column yet becomes a generator.  Then each known point b meets each
+    generator g it has not met: if x = b * g is in the set and has no column
+    yet, col_x[a] = col_g[col_b[a]], because a * x = (a * b) * g.  A cell
+    where col_b[a] is None (a * b is outside the set, which is then not
+    closed) is formed by a product instead.  Every cell is the index of the
+    one matrix a * x, so the table does not depend on which points become
+    generators."""
     rows = [pt.residues for pt in points]
     index = {r: k for k, r in enumerate(rows)}
     distinct = {row for r in rows for row in r}
-    columns = []  # columns[j][i]: the index of points[i] * points[j]
-    for b in rows:
-        cols = tuple(zip(*b))
-        times_b = {row: tuple(sum(map(mul, row, col)) % p for col in cols) for row in distinct}
-        columns.append([index.get(tuple(times_b[row] for row in a)) for a in rows])
+    columns: list = [None] * len(rows)
+    generators: list = []  # the columns formed by products
+    known: list = []  # [b, the number of generators points[b] has met]
+    for j in range(len(rows)):
+        if columns[j] is not None:
+            continue
+        columns[j] = _column(rows[j], rows, distinct, index, p)
+        generators.append(columns[j])
+        known.append([j, 0])
+        for entry in known:  # the points appended below are met in turn
+            b, met = entry
+            col_b = columns[b]
+            for col_g in generators[met:]:
+                x = col_g[b]
+                if x is None or columns[x] is not None:
+                    continue
+                x_rows = rows[x]
+                columns[x] = [
+                    col_g[y] if y is not None else _column(x_rows, (a,), a, index, p)[0]
+                    for a, y in zip(rows, col_b)
+                ]
+                known.append([x, 0])
+            entry[1] = len(generators)
     return tuple(zip(*columns))
 
 

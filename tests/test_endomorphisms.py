@@ -1,9 +1,11 @@
+import functools
 import hashlib
 import itertools
 import json
+import random
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from usym import (
     GF,
@@ -494,6 +496,100 @@ def test_int_table_matches_matrix_products(build, aut_order, deep, request):
     )
     if aut_order is not None:
         assert len(aut) == aut_order
+
+
+def naive_table(points):
+    """table[i][j]: points[i] * points[j] as one Matrix product, looked up
+    among the points; None when outside them."""
+    index = {m: k for k, m in enumerate(points)}
+    return tuple(tuple(index.get(m1 * m2) for m2 in points) for m1 in points)
+
+
+TIER1_TABLE_CASES = [c for c in TABLE_CASES if not c[3]]
+
+
+@pytest.mark.parametrize(
+    "case_id, build", [c[:2] for c in TIER1_TABLE_CASES], ids=[c[0] for c in TIER1_TABLE_CASES]
+)
+def test_table_of_any_point_set_matches_products(case_id, build):
+    # Aut below is closed; the other sets in general are not, so they have
+    # cells outside the set, and cells a composed column cannot reach
+    a = build()
+    points = enumerate_measuring_points(a)
+    ident = counit_point(a)
+    others = [m for m in points if m != ident]
+    rng = random.Random(case_id)
+    third = rng.sample(points, max(1, len(points) // 3))  # in drawn order
+    sets = [
+        third,
+        sorted(third, key=Matrix.sort_key),
+        rng.sample(others, max(1, len(others) // 3)),  # without the counit point
+        [rng.choice(others)],
+        [m for m in points if m.is_invertible()][::-1],  # Aut, in reverse order
+    ]
+    for s in sets:
+        assert EndoMonoid(a, tuple(s), 0)._table == naive_table(s)
+
+
+@functools.lru_cache(maxsize=None)
+def tier1_end(k):
+    a = TIER1_TABLE_CASES[k][1]()
+    return a, enumerate_measuring_points(a)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_table_of_drawn_point_sets_matches_products(data):
+    a, points = tier1_end(data.draw(st.integers(0, len(TIER1_TABLE_CASES) - 1)))
+    picks = st.lists(st.integers(0, len(points) - 1), min_size=1, max_size=12, unique=True)
+    subset = tuple(points[i] for i in data.draw(picks))
+    assert EndoMonoid(a, subset, 0)._table == naive_table(subset)
+
+
+def test_cells_a_composed_column_cannot_reach_are_products(monkeypatch):
+    # g = diag(1, 2) over GF(5) has order 4; in {g, g^2, g^3} every column is
+    # composed from g's, but g^3 * g^2 and g^2 * g^3 (both g) follow from
+    # g^3 * g and g^2 * g^2 = I, which lie outside the set
+    import usym.endomorphisms as endo_mod
+
+    calls = []
+
+    def column(b, rows, *args, _original=endo_mod._column):
+        calls.append(len(rows))
+        return _original(b, rows, *args)
+
+    monkeypatch.setattr(endo_mod, "_column", column)
+    a = dual_numbers(GF(5))
+    powers = tuple(fmat(a.field, [[1, 0], [0, d]]) for d in (2, 4, 3))
+    table = EndoMonoid(a, powers, 0)._table
+    assert table == naive_table(powers) == ((1, 2, None), (2, None, 0), (None, 0, 1))
+    # g's column, then one product for each of the two cells
+    assert calls == [3, 1, 1]
+
+
+@pytest.mark.parametrize(
+    "build, monoid, formed, size",
+    [
+        (lambda: full_matrices(GF(3)), enumerate_endomorphisms, 4, 24),
+        (lambda: full_matrices(GF(3)), automorphism_group, 4, 24),
+        (lambda: cyclic_group_algebra(GF(5), 4), enumerate_endomorphisms, 6, 256),
+        (lambda: truncated_polynomial(GF(3), 4), enumerate_endomorphisms, 13, 27),
+    ],
+    ids=["end-m2-gf3", "aut-m2-gf3", "end-c4-gf5", "end-poly4-gf3"],
+)
+def test_table_forms_only_the_generators_columns(monkeypatch, build, monoid, formed, size):
+    import usym.endomorphisms as endo_mod
+
+    calls = []
+
+    def column(b, rows, *args, _original=endo_mod._column):
+        calls.append(len(rows))
+        return _original(b, rows, *args)
+
+    monkeypatch.setattr(endo_mod, "_column", column)
+    assert len(monoid(build())) == size
+    # whole columns only: these sets are closed
+    assert calls == [size] * formed
 
 
 def test_units_need_two_sided_inverses():
