@@ -8,13 +8,12 @@ from .algebra import Violation
 
 
 class FiniteGroup:
-    __slots__ = ("labels", "table", "_identity", "_inverses")
+    __slots__ = ("labels", "table", "_identity")
 
     def __init__(self, labels: Sequence[str], table: Sequence[Sequence[int]]):
         self.labels = tuple(labels)
         self.table = tuple(tuple(row) for row in table)
         self._identity: int | None = None
-        self._inverses: tuple[int, ...] | None = None
 
     @property
     def order(self) -> int:
@@ -37,19 +36,14 @@ class FiniteGroup:
 
     @property
     def inverses(self) -> tuple[int, ...]:
-        if self._inverses is None:
-            e = self.identity
-            inv = []
-            for i in range(self.order):
-                j = next(
-                    (j for j in range(self.order) if self.table[i][j] == e and self.table[j][i] == e),
-                    None,
-                )
-                if j is None:
-                    raise ValueError(f"element {self.labels[i]} has no inverse")
-                inv.append(j)
-            self._inverses = tuple(inv)
-        return self._inverses
+        """Each element's two-sided inverse, found afresh on every read."""
+        e, m, inv = self.identity, self.order, []
+        for i in range(m):
+            j = next((j for j in range(m) if self.table[i][j] == e == self.table[j][i]), None)
+            if j is None:
+                raise ValueError(f"element {self.labels[i]} has no inverse")
+            inv.append(j)
+        return tuple(inv)
 
     def __eq__(self, other) -> bool:
         return (

@@ -5,6 +5,8 @@ formats are exact and portable.  Reports carry no timestamps or absolute
 paths; identical inputs give byte-identical output.  `_write_json` writes a
 JSON report as json.dumps(doc, indent=2, sort_keys=True) does (tests pin it),
 plus a newline: 2-space indent, sorted keys, ASCII escapes, str/int/bool/null.
+Every object key is a str; an object keyed by group elements takes each
+label's key text (`_label_key`), and sorts by that text.
 """
 
 from __future__ import annotations
@@ -60,16 +62,6 @@ def _is_label(x) -> bool:
 def _label_key(label) -> str:
     """The JSON object key text of a group element label."""
     return label if isinstance(label, str) else json.dumps(label)
-
-
-def _label_keys(g: FiniteGroup) -> tuple:
-    """The JSON object keys of g's elements: the labels while they sort, so
-    that number labels keep their numeric order, else their key texts."""
-    try:
-        sorted(g.labels)
-    except TypeError:
-        return tuple(map(_label_key, g.labels))
-    return g.labels
 
 
 def _read_json(path: Path) -> tuple[object, LoadedInput]:
@@ -235,6 +227,8 @@ def subspace_json(s: Subspace) -> list[list[str]]:
 
 
 def presentation_json(p: Presentation) -> dict:
+    # each view builds its field scalars when read, so it is read once
+    delta, eps = p.delta, p.eps
     return {
         "field": p.algebra.field.spec_string(),
         "dimension": p.algebra.n,
@@ -248,10 +242,8 @@ def presentation_json(p: Presentation) -> dict:
             {"lead": word_json(r.lead), "rest": poly_json(r.rest)}
             for r in p.system.rules
         ],
-        "delta": [
-            {"generator": list(g), "value": tensor_json(p.delta[g])} for g in p.gens
-        ],
-        "eps": [{"generator": list(g), "value": str(p.eps[g])} for g in p.gens],
+        "delta": [{"generator": list(g), "value": tensor_json(delta[g])} for g in p.gens],
+        "eps": [{"generator": list(g), "value": str(eps[g])} for g in p.gens],
         "coaction": [
             {
                 "basis_index": i + 1,
@@ -265,11 +257,11 @@ def presentation_json(p: Presentation) -> dict:
 
 
 def grading_point_json(g: FiniteGroup, point: GradingPoint) -> dict:
-    return dict(zip(_label_keys(g), map(matrix_json, point.matrices)))
+    return dict(zip(map(_label_key, g.labels), map(matrix_json, point.matrices)))
 
 
 def grading_json(g: FiniteGroup, grading: Grading) -> dict:
-    keys = _label_keys(g)
+    keys = [_label_key(label) for label in g.labels]
     return {keys[sigma]: subspace_json(comp) for sigma, comp in grading.components.items()}
 
 
@@ -278,25 +270,27 @@ def grading_json(g: FiniteGroup, grading: Grading) -> dict:
 
 
 def presentation_text(p: Presentation) -> list[str]:
+    # each view builds its field scalars when read, so it is read once
+    subs, rules, delta, eps = p.system.subs, p.system.rules, p.delta, p.eps
     lines = [
         f"field: {p.algebra.field.spec_string()}",
         f"dimension: {p.algebra.n}",
         f"max-degree: {p.degree_bound}",
         f"generators ({len(p.gens)}):"
         + (" " + " ".join(format_genid(g) for g in p.gens) if p.gens else " none"),
-        f"eliminated ({len(p.system.subs)}):",
+        f"eliminated ({len(subs)}):",
     ]
-    for g, q in p.system.subs.items():
+    for g, q in subs.items():
         lines.append(f"  {format_genid(g)} -> {format_poly(q)}")
-    lines.append(f"rules ({len(p.system.rules)}):")
-    for r in p.system.rules:
+    lines.append(f"rules ({len(rules)}):")
+    for r in rules:
         lines.append(f"  {format_word(r.lead)} -> {format_poly(r.rest)}")
     lines.append("delta:")
     for g in p.gens:
-        lines.append(f"  {format_genid(g)} -> {format_tensor(p.delta[g])}")
+        lines.append(f"  {format_genid(g)} -> {format_tensor(delta[g])}")
     lines.append("eps:")
     for g in p.gens:
-        lines.append(f"  {format_genid(g)} -> {p.eps[g]}")
+        lines.append(f"  {format_genid(g)} -> {eps[g]}")
     lines.append("coaction:")
     for i, entries in enumerate(p.coaction):
         parts = " + ".join(f"e[{s + 1}] (x) ({format_poly(q)})" for s, q in entries)
@@ -336,9 +330,9 @@ def _write_json(x, newline: str, out: list[str]) -> list[str]:
             out.append(("," if k else "[{"[is_dict]) + inner)
             if is_dict:
                 key, item = item
-                if not (isinstance(key, (str, int, float)) or key is None):
+                if not isinstance(key, str):
                     raise TypeError(f"{type(key).__name__} is not a report key")
-                out.append(_quote(_label_key(key)) + ": ")
+                out.append(_quote(key) + ": ")
             _write_json(item, inner, out)
         out.append((newline if x else "[{"[is_dict]) + "]}"[is_dict])
     return out

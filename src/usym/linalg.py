@@ -8,10 +8,10 @@ both fields, and no other module converts their entries between residues
 and field scalars.  Field scalars come in only through the public
 constructors (Matrix(field, rows), identity, zeros, from_columns and
 Subspace.from_vectors) and Subspace.contains, and go out only through det
-and the views a caller reads, Matrix.rows and Subspace.basis, each built on
-its first read and kept.  Residues of two fields never mix: they raise
-TypeError.  One elimination, _eliminate, gives the inverse, the span of a
-Subspace and det.
+and the views a caller reads, Matrix.rows and Subspace.basis, each built
+every time it is read and kept by nothing.  Residues of two fields never
+mix: they raise TypeError.  One elimination, _eliminate, gives the
+inverse, the span of a Subspace and det.
 
 A Subspace is held as its reduced row-echelon form with no zero rows,
 which makes the representative unique: two subspaces are equal iff their
@@ -110,16 +110,15 @@ def _eliminate(rows: list, ops: _Ops) -> tuple[list, list[int], Scalar]:
 class Matrix:
     """A matrix over QQ or GF(p), held as `residues`, its rows of residues
     (see _residue_ops), the same convention as Subspace.  `rows`, the same
-    rows as field scalars, is built on its first read and kept.  The
+    rows as field scalars, is built each time it is read.  The
     constructors read field scalars; _of_residues takes residues."""
 
-    __slots__ = ("field", "residues", "_rows")
+    __slots__ = ("field", "residues")
 
     def __init__(self, field: Field, rows: Iterable[Iterable[Scalar]]):
         read = _residue_ops(field).read
         self.field = field
         self.residues = tuple(tuple(read(row)) for row in rows)
-        self._rows: tuple[Vector, ...] | None = None
         if self.residues:
             width = len(self.residues[0])
             if any(len(row) != width for row in self.residues):
@@ -131,7 +130,6 @@ class Matrix:
         m = cls.__new__(cls)
         m.field = field
         m.residues = tuple(map(tuple, rows))
-        m._rows = None
         return m
 
     @classmethod
@@ -150,10 +148,8 @@ class Matrix:
 
     @property
     def rows(self) -> tuple[Vector, ...]:
-        if self._rows is None:
-            back = _residue_ops(self.field).back
-            self._rows = tuple(tuple(back(row)) for row in self.residues)
-        return self._rows
+        back = _residue_ops(self.field).back
+        return tuple(tuple(back(row)) for row in self.residues)
 
     @property
     def nrows(self) -> int:
@@ -224,15 +220,14 @@ class Subspace:
     """Subspace of k^n held as its canonical RREF: `residues`, no zero rows,
     each entry an int residue over GF(p) and a Fraction over QQ, as in
     Matrix.  `basis`, the same rows as field scalars (FpElements over GF(p),
-    the Fractions over QQ), is built on its first read and kept."""
+    the Fractions over QQ), is built each time it is read."""
 
-    __slots__ = ("field", "ambient", "residues", "_basis")
+    __slots__ = ("field", "ambient", "residues")
 
     def __init__(self, field: Field, ambient: int, residues: tuple[tuple, ...]):
         self.field = field
         self.ambient = ambient
         self.residues = residues
-        self._basis: tuple[Vector, ...] | None = None
 
     @classmethod
     def from_vectors(cls, field: Field, ambient: int, vectors: Iterable[Sequence[Scalar]]) -> "Subspace":
@@ -258,10 +253,8 @@ class Subspace:
 
     @property
     def basis(self) -> tuple[Vector, ...]:
-        if self._basis is None:
-            back = _residue_ops(self.field).back
-            self._basis = tuple(tuple(back(row)) for row in self.residues)
-        return self._basis
+        back = _residue_ops(self.field).back
+        return tuple(tuple(back(row)) for row in self.residues)
 
     @property
     def dim(self) -> int:

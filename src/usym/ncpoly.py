@@ -16,12 +16,13 @@ its image, int terms over a denominator.  Scalar polynomials and tensors
 (NCPoly, TensorPoly) are values for input and reports: they add, subtract
 and compare, and have no product.  Field scalars enter and leave only at
 the edges: the relations ``interreduce`` reads, the RewriteSystem
-constructor, its views ``subs`` and ``rules`` (built on first read and
-kept), and the wrappers ``normal_form`` and ``tensor_normal_form``.  One
-routine, ``_on_leg``, applies an algebra map of the free algebra to one leg
-of an int tensor: substitution (the map fixing the surviving generators)
-here, and Delta, eps and, in ``check_comodule``, the coaction's coordinates
-x[s,i] -> eta[s,i] in ``universal``.
+constructor, its views ``subs`` and ``rules`` (built each time they are
+read and kept by nothing), and the wrappers ``normal_form`` and
+``tensor_normal_form``.  One routine, ``_on_leg``, applies an algebra map
+of the free algebra to one leg of an int tensor: substitution (the map
+fixing the surviving generators) here, and in ``universal`` Delta, eps and
+the coaction's coordinates x[s,i] -> eta[s,i], which the presentation
+holds as such int images.
 
 Reduction finds its steps by hash probes of a word's factors in a rule index
 (``_RuleIndex``), and takes exactly what a scan of every word, rule and
@@ -134,14 +135,6 @@ class NCPoly(_Combination):
     """Finite scalar combination of words; zero coefficients are never stored."""
 
     __slots__ = ()
-
-    @classmethod
-    def constant(cls, coeff: Scalar) -> "NCPoly":
-        return cls({(): coeff})
-
-    @classmethod
-    def gen(cls, g: GenId, one: Scalar) -> "NCPoly":
-        return cls({(g,): one})
 
     def degree(self) -> int:
         if not self.terms:
@@ -354,12 +347,12 @@ class RewriteSystem:
     Held on ints with the field's modulus (see _ints): each substitution as
     its image (see _on_leg), each rule as its entry (see _entry), sorted by
     lead in a rule index.  ``subs`` and ``rules``, as field scalars, are
-    built on first read and kept; the constructor reads field scalars.
+    built each time they are read; the constructor reads field scalars.
     ``degree_bound`` is the degree up to which completion has certified
     confluence (0 before :func:`complete`).
     """
 
-    __slots__ = ("degree_bound", "_subs", "_rules", "_index", "_nf", "_subs_view", "_rules_view")
+    __slots__ = ("degree_bound", "_subs", "_rules", "_index", "_nf")
 
     def __init__(
         self,
@@ -394,26 +387,21 @@ class RewriteSystem:
         self._index, self.degree_bound = _RuleIndex(self._rules, m), degree_bound
         # word -> (ints, d) of the normal form of 1 * word, or None if it is its own
         self._nf: dict[Word, tuple[dict[Word, int], int] | None] = {}
-        self._subs_view = self._rules_view = None
 
     @property
     def subs(self) -> dict[GenId, NCPoly]:
-        if self._subs_view is None:
-            m = self._index.modulus
-            self._subs_view = {
-                g: NCPoly(_scalars({k[0]: c for k, c in t.items()}, d, m))
-                for g, (t, d) in self._subs.items()
-            }
-        return self._subs_view
+        m = self._index.modulus
+        return {
+            g: NCPoly(_scalars({k[0]: c for k, c in t.items()}, d, m))
+            for g, (t, d) in self._subs.items()
+        }
 
     @property
     def rules(self) -> tuple[RewriteRule, ...]:
-        if self._rules_view is None:
-            m = self._index.modulus
-            self._rules_view = tuple(
-                RewriteRule(lead, NCPoly(_scalars(rest, lc, m))) for lead, lc, rest in self._rules
-            )
-        return self._rules_view
+        m = self._index.modulus
+        return tuple(
+            RewriteRule(lead, NCPoly(_scalars(rest, lc, m))) for lead, lc, rest in self._rules
+        )
 
     def max_rule_degree(self) -> int:
         return max((len(lead) for lead, _, _ in self._rules), default=0)

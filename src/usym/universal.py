@@ -16,21 +16,21 @@ canonical coaction are
     eta(e_i) = sum_s e_s (x) x[s,i],
 
 with each generator read as its image in the quotient (its substitution, if
-eliminated).  The presentation tabulates Delta and eps on all n^2 generators
-and eta on every basis vector, and keeps the raw relations; Delta is formed
-once from the system's int substitutions.  The checkers read Delta, eps and
-eta only from those tables, none of them evaluates the formulas above.
-Delta, eps and eta's coordinates x[s,i] -> eta[s,i] are algebra maps, read
-once per check as int tables (``ncpoly._ints``) of 2-, 0- and 1-leg tensors
-and applied to a tensor leg by ``ncpoly._on_leg``, the routine that also
-substitutes.  Each axiom is a zero test of an int normal form, which does
-not depend on scale; only a failing item's detail and coaction-coassoc's
-one difference per (i, t), for ``tensor_normal_form``, are read back.
+eliminated).  The presentation holds Delta and eps on all n^2 generators and
+eta's coordinates x[s,i] -> eta[s,i] only as int tables of 2-, 0- and 1-leg
+tensors (``ncpoly._on_leg`` applies them), Delta formed once from the
+system's int substitutions.  The checkers read those tables as ints, with
+no read-back, and none of them evaluates the formulas above.  Each axiom is
+a zero test of an int normal form, which does not depend on scale; only a
+failing item's detail and coaction-coassoc's one difference per (i, t), for
+``tensor_normal_form``, become field scalars, as do the views
+``Presentation.delta``, ``eps`` and ``coaction``, built when read and kept
+by nothing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .algebra import FinAlgebra
 from .fields import Scalar
@@ -39,7 +39,6 @@ from .ncpoly import (
     NCPoly,
     RewriteSystem,
     TensorPoly,
-    _ints,
     _on_leg,
     _one_leg,
     _scalars,
@@ -106,18 +105,55 @@ def _coproduct(i: int, j: int, n: int) -> tuple[dict, int]:
 @dataclass(eq=True)
 class Presentation:
     """The computable face of a(A): surviving generators, substitutions and
-    rules, the raw relations (``build_relations``), Delta/eps tables on all
-    n^2 generators, and the canonical coaction table."""
+    rules, the raw relations (``build_relations``), and the int tables (see
+    ``ncpoly._on_leg``, over the system's modulus) of Delta and eps on all
+    n^2 generators and of eta, whose ``_eta[s, i]`` is the coordinate of
+    e_s in eta(e_i).  ``delta``, ``eps`` and ``coaction`` are their field
+    scalar views, built each time they are read."""
 
     algebra: FinAlgebra
     degree_bound: int
     gens: tuple[GenId, ...]
     system: RewriteSystem
     relations: tuple[NCPoly, ...]
-    delta: dict[GenId, TensorPoly] = field(default_factory=dict)
-    eps: dict[GenId, Scalar] = field(default_factory=dict)
-    # coaction[i] lists (s, poly) with eta(e_{i+1}) = sum_s e_{s+1} (x) poly
-    coaction: tuple[tuple[tuple[int, NCPoly], ...], ...] = ()
+    _delta: dict[GenId, tuple[dict, int]]
+    _eps: dict[GenId, tuple[dict, int]]
+    _eta: dict[GenId, tuple[dict, int]]
+
+    @property
+    def delta(self) -> dict[GenId, TensorPoly]:
+        f, m = self.algebra.field, self.system._index.modulus
+        return {g: TensorPoly(_read(x, m, f.one)) for g, x in self._delta.items()}
+
+    @property
+    def eps(self) -> dict[GenId, Scalar]:
+        f, m = self.algebra.field, self.system._index.modulus
+        return {g: _read(x, m, f.one).get((), f.zero) for g, x in self._eps.items()}
+
+    @property
+    def coaction(self) -> tuple[tuple[tuple[int, NCPoly], ...], ...]:
+        """coaction[i] lists (s, poly) with eta(e_{i+1}) = sum_s e_{s+1} (x)
+        poly, for each nonzero poly."""
+        n, f, m = self.algebra.n, self.algebra.field, self.system._index.modulus
+        eta = self._eta
+
+        def poly(x: tuple) -> NCPoly:
+            return NCPoly({k[0]: c for k, c in _read(x, m, f.one).items()})
+
+        return tuple(
+            tuple((s - 1, poly(eta[s, i])) for s in range(1, n + 1) if eta[s, i][0])
+            for i in range(1, n + 1)
+        )
+
+
+def _read(x: tuple, m: int, one: Scalar) -> dict:
+    """The field scalars of x = (terms, den), int terms over modulus m (see
+    ncpoly._scalars); a lone term equal to den, such as a generator's own
+    image or eps = 1, reads as the field's one itself."""
+    terms, d = x
+    if len(terms) == 1 and d in terms.values():
+        return dict.fromkeys(terms, one)
+    return _scalars(terms, d, m)
 
 
 def build_presentation(a: FinAlgebra, degree_bound: int = DEFAULT_DEGREE_BOUND) -> Presentation:
@@ -125,32 +161,17 @@ def build_presentation(a: FinAlgebra, degree_bound: int = DEFAULT_DEGREE_BOUND) 
         raise ValueError("degree bound must be at least 2")
     relations = tuple(build_relations(a))
     system = complete(interreduce(relations), degree_bound)
-    n = a.n
-    one, zero = a.field.one, a.field.zero
-    # each generator's image in the quotient: its substitution, or itself
-    image = {g: NCPoly.gen(g, one) for g in _all_gens(n)}
-    image.update(system.subs)
-    gens = tuple(g for g in image if g not in system.subs)
+    n, subs, m = a.n, system._subs, system._index.modulus
+    # each generator's int image in the quotient: its substitution, or itself
+    eta = {g: subs[g] if g in subs else ({((g,),): 1}, 1) for g in _all_gens(n)}
+    gens = tuple(g for g in eta if g not in subs)
     # Delta(x[i,j]) = sum_s x[i,s] (x) x[s,j], substituted on both legs
-    subs, m, delta = system._subs, system._index.modulus, {}
-    for i, j in image:
-        x = _coproduct(i, j, n)
-        delta[i, j] = TensorPoly(_scalars(*_on_leg(subs, 1, _on_leg(subs, 1, x, 0, m), 1, m), m))
-    eps = {(i, j): one if i == j else zero for i, j in image}
-    coaction = tuple(
-        tuple((s - 1, image[s, i]) for s in range(1, n + 1) if not image[s, i].is_zero())
-        for i in range(1, n + 1)
-    )
-    return Presentation(a, degree_bound, gens, system, relations, delta, eps, coaction)
-
-
-def _int_tables(p: Presentation) -> tuple[dict, dict, int]:
-    """(delta, eps, m): Delta and eps as tables of int images (see _on_leg)
-    with modulus m, eps as 0-leg tensors, each table over one denominator."""
-    ints, d, _ = _ints({(g, k): c for g, t in p.delta.items() for k, c in t.terms.items()})
-    delta = {g: ({k: ints[g, k] for k in t.terms}, d) for g, t in p.delta.items()}
-    eps, e, m = _ints(p.eps)
-    return delta, {g: ({(): c} if c else {}, e) for g, c in eps.items()}, m
+    delta = {
+        (i, j): _on_leg(subs, 1, _on_leg(subs, 1, _coproduct(i, j, n), 0, m), 1, m)
+        for i, j in eta
+    }
+    eps = {(i, j): ({(): 1} if i == j else {}, 1) for i, j in eta}
+    return Presentation(a, degree_bound, gens, system, relations, delta, eps, eta)
 
 
 def _minus(x: tuple, y: tuple) -> tuple[dict, int]:
@@ -158,6 +179,14 @@ def _minus(x: tuple, y: tuple) -> tuple[dict, int]:
     the dens."""
     (a, da), (b, db) = x, y
     return _sum([(a.items(), da), ([(k, -c) for k, c in b.items()], db)], 0)
+
+
+def _is_unit_vector(coords: list[tuple], i: int, unit: tuple) -> bool:
+    """Is each coordinate s (from 1) of coords, int (terms, den), [s = i]
+    times the unit term?  Over GF(p) both sides are residues with den 1."""
+    return all(
+        not _minus(x, ({unit: 1} if s == i else {}, 1))[0] for s, x in enumerate(coords, 1)
+    )
 
 
 def _relation_labels(a: FinAlgebra) -> list[str]:
@@ -169,7 +198,7 @@ def _relation_labels(a: FinAlgebra) -> list[str]:
 def check_bialgebra(p: Presentation) -> CheckReport:
     """Verify that the tabulated Delta and eps are well defined on the
     quotient and satisfy the coalgebra axioms on the surviving generators."""
-    delta, eps, m = _int_tables(p)
+    delta, eps, m = p._delta, p._eps, p.system._index.modulus
     items: list[CheckItem] = []
 
     for label, rel in zip(_relation_labels(p.algebra), p.relations):
@@ -202,15 +231,10 @@ def check_bialgebra(p: Presentation) -> CheckReport:
 def check_comodule(p: Presentation) -> CheckReport:
     """Verify that the tabulated coaction is a coassociative, counital
     algebra map modulo the relation ideal at the certified degree."""
-    n, system = p.algebra.n, p.system
-    delta, eps, m = _int_tables(p)
-    # eta[s, i] is the int image of x[s,i], the coordinate of e_s in eta(e_i);
-    # a zero one is ({}, 1), as _on_leg fixes a generator not in its table
-    eta = {g: ({}, 1) for g in _all_gens(n)}
-    for i, entries in enumerate(p.coaction, 1):
-        for s, poly in entries:
-            eta[s + 1, i] = _one_leg(poly)
-    unit_ok = p.coaction[0] == ((0, NCPoly.constant(p.algebra.field.one)),)
+    n, system, m = p.algebra.n, p.system, p.system._index.modulus
+    delta, eps, eta = p._delta, p._eps, p._eta
+    # eta(e_1) = e_1 (x) 1: each coordinate x[s,1] minus [s = 1] is 0
+    unit_ok = _is_unit_vector([eta[s, 1] for s in range(1, n + 1)], 1, ((),))
     items = [CheckItem("coaction-unit e[1]", unit_ok)]
 
     def coassoc(i: int, t: int) -> bool:
@@ -224,11 +248,9 @@ def check_comodule(p: Presentation) -> CheckReport:
         t = next((t for t in range(1, n + 1) if not coassoc(i, t)), None)
         detail = "" if t is None else f"component t={t}"
         items.append(CheckItem(f"coaction-coassoc e[{i}]", t is None, detail))
-        # (eps (x) id) eta(e_i) = e_i: each coordinate e_s of it minus [s = i]
-        # is 0 (over GF(p) both are residues with den 1)
+        # (eps (x) id) eta(e_i) = e_i: each coordinate e_s of it minus [s = i] is 0
         counit = [_on_leg(eps, 0, eta[s, i], 0, m) for s in range(1, n + 1)]
-        want = [({(): 1} if s == i else {}, 1) for s in range(1, n + 1)]
-        counit_ok = all(not _minus(x, y)[0] for x, y in zip(counit, want))
+        counit_ok = _is_unit_vector(counit, i, ())
         items.append(CheckItem(f"coaction-counit e[{i}]", counit_ok))
 
     # the relation r[a,i,j] is the coordinate a of eta(e_i e_j) - eta(e_i) eta(e_j);

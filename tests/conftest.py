@@ -411,7 +411,7 @@ def substituted(p, subs):
     by word, generator by generator."""
     out = NCPoly()
     for w, c in p.terms.items():
-        term = NCPoly.constant(c)
+        term = NCPoly({(): c})
         for g in w:
             term = poly_product(term, subs[g]) if g in subs else shifted(term, (), (g,))
         out = out + term
@@ -453,7 +453,7 @@ def scan_reduce(p, rules, strategy):
         w, rule, pos = site
         c = p.terms[w]
         rest = shifted(rule.rest, w[:pos], w[pos + len(rule.lead) :])
-        rewritten = poly_product(NCPoly.constant(c), rest)
+        rewritten = poly_product(NCPoly({(): c}), rest)
         p = (p - NCPoly({w: c})) + rewritten
 
 

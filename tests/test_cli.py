@@ -166,6 +166,59 @@ def test_orbit_correspondence_fails_when_two_points_induce_one_grading(monkeypat
     assert "orbit-correspondence: FAIL" in out
 
 
+@pytest.mark.parametrize("name, n", [("dual_q", 2), ("triangular_q", 3)])
+def test_field_scalars_are_made_only_where_a_report_reads_them(monkeypatch, name, n):
+    # the presentation holds Delta, eps and eta as ints, and its views and
+    # those of its rewrite system build field scalars each time they are
+    # read.  A passing check reads no view and makes field scalars only
+    # where coaction-coassoc hands each of its n^2 differences to
+    # tensor_normal_form; present, in text and in json, reads each view once
+    import usym.ncpoly as ncpoly_mod
+    import usym.universal as universal_mod
+    from usym.ncpoly import RewriteSystem
+    from usym.universal import Presentation
+
+    scalars, views, normal_forms = [], [], []
+
+    def counted_scalars(*args, _original=ncpoly_mod._scalars):
+        scalars.append(sys._getframe(1).f_code.co_name)
+        return _original(*args)
+
+    def counted_normal_form(*args, _original=universal_mod.tensor_normal_form):
+        normal_forms.append(args)
+        return _original(*args)
+
+    for module in (ncpoly_mod, universal_mod):
+        monkeypatch.setattr(module, "_scalars", counted_scalars)
+    monkeypatch.setattr(universal_mod, "tensor_normal_form", counted_normal_form)
+    every_view = []
+    for cls, attr in [
+        (Presentation, "delta"),
+        (Presentation, "eps"),
+        (Presentation, "coaction"),
+        (RewriteSystem, "subs"),
+        (RewriteSystem, "rules"),
+    ]:
+        view = f"{cls.__name__}.{attr}"
+
+        def counted_view(self, _getter=getattr(cls, attr).fget, _view=view):
+            views.append(_view)
+            return _getter(self)
+
+        monkeypatch.setattr(cls, attr, property(counted_view))
+        every_view.append(view)
+
+    code, out, err = run_cli(["check", fx(f"{name}.json")])
+    assert (code, err) == (0, "") and "status: ok" in out
+    assert scalars == ["coassoc"] * n * n and len(normal_forms) == n * n
+    assert views == []
+    for fmt in ("text", "json"):
+        views.clear()
+        code, out, err = run_cli(["present", fx(f"{name}.json"), "--format", fmt])
+        assert (code, err) == (0, "")
+        assert sorted(views) == sorted(every_view)
+
+
 SCHEMA = json.loads(schema_path().read_text())
 
 
@@ -224,13 +277,17 @@ def two_label_group(tmp_path, e, g):
     return str(path)
 
 
-def test_number_labels_keep_their_numeric_order_in_json_reports(tmp_path):
+def test_number_labels_are_keyed_in_text_order_in_json_reports(tmp_path):
+    # the labels 10 and 2 are keyed "10" and "2", sorted as text, so the
+    # report is the json.dumps layout of itself
     group = two_label_group(tmp_path, 10, 2)
     code, out, err = run_cli(["gradings", fx("dual_gf3.json"), "--group", group, "--format", "json"])
     assert (code, err) == (0, "")
     doc = json.loads(out)
     jsonschema.validate(doc, SCHEMA)
-    assert [list(point) for point in doc["result"]["points"]] == [["2", "10"]] * 2
+    assert [list(point) for point in doc["result"]["points"]] == [["10", "2"]] * 2
+    assert [list(grading) for grading in doc["result"]["gradings"]] == [["10", "2"], ["10"]]
+    assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def test_mixed_type_labels_json_report_validates(tmp_path):

@@ -227,7 +227,7 @@ def test_grading_oracle_validates_each_decomposition(monkeypatch):
 def test_grading_oracle_makes_no_field_scalars(monkeypatch):
     # the same 802 decompositions, eliminated and checked on residue rows:
     # no FpElement is constructed until a caller reads a component's basis,
-    # which builds its n x dim entries once
+    # which builds its n x dim entries
     from usym.fields import FpElement
 
     a, c2 = full_matrices(GF(2)), cyclic_group(2)
@@ -242,9 +242,8 @@ def test_grading_oracle_makes_no_field_scalars(monkeypatch):
     gradings = enumerate_gradings_oracle(a, c2)
     assert len(gradings) == 5 and len(made) == 0
     comps = [comp for gr in gradings for comp in gr.components.values()]
-    for _ in range(2):  # the second read builds nothing
-        assert all(comp.basis for comp in comps)
-        assert len(made) == 5 * 4 * 4
+    assert all(comp.basis for comp in comps)
+    assert len(made) == 5 * 4 * 4
 
 
 @pytest.mark.parametrize("name", ["dual_gf3", "triangular_gf3"])

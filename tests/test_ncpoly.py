@@ -228,7 +228,7 @@ def test_tensor_normal_form():
 def test_polynomials_and_tensors_share_arithmetic_not_equality():
     # the empty word and the 0-leg key are both (): only the type tells
     # the constant polynomial 1 from the 0-leg tensor 1
-    const, tensor = NCPoly.constant(ONE), TensorPoly({(): ONE})
+    const, tensor = NCPoly({(): ONE}), TensorPoly({(): ONE})
     assert const.terms == tensor.terms
     assert const != tensor and tensor != const
     assert len({const, tensor}) == 2
@@ -265,7 +265,7 @@ def test_rule_free_system_keeps_the_modulus(tmp_path):
     # k as an algebra over GF(3) eliminates its one generator and keeps no
     # rule: its tables hold GF(3) scalars
     p = build_presentation(ground_field(f), 3)
-    assert not p.system.rules and p.system.subs == {(1, 1): NCPoly.constant(f.one)}
+    assert not p.system.rules and p.system.subs == {(1, 1): NCPoly({(): f.one})}
     scalars = [*p.system.subs[1, 1].terms.values(), *p.delta[1, 1].terms.values()]
     scalars += [c for _, q in p.coaction[0] for c in q.terms.values()]
     assert scalars and all(type(c) is FpElement and c.p == 3 for c in scalars)
@@ -811,14 +811,12 @@ def triangular_presentation(field):
 @given(data=st.data())
 def test_int_on_leg_matches_scalar_legwise_product(field, data):
     # the Delta and eps tables of T_2 with each term rescaled (over QQ by
-    # scalars such as 7/3, so each table has a denominator > 1), read into
-    # ints by the checker, applied to one leg of a random tensor whose words
-    # on that leg have mixed lengths: the result / its denominator is the
-    # legwise product on field scalars, and over GF(p) nonzero residues
-    # over 1
-    import dataclasses
-    from usym.universal import _int_tables
-
+    # scalars such as 7/3, so the tables have denominators > 1), as int
+    # tables of the format the presentation holds (see _on_leg: one int
+    # image over its own denominator per generator), applied to one leg of a
+    # random tensor whose words on that leg have mixed lengths: the result /
+    # its denominator is the legwise product on field scalars, and over
+    # GF(p) nonzero residues over 1
     p = triangular_presentation(field)
     coeffs = coefficients(field)
     delta = {
@@ -827,7 +825,9 @@ def test_int_on_leg_matches_scalar_legwise_product(field, data):
     }
     values = st.one_of(st.just(field.zero), coeffs)
     eps = {g: data.draw(values) for g in p.eps}
-    int_delta, int_eps, m = _int_tables(dataclasses.replace(p, delta=delta, eps=eps))
+    m = field.characteristic
+    int_delta = {g: _ints(t.terms)[:2] for g, t in delta.items()}
+    int_eps = {g: _ints(TensorPoly({(): c}).terms)[:2] for g, c in eps.items()}
     size = data.draw(st.sampled_from([1, 2, 3]))
     word = st.lists(st.sampled_from(list(p.delta)), max_size=3).map(tuple)
     t = TensorPoly(data.draw(st.dictionaries(st.tuples(*[word] * size), coeffs, max_size=5)))
@@ -874,7 +874,7 @@ def test_check_reduces_each_word_once(monkeypatch, tmp_path):
         (-1, ((1, 2), (2, 3))), (1, ((2, 4),)),
     )
     assert system.normal_form(p) == first
-    three = NCPoly.constant(QQ(3))
+    three = NCPoly({(): QQ(3)})
     assert system.normal_form(poly_product(three, p)) == poly_product(three, first)
     assert len(calls) == 3
 
@@ -912,8 +912,10 @@ def test_scalar_work_of_present_and_check(monkeypatch, tmp_path):
     # 110 multiplications and 560 Fractions while the rule state read every
     # new rule into Fractions and back, build_relations summed each term
     # onto a zero, and Delta was tabulated by TensorPoly.of; 425 Fractions
-    # while the rules view negated every rest into the relation lead - rest
-    assert counts == {"mul": 40, "div": 0, "new": 358 + loading}
+    # while the rules view negated every rest into the relation lead - rest;
+    # 358 while the Delta table held Delta(x[1,1]) = 1 (x) 1 as a Fraction
+    # (the Delta view reads a lone term of coefficient one as the field's one)
+    assert counts == {"mul": 40, "div": 0, "new": 357 + loading}
     counts.update(mul=0, div=0, new=0)
     assert main(["check", path, "--max-degree", "4"]) == 0
     # 7,973 and 1,867 when each overlap reduced its two sides apart, every
@@ -931,8 +933,13 @@ def test_scalar_work_of_present_and_check(monkeypatch, tmp_path):
     # Fractions while the rule state and the word table read their ints
     # into Fractions and back, and substitute multiplied NCPolys; 80 and 554
     # while coaction-coassoc formed (eta (x) id) eta with TensorPoly.of on
-    # field scalars and coaction-mult read each substituted relation back
-    assert counts == {"mul": 40, "div": 0, "new": 292 + loading}
+    # field scalars and coaction-mult read each substituted relation back;
+    # 292 while build_presentation tabulated Delta as field scalars (40 of
+    # them) and read the substitutions' view (x[1,1] -> 1) for the coaction,
+    # and the checkers read both straight back into ints: the 251 left are
+    # build_relations' 161 and the input's 90, and a passing check builds no
+    # table scalar
+    assert counts == {"mul": 40, "div": 0, "new": 251 + loading}
 
 
 # ---------------------------------------------------------------------------

@@ -79,10 +79,10 @@ def test_dual_presentation_golden(dual_q):
     assert p.delta[X22] == TensorPoly({((X22,), (X22,)): ONE})
     assert p.eps[X12] == QQ.zero
     assert p.eps[X22] == QQ.one
-    assert p.coaction[0] == ((0, NCPoly.constant(ONE)),)
+    assert p.coaction[0] == ((0, NCPoly({(): ONE})),)
     assert p.coaction[1] == (
-        (0, NCPoly.gen(X12, ONE)),
-        (1, NCPoly.gen(X22, ONE)),
+        (0, NCPoly({(X12,): ONE})),
+        (1, NCPoly({(X22,): ONE})),
     )
 
 
@@ -332,7 +332,7 @@ TRIVIAL_GROUP = cyclic_group(1)
 def presentation_relations(p):
     """Every substitution g - q and every rule lead - rest of p."""
     one = p.algebra.field.one
-    relations = [NCPoly.gen(g, one) - q for g, q in p.system.subs.items()]
+    relations = [NCPoly({(g,): one}) - q for g, q in p.system.subs.items()]
     return relations + [rule_relation(rule, one) for rule in p.system.rules]
 
 
@@ -449,12 +449,20 @@ def failing_items(p):
     return [item.name for item in items if not item.passed]
 
 
+def int_image(t):
+    """(ints, d): the scalar tensor t as an entry of the presentation's int
+    tables (see _ints and _on_leg)."""
+    return _ints(t.terms)[:2]
+
+
 def with_delta(p, g, t):
-    return dataclasses.replace(p, delta={**p.delta, g: t})
+    """p with Delta(g) in its int table replaced by the tensor t."""
+    return dataclasses.replace(p, _delta={**p._delta, g: int_image(t)})
 
 
 def with_eps(p, g, c):
-    return dataclasses.replace(p, eps={**p.eps, g: c})
+    """p with eps(g) in its int table replaced by the scalar c."""
+    return dataclasses.replace(p, _eps={**p._eps, g: int_image(TensorPoly({(): c}))})
 
 
 def doubled(t):
@@ -483,15 +491,16 @@ def test_checks_fail_on_tampered_presentation():
     # the tables do not follow a tampered substitution, so only the item that
     # reduces the raw relations modulo the system sees it
     subs = dict(dual.system.subs)
-    subs[(2, 1)] = subs[(2, 1)] + NCPoly.gen(X12, ONE)
+    subs[(2, 1)] = subs[(2, 1)] + NCPoly({(X12,): ONE})
     system = RewriteSystem(subs, dual.system.rules, dual.system.degree_bound)
     assert failing_items(dataclasses.replace(dual, system=system)) == ["coaction-mult e[1]e[1]"]
 
 
 def test_checks_fail_on_tampered_coaction():
-    # eta(e_n) doubled: (id (x) Delta) eta(e_n) and (eps (x) id) eta(e_n) see
-    # it, and so does (eta (x) id) eta(e_i) for every e_i with an e_n component
-    # (e_2 of T_2, through x[3,2])
+    # eta(e_n) doubled in the int table of its coordinates x[s,n]: (id (x)
+    # Delta) eta(e_n) and (eps (x) id) eta(e_n) see it, and so does (eta (x)
+    # id) eta(e_i) for every e_i with an e_n component (e_2 of T_2, through
+    # x[3,2])
     for algebra, want in (
         (dual_numbers, ["coaction-coassoc e[2]", "coaction-counit e[2]"]),
         (
@@ -500,8 +509,26 @@ def test_checks_fail_on_tampered_coaction():
         ),
     ):
         p = build_presentation(algebra(QQ), 4)
-        last = tuple((s, doubled(poly)) for s, poly in p.coaction[-1])
-        assert failing_items(dataclasses.replace(p, coaction=p.coaction[:-1] + (last,))) == want
+        n, eta = p.algebra.n, dict(p._eta)
+        for s in range(1, n + 1):
+            terms, d = eta[s, n]
+            eta[s, n] = {k: 2 * c for k, c in terms.items()}, d
+        assert failing_items(dataclasses.replace(p, _eta=eta)) == want
+
+
+def test_coaction_unit_fails_on_a_tampered_first_column():
+    # eta(e_1) = e_1 (x) 1 is tested on the int column x[s,1] of eta: a
+    # doubled unit coordinate, and a coordinate e_2 that is the word x[1,2]
+    # (whose eps is 0, so that the counit item still passes)
+    dual = build_presentation(dual_numbers(QQ), 4)
+    for column, want in (
+        ({(1, 1): ({((),): 2}, 1)}, ["coaction-counit e[1]"]),
+        ({(2, 1): ({((X12,),): 1}, 1)}, []),
+    ):
+        broken = dataclasses.replace(dual, _eta={**dual._eta, **column})
+        assert failing_items(broken) == [
+            "coaction-unit e[1]", "coaction-coassoc e[1]", *want, "coaction-coassoc e[2]"
+        ]
 
 
 def test_checks_fail_on_tampered_eps():
