@@ -8,14 +8,16 @@ is_algebra_map is the one point test: of the points of a(A), algebra maps
 A -> A, and of the grading points, coactions A -> A (x) k[G].  Like linalg's
 elimination it runs one loop for both fields: on the int residues of the map
 and constants over GF(p), each coordinate reduced once, on Fractions over QQ.
+validate_algebra's associativity loop runs on ints over both fields.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from .fields import Field, Scalar
+from .fields import Field, PrimeField, Scalar
 from .linalg import Matrix, Vector, _residue_ops
 
 
@@ -124,8 +126,16 @@ def validate_algebra(a: FinAlgebra) -> Violation | None:
             if a.tau_get(j, 0, s) != want:
                 return Violation("unit", (j + 1, 1, s + 1), "right unit axiom fails")
     # (e_i e_j) e_l - e_i (e_j e_l) on the residue products, reduced once: its
-    # first nonzero coordinate s is the first failing (i, j, l, s)
+    # first nonzero coordinate s is the first failing (i, j, l, s).  Over QQ
+    # every tau is taken times the lcm d of the denominators, an int, which
+    # scales each difference by d^2 and keeps its zeros
     tau, reduce = a._residue_products, _residue_ops(a.field).reduce
+    if not isinstance(a.field, PrimeField):
+        d = math.lcm(*[c.denominator for c in a.tau.values()])
+        tau = {
+            ij: [(s, c.numerator * (d // c.denominator)) for s, c in prods]
+            for ij, prods in tau.items()
+        }
     for i in range(n):
         for j in range(n):
             ij = tau.get((i, j), ())

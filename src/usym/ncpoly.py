@@ -10,19 +10,23 @@ generators and rules lead -> rest (every word of rest below lead), which
 together generate the full defining ideal.
 
 Inside the module every coefficient is an int (``_ints``): a residue over
-GF(p), and over QQ a Fraction times a common denominator.  Each rule is held
-once, as its entry lc * lead -> rest (``_entry``), and each substitution as
-its image, int terms over a denominator.  Scalar polynomials and tensors
-(NCPoly, TensorPoly) are values for input and reports: they add, subtract
-and compare, and have no product.  Field scalars enter and leave only at
-the edges: the relations ``interreduce`` reads, the RewriteSystem
-constructor, its views ``subs`` and ``rules`` (built each time they are
-read and kept by nothing), and the wrappers ``normal_form`` and
-``tensor_normal_form``.  One routine, ``_on_leg``, applies an algebra map
-of the free algebra to one leg of an int tensor: substitution (the map
-fixing the surviving generators) here, and in ``universal`` Delta, eps and
-the coaction's coordinates x[s,i] -> eta[s,i], which the presentation
-holds as such int images.
+GF(p), and over QQ a Fraction times a common denominator.  Every word is a
+str with one character per generator, chr(i * 4096 + s) for x[s,i], so code
+order is the precedence and (len(w), w) is ``word_key``'s order; slices,
+concatenation and hashes run in C.  ``_encode`` raises InputError unless
+s < 4096 and i <= 271, so no two generators share a character.  Each rule
+is held once, as its entry lc * lead -> rest (``_entry``), and each
+substitution as its image, int terms over a denominator.  NCPoly and
+TensorPoly, with tuple words and field scalars, are values for input and
+reports: they add, subtract and compare, and have no product.  Both enter
+through ``_ints``, which encodes, and leave through ``_scalars``, which
+decodes: in ``interreduce``, the RewriteSystem constructor and its views
+``subs`` and ``rules`` (built each time they are read and kept by
+nothing), ``normal_form``, ``tensor_normal_form`` and ``universal``'s int
+tables.  One routine, ``_on_leg``, applies an algebra map of the free
+algebra to one leg of an int tensor: substitution (the map fixing the
+surviving generators) here, and in ``universal`` Delta, eps and the
+coaction's coordinates x[s,i] -> eta[s,i], held as such int images.
 
 Reduction finds its steps by hash probes of a word's factors in a rule index
 (``_RuleIndex``), and takes exactly what a scan of every word, rule and
@@ -32,21 +36,20 @@ scales all terms by lc / gcd(c, lc) instead of dividing.  Modulo a fixed
 rule list the step taken on a word depends only on that word, so the normal
 form is a linear map (Bergman, *The diamond lemma for ring theory*, 1978):
 NF(sum c_w w) = sum c_w NF(w), and the scale of the ints never shows in a
-result.  A RewriteSystem keeps a word table, filled the first time a word is
-asked, with the normal form of 1 * w (substituted, then reduced), or a mark
-that w is its own normal form; ``_tensor_nf`` reads every leg of a tensor
-off it, so each word is reduced once per system.
+result.  A RewriteSystem's word table holds the normal form of 1 * w
+(substituted, then reduced), or a mark that w is its own, from the first
+time w is asked; ``_tensor_nf`` reads a tensor's legs off it one at a time
+(NF (x) NF = (id (x) NF)(NF (x) id)), summing between legs.
 
 Interreduction and completion work on one rule state (``_RuleState``) whose
 work items are int relations over a denominator.  Interreduction takes the
 relations in order of degree, so the linear ones become substitutions before
 any other is oriented; a new lead sends back only the rules it occurs in.
-Completion seeds the state with the system's entries and keeps their
-critical pairs on a heap (``_PairQueue``).  It resolves them smallest
-overlap word first, each by one reduction of left - right (the two rewrites
-of the overlap word), and a nonzero S-polynomial enters the state as one
-more relation.  The truncated reduced basis this reaches is unique (Bergman),
-so neither the order of the relations nor that of the pairs can show in a
+Completion keeps the critical pairs of the system's entries on a heap
+(``_PairQueue``), resolves them smallest overlap word first, each by one
+reduction of left - right, and enters a nonzero S-polynomial as one more
+relation.  The truncated reduced basis this reaches is unique (Bergman), so
+neither the order of the relations nor that of the pairs can show in a
 result; the choice of step can, modulo the unfinished rule lists that
 interreduction and completion reduce against.
 """
@@ -57,20 +60,17 @@ import heapq
 import itertools
 import math
 import operator
+import sys
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .errors import CompletionBoundError, PresentationContradiction
+from .errors import CompletionBoundError, InputError, PresentationContradiction
 from .fields import Fraction, FpElement, Scalar
 
 GenId = tuple[int, int]  # (s, i), 1-based: the generator x[s,i]
 Word = tuple[GenId, ...]  # () is the multiplicative unit
-
-
-def gen_key(g: GenId) -> tuple[int, int]:
-    s, i = g
-    return (i, s)
 
 
 def word_key(w: Word):
@@ -82,9 +82,7 @@ def format_genid(g: GenId) -> str:
 
 
 def format_word(w: Word) -> str:
-    if not w:
-        return "1"
-    return " ".join(format_genid(g) for g in w)
+    return " ".join(map(format_genid, w)) if w else "1"
 
 
 def _accumulate(out: dict, items: Iterable[tuple]) -> dict:
@@ -137,9 +135,7 @@ class NCPoly(_Combination):
     __slots__ = ()
 
     def degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(len(w) for w in self.terms)
+        return max(map(len, self.terms), default=-1)
 
     def sorted_terms(self) -> list[tuple[Word, Scalar]]:
         return sorted(self.terms.items(), key=lambda t: word_key(t[0]), reverse=True)
@@ -149,9 +145,7 @@ class NCPoly(_Combination):
 
 
 def format_poly(p: NCPoly) -> str:
-    if p.is_zero():
-        return "0"
-    return " + ".join(f"{c} * {format_word(w)}" for w, c in p.sorted_terms())
+    return " + ".join(f"{c} * {format_word(w)}" for w, c in p.sorted_terms()) or "0"
 
 
 @dataclass(frozen=True)
@@ -163,22 +157,44 @@ class RewriteRule:
         return f"{format_word(self.lead)} -> {format_poly(self.rest)}"
 
 
-def _ints(terms: Mapping[Word, Scalar]) -> tuple[dict[Word, int], int, int]:
-    """(ints, d, m): over GF(p) the residues, d = 1 and m = p; over QQ the
-    Fractions times the lcm d of their denominators, and m = 0."""
-    c = next(iter(terms.values()), None)
+_SPAN = 4096  # x[s,i] is the character i * _SPAN + s, for s < _SPAN
+_MAX_I = sys.maxunicode // _SPAN  # 271: the largest i with a character
+
+
+def _encode(w: Word) -> str:
+    """The int core's str of a tuple word (see the module docstring)."""
+    for s, i in w:
+        if not (0 < s < _SPAN and 0 < i <= _MAX_I):
+            raise InputError(f"generator x[{s},{i}] is past the range s < {_SPAN}, i <= {_MAX_I}")
+    return "".join([chr(i * _SPAN + s) for s, i in w])
+
+
+def _decode(key):
+    """The tuple word of a str word, or the tuple words of a tensor key."""
+    if type(key) is str:
+        return tuple([(o % _SPAN, o // _SPAN) for o in map(ord, key)])
+    return tuple(map(_decode, key))
+
+
+def _ints(p: "NCPoly | TensorPoly") -> tuple[dict, int, int]:
+    """(ints, d, m): p's words encoded, each leg's for a tensor, and over
+    GF(p) the residues, d = 1 and m = p; over QQ the Fractions times the
+    lcm d of their denominators, and m = 0."""
+    code = _encode if type(p) is NCPoly else lambda k: tuple(map(_encode, k))
+    c = next(iter(p.terms.values()), None)
     if isinstance(c, FpElement):
-        return {w: c.v for w, c in terms.items()}, 1, c.p
-    d = math.lcm(*[c.denominator for c in terms.values()])
-    return {w: c.numerator * (d // c.denominator) for w, c in terms.items()}, d, 0
+        return {code(k): c.v for k, c in p.terms.items()}, 1, c.p
+    d = math.lcm(*[c.denominator for c in p.terms.values()])
+    return {code(k): c.numerator * (d // c.denominator) for k, c in p.terms.items()}, d, 0
 
 
-def _scalars(ints: Mapping[Word, int], d: int, m: int) -> dict[Word, Scalar]:
-    """The field scalars ints / d, for d and m as _ints gives them."""
+def _scalars(ints: Mapping, d: int, m: int) -> dict:
+    """The field scalars ints / d, for d and m as _ints gives them, keyed by
+    the decoded words (see _decode)."""
     if m:
         inv = pow(d, -1, m)
-        return {w: FpElement(m, v * inv) for w, v in ints.items()}
-    return {w: Fraction(v, d) for w, v in ints.items()}
+        return {_decode(k): FpElement(m, v * inv) for k, v in ints.items()}
+    return {_decode(k): Fraction(v, d) for k, v in ints.items()}
 
 
 def _mod(terms: dict, m: int) -> dict:
@@ -188,7 +204,7 @@ def _mod(terms: dict, m: int) -> dict:
 
 def _one_leg(p: NCPoly) -> tuple[dict, int]:
     """(terms, d): the ints of a polynomial (see _ints) as 1-leg tensor terms."""
-    ints, d, _ = _ints(p.terms)
+    ints, d, _ = _ints(p)
     return {(w,): c for w, c in ints.items()}, d
 
 
@@ -208,27 +224,32 @@ def _on_leg(table: Mapping, legs: int, x: tuple, leg: int, m: int) -> tuple[dict
     den), int tensor terms / den (see _ints).  The map sends a generator in
     `table` to its image (ints, d), int `legs`-leg tensor terms / d, and
     fixes the others (legs = 1: substitution); a word goes to the legwise
-    product of its generators' images over the product of their d, the
-    empty word to the unit tensor.  The result's legs replace leg `leg` in
-    the keys; its denominator is den times the lcm of the words' (_sum)."""
+    product of its generators' images over the product of their d (formed
+    once per call), the empty word to the unit tensor.  The result's legs
+    replace leg `leg` in the keys; its denominator is den times the lcm of
+    the words' (_sum)."""
     terms, den = x
-    parts = []
+    parts, images = [], {"": ({("",) * legs: 1}, 1)}
     for key, c in terms.items():
-        image, d = {((),) * legs: 1}, 1
-        for g in key[leg]:
-            factor, e = table.get(g) or ({((g,),): 1}, 1)
-            products = itertools.product(image.items(), factor.items())
-            image = _accumulate(
-                {}, ((tuple(map(operator.add, a, b)), u * v) for (a, u), (b, v) in products)
-            )
-            d *= e
+        w = key[leg]
+        if w not in images:
+            image, d = table.get(w[0]) or ({(w[0],): 1}, 1)
+            for g in w[1:]:
+                factor, e = table.get(g) or ({(g,): 1}, 1)
+                products = itertools.product(image.items(), factor.items())
+                image = _accumulate(
+                    {}, ((tuple(map(operator.add, a, b)), u * v) for (a, u), (b, v) in products)
+                )
+                d *= e
+            images[w] = image, d
+        image, d = images[w]
         head, tail = key[:leg], key[leg + 1 :]
         parts.append(([(head + split + tail, c * u) for split, u in image.items()], d))
     out, d = _sum(parts, m)
     return out, den * d
 
 
-def _substituted(ints: dict[Word, int], d: int, subs: Mapping, m: int) -> tuple[dict, int]:
+def _substituted(ints: dict[str, int], d: int, subs: Mapping, m: int) -> tuple[dict, int]:
     """(ints, d) of the int terms / d with each generator of subs (1-leg
     images, see _on_leg) replaced; the terms themselves if none occurs."""
     if not any(g in subs for w in ints for g in w):
@@ -237,7 +258,7 @@ def _substituted(ints: dict[Word, int], d: int, subs: Mapping, m: int) -> tuple[
     return {k[0]: c for k, c in out.items()}, d
 
 
-def _entry(ints: Mapping[Word, int], lead: Word, m: int) -> tuple[Word, int, dict[Word, int]]:
+def _entry(ints: Mapping[str, int], lead: str, m: int) -> tuple[str, int, dict[str, int]]:
     """(lead, lc, rest): the rule lc * lead -> rest of the int terms (see
     _ints) with the given lead; lc = 1 over GF(p), and over QQ lc > 0 with
     content 1, so that equal rules have equal entries."""
@@ -249,7 +270,7 @@ def _entry(ints: Mapping[Word, int], lead: Word, m: int) -> tuple[Word, int, dic
     return lead, lc // g, {w: -c // g for w, c in ints.items() if w != lead}
 
 
-def _relation(lead: Word, lc: int, rest: Mapping[Word, int], m: int) -> tuple[dict, int]:
+def _relation(lead: str, lc: int, rest: Mapping[str, int], m: int) -> tuple[dict, int]:
     """(ints, lc): the monic relation lead - rest / lc of a rule entry."""
     return {lead: lc, **_mod({w: -c for w, c in rest.items()}, m)}, lc
 
@@ -258,10 +279,10 @@ class _RuleIndex:
     """The leads of a rule list, for finding a reduction site by hash probes.
 
     ``first`` maps each lead word to (rank, lead, lc, rest), where the rank
-    is the rule's place in the list, or, in a rule state, its lead's
-    ``word_key`` (the same order for a RewriteSystem's sorted rules), and
-    lc * lead -> rest is the rule on ints (see _entry); when several rules
-    share a lead (a hand-built RewriteSystem may), it keeps the first.
+    is the rule's place in the list, or, in a rule state, (len(lead), lead)
+    (the same order for a RewriteSystem's sorted rules), and lc * lead ->
+    rest is the rule on ints (see _entry); when several rules share a lead
+    (a hand-built RewriteSystem may), it keeps the first.
     ``lengths`` holds every lead length (in a rule state, perhaps some that
     no lead has any more), ``modulus`` the field's m (see _ints).
     """
@@ -269,17 +290,16 @@ class _RuleIndex:
     __slots__ = ("first", "lengths", "modulus")
 
     def __init__(self, rules: Iterable[tuple], modulus: int):
-        self.first: dict[Word, tuple] = {}
-        self.lengths: set[int] = set()
-        self.modulus = modulus
+        self.first: dict[str, tuple] = {}
+        self.lengths, self.modulus = set(), modulus
         for rank, entry in enumerate(rules):
             self.add(rank, *entry)
 
-    def add(self, rank, lead: Word, lc: int, rest: dict[Word, int]) -> None:
+    def add(self, rank, lead: str, lc: int, rest: dict[str, int]) -> None:
         self.first.setdefault(lead, (rank, lead, lc, rest))
         self.lengths.add(len(lead))
 
-    def site(self, w: Word) -> tuple[tuple, int] | None:
+    def site(self, w: str) -> tuple[tuple, int] | None:
         """The entry of ``first`` and position a reduction step applies to w,
         or None if w is irreducible: the lowest rank, then the leftmost."""
         best = None
@@ -293,22 +313,16 @@ class _RuleIndex:
         return None if best is None else best[1:]
 
 
-def _queue_key(w: Word):
-    """Heap key that pops the largest word first."""
-    return (-len(w), tuple([(-i, -s) for s, i in w]))
-
-
-def _reduce(terms: dict[Word, int], index: _RuleIndex) -> int:
+def _reduce(terms: dict[str, int], index: _RuleIndex) -> int:
     """Make the int terms (see _ints; over GF(p) any nonzero residues) s times
     their normal form modulo the indexed rules, in place, and return s."""
     m, scale = index.modulus, 1
-    # Every word of terms not yet found irreducible.  A step only brings in
-    # words below the one it rewrites, and an irreducible word stays so, so
-    # the first reducible word popped is the largest one.
-    queue = [(_queue_key(w), w) for w in terms]
-    heapq.heapify(queue)
+    # Every word w of terms not yet found irreducible, as (len(w), w) in order,
+    # popped from the end: a step only brings in words below the one it rewrites
+    # and an irreducible word stays so, so the first reducible popped is the largest.
+    queue = sorted([(len(w), w) for w in terms])
     while queue:
-        w = heapq.heappop(queue)[1]
+        w = queue.pop()[1]
         c = terms.get(w)
         if c is None:
             continue
@@ -328,7 +342,7 @@ def _reduce(terms: dict[Word, int], index: _RuleIndex) -> int:
             old = terms.get(v)
             if old is None:
                 terms[v] = d % m if m else d
-                heapq.heappush(queue, (_queue_key(v), v))
+                insort(queue, (len(v), v))
             else:
                 d = (old + d) % m if m else old + d
                 if d:
@@ -361,17 +375,17 @@ class RewriteSystem:
         degree_bound: int = 0,
     ):
         subs, rules = subs or {}, list(rules)
-        # m is the field's, read off the first scalar of an image or a rest;
-        # where there is none (every image and rest empty), substitution and
-        # reduction only delete words and do no arithmetic, so m = 0 never shows
+        # m is the field's, read off the first scalar of an image or a rest; with
+        # none, substitution and reduction only delete words, so m = 0 never shows
         polys = [*subs.values(), *(r.rest for r in rules)]
         c = next((c for q in polys for c in q.terms.values()), 0)
         m = c.p if isinstance(c, FpElement) else 0
         entries = []
         for r in rules:
-            ints, d, _ = _ints(r.rest.terms)
-            entries.append(_entry(_relation(r.lead, d, ints, m)[0], r.lead, m))
-        self._hold({g: _one_leg(q) for g, q in subs.items()}, entries, m, degree_bound)
+            ints, d, _ = _ints(r.rest)
+            lead = _encode(r.lead)
+            entries.append(_entry(_relation(lead, d, ints, m)[0], lead, m))
+        self._hold({_encode((g,)): _one_leg(q) for g, q in subs.items()}, entries, m, degree_bound)
 
     @classmethod
     def _of_state(cls, state: "_RuleState", degree_bound: int) -> "RewriteSystem":
@@ -382,17 +396,17 @@ class RewriteSystem:
         return system
 
     def _hold(self, subs: Mapping, rules: Iterable[tuple], m: int, degree_bound: int) -> None:
-        self._subs = dict(sorted(subs.items(), key=lambda kv: gen_key(kv[0])))
-        self._rules = tuple(sorted(rules, key=lambda e: word_key(e[0])))
+        self._subs = dict(sorted(subs.items()))
+        self._rules = tuple(sorted(rules, key=lambda e: (len(e[0]), e[0])))
         self._index, self.degree_bound = _RuleIndex(self._rules, m), degree_bound
         # word -> (ints, d) of the normal form of 1 * word, or None if it is its own
-        self._nf: dict[Word, tuple[dict[Word, int], int] | None] = {}
+        self._nf: dict[str, tuple[dict[str, int], int] | None] = {}
 
     @property
     def subs(self) -> dict[GenId, NCPoly]:
         m = self._index.modulus
         return {
-            g: NCPoly(_scalars({k[0]: c for k, c in t.items()}, d, m))
+            _decode(g)[0]: NCPoly(_scalars({k[0]: c for k, c in t.items()}, d, m))
             for g, (t, d) in self._subs.items()
         }
 
@@ -400,13 +414,14 @@ class RewriteSystem:
     def rules(self) -> tuple[RewriteRule, ...]:
         m = self._index.modulus
         return tuple(
-            RewriteRule(lead, NCPoly(_scalars(rest, lc, m))) for lead, lc, rest in self._rules
+            RewriteRule(_decode(lead), NCPoly(_scalars(rest, lc, m)))
+            for lead, lc, rest in self._rules
         )
 
     def max_rule_degree(self) -> int:
         return max((len(lead) for lead, _, _ in self._rules), default=0)
 
-    def _word_nf(self, w: Word) -> tuple[dict[Word, int], int] | None:
+    def _word_nf(self, w: str) -> tuple[dict[str, int], int] | None:
         """The normal form of 1 * w (substituted, then reduced) as (ints, d),
         see _ints, formed the first time w is asked, or None if w is its own
         normal form (no eliminated generator and no rule applies), so that
@@ -420,7 +435,7 @@ class RewriteSystem:
         return nf
 
     def normal_form(self, p: NCPoly) -> NCPoly:
-        ints, d, m = _ints(p.terms)
+        ints, d, m = _ints(p)
         out, e = _tensor_nf({(w,): c for w, c in ints.items()}, m, self)
         return NCPoly(_scalars({k[0]: c for k, c in out.items()}, d * e, m) if out else {})
 
@@ -437,8 +452,8 @@ class RewriteSystem:
 class _PairQueue:
     """The critical pairs of the current leads of a rule state: each proper
     overlap u = ...w, v = w... (a lead with itself included) whose overlap
-    word u + v[k:] has degree <= degree_bound, on a heap keyed
-    (word_key(u + v[k:]), u, v, k), so the smallest overlap word pops first.
+    word w = u + v[k:] has degree <= degree_bound, on a heap keyed
+    (len(w), w, u, v, k), so the smallest overlap word pops first.
 
     A lead forms its pairs once, when it is added, by probing ``prefixes``
     and ``suffixes``: each proper prefix (suffix) of a current lead mapped
@@ -450,12 +465,11 @@ class _PairQueue:
     __slots__ = ("degree_bound", "heap", "prefixes", "suffixes")
 
     def __init__(self, degree_bound: int):
-        self.degree_bound = degree_bound
-        self.heap: list[tuple] = []
-        self.prefixes: dict[Word, set[Word]] = {}
-        self.suffixes: dict[Word, set[Word]] = {}
+        self.degree_bound, self.heap = degree_bound, []
+        self.prefixes: dict[str, set[str]] = {}
+        self.suffixes: dict[str, set[str]] = {}
 
-    def add(self, lead: Word) -> None:
+    def add(self, lead: str) -> None:
         m = len(lead)
         # lead on the right: the leads with a suffix lead[:k], before lead
         # itself is in the maps, so its self-overlaps are pushed once, below
@@ -470,49 +484,47 @@ class _PairQueue:
             for v in self.prefixes.get(lead[m - k :], ()):
                 self._push(lead, v, k)
 
-    def discard(self, lead: Word) -> None:
+    def discard(self, lead: str) -> None:
         m = len(lead)
         for k in range(1, m):
             self.prefixes[lead[:k]].discard(lead)
             self.suffixes[lead[m - k :]].discard(lead)
 
-    def _push(self, u: Word, v: Word, k: int) -> None:
+    def _push(self, u: str, v: str, k: int) -> None:
         w = u + v[k:]
         if len(w) <= self.degree_bound:
-            heapq.heappush(self.heap, (word_key(w), u, v, k))
+            heapq.heappush(self.heap, (len(w), w, u, v, k))
 
 
 class _RuleState:
     """The working state that interreduction builds and completion continues:
-    the substitutions, the rules in a _RuleIndex ranked by lead (so the
-    lowest rank is the smallest lead, as in a RewriteSystem), and for each
-    lead every factor of every word of its rule, so a new lead finds the
-    rules it reduces by lookup.  ``pairs`` follows every lead added and
-    discarded (interreduction's degree bound 0 makes no pairs)."""
+    the substitutions, the rules in a _RuleIndex ranked by lead (the lowest
+    rank is the smallest lead, as in a RewriteSystem), and for each lead
+    every factor of every word of its rule, so a new lead finds the rules it
+    reduces by lookup.  ``pairs`` follows every lead added and discarded."""
 
     __slots__ = ("subs", "index", "factors", "pairs")
 
     def __init__(self, subs: Mapping, modulus: int, degree_bound: int):
-        self.subs: dict[GenId, tuple[dict, int]] = dict(subs)
-        self.index = _RuleIndex((), modulus)
-        self.factors: dict[Word, set[Word]] = {}
-        self.pairs = _PairQueue(degree_bound)
+        self.subs: dict[str, tuple[dict, int]] = dict(subs)
+        self.factors: dict[str, set[str]] = {}
+        self.index, self.pairs = _RuleIndex((), modulus), _PairQueue(degree_bound)
 
-    def add(self, lead: Word, lc: int, rest: dict[Word, int]) -> None:
-        self.index.add(word_key(lead), lead, lc, rest)
+    def add(self, lead: str, lc: int, rest: dict[str, int]) -> None:
+        self.index.add((len(lead), lead), lead, lc, rest)
         self.factors[lead] = {
             w[i:j] for w in (lead, *rest) for i in range(len(w)) for j in range(i + 1, len(w) + 1)
         }
         self.pairs.add(lead)
 
-    def discard(self, lead: Word) -> tuple[dict[Word, int], int]:
+    def discard(self, lead: str) -> tuple[dict[str, int], int]:
         """Drop the rule of lead and return it as a relation (see _relation)."""
         _, _, lc, rest = self.index.first.pop(lead)
         del self.factors[lead]
         self.pairs.discard(lead)
         return _relation(lead, lc, rest, self.index.modulus)
 
-    def run(self, work: Iterable[tuple[dict[Word, int], int]]) -> None:
+    def run(self, work: Iterable[tuple[dict[str, int], int]]) -> None:
         """Substitute, reduce and orient each int relation (ints, d) of work
         in turn (see _ints): one that reduces to zero is dropped, one with a
         linear lead eliminates that generator, and a new lead sends back to
@@ -523,12 +535,12 @@ class _RuleState:
             d *= _reduce(ints, self.index)
             if not ints:
                 continue
-            lead, lc, rest = _entry(ints, max(ints, key=word_key), m)
+            lead, lc, rest = _entry(ints, max(ints, key=lambda w: (len(w), w)), m)
             if len(lead) == 0:
                 p = format_poly(NCPoly(_scalars(ints, d, m)))
                 raise PresentationContradiction(f"relations force the scalar equation {p} = 0")
             if len(lead) == 1:
-                single = {lead[0]: ({(w,): c for w, c in rest.items()}, lc)}
+                single = {lead: ({(w,): c for w, c in rest.items()}, lc)}
                 for g, image in self.subs.items():
                     terms, e = _on_leg(single, 1, image, 0, m)
                     h = math.gcd(e, *terms.values())
@@ -550,12 +562,10 @@ def interreduce(relations: Iterable[NCPoly]) -> RewriteSystem:
     irreducible.  The two-sided ideal generated by substitutions and rules
     together equals the ideal of the input relations.  The relations are
     taken in order of degree (stably), so linear relations become
-    substitutions before any relation of higher degree is oriented.
-
-    Raises PresentationContradiction if some relation reduces to a nonzero
-    scalar.
+    substitutions before any relation of higher degree is oriented.  Raises
+    PresentationContradiction if some relation reduces to a nonzero scalar.
     """
-    read = [_ints(p.terms) for p in sorted(relations, key=NCPoly.degree)]
+    read = [_ints(p) for p in sorted(relations, key=NCPoly.degree)]
     state = _RuleState({}, max([x[2] for x in read], default=0), 0)
     state.run([x[:2] for x in read])
     return RewriteSystem._of_state(state, 0)
@@ -577,16 +587,13 @@ def complete(system: RewriteSystem, degree_bound: int) -> RewriteSystem:
     resolved once, against the rules current when it pops, and skipped if
     one of its leads has gone.  A nonzero S-polynomial enters the same
     rule state as one more relation, which rewrites only the rules its lead
-    occurs in, and the leads it adds bring their own pairs.
-
-    Raises CompletionBoundError when the ``_COMPLETION_ROUND_CAP``-th
-    nonzero S-polynomial is found; its message counts them as rounds.
+    occurs in, and the leads it adds bring their own pairs.  Raises
+    CompletionBoundError when the ``_COMPLETION_ROUND_CAP``-th nonzero
+    S-polynomial is found; its message counts them as rounds.
     """
-    if degree_bound < system.max_rule_degree():
-        raise ValueError(
-            f"degree bound {degree_bound} is below the maximal rule degree "
-            f"{system.max_rule_degree()}"
-        )
+    top = system.max_rule_degree()
+    if degree_bound < top:
+        raise ValueError(f"degree bound {degree_bound} is below the maximal rule degree {top}")
     m = system._index.modulus
     state = _RuleState(system._subs, m, degree_bound)
     taken = []
@@ -597,10 +604,10 @@ def complete(system: RewriteSystem, degree_bound: int) -> RewriteSystem:
             state.add(lead, lc, rest)
     state.run(taken)
     leads = state.index.first
-    checked: set[tuple[Word, Word, int]] = set()
+    checked: set[tuple[str, str, int]] = set()
     found = 0
     while state.pairs.heap:
-        _, u, v, k = heapq.heappop(state.pairs.heap)
+        _, _, u, v, k = heapq.heappop(state.pairs.heap)
         if u not in leads or v not in leads or (u, v, k) in checked:
             continue
         checked.add((u, v, k))
@@ -628,9 +635,7 @@ def ideal_member_bounded(p: NCPoly, system: RewriteSystem, degree_bound: int) ->
     """Decide p in ideal(system) for degrees within the certified bound."""
     need = max(degree_bound, p.degree())
     if system.degree_bound < need:
-        raise ValueError(
-            f"system certified to degree {system.degree_bound}, need {need}"
-        )
+        raise ValueError(f"system certified to degree {system.degree_bound}, need {need}")
     return system.normal_form(p).is_zero()
 
 
@@ -642,49 +647,44 @@ class TensorPoly(_Combination):
     __slots__ = ()
 
     def sorted_terms(self) -> list[tuple[tuple[Word, ...], Scalar]]:
-        return sorted(
-            self.terms.items(),
-            key=lambda t: tuple(map(word_key, t[0])),
-            reverse=True,
-        )
+        return sorted(self.terms.items(), key=lambda t: tuple(map(word_key, t[0])), reverse=True)
 
     def __repr__(self) -> str:
         return format_tensor(self)
 
 
 def format_tensor(t: TensorPoly) -> str:
-    if t.is_zero():
-        return "0"
-    return " + ".join(
-        f"{c} * " + " (x) ".join(map(format_word, legs)) for legs, c in t.sorted_terms()
-    )
+    terms = t.sorted_terms()
+    return " + ".join(f"{c} * " + " (x) ".join(map(format_word, k)) for k, c in terms) or "0"
 
 
-def _tensor_nf(terms: Mapping[tuple[Word, ...], int], m: int, system: RewriteSystem):
+def _tensor_nf(terms: Mapping[tuple[str, ...], int], m: int, system: RewriteSystem):
     """The int core of tensor_normal_form on int terms with modulus m (see
     _ints): (ints, d), ints / d the sum over terms c * w1 (x) ... (x) wk of
-    c * NF(w1) (x) ... (x) NF(wk), each leg read off the system's word table
-    (a leg that is its own normal form is copied, and its term keeps its
-    coefficient unmultiplied).  A term's denominator is the product of its
-    legs' (1 over GF(p)), and the terms are summed over their lcm (_sum)."""
-    parts = []
-    for legs, c in terms.items():
-        partial, den = [((), c)], 1
-        for w in legs:
-            nf = system._word_nf(w)
+    c * NF(w1) (x) ... (x) NF(wk), formed one leg at a time off the system's
+    word table (a leg that is its own normal form is copied, its term's
+    coefficient unmultiplied) and summed after each leg over the lcm of the
+    denominators (_sum), so a term that cancels meets no later leg; d is
+    the product of those lcms.  0-leg terms come back as they are."""
+    d = 1
+    for leg in range(len(next(iter(terms), ()))):
+        parts, own = [], []
+        for key, c in terms.items():
+            nf = system._word_nf(key[leg])
             if nf is None:
-                partial = [(k + (w,), a) for k, a in partial]
+                own.append((key, c))
             else:
-                ints, d = nf
-                den *= d
-                partial = [(k + (v,), a * e) for k, a in partial for v, e in ints.items()]
-        parts.append((partial, den))
-    return _sum(parts, m)
+                ints, e = nf
+                head, tail = key[:leg], key[leg + 1 :]
+                parts.append(([(head + (v,) + tail, c * x) for v, x in ints.items()], e))
+        terms, e = _sum([(own, 1), *parts], m)
+        d *= e
+    return terms, d
 
 
 def tensor_normal_form(t: TensorPoly, system: RewriteSystem) -> TensorPoly:
     """Reduce every tensor leg independently and re-aggregate (see
     _tensor_nf), on the ints of t's scalars, read back as field scalars."""
-    ints, d, m = _ints(t.terms)
+    ints, d, m = _ints(t)
     out, e = _tensor_nf(ints, m, system)
     return TensorPoly(_scalars(out, d * e, m) if out else {})

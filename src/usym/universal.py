@@ -18,14 +18,15 @@ canonical coaction are
 with each generator read as its image in the quotient (its substitution, if
 eliminated).  The presentation holds Delta and eps on all n^2 generators and
 eta's coordinates x[s,i] -> eta[s,i] only as int tables of 2-, 0- and 1-leg
-tensors (``ncpoly._on_leg`` applies them), Delta formed once from the
-system's int substitutions.  The checkers read those tables as ints, with
-no read-back, and none of them evaluates the formulas above.  Each axiom is
-a zero test of an int normal form, which does not depend on scale; only a
-failing item's detail and coaction-coassoc's one difference per (i, t), for
-``tensor_normal_form``, become field scalars, as do the views
-``Presentation.delta``, ``eps`` and ``coaction``, built when read and kept
-by nothing.
+tensors (``ncpoly._on_leg`` applies them), keyed by each generator's
+character and with ncpoly's str words (``ncpoly._encode``), Delta formed
+once from the system's int substitutions.  The checkers read those tables
+as ints, with no read-back, and none of them evaluates the formulas above.
+Each axiom is a zero test of an int normal form, which does not depend on
+scale; only a failing item's detail and coaction-coassoc's one difference
+per (i, t), for ``tensor_normal_form``, become field scalars, as do the
+views ``Presentation.delta``, ``eps`` and ``coaction``, built when read and
+kept by nothing.
 """
 
 from __future__ import annotations
@@ -39,6 +40,8 @@ from .ncpoly import (
     NCPoly,
     RewriteSystem,
     TensorPoly,
+    _decode,
+    _encode,
     _on_leg,
     _one_leg,
     _scalars,
@@ -46,7 +49,6 @@ from .ncpoly import (
     _tensor_nf,
     complete,
     format_genid,
-    gen_key,
     ideal_member_bounded,
     interreduce,
     tensor_normal_form,
@@ -92,14 +94,17 @@ def build_relations(a: FinAlgebra) -> list[NCPoly]:
     return rels
 
 
-def _all_gens(n: int) -> list[GenId]:
-    return sorted(((s, i) for s in range(1, n + 1) for i in range(1, n + 1)), key=gen_key)
+def _chars(n: int) -> dict[GenId, str]:
+    """Each generator of a(A), in precedence order, with its character in
+    the int tables (see ncpoly._encode, which refuses a dimension past its
+    range)."""
+    return {(s, i): _encode(((s, i),)) for i in range(1, n + 1) for s in range(1, n + 1)}
 
 
 def _coproduct(i: int, j: int, n: int) -> tuple[dict, int]:
     """The free Delta(x[i,j]) = sum_s x[i,s] (x) x[s,j] as int 2-leg terms
     over den 1 (see _on_leg)."""
-    return {(((i, s),), ((s, j),)): 1 for s in range(1, n + 1)}, 1
+    return {(_encode(((i, s),)), _encode(((s, j),))): 1 for s in range(1, n + 1)}, 1
 
 
 @dataclass(eq=True)
@@ -107,41 +112,44 @@ class Presentation:
     """The computable face of a(A): surviving generators, substitutions and
     rules, the raw relations (``build_relations``), and the int tables (see
     ``ncpoly._on_leg``, over the system's modulus) of Delta and eps on all
-    n^2 generators and of eta, whose ``_eta[s, i]`` is the coordinate of
-    e_s in eta(e_i).  ``delta``, ``eps`` and ``coaction`` are their field
-    scalar views, built each time they are read."""
+    n^2 generators and of eta, whose entry for x[s,i] is the coordinate of
+    e_s in eta(e_i), each keyed by the generator's character (``_chars``).
+    ``delta``, ``eps`` and ``coaction`` are their field scalar views, built
+    each time they are read."""
 
     algebra: FinAlgebra
     degree_bound: int
     gens: tuple[GenId, ...]
     system: RewriteSystem
     relations: tuple[NCPoly, ...]
-    _delta: dict[GenId, tuple[dict, int]]
-    _eps: dict[GenId, tuple[dict, int]]
-    _eta: dict[GenId, tuple[dict, int]]
+    _delta: dict[str, tuple[dict, int]]
+    _eps: dict[str, tuple[dict, int]]
+    _eta: dict[str, tuple[dict, int]]
 
     @property
     def delta(self) -> dict[GenId, TensorPoly]:
         f, m = self.algebra.field, self.system._index.modulus
-        return {g: TensorPoly(_read(x, m, f.one)) for g, x in self._delta.items()}
+        return {_decode(g)[0]: TensorPoly(_read(x, m, f.one)) for g, x in self._delta.items()}
 
     @property
     def eps(self) -> dict[GenId, Scalar]:
         f, m = self.algebra.field, self.system._index.modulus
-        return {g: _read(x, m, f.one).get((), f.zero) for g, x in self._eps.items()}
+        return {
+            _decode(g)[0]: _read(x, m, f.one).get((), f.zero) for g, x in self._eps.items()
+        }
 
     @property
     def coaction(self) -> tuple[tuple[tuple[int, NCPoly], ...], ...]:
         """coaction[i] lists (s, poly) with eta(e_{i+1}) = sum_s e_{s+1} (x)
         poly, for each nonzero poly."""
         n, f, m = self.algebra.n, self.algebra.field, self.system._index.modulus
-        eta = self._eta
+        eta, x = self._eta, _chars(n)
 
-        def poly(x: tuple) -> NCPoly:
-            return NCPoly({k[0]: c for k, c in _read(x, m, f.one).items()})
+        def poly(image: tuple) -> NCPoly:
+            return NCPoly({k[0]: c for k, c in _read(image, m, f.one).items()})
 
         return tuple(
-            tuple((s - 1, poly(eta[s, i])) for s in range(1, n + 1) if eta[s, i][0])
+            tuple((s - 1, poly(eta[x[s, i]])) for s in range(1, n + 1) if eta[x[s, i]][0])
             for i in range(1, n + 1)
         )
 
@@ -152,25 +160,26 @@ def _read(x: tuple, m: int, one: Scalar) -> dict:
     image or eps = 1, reads as the field's one itself."""
     terms, d = x
     if len(terms) == 1 and d in terms.values():
-        return dict.fromkeys(terms, one)
+        return dict.fromkeys(map(_decode, terms), one)
     return _scalars(terms, d, m)
 
 
 def build_presentation(a: FinAlgebra, degree_bound: int = DEFAULT_DEGREE_BOUND) -> Presentation:
     if degree_bound < 2:
         raise ValueError("degree bound must be at least 2")
+    n, chars = a.n, _chars(a.n)
     relations = tuple(build_relations(a))
     system = complete(interreduce(relations), degree_bound)
-    n, subs, m = a.n, system._subs, system._index.modulus
+    subs, m = system._subs, system._index.modulus
     # each generator's int image in the quotient: its substitution, or itself
-    eta = {g: subs[g] if g in subs else ({((g,),): 1}, 1) for g in _all_gens(n)}
-    gens = tuple(g for g in eta if g not in subs)
+    eta = {c: subs[c] if c in subs else ({(c,): 1}, 1) for c in chars.values()}
+    gens = tuple(g for g, c in chars.items() if c not in subs)
     # Delta(x[i,j]) = sum_s x[i,s] (x) x[s,j], substituted on both legs
     delta = {
-        (i, j): _on_leg(subs, 1, _on_leg(subs, 1, _coproduct(i, j, n), 0, m), 1, m)
-        for i, j in eta
+        c: _on_leg(subs, 1, _on_leg(subs, 1, _coproduct(i, j, n), 0, m), 1, m)
+        for (i, j), c in chars.items()
     }
-    eps = {(i, j): ({(): 1} if i == j else {}, 1) for i, j in eta}
+    eps = {c: ({(): 1} if i == j else {}, 1) for (i, j), c in chars.items()}
     return Presentation(a, degree_bound, gens, system, relations, delta, eps, eta)
 
 
@@ -212,13 +221,14 @@ def check_bialgebra(p: Presentation) -> CheckReport:
         items.append(CheckItem(f"eps-descends {label}", not eh, detail or ""))
 
     for g in p.gens:
-        dg = delta[g]
+        c = _encode((g,))
+        dg = delta[c]
         # NF of (Delta (x) id) Delta(g) - (id (x) Delta) Delta(g), as 3-leg tensors
         left, right = (_on_leg(delta, 2, dg, leg, m) for leg in (0, 1))
         coassoc = _tensor_nf(_minus(left, right)[0], m, p.system)[0]
         items.append(CheckItem(f"coassoc {format_genid(g)}", not coassoc))
         # NF of (eps (x) id) Delta(g) - g and of (id (x) eps) Delta(g) - g
-        gen = ({((g,),): 1}, 1)
+        gen = ({(c,): 1}, 1)
         counit_ok = all(
             not _tensor_nf(_minus(_on_leg(eps, 0, dg, leg, m), gen)[0], m, p.system)[0]
             for leg in (0, 1)
@@ -232,16 +242,16 @@ def check_comodule(p: Presentation) -> CheckReport:
     """Verify that the tabulated coaction is a coassociative, counital
     algebra map modulo the relation ideal at the certified degree."""
     n, system, m = p.algebra.n, p.system, p.system._index.modulus
-    delta, eps, eta = p._delta, p._eps, p._eta
+    delta, eps, eta, x = p._delta, p._eps, p._eta, _chars(n)
     # eta(e_1) = e_1 (x) 1: each coordinate x[s,1] minus [s = 1] is 0
-    unit_ok = _is_unit_vector([eta[s, 1] for s in range(1, n + 1)], 1, ((),))
+    unit_ok = _is_unit_vector([eta[x[s, 1]] for s in range(1, n + 1)], 1, ("",))
     items = [CheckItem("coaction-unit e[1]", unit_ok)]
 
     def coassoc(i: int, t: int) -> bool:
         # the coordinate e_t of (eta (x) id) eta(e_i), eta on both legs of the free
         # Delta(x[t,i]), against that of (id (x) Delta) eta(e_i), Delta(eta[t, i])
         lhs = _on_leg(eta, 1, _on_leg(eta, 1, _coproduct(t, i, n), 0, m), 1, m)
-        diff = _minus(lhs, _on_leg(delta, 2, eta[t, i], 0, m))
+        diff = _minus(lhs, _on_leg(delta, 2, eta[x[t, i]], 0, m))
         return tensor_normal_form(TensorPoly(_scalars(*diff, m)), system).is_zero()
 
     for i in range(1, n + 1):
@@ -249,7 +259,7 @@ def check_comodule(p: Presentation) -> CheckReport:
         detail = "" if t is None else f"component t={t}"
         items.append(CheckItem(f"coaction-coassoc e[{i}]", t is None, detail))
         # (eps (x) id) eta(e_i) = e_i: each coordinate e_s of it minus [s = i] is 0
-        counit = [_on_leg(eps, 0, eta[s, i], 0, m) for s in range(1, n + 1)]
+        counit = [_on_leg(eps, 0, eta[x[s, i]], 0, m) for s in range(1, n + 1)]
         counit_ok = _is_unit_vector(counit, i, ())
         items.append(CheckItem(f"coaction-counit e[{i}]", counit_ok))
 

@@ -29,7 +29,7 @@ from usym import (
 from usym.cli import main
 from usym.groups import FiniteGroup
 from usym.linalg import _eliminate, _residue_ops
-from usym.ncpoly import gen_key, word_key
+from usym.ncpoly import word_key
 
 # pytest --hypothesis-profile=deep: ten times the default examples, for the
 # property tests that leave the example count to the profile
@@ -371,7 +371,7 @@ def iter_words(gens, max_degree):
     """All words over gens of degree <= max_degree, in deglex order."""
     level = [()]
     yield ()
-    ordered = sorted(gens, key=gen_key)
+    ordered = sorted(gens, key=lambda g: word_key((g,)))
     for _ in range(max_degree):
         level = [w + (g,) for w in level for g in ordered]
         level.sort(key=word_key)
@@ -485,7 +485,7 @@ def macaulay_rows(relations, degree_bound):
     word minus its row, and every other word of degree <= degree_bound is
     its own.  Only dicts and field scalars; no linalg and no ncpoly
     reduction."""
-    gens = sorted({g for r in relations for w in r.terms for g in w}, key=gen_key)
+    gens = sorted({g for r in relations for w in r.terms for g in w}, key=lambda g: word_key((g,)))
     words = list(iter_words(gens, degree_bound))
     rank = {w: k for k, w in enumerate(words)}  # deglex: iter_words' order
     of_length = [[w for w in words if len(w) == d] for d in range(degree_bound + 1)]

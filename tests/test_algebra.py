@@ -19,6 +19,7 @@ from conftest import (
     dual_numbers,
     full_matrices,
     ground_field,
+    rescaled,
     triangular,
     truncated_polynomial,
     upper_triangular,
@@ -235,3 +236,44 @@ def test_sparse_validation_matches_dense_on_one_constant_mutations():
             assert got == dense_validate(b)
             kinds[got and got.kind] += 1
     assert kinds == {"unit": 147, "associativity": 114, None: 16}
+
+
+def test_rational_validation_runs_on_ints(monkeypatch):
+    # over QQ the associativity loop runs on ints (every tau times the lcm of
+    # the denominators): bases rescaled so that the constants carry
+    # denominators, each constant tampered by 1/3 or set to -7/4, give the
+    # first failing (i, j, l, s) of the dense definition, and the loop makes
+    # no Fraction
+    from fractions import Fraction
+
+    bases = [
+        rescaled(triangular(QQ), (1, "3/2", "-2/5")),
+        rescaled(truncated_polynomial(QQ, 3), (1, "-5/3", "7/2")),
+        rescaled(full_matrices(QQ), (1, "2/3", "-3/4", "5")),
+    ]
+    cases = []
+    for a in bases:
+        n = a.n
+        for t in [(i, j, s) for i in range(n) for j in range(n) for s in range(n)]:
+            tau = dict(a.tau)
+            tau[t] = tau[t] + QQ("1/3") if t in tau else QQ("-7/4")
+            cases.append(FinAlgebra(QQ, n, tau))
+    want = [dense_validate(a) for a in [*bases, *cases]]
+    made = []
+    original = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    if hasattr(Fraction, "_from_coprime_ints"):  # Python >= 3.12 makes results here
+        made_coprime = Fraction._from_coprime_ints.__func__
+        coprime = classmethod(lambda cls, *a: made.append(a) or made_coprime(cls, *a))
+        monkeypatch.setattr(Fraction, "_from_coprime_ints", coprime)
+    got = [validate_algebra(a) for a in [*bases, *cases]]
+    monkeypatch.undo()
+    assert got == want and made == []
+    kinds = [v and v.kind for v in got]
+    assert kinds[:3] == [None] * 3
+    assert [kinds.count(k) for k in ("unit", "associativity", None)] == [58, 58, 5]

@@ -425,6 +425,30 @@ def test_exit_1_on_characteristic_above_bound(tmp_path):
     assert "exceeds bound" in err
 
 
+@pytest.mark.parametrize("command", ["present", "check"])
+def test_exit_1_past_the_rewriting_layers_generator_range(tmp_path, monkeypatch, command):
+    # the rewriting layer encodes x[s,i] for s < 4096 and i <= 271; a(A) of a
+    # 272-dimensional algebra has x[1,272], so present and check exit 1 before
+    # any relation is built.  The algebra is k 1 + V with V^2 = 0, associative
+    # by construction, and the loader's associativity check, which takes n^3
+    # steps, is skipped for it
+    import usym.io
+    import usym.universal
+
+    n = 272
+    tau = [[1, j, j, "1"] for j in range(1, n + 1)] + [[j, 1, j, "1"] for j in range(2, n + 1)]
+    basis = [f"e{k}" for k in range(1, n + 1)]
+    doc = {"field": "QQ", "dimension": n, "basis": basis, "unit_index": 1, "tau": tau}
+    path = tmp_path / "square_zero.json"
+    path.write_text(json.dumps(doc))
+    built = []
+    monkeypatch.setattr(usym.io, "validate_algebra", lambda a: None)
+    monkeypatch.setattr(usym.universal, "build_relations", lambda a: built.append(a))
+    code, out, err = run_cli([command, str(path)])
+    assert (code, out, built) == (1, "", [])
+    assert err == "error: generator x[1,272] is past the range s < 4096, i <= 271\n"
+
+
 def test_exit_1_on_bad_max_degree():
     code, _, err = run_cli(["present", fx("dual_q.json"), "--max-degree", "1"])
     assert code == 1

@@ -1,5 +1,6 @@
 import functools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,11 +19,13 @@ from usym import (
     tensor_normal_form,
     TensorPoly,
 )
-from usym.errors import CompletionBoundError
+from usym.errors import CompletionBoundError, InputError
 from usym.ncpoly import (
     RewriteRule,
     _PairQueue,
     _RuleIndex,
+    _decode,
+    _encode,
     _entry,
     _ints,
     _on_leg,
@@ -33,7 +36,6 @@ from usym.ncpoly import (
     format_poly,
     format_tensor,
     format_word,
-    gen_key,
     word_key,
 )
 from conftest import (
@@ -81,12 +83,45 @@ def nilsquare_rules():
 
 def test_order_precedence():
     # column-major precedence: x[a,1] generators are smallest
-    assert gen_key((2, 1)) < gen_key((1, 2))
-    assert gen_key((1, 2)) < gen_key((2, 2))
+    assert word_key(((2, 1),)) < word_key(((1, 2),))
+    assert word_key(((1, 2),)) < word_key(((2, 2),))
     assert word_key((X,)) < word_key((Y,))
     assert word_key((X, Y)) < word_key((Y, X))
     assert word_key(()) < word_key((X,))
     assert word_key((Y,)) < word_key((X, X))
+
+
+# generators across the encoder's whole range, and a few close together so
+# that words share prefixes and tie on length
+GENERATORS = st.one_of(
+    st.tuples(st.integers(1, 4095), st.integers(1, 271)),
+    st.sampled_from([(1, 1), (2, 1), (1, 2), (4095, 1), (1, 271), (4095, 271)]),
+)
+TUPLE_WORDS = st.lists(GENERATORS, max_size=6).map(tuple)
+
+
+@given(TUPLE_WORDS, TUPLE_WORDS)
+def test_encoded_words_round_trip_in_word_key_order(u, v):
+    # the int core's str words: one character per generator, decoded back to
+    # the tuple word, and (len, str) ordering words as word_key does
+    a, b = _encode(u), _encode(v)
+    assert (_decode(a), _decode(b)) == (u, v) and (len(a), len(b)) == (len(u), len(v))
+    assert ((len(a), a) < (len(b), b)) == (word_key(u) < word_key(v))
+    assert (a == b) == (u == v)
+
+
+def test_encoder_range_ends_at_the_last_character():
+    # x[4095,271] is the last code point; one past on either index, or an
+    # index below 1, raises instead of colliding with another generator
+    corner = ((4095, 271), (1, 1), (4095, 1), (1, 271))
+    w = _encode(corner)
+    assert w[0] == chr(sys.maxunicode) and _decode(w) == corner
+    assert _decode(_ints(NCPoly({corner: ONE}))[0].popitem()[0]) == corner
+    for g in ((4096, 1), (1, 272), (0, 1), (1, 0)):
+        with pytest.raises(InputError, match=rf"generator x\[{g[0]},{g[1]}\] is past"):
+            _encode((X, g))
+        with pytest.raises(InputError):
+            interreduce([NCPoly({(g, X): ONE})])
 
 
 def test_normal_form_kills_x_squared():
@@ -258,10 +293,10 @@ def test_rule_free_system_keeps_the_modulus(tmp_path):
     x21, x22 = (2, 1), (2, 2)
     system = RewriteSystem({x21: NCPoly({(x22,): f(2)})}, [])
     assert format_poly(system.normal_form(NCPoly({(x21, x21): f.one}))) == "1 * x[2,2] x[2,2]"
-    assert system._nf[x21, x21] == ({(x22, x22): 1}, 1)
+    assert system._nf[_encode((x21, x21))] == ({_encode((x22, x22)): 1}, 1)
     t = tensor_normal_form(TensorPoly({((x21, x21), (x21,)): f.one}), system)
     assert format_tensor(t) == "2 * x[2,2] x[2,2] (x) x[2,2]"
-    assert system._nf[(x21,)] == ({(x22,): 2}, 1)
+    assert system._nf[_encode((x21,))] == ({_encode((x22,)): 2}, 1)
     # k as an algebra over GF(3) eliminates its one generator and keeps no
     # rule: its tables hold GF(3) scalars
     p = build_presentation(ground_field(f), 3)
@@ -438,17 +473,15 @@ def hand_rule(lead, *rest_terms):
 def rule_index(rules):
     """The _RuleIndex of a list of scalar rules, ranked by their places; its
     modulus is read off the rests, as RewriteSystem reads it."""
-    read = [_ints(r.rest.terms) for r in rules]
-    m = max([x[2] for x in read], default=0)
-    return _RuleIndex(
-        [_entry(_relation(r.lead, d, ints, m)[0], r.lead, m) for r, (ints, d, _) in zip(rules, read)],
-        m,
-    )
+    read = [(_encode(r.lead), *_ints(r.rest)) for r in rules]
+    m = max([x[3] for x in read], default=0)
+    entries = [_entry(_relation(lead, d, ints, m)[0], lead, m) for lead, ints, d, _ in read]
+    return _RuleIndex(entries, m)
 
 
 def reduced(p, index):
     """_reduce on the ints of p, read back as field scalars."""
-    ints, d, m = _ints(p.terms)
+    ints, d, m = _ints(p)
     return NCPoly(_scalars(ints, d * _reduce(ints, index), m))
 
 
@@ -548,7 +581,7 @@ def test_reduction_is_linear_on_random_rule_lists(field):
         system = RewriteSystem(rules=rules)
         for w, c in reduced(p, index).terms.items():
             assert system.normal_form(NCPoly({w: c})) == NCPoly({w: c})
-            assert system._nf[w] is None
+            assert system._nf[_encode(w)] is None
             t = tensor_term(w, (), w, c)
             assert tensor_normal_form(t, system) == t
             irreducible += 1
@@ -593,28 +626,30 @@ def test_int_reduction_matches_scalar_scan(field, data):
     # is the oracle: the ints end as d s times its normal form (d from
     # _ints), term order included, and over GF(p) s is 1
     rules, p = data.draw(rule_lists(field))
-    ints, d, m = _ints(p.terms)
+    ints, d, m = _ints(p)
     scale = _reduce(ints, rule_index(rules))
     want = scan_reduce(p, rules, "standard")
-    assert _scalars(ints, d * scale, m) == want.terms and list(ints) == list(want.terms)
+    assert _scalars(ints, d * scale, m) == want.terms
+    assert [_decode(w) for w in ints] == list(want.terms)
     assert scale >= 1 and (m == 0 or scale == 1)
 
 
 def test_reduce_scales_by_the_lead_coefficient_over_the_gcd():
     # xy -> 2/3 yx is 3 xy -> 2 yx on ints: a step on c xy scales the terms
     # by 3 / gcd(c, 3), so 1 xy scales them by 3 and 3 xy leaves them
+    xy, yx, yy = _encode((X, Y)), _encode((Y, X)), _encode((Y, Y))
     index = rule_index([hand_rule((X, Y), ("2/3", (Y, X)))])
-    assert index.first[(X, Y)][2:] == (3, {(Y, X): 2})
-    terms = {(X, Y): 1, (Y, Y): 5}
-    assert _reduce(terms, index) == 3 and terms == {(Y, Y): 15, (Y, X): 2}
-    terms = {(X, Y): 3, (Y, Y): 5}
-    assert _reduce(terms, index) == 1 and terms == {(Y, Y): 5, (Y, X): 2}
+    assert index.first[xy][2:] == (3, {yx: 2})
+    terms = {xy: 1, yy: 5}
+    assert _reduce(terms, index) == 3 and terms == {yy: 15, yx: 2}
+    terms = {xy: 3, yy: 5}
+    assert _reduce(terms, index) == 1 and terms == {yy: 5, yx: 2}
     # over GF(p) the rule is its monic residues, and the terms never scale:
     # 4 xy + 3 yx -> 4 * 3 yx + 3 yx = 15 yx = 0 in GF(5)
     f = GF(5)
     index = rule_index([RewriteRule((X, Y), NCPoly({(Y, X): f(3)}))])
-    assert index.modulus == 5 and index.first[(X, Y)][2:] == (1, {(Y, X): 3})
-    terms = {(X, Y): 4, (Y, X): 3}
+    assert index.modulus == 5 and index.first[xy][2:] == (1, {yx: 3})
+    terms = {xy: 4, yx: 3}
     assert _reduce(terms, index) == 1 and terms == {}
 
 
@@ -677,13 +712,15 @@ def test_pair_queue_matches_overlap_scan():
     pairs = 0
     for rules in pair_queue_systems():
         for bound in (4, 6):
-            leads = list(dict.fromkeys(r.lead for r in rules))
+            leads = list(dict.fromkeys(_encode(r.lead) for r in rules))
             rng.shuffle(leads)
             queue = _PairQueue(bound)
             for lead in leads:
                 queue.add(lead)
             # the reference scan's overlaps, each once, as heap entries
-            want = sorted({t[:4] for t in overlap_candidates(rules, bound)})
+            overlaps = {t[1:4] for t in overlap_candidates(rules, bound)}
+            words = [(u + v[k:], u, v, k) for u, v, k in overlaps]
+            want = sorted((len(w), *map(_encode, (w, u, v)), k) for w, u, v, k in words)
             assert sorted(queue.heap) == want
             pairs += len(want)
             gone = set(leads[: len(leads) // 2])
@@ -692,7 +729,7 @@ def test_pair_queue_matches_overlap_scan():
             queue.heap.clear()
             for lead in gone:
                 queue.add(lead)
-            assert sorted(queue.heap) == [t for t in want if t[1] in gone or t[2] in gone]
+            assert sorted(queue.heap) == [t for t in want if t[2] in gone or t[3] in gone]
     assert pairs >= 1000
 
 
@@ -781,7 +818,7 @@ def test_int_tensor_core_matches_per_leg_formula(field, data):
     word = st.lists(st.sampled_from([X, Y, (1, 3), (2, 1)]), max_size=3).map(tuple)
     legs = data.draw(st.sampled_from([2, 3]))
     t = TensorPoly(data.draw(st.dictionaries(st.tuples(*[word] * legs), coeffs, max_size=5)))
-    ints, d, m = _ints(t.terms)
+    ints, d, m = _ints(t)
     out, e = _tensor_nf(ints, m, system)
     assert _scalars(out, d * e, m) == per_leg_tensor_normal_form(t, system).terms
     assert m == 0 or (e == 1 and all(0 < v < m for v in out.values()))
@@ -826,13 +863,13 @@ def test_int_on_leg_matches_scalar_legwise_product(field, data):
     values = st.one_of(st.just(field.zero), coeffs)
     eps = {g: data.draw(values) for g in p.eps}
     m = field.characteristic
-    int_delta = {g: _ints(t.terms)[:2] for g, t in delta.items()}
-    int_eps = {g: _ints(TensorPoly({(): c}).terms)[:2] for g, c in eps.items()}
+    int_delta = {_encode((g,)): _ints(t)[:2] for g, t in delta.items()}
+    int_eps = {_encode((g,)): _ints(TensorPoly({(): c}))[:2] for g, c in eps.items()}
     size = data.draw(st.sampled_from([1, 2, 3]))
     word = st.lists(st.sampled_from(list(p.delta)), max_size=3).map(tuple)
     t = TensorPoly(data.draw(st.dictionaries(st.tuples(*[word] * size), coeffs, max_size=5)))
     leg = data.draw(st.integers(0, size - 1))
-    terms, den, _ = _ints(t.terms)
+    terms, den, _ = _ints(t)
     scalar_eps = {g: TensorPoly({(): c}) for g, c in eps.items()}
     for table, legs, scalars in ((int_delta, 2, delta), (int_eps, 0, scalar_eps)):
         got, got_den = _on_leg(table, legs, (terms, den), leg, m)
@@ -861,8 +898,10 @@ def test_check_reduces_each_word_once(monkeypatch, tmp_path):
     # while coaction-mult substituted each raw relation first, so that its
     # words were already in the table: now each of the 74 raw words costs a
     # reduction as it enters the table once, cheaper than a substitution and
-    # a read-back per relation)
-    assert len(calls) == 407
+    # a read-back per relation; 407 while tensor normal forms reduced every
+    # leg of every term, also the later legs of terms that cancel once their
+    # first leg is reduced)
+    assert len(calls) == 353
     system = build_presentation(truncated_polynomial(QQ, 4), 4).system
     # two reducible words and one with the eliminated generator x[2,1]
     p = poly((2, ((3, 2), (1, 2))), (-1, ((2, 1), (2, 2))), (1, ((2, 2), (1, 3))))
@@ -880,7 +919,6 @@ def test_check_reduces_each_word_once(monkeypatch, tmp_path):
 
 
 def test_scalar_work_of_present_and_check(monkeypatch, tmp_path):
-    import sys
     from fractions import Fraction
     from usym.cli import main
     from conftest import algebra_file, truncated_polynomial
@@ -900,9 +938,6 @@ def test_scalar_work_of_present_and_check(monkeypatch, tmp_path):
     if hasattr(Fraction, "_from_coprime_ints"):  # Python >= 3.12 makes results here
         original = Fraction._from_coprime_ints.__func__
         monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(counted("new", original)))
-    # Python >= 3.12 first turns the int of an int-by-Fraction operation into
-    # a Fraction: 20 more in validate_algebra as the input loads
-    loading = 20 if sys.version_info >= (3, 12) else 0
     path = algebra_file(tmp_path, "x4", truncated_polynomial(QQ, 4))
     assert main(["present", path, "--max-degree", "4"]) == 0
     # 714 and 415 when interreduction took the unit relations last and
@@ -914,8 +949,12 @@ def test_scalar_work_of_present_and_check(monkeypatch, tmp_path):
     # onto a zero, and Delta was tabulated by TensorPoly.of; 425 Fractions
     # while the rules view negated every rest into the relation lead - rest;
     # 358 while the Delta table held Delta(x[1,1]) = 1 (x) 1 as a Fraction
-    # (the Delta view reads a lone term of coefficient one as the field's one)
-    assert counts == {"mul": 40, "div": 0, "new": 357 + loading}
+    # (the Delta view reads a lone term of coefficient one as the field's one);
+    # 40 multiplications and 357 Fractions while validate_algebra ran its
+    # associativity loop on Fractions
+    # (and Python >= 3.12 made 20 more there, turning the int of each
+    # int-by-Fraction operation into a Fraction first)
+    assert counts == {"mul": 0, "div": 0, "new": 277}
     counts.update(mul=0, div=0, new=0)
     assert main(["check", path, "--max-degree", "4"]) == 0
     # 7,973 and 1,867 when each overlap reduced its two sides apart, every
@@ -936,10 +975,10 @@ def test_scalar_work_of_present_and_check(monkeypatch, tmp_path):
     # field scalars and coaction-mult read each substituted relation back;
     # 292 while build_presentation tabulated Delta as field scalars (40 of
     # them) and read the substitutions' view (x[1,1] -> 1) for the coaction,
-    # and the checkers read both straight back into ints: the 251 left are
-    # build_relations' 161 and the input's 90, and a passing check builds no
-    # table scalar
-    assert counts == {"mul": 40, "div": 0, "new": 251 + loading}
+    # and the checkers read both straight back into ints; 40 and 251 while
+    # validate_algebra ran on Fractions: the 171 left are build_relations'
+    # 161 and the input's 10, and a passing check builds no table scalar
+    assert counts == {"mul": 0, "div": 0, "new": 171}
 
 
 # ---------------------------------------------------------------------------
