@@ -126,9 +126,10 @@ def validate_algebra(a: FinAlgebra) -> Violation | None:
             if a.tau_get(j, 0, s) != want:
                 return Violation("unit", (j + 1, 1, s + 1), "right unit axiom fails")
     # (e_i e_j) e_l - e_i (e_j e_l) on the residue products, reduced once: its
-    # first nonzero coordinate s is the first failing (i, j, l, s).  Over QQ
-    # every tau is taken times the lcm d of the denominators, an int, which
-    # scales each difference by d^2 and keeps its zeros
+    # first nonzero coordinate s is the first failing (i, j, l, s); it is zero
+    # when e_i e_j and e_j e_l both are.  Over QQ every tau is taken times the
+    # lcm d of the denominators, an int, which scales each difference by d^2
+    # and keeps its zeros
     tau, reduce = a._residue_products, _residue_ops(a.field).reduce
     if not isinstance(a.field, PrimeField):
         d = math.lcm(*[c.denominator for c in a.tau.values()])
@@ -140,11 +141,14 @@ def validate_algebra(a: FinAlgebra) -> Violation | None:
         for j in range(n):
             ij = tau.get((i, j), ())
             for l in range(n):
+                jl = tau.get((j, l), ())
+                if not ij and not jl:
+                    continue
                 diff = [0] * n
                 for u, c in ij:
                     for s, d in tau.get((u, l), ()):
                         diff[s] += c * d
-                for u, c in tau.get((j, l), ()):
+                for u, c in jl:
                     for s, d in tau.get((i, u), ()):
                         diff[s] -= c * d
                 bad = [s for s, v in enumerate(reduce(diff)) if v]

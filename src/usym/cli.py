@@ -91,13 +91,16 @@ def _header(args, *metas) -> Report:
     return Report(f"{args.command} {metas[0].name}{options} --format {args.format}", inputs)
 
 
-def _describe(report: Report, algebra, checks: list, payload: dict, lines: list[str]) -> Report:
-    """Fill in the checks, and the payload and the text lines, each led by
-    the field and the dimension of the algebra."""
+def _describe(report: Report, args, algebra, checks: list, payload, lines) -> Report:
+    """Fill in the checks, and under --format json the payload, under text
+    the text lines, each led by the field and the dimension of the algebra:
+    only the form rendered is built, by calling payload() or lines()."""
     field = algebra.field.spec_string()
     report.checks = checks
-    report.payload = {"field": field, "dimension": algebra.n, **payload}
-    report.text_lines = [f"field: {field}", f"dimension: {algebra.n}", *lines]
+    if args.format == "json":
+        report.payload = {"field": field, "dimension": algebra.n, **payload()}
+    else:
+        report.text_lines = [f"field: {field}", f"dimension: {algebra.n}", *lines()]
     return report
 
 
@@ -115,12 +118,15 @@ def _cmd_check(args) -> Report:
     presentation = build_presentation(algebra, _require_degree(args.max_degree))
     items = check_bialgebra(presentation).items + check_comodule(presentation).items
     checks = [(item.name, item.passed) for item in items]
-    payload = {
-        "max_degree": presentation.degree_bound,
-        "generators": [list(g) for g in presentation.gens],
-    }
-    lines = [f"max-degree: {presentation.degree_bound}"]
-    return _describe(_header(args, meta), algebra, checks, payload, lines)
+    degree = presentation.degree_bound
+    return _describe(
+        _header(args, meta),
+        args,
+        algebra,
+        checks,
+        lambda: {"max_degree": degree, "generators": [list(g) for g in presentation.gens]},
+        lambda: [f"max-degree: {degree}"],
+    )
 
 
 def _endo_like(args) -> Report:
@@ -143,17 +149,22 @@ def _endo_like(args) -> Report:
         if group_like:
             homs = tuple(m for m in homs if m.is_invertible())
         checks.append(("oracle-match", homs == monoid.points))
-    payload = {
-        "count": len(monoid.points),
-        "identity_index": monoid.identity_index,
-        "points": [matrix_json(m) for m in monoid.points],
-    }
-    lines = [
-        f"points ({len(monoid.points)}):",
-        *[f"  {format_matrix(m)}" for m in monoid.points],
-        f"identity-index: {monoid.identity_index}",
-    ]
-    return _describe(_header(args, meta), algebra, checks, payload, lines)
+
+    def payload() -> dict:
+        return {
+            "count": len(monoid.points),
+            "identity_index": monoid.identity_index,
+            "points": [matrix_json(m) for m in monoid.points],
+        }
+
+    def lines() -> list[str]:
+        return [
+            f"points ({len(monoid.points)}):",
+            *[f"  {format_matrix(m)}" for m in monoid.points],
+            f"identity-index: {monoid.identity_index}",
+        ]
+
+    return _describe(_header(args, meta), args, algebra, checks, payload, lines)
 
 
 def _cmd_gradings(args) -> Report:
@@ -171,39 +182,47 @@ def _cmd_gradings(args) -> Report:
     induced = tuple(grading_from_point(algebra, group, p) for p in points)
     result = classify(algebra, points, induced, bound) if args.classify else None
     checks: list[tuple[str, bool]] = []
-    payload = {
-        "group_order": group.order,
-        "count": len(points),
-        "points": [grading_point_json(group, p) for p in points],
-        "gradings": [grading_json(group, g) for g in induced],
-    }
-    lines = [
-        f"group: {group_meta.name} order={group.order}",
-        f"points ({len(points)}):",
-        *[f"  point {k}: {grading_point_text(group, p)}" for k, p in enumerate(points)],
-        f"gradings ({len(induced)}):",
-        *[f"  grading {k}: {grading_text(group, g)}" for k, g in enumerate(induced)],
-    ]
     if args.oracle:
         checks.append(("oracle-match", sorted(induced, key=Grading.sort_key) == list(oracle)))
         roundtrip = all(point_from_grading(algebra, group, g) == p for p, g in zip(points, induced))
         checks.append(("roundtrip", roundtrip))
-        payload["oracle_count"] = len(oracle)
     if result is not None:
         checks.append(("orbit-count-agreement", result.counts_agree))
         checks.append(("orbit-correspondence", result.correspondence_ok))
-        payload["classification"] = {
-            "point_orbits": [list(o) for o in result.point_orbits],
-            "class_count": result.class_count,
-            "grading_class_count": len(result.grading_orbits),
+
+    def payload() -> dict:
+        doc = {
+            "group_order": group.order,
+            "count": len(points),
+            "points": [grading_point_json(group, p) for p in points],
+            "gradings": [grading_json(group, g) for g in induced],
         }
-        lines.append("classification:")
-        orbit_text = " ".join(
-            "[" + ",".join(str(i) for i in orbit) + "]" for orbit in result.point_orbits
-        )
-        lines.append(f"  point-orbits ({result.class_count}): {orbit_text}")
-        lines.append(f"  grading-classes: {len(result.grading_orbits)}")
-    return _describe(_header(args, meta, group_meta), algebra, checks, payload, lines)
+        if args.oracle:
+            doc["oracle_count"] = len(oracle)
+        if result is not None:
+            doc["classification"] = {
+                "point_orbits": [list(o) for o in result.point_orbits],
+                "class_count": result.class_count,
+                "grading_class_count": len(result.grading_orbits),
+            }
+        return doc
+
+    def lines() -> list[str]:
+        text = [
+            f"group: {group_meta.name} order={group.order}",
+            f"points ({len(points)}):",
+            *[f"  point {k}: {grading_point_text(group, p)}" for k, p in enumerate(points)],
+            f"gradings ({len(induced)}):",
+            *[f"  grading {k}: {grading_text(group, g)}" for k, g in enumerate(induced)],
+        ]
+        if result is not None:
+            orbits = " ".join("[" + ",".join(map(str, o)) + "]" for o in result.point_orbits)
+            text.append("classification:")
+            text.append(f"  point-orbits ({result.class_count}): {orbits}")
+            text.append(f"  grading-classes: {len(result.grading_orbits)}")
+        return text
+
+    return _describe(_header(args, meta, group_meta), args, algebra, checks, payload, lines)
 
 
 class _Parser(argparse.ArgumentParser):

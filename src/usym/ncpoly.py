@@ -39,7 +39,11 @@ NF(sum c_w w) = sum c_w NF(w), and the scale of the ints never shows in a
 result.  A RewriteSystem's word table holds the normal form of 1 * w
 (substituted, then reduced), or a mark that w is its own, from the first
 time w is asked; ``_tensor_nf`` reads a tensor's legs off it one at a time
-(NF (x) NF = (id (x) NF)(NF (x) id)), summing between legs.
+(NF (x) NF = (id (x) NF)(NF (x) id)).  Both int tensor kernels sum in one
+pass: each distinct word's image (``_on_leg``) or normal form
+(``_tensor_nf``, per leg) is found first, so the lcm of their denominators
+is known before the sum starts, and every term, scaled by lcm / den, is
+added straight into one dict, reduced mod m at the end.
 
 Interreduction and completion work on one rule state (``_RuleState``) whose
 work items are int relations over a denominator.  Interreduction takes the
@@ -57,7 +61,6 @@ interreduction and completion reduce against.
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 import operator
 import sys
@@ -85,21 +88,6 @@ def format_word(w: Word) -> str:
     return " ".join(map(format_genid, w)) if w else "1"
 
 
-def _accumulate(out: dict, items: Iterable[tuple]) -> dict:
-    """Add (key, coefficient) pairs into out, dropping keys that cancel to zero."""
-    for k, c in items:
-        v = out.get(k)
-        if v is None:
-            out[k] = c
-        else:
-            v = v + c
-            if v:
-                out[k] = v
-            else:
-                del out[k]
-    return out
-
-
 class _Combination:
     """The arithmetic NCPoly (keys: words) and TensorPoly (keys: tuples of
     words) share: zero coefficients are never stored, results take the type
@@ -114,7 +102,10 @@ class _Combination:
         return not self.terms
 
     def __add__(self, other):
-        return type(self)(_accumulate(dict(self.terms), other.terms.items()))
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            out[k] = out[k] + c if k in out else c
+        return type(self)(out)
 
     def __neg__(self):
         return type(self)({k: -c for k, c in self.terms.items()})
@@ -198,8 +189,10 @@ def _scalars(ints: Mapping, d: int, m: int) -> dict:
 
 
 def _mod(terms: dict, m: int) -> dict:
-    """The nonzero residues mod m of the int terms, or the terms if m = 0."""
-    return {k: v % m for k, v in terms.items() if v % m} if m else terms
+    """The nonzero terms of the int terms, as residues mod m if m > 0."""
+    if m:
+        return {k: v % m for k, v in terms.items() if v % m}
+    return {k: v for k, v in terms.items() if v}
 
 
 def _one_leg(p: NCPoly) -> tuple[dict, int]:
@@ -208,45 +201,58 @@ def _one_leg(p: NCPoly) -> tuple[dict, int]:
     return {(w,): c for w, c in ints.items()}, d
 
 
-def _sum(parts: list[tuple[Iterable[tuple], int]], m: int) -> tuple[dict, int]:
-    """(ints, d): the sum of the int (terms, den) in parts over the lcm d of
-    their dens, each scaled by d / den, as residues mod m over GF(p)."""
-    d = math.lcm(*[den for _, den in parts])
-    out: dict = {}
-    for terms, den in parts:
-        f = d // den
-        _accumulate(out, terms if f == 1 else ((k, c * f) for k, c in terms))
-    return _mod(out, m), d
-
-
 def _on_leg(table: Mapping, legs: int, x: tuple, leg: int, m: int) -> tuple[dict, int]:
     """Apply an algebra map of the free algebra to leg `leg` of x = (terms,
     den), int tensor terms / den (see _ints).  The map sends a generator in
     `table` to its image (ints, d), int `legs`-leg tensor terms / d, and
     fixes the others (legs = 1: substitution); a word goes to the legwise
-    product of its generators' images over the product of their d (formed
-    once per call), the empty word to the unit tensor.  The result's legs
-    replace leg `leg` in the keys; its denominator is den times the lcm of
-    the words' (_sum)."""
+    product of its generators' images over the product of their d, the
+    empty word to the unit tensor.  Each distinct word's image is formed
+    first, once per call; then each term c * key adds c * e / d times its
+    word's image, its legs in place of leg `leg`, into one dict, for the
+    lcm e of the images' d.  The result's denominator is den * e."""
     terms, den = x
-    parts, images = [], {"": ({("",) * legs: 1}, 1)}
-    for key, c in terms.items():
+    images = {"": ({("",) * legs: 1}, 1)}
+    for key in terms:
         w = key[leg]
         if w not in images:
             image, d = table.get(w[0]) or ({(w[0],): 1}, 1)
             for g in w[1:]:
                 factor, e = table.get(g) or ({(g,): 1}, 1)
-                products = itertools.product(image.items(), factor.items())
-                image = _accumulate(
-                    {}, ((tuple(map(operator.add, a, b)), u * v) for (a, u), (b, v) in products)
-                )
-                d *= e
+                product: dict = {}
+                get = product.get
+                if legs == 1:
+                    for (a,), u in image.items():
+                        for (b,), v in factor.items():
+                            k = (a + b,)
+                            product[k] = get(k, 0) + u * v
+                elif legs == 2:
+                    for (a0, a1), u in image.items():
+                        for (b0, b1), v in factor.items():
+                            k = (a0 + b0, a1 + b1)
+                            product[k] = get(k, 0) + u * v
+                else:
+                    for a, u in image.items():
+                        for b, v in factor.items():
+                            k = tuple(map(operator.add, a, b))
+                            product[k] = get(k, 0) + u * v
+                image, d = product, d * e
             images[w] = image, d
-        image, d = images[w]
-        head, tail = key[:leg], key[leg + 1 :]
-        parts.append(([(head + split + tail, c * u) for split, u in image.items()], d))
-    out, d = _sum(parts, m)
-    return out, den * d
+    e = math.lcm(*[d for _, d in images.values()])
+    out: dict = {}
+    get, one = out.get, len(next(iter(terms), ())) == 1
+    for key, c in terms.items():
+        image, d = images[key[leg]]
+        c *= e // d
+        if one:  # a 1-leg key's image keys are the output's keys
+            for k, u in image.items():
+                out[k] = get(k, 0) + c * u
+        else:
+            head, tail = key[:leg], key[leg + 1 :]
+            for split, u in image.items():
+                k = head + split + tail
+                out[k] = get(k, 0) + c * u
+    return _mod(out, m), den * e
 
 
 def _substituted(ints: dict[str, int], d: int, subs: Mapping, m: int) -> tuple[dict, int]:
@@ -618,7 +624,10 @@ def complete(system: RewriteSystem, degree_bound: int) -> RewriteSystem:
         (_, _, lc_u, rest_u), (_, _, lc_v, rest_v) = leads[u], leads[v]
         head, tail = u[: len(u) - k], v[k:]
         diff = {w + tail: lc_v * c for w, c in rest_u.items()}
-        _accumulate(diff, ((head + w, -lc_u * c) for w, c in rest_v.items()))
+        for w, c in rest_v.items():
+            w = head + w
+            diff[w] = diff.get(w, 0) - lc_u * c
+        diff = _mod(diff, 0)
         scale = _reduce(diff, state.index) * lc_u * lc_v
         if diff:
             state.run([(diff, scale)])
@@ -661,24 +670,39 @@ def format_tensor(t: TensorPoly) -> str:
 def _tensor_nf(terms: Mapping[tuple[str, ...], int], m: int, system: RewriteSystem):
     """The int core of tensor_normal_form on int terms with modulus m (see
     _ints): (ints, d), ints / d the sum over terms c * w1 (x) ... (x) wk of
-    c * NF(w1) (x) ... (x) NF(wk), formed one leg at a time off the system's
-    word table (a leg that is its own normal form is copied, its term's
-    coefficient unmultiplied) and summed after each leg over the lcm of the
-    denominators (_sum), so a term that cancels meets no later leg; d is
-    the product of those lcms.  0-leg terms come back as they are."""
-    d = 1
-    for leg in range(len(next(iter(terms), ()))):
-        parts, own = [], []
+    c * NF(w1) (x) ... (x) NF(wk), formed one leg at a time (NF (x) NF =
+    (id (x) NF)(NF (x) id)).  On each leg the system's word table gives
+    each distinct word's normal form first; then, over the lcm e of their
+    denominators, the terms whose leg is its own normal form are copied
+    into one dict, scaled by e, and every other term's image added to it,
+    so a term that cancels meets no later leg; d is the product of those
+    e.  0-leg terms come back as they are."""
+    d, size, word_nf = 1, len(next(iter(terms), ())), system._word_nf
+    for leg in range(size):
+        nfs: dict = {}
+        for key in terms:
+            if key[leg] not in nfs:
+                nfs[key[leg]] = word_nf(key[leg])
+        e = math.lcm(*[nf[1] for nf in nfs.values() if nf is not None])
+        out = {key: c * e for key, c in terms.items() if nfs[key[leg]] is None}
+        get = out.get
         for key, c in terms.items():
-            nf = system._word_nf(key[leg])
+            nf = nfs[key[leg]]
             if nf is None:
-                own.append((key, c))
+                continue
+            ints, f = nf
+            c *= e // f
+            if size == 2:  # the other leg's word, h or t, stays as it is
+                h, t = key
+                for v, x in ints.items():
+                    k = (h, v) if leg else (v, t)
+                    out[k] = get(k, 0) + c * x
             else:
-                ints, e = nf
                 head, tail = key[:leg], key[leg + 1 :]
-                parts.append(([(head + (v,) + tail, c * x) for v, x in ints.items()], e))
-        terms, e = _sum([(own, 1), *parts], m)
-        d *= e
+                for v, x in ints.items():
+                    k = head + (v,) + tail
+                    out[k] = get(k, 0) + c * x
+        terms, d = _mod(out, m), d * e
     return terms, d
 
 

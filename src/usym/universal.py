@@ -31,6 +31,7 @@ kept by nothing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .algebra import FinAlgebra
@@ -42,10 +43,10 @@ from .ncpoly import (
     TensorPoly,
     _decode,
     _encode,
+    _mod,
     _on_leg,
     _one_leg,
     _scalars,
-    _sum,
     _tensor_nf,
     complete,
     format_genid,
@@ -187,7 +188,11 @@ def _minus(x: tuple, y: tuple) -> tuple[dict, int]:
     """(ints, d) of x - y, for x and y as (terms, den), over the lcm d of
     the dens."""
     (a, da), (b, db) = x, y
-    return _sum([(a.items(), da), ([(k, -c) for k, c in b.items()], db)], 0)
+    d = math.lcm(da, db)
+    out = {k: c * (d // da) for k, c in a.items()}
+    for k, c in b.items():
+        out[k] = out.get(k, 0) - c * (d // db)
+    return _mod(out, 0), d
 
 
 def _is_unit_vector(coords: list[tuple], i: int, unit: tuple) -> bool:

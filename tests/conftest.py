@@ -92,6 +92,14 @@ def truncated_polynomial(field, n: int) -> FinAlgebra:
     return FinAlgebra(field, n, tau)
 
 
+def square_zero(field, n: int) -> FinAlgebra:
+    """k 1 + V with V^2 = 0: basis {1, v_1, ..., v_(n-1)}, and every product of
+    two v's zero."""
+    tau = {(0, j, j): field.one for j in range(n)}
+    tau.update({(j, 0, j): field.one for j in range(1, n)})
+    return FinAlgebra(field, n, tau)
+
+
 def full_matrices(field) -> FinAlgebra:
     """M_2(k): basis {I, E11, E12, E21}, with E22 = I - E11."""
     one = field.one

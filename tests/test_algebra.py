@@ -20,6 +20,7 @@ from conftest import (
     full_matrices,
     ground_field,
     rescaled,
+    square_zero,
     triangular,
     truncated_polynomial,
     upper_triangular,
@@ -243,13 +244,15 @@ def test_rational_validation_runs_on_ints(monkeypatch):
     # the denominators): bases rescaled so that the constants carry
     # denominators, each constant tampered by 1/3 or set to -7/4, give the
     # first failing (i, j, l, s) of the dense definition, and the loop makes
-    # no Fraction
+    # no Fraction; so do k 1 + V with V^2 = 0, whose (i, j, l) with e_i e_j
+    # and e_j e_l both zero are skipped, and its tamperings
     from fractions import Fraction
 
     bases = [
         rescaled(triangular(QQ), (1, "3/2", "-2/5")),
         rescaled(truncated_polynomial(QQ, 3), (1, "-5/3", "7/2")),
         rescaled(full_matrices(QQ), (1, "2/3", "-3/4", "5")),
+        square_zero(QQ, 4),
     ]
     cases = []
     for a in bases:
@@ -275,5 +278,6 @@ def test_rational_validation_runs_on_ints(monkeypatch):
     monkeypatch.undo()
     assert got == want and made == []
     kinds = [v and v.kind for v in got]
-    assert kinds[:3] == [None] * 3
-    assert [kinds.count(k) for k in ("unit", "associativity", None)] == [58, 58, 5]
+    assert kinds[:4] == [None] * 4
+    # the square-zero algebra's 64 tamperings: 28 unit, 21 associativity, 15 valid
+    assert [kinds.count(k) for k in ("unit", "associativity", None)] == [86, 79, 21]

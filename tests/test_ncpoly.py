@@ -1,4 +1,5 @@
 import functools
+import math
 import random
 import sys
 
@@ -875,6 +876,108 @@ def test_int_on_leg_matches_scalar_legwise_product(field, data):
         got, got_den = _on_leg(table, legs, (terms, den), leg, m)
         assert _scalars(got, got_den, m) == legwise_image(scalars, legs, t, leg, field)
         assert m == 0 or (got_den == 1 and all(0 < v < m for v in got.values()))
+
+
+def summed_over_lcm(parts, m):
+    """The parts, lists of int terms each over its den, added up over the
+    lcm e of all the dens, each scaled by e / den: (nonzero terms, as
+    residues mod m if m > 0, e)."""
+    e = math.lcm(*[den for _, den in parts])
+    out = {}
+    for items, den in parts:
+        for k, c in items:
+            out[k] = out.get(k, 0) + c * (e // den)
+    return {k: c % m if m else c for k, c in out.items() if (c % m if m else c)}, e
+
+
+def expanded_on_leg(table, legs, x, leg, m):
+    """_on_leg written out: each term's image formed afresh from the unit
+    tensor, then every term of every image summed over the lcm."""
+    terms, den = x
+    parts = []
+    for key, c in terms.items():
+        image, d = {("",) * legs: 1}, 1
+        for g in key[leg]:
+            factor, e = table.get(g) or ({(g,): 1}, 1)
+            product = {}
+            for a, u in image.items():
+                for b, v in factor.items():
+                    k = tuple(p + q for p, q in zip(a, b))
+                    product[k] = product.get(k, 0) + u * v
+            image, d = product, d * e
+        parts.append(([(key[:leg] + k + key[leg + 1 :], c * u) for k, u in image.items()], d))
+    out, e = summed_over_lcm(parts, m)
+    return out, den * e
+
+
+def expanded_tensor_nf(terms, m, system):
+    """_tensor_nf written out: on each leg, every term's normal form on
+    that leg, a word that is its own over 1, summed over the lcm."""
+    d = 1
+    for leg in range(len(next(iter(terms), ()))):
+        parts = []
+        for key, c in terms.items():
+            ints, e = system._word_nf(key[leg]) or ({key[leg]: 1}, 1)
+            head, tail = key[:leg], key[leg + 1 :]
+            parts.append(([(head + (v,) + tail, c * x) for v, x in ints.items()], e))
+        terms, e = summed_over_lcm(parts, m)
+        d *= e
+    return terms, d
+
+
+@pytest.mark.parametrize("m", [0, 3, 5], ids=["QQ", "GF3", "GF5"])
+@settings(deadline=None)
+@given(data=st.data())
+def test_int_kernels_give_the_expanded_sums_exactly(m, data):
+    # _on_leg and _tensor_nf against their written-out sums on random int
+    # tensors of 1-3 legs (0-3 for _tensor_nf), the leg at each position:
+    # the same ints over the same denominator, not only the same scalars.
+    # Over QQ an image is drawn as (k * ints, k * d), k in 1..3, so equal
+    # images over different dens make terms cancel and come back, and a
+    # later word can raise the lcm; over GF(p), residues over 1
+    gens = [_encode((g,)) for g in (X, Y, (1, 3))]
+    coeff = st.integers(1, m - 1) if m else st.sampled_from([-3, -2, -1, 1, 2, 4])
+    word = st.lists(st.sampled_from(gens), max_size=3).map("".join)
+    legs = data.draw(st.integers(0, 3))
+    table = {}
+    for g in data.draw(st.lists(st.sampled_from(gens), unique=True)):
+        image = data.draw(st.dictionaries(st.tuples(*[word] * legs), coeff, max_size=3))
+        k, d = (1, 1) if m else (data.draw(st.integers(1, 3)), data.draw(st.sampled_from([1, 2, 3])))
+        table[g] = ({key: k * c for key, c in image.items()}, k * d)
+    if legs != 1:  # only a substitution fixes the generators it does not name
+        table.update({g: ({}, 1) for g in gens if g not in table})
+    size = data.draw(st.integers(1, 3))
+    terms = data.draw(st.dictionaries(st.tuples(*[word] * size), coeff, max_size=6))
+    den = 1 if m else data.draw(st.sampled_from([1, 4]))
+    leg = data.draw(st.integers(0, size - 1))
+    x = (terms, den)
+    assert _on_leg(table, legs, x, leg, m) == expanded_on_leg(table, legs, x, leg, m)
+
+    field = GF(m) if m else QQ
+    rules, _ = data.draw(rule_lists(field))
+    sub = {(): data.draw(coefficients(field)), (X,): data.draw(coefficients(field))}
+    system = RewriteSystem({(2, 1): NCPoly(sub)}, rules)
+    word = st.lists(st.sampled_from([*gens, _encode(((2, 1),))]), max_size=3).map("".join)
+    size = data.draw(st.integers(0, 3))
+    terms = data.draw(st.dictionaries(st.tuples(*[word] * size), coeff, max_size=6))
+    assert _tensor_nf(terms, m, system) == expanded_tensor_nf(terms, m, system)
+
+
+def test_int_kernels_keep_a_term_that_cancels_and_comes_back():
+    # three words whose image is x over dens 1, 2 and 3: the second word's
+    # term cancels the first's, and the third brings x back and raises the
+    # lcm to 6; so in _tensor_nf, where x[1,2], x[2,2] and x[1,3] have the
+    # normal forms x / 2, x / 3 and x, and x and x[3,2] are their own
+    a, b, c, x = (_encode(((s, 2),)) for s in (1, 2, 3, 4))
+    table = {a: ({(x,): 1}, 1), b: ({(x,): 2}, 2), c: ({(x,): 3}, 3)}
+    terms = {(a,): 1, (b,): -1, (c,): 1}
+    assert _on_leg(table, 1, (terms, 1), 0, 0) == ({(x,): 6}, 6)
+    assert expanded_on_leg(table, 1, (terms, 1), 0, 0) == ({(x,): 6}, 6)
+    subs = {X: "1/2", Y: "1/3", (1, 3): "1"}
+    system = RewriteSystem({g: NCPoly({((4, 2),): QQ(q)}) for g, q in subs.items()})
+    terms = {(x, a): 2, (x, b): -3, (x, c): 1, (x, _encode(((1, 3),))): 5}
+    assert _tensor_nf(terms, 0, system) == ({(x, c): 6, (x, x): 30}, 6)
+    assert expanded_tensor_nf(terms, 0, system) == ({(x, c): 6, (x, x): 30}, 6)
 
 
 def test_check_reduces_each_word_once(monkeypatch, tmp_path):
